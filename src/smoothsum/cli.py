@@ -23,7 +23,7 @@ from .decompose import (
     decomposability_report,
     refute_smooth_sum_standard,
 )
-from .diffeology import DVSpace, Plot, Subspace, parse_space, print_space
+from .diffeology import DVSpace, Plot, Subspace, parse_space
 from .expr import ExprError, parse_expr
 from .franklin import (
     RationalityLink,
@@ -43,6 +43,12 @@ from .gallery import (
 
 class InputError(Exception):
     pass
+
+
+# Largest accepted matching-construction order: --n 32 builds in about
+# 40 s on a 2-vCPU machine and the cost grows superlinearly, so --n 100
+# would run for hours.
+MAX_N = 32
 
 
 def _load_space(name_or_file: str, axioms) -> DVSpace:
@@ -129,7 +135,7 @@ def _print_tree(node, indent: int) -> None:
 
 
 def cmd_analyze(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sp = _load_space(args.space, args.axiom)
     dual = dual_basis(sp)
     iso = maximal_isotropic(sp)
@@ -148,12 +154,12 @@ def cmd_analyze(args) -> int:
         "decomposability": dec.to_dict(),
     }
     axioms = set(sp.axioms) | set(dual.axioms_used) | set(dec.axioms_used)
-    _emit(_make_report("analyze", {"space": args.space}, report, axioms, time.time() - t0), args.json)
+    _emit(_make_report("analyze", {"space": args.space}, report, axioms, time.perf_counter() - t0), args.json)
     return 0
 
 
 def cmd_check_sum(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sp = _load_space(args.space, args.axiom)
     w0 = _parse_basis(args.w0, sp.dim)
     w1 = _parse_basis(args.w1, sp.dim)
@@ -182,7 +188,7 @@ def cmd_check_sum(args) -> int:
             {"space": args.space, "w0": args.w0, "w1": args.w1},
             report,
             axioms,
-            time.time() - t0,
+            time.perf_counter() - t0,
         ),
         args.json,
     )
@@ -211,26 +217,24 @@ def _load_witness_file(path: str, sp: DVSpace, n: int) -> dict:
 
 
 def cmd_franklin(args) -> int:
-    t0 = time.time()
-    if args.n < 1:
-        raise InputError("--n must be at least 1")
+    t0 = time.perf_counter()
     fm = build_franklin(args.n)
     link = RationalityLink(fm)
     cert = certify_rationality_link(link)
     report = {"franklin": fm.to_dict(), "rationality_link": cert}
-    rep = _make_report("franklin", {"n": args.n}, report, link.axioms_used, time.time() - t0)
+    rep = _make_report("franklin", {"n": args.n}, report, link.axioms_used, time.perf_counter() - t0)
     _emit(rep, args.json)
     return 0 if cert["ok"] and cert["monotone"] and cert["decay"] else 1
 
 
 def cmd_verify_identity(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fm = franklin_map(args.n)
     link = RationalityLink(fm)
     result = verify_abs_identity(link, grid=args.grid)
     report = {"identity": result, "n": args.n, "grid": args.grid}
     rep = _make_report(
-        "verify-identity", {"n": args.n, "grid": args.grid}, report, link.axioms_used, time.time() - t0
+        "verify-identity", {"n": args.n, "grid": args.grid}, report, link.axioms_used, time.perf_counter() - t0
     )
     _emit(rep, args.json)
     return 0 if result["ok"] else 1
@@ -309,6 +313,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.n <= MAX_N:
+            raise InputError(f"--n must be between 1 and {MAX_N}, got {args.n}")
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

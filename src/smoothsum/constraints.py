@@ -17,13 +17,18 @@ Two engines live here.
   combinations; separation rules grow the span; the subset diffeology is
   certified standard when every ambient coordinate's symbol vector lies
   in the span.
+
+The tables FACT_BASE and SEPARATION_RULES are the rules that run: the
+engines read them row by row and hold no second copy of any rule, so
+every id in a report's ``facts_used`` or ``derivation`` is the row that
+fired.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import linalg
 from .diffeology import DVSpace, Subspace
@@ -53,6 +58,7 @@ FACT_BASE = [
     {
         "id": "abs-kink",
         "kinds": [ABS_KIND],
+        "unless": [GAMMA_KIND],
         "requires_axioms": [],
         "forces_zero": [ABS_KIND],
         "justification": (
@@ -61,8 +67,21 @@ FACT_BASE = [
         ),
     },
     {
+        "id": "gamma-under-A",
+        "kinds": [GAMMA_KIND],
+        "unless": [],
+        "requires_axioms": [AXIOM_A],
+        "forces_zero": [GAMMA_KIND, ABS_KIND],
+        "justification": (
+            "axiom A: a combination c1*|x| + c2*gamma(x) is smooth only when "
+            "its abs part and gamma part are separately smooth, and gamma "
+            "itself is not smooth; hence c1 = c2 = 0"
+        ),
+    },
+    {
         "id": "delta-discontinuity",
         "kinds": [DELTA_KIND],
+        "unless": [DELTA_SQRT_KIND],
         "requires_axioms": [],
         "forces_zero": [DELTA_KIND],
         "justification": (
@@ -73,6 +92,7 @@ FACT_BASE = [
     {
         "id": "delta-sqrt-discontinuity",
         "kinds": [DELTA_SQRT_KIND],
+        "unless": [DELTA_KIND],
         "requires_axioms": [],
         "forces_zero": [DELTA_SQRT_KIND],
         "justification": (
@@ -84,6 +104,7 @@ FACT_BASE = [
     {
         "id": "delta-pair-density",
         "kinds": [DELTA_KIND, DELTA_SQRT_KIND],
+        "unless": [],
         "requires_axioms": [],
         "forces_zero": [DELTA_KIND, DELTA_SQRT_KIND],
         "justification": (
@@ -93,51 +114,29 @@ FACT_BASE = [
             "c1 = c2 = 0"
         ),
     },
-    {
-        "id": "gamma-under-A",
-        "kinds": [GAMMA_KIND],
-        "requires_axioms": [AXIOM_A],
-        "forces_zero": [GAMMA_KIND, ABS_KIND],
-        "justification": (
-            "axiom A: a combination c1*|x| + c2*gamma(x) is smooth only when "
-            "its abs part and gamma part are separately smooth, and gamma "
-            "itself is not smooth; hence c1 = c2 = 0"
-        ),
-    },
 ]
 
 
 def _facts_for(kinds: frozenset, axioms: frozenset):
     """Pick the fact-base rules matching an atom-kind pattern.
 
-    Returns (list of facts, list of kinds forced to zero, complete flag);
-    ``complete`` is False when some present kind is not covered by any
-    applicable rule.
+    A fact applies when all of its ``kinds`` are present, none of its
+    ``unless`` kinds are, and its ``requires_axioms`` are assumed; it
+    forces the present kinds among its ``forces_zero`` to vanish.
+    (Without axiom A, gamma content leaves both the gamma and the abs part
+    undecided.)  Returns (list of facts, sorted kinds forced to zero,
+    complete flag); ``complete`` is False when some present kind is not
+    covered by any applicable rule.
     """
-    facts = []
-    forced: set = set()
-    if GAMMA_KIND in kinds:
-        rule = next(f for f in FACT_BASE if f["id"] == "gamma-under-A")
-        if AXIOM_A in axioms:
-            facts.append(rule)
-            forced.update(k for k in rule["forces_zero"] if k in kinds)
-        # without axiom A neither the gamma nor the abs part is decidable
-    elif ABS_KIND in kinds:
-        rule = next(f for f in FACT_BASE if f["id"] == "abs-kink")
-        facts.append(rule)
-        forced.add(ABS_KIND)
-    if DELTA_KIND in kinds and DELTA_SQRT_KIND in kinds:
-        rule = next(f for f in FACT_BASE if f["id"] == "delta-pair-density")
-        facts.append(rule)
-        forced.update((DELTA_KIND, DELTA_SQRT_KIND))
-    elif DELTA_KIND in kinds:
-        facts.append(next(f for f in FACT_BASE if f["id"] == "delta-discontinuity"))
-        forced.add(DELTA_KIND)
-    elif DELTA_SQRT_KIND in kinds:
-        facts.append(next(f for f in FACT_BASE if f["id"] == "delta-sqrt-discontinuity"))
-        forced.add(DELTA_SQRT_KIND)
-    complete = forced == set(kinds)
-    return facts, sorted(forced), complete
+    facts = [
+        f
+        for f in FACT_BASE
+        if kinds.issuperset(f["kinds"])
+        and kinds.isdisjoint(f["unless"])
+        and axioms.issuperset(f["requires_axioms"])
+    ]
+    forced = {k for f in facts for k in f["forces_zero"] if k in kinds}
+    return facts, sorted(forced), forced == kinds
 
 
 # ---------------------------------------------------------------------
@@ -287,11 +286,13 @@ def maximal_isotropic(space: DVSpace) -> IsotropicResult:
             space.dim, [[1 if j == i else 0 for j in range(space.dim)] for i in range(space.dim)]
         )
     else:
-        if any(isinstance(x, QSqrt2) and not x.is_rational for row in rows for x in row):
-            ker = linalg.nullspace(rows)
-            ker = _rationalize(ker)
-        else:
-            ker = linalg.nullspace(rows)
+        ker = _rationalize(linalg.nullspace(rows))
+        if any(isinstance(x, QSqrt2) for row in ker for x in row):
+            raise ValueError(
+                f"the isotropic subspace of {space.name}, spanned by "
+                f"{[[str(x) for x in row] for row in ker]}, is irrational; "
+                "only rational subspaces are supported"
+            )
         sub = Subspace.from_vectors(space.dim, ker) if ker else Subspace(space.dim, ())
     status = "exact" if dual.status == "exact" else "lower-bound"
     return IsotropicResult(status, sub, dual)
@@ -340,9 +341,16 @@ SEPARATION_RULES = [
     # rule.  The rational-matching identity shows that an indicator
     # combination plus a smooth tail can equal |x|, so the deltaQ-part of
     # a smooth combination need not itself be smooth.
+    #
+    # A rule either "splits" a smooth combination into its part of each
+    # listed kind (when that part and the rest are both nonzero), or, for
+    # every generator carrying both kinds of a (src, dst) pair, "implies"
+    # that a smooth src symbol makes the dst symbol smooth.
     {
         "id": "abs-gamma-splitting",
         "requires_axioms": [AXIOM_A],
+        "splits": [ABS_KIND, GAMMA_KIND],
+        "derivation": "{id} (axiom A) extracts the {kind}-part",
         "justification": (
             "axiom A: a smooth combination with mixed abs- and gamma-content "
             "splits into a smooth abs-part and a smooth gamma-part"
@@ -351,6 +359,8 @@ SEPARATION_RULES = [
     {
         "id": "abs-gamma-sibling",
         "requires_axioms": [AXIOM_A],
+        "implies": [(GAMMA_KIND, ABS_KIND), (ABS_KIND, GAMMA_KIND)],
+        "derivation": "{id} (axiom A) on generator {k}",
         "justification": (
             "axiom A: for a generator carrying both |.| and gamma content the "
             "gamma-part is smooth iff the matching abs-part is smooth"
@@ -359,6 +369,8 @@ SEPARATION_RULES = [
     {
         "id": "sqrt-delta-implication",
         "requires_axioms": [AXIOM_SQRT_IMPLICATION],
+        "implies": [(DELTA_SQRT_KIND, DELTA_KIND)],
+        "derivation": "{id} on generator {k}",
         "justification": (
             "optional axiom: smoothness of a generator's deltaQ(sqrt|x|)-part "
             "forces smoothness of its deltaQ(x)-part"
@@ -440,46 +452,40 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
                 + str([str(x) for x in v])
             )
 
-    # close under separation rules
+    def unit(i):
+        return [QSqrt2.coerce(1) if m == i else QSqrt2() for m in range(n_sym)]
+
+    def grow(rule, v, **where) -> bool:
+        if not _span_add(span, v):
+            return False
+        derivation.append(rule["derivation"].format(id=rule["id"], **where))
+        axioms_used.update(rule["requires_axioms"])
+        return True
+
+    # close under the separation rules whose axioms the space assumes
+    rules = [r for r in SEPARATION_RULES if space.axioms.issuperset(r["requires_axioms"])]
     changed = True
     while changed:
         changed = False
-        for v in list(span):
-            if AXIOM_A in space.axioms:
-                for kind in (ABS_KIND, GAMMA_KIND):
+        for rule in rules:
+            for v in list(span):
+                for kind in rule.get("splits", ()):
                     proj = [v[i] if symbols[i][1] == kind else QSqrt2() for i in range(n_sym)]
                     rest = [v[i] - proj[i] for i in range(n_sym)]
                     if (
                         any(not x.is_zero for x in proj)
                         and any(not x.is_zero for x in rest)
-                        and _span_add(span, proj)
+                        and grow(rule, proj, kind=kind)
                     ):
-                        derivation.append(f"abs-gamma-splitting (axiom A) extracts the {kind}-part")
-                        axioms_used.add(AXIOM_A)
                         changed = True
-        if AXIOM_A in space.axioms:
             for k, vecs in enumerate(table.coefvecs):
-                if ABS_KIND in vecs and GAMMA_KIND in vecs:
-                    ia, ig = sym_index[(k, ABS_KIND)], sym_index[(k, GAMMA_KIND)]
-                    for src, dst in ((ig, ia), (ia, ig)):
-                        unit_src = [QSqrt2.coerce(1) if i == src else QSqrt2() for i in range(n_sym)]
-                        unit_dst = [QSqrt2.coerce(1) if i == dst else QSqrt2() for i in range(n_sym)]
-                        if linalg.in_span(span, unit_src) and _span_add(span, unit_dst):
-                            derivation.append(
-                                f"abs-gamma-sibling (axiom A) on generator {k}"
-                            )
-                            axioms_used.add(AXIOM_A)
-                            changed = True
-        if AXIOM_SQRT_IMPLICATION in space.axioms:
-            for k, vecs in enumerate(table.coefvecs):
-                if DELTA_SQRT_KIND in vecs and DELTA_KIND in vecs:
-                    isq = sym_index[(k, DELTA_SQRT_KIND)]
-                    idl = sym_index[(k, DELTA_KIND)]
-                    unit_src = [QSqrt2.coerce(1) if i == isq else QSqrt2() for i in range(n_sym)]
-                    unit_dst = [QSqrt2.coerce(1) if i == idl else QSqrt2() for i in range(n_sym)]
-                    if linalg.in_span(span, unit_src) and _span_add(span, unit_dst):
-                        derivation.append(f"sqrt-delta-implication on generator {k}")
-                        axioms_used.add(AXIOM_SQRT_IMPLICATION)
+                for src, dst in rule.get("implies", ()):
+                    if (
+                        src in vecs
+                        and dst in vecs
+                        and linalg.in_span(span, unit(sym_index[(k, src)]))
+                        and grow(rule, unit(sym_index[(k, dst)]), k=k)
+                    ):
                         changed = True
 
     if all(linalg.in_span(span, cv) for cv in coord_vecs):

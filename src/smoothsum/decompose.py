@@ -26,7 +26,6 @@ from . import linalg
 from .constraints import (
     all_lines_standard,
     atom_table,
-    dual_basis,
     maximal_isotropic,
     characteristic_decomposition,
     subset_standard,
@@ -36,12 +35,9 @@ from .diffeology import (
     LinearMap,
     Plot,
     Subspace,
-    generator_plot,
     plot_add,
     plot_scale,
     product_space,
-    pushforward,
-    smooth_plot,
 )
 from .expr import (
     Const,
@@ -49,7 +45,6 @@ from .expr import (
     X,
     ZERO_E,
     classify_smoothness,
-    decompose_exotic,
     eval_tagged,
     is_smooth_expr,
     make_prod,
@@ -136,19 +131,26 @@ def _values_in_subspace(components: Sequence, w: Subspace) -> bool:
     return True
 
 
-def _plot_matches_components(plot: Plot, components: Sequence, grid: str) -> Optional[str]:
-    """Replay a witness: plot components equal the target componentwise on
-    the deterministic grid, by exact tagged evaluation.  Returns an error
-    description or None on success."""
+def _replay_witness(plot: Plot, components: Sequence, w: Subspace, grid: str) -> Optional[str]:
+    """Replay a witness on the deterministic grid, by exact tagged
+    evaluation: the plot equals the target componentwise and its values
+    lie in W.  Returns an error description or None on success."""
+    exprs = [plot.component_expr(j) for j in range(plot.space.dim)]
+    ann = linalg.annihilator([list(r) for r in w.basis], w.ambient_dim)
     for x in parse_grid(grid):
         tx = TaggedReal.exact(x)
-        for j in range(plot.space.dim):
-            lhs = eval_tagged(plot.component_expr(j), tx)
-            rhs = eval_tagged(components[j], tx)
+        vals = []
+        for j, (expr, target) in enumerate(zip(exprs, components)):
+            lhs = eval_tagged(expr, tx)
+            rhs = eval_tagged(target, tx)
             if isinstance(lhs, tuple) or isinstance(rhs, tuple):
                 return f"indeterminate value at {x}, component {j}"
             if not (lhs.is_exact and rhs.is_exact and lhs.value == rhs.value):
                 return f"mismatch at {x}, component {j}"
+            vals.append(lhs.value)
+        for phi in ann:
+            if not sum((QSqrt2.coerce(c) * v for c, v in zip(phi, vals)), QSqrt2()).is_zero:
+                return f"value at {x} lies outside the subspace"
     return None
 
 
@@ -189,8 +191,8 @@ def certify_smooth_sum(
                     entry["rule"] = f"rational-multiple-of-generator-{scaled}"
                 elif (k, part) in witnesses:
                     plot = witnesses[(k, part)]
-                    err = _plot_matches_components(plot, comps, grid)
-                    if err is None and _grid_values_in_subspace(plot, w, grid):
+                    err = _replay_witness(plot, comps, w, grid)
+                    if err is None:
                         entry["rule"] = "replayed-witness"
                         entry["witness"] = plot.to_dict()
                     else:
@@ -217,23 +219,6 @@ def _find_generator_multiple(space: DVSpace, comps: Sequence) -> Optional[int]:
             if all(make_prod([Const(c), g[j]]) == comps[j] for j in range(space.dim)):
                 return m
     return None
-
-
-def _grid_values_in_subspace(plot: Plot, w: Subspace, grid: str) -> bool:
-    ann = linalg.annihilator([list(r) for r in w.basis], w.ambient_dim)
-    for x in parse_grid(grid):
-        tx = TaggedReal.exact(x)
-        vals = []
-        for j in range(plot.space.dim):
-            v = eval_tagged(plot.component_expr(j), tx)
-            if isinstance(v, tuple) or not v.is_exact:
-                return False
-            vals.append(v.value)
-        for phi in ann:
-            s = sum((QSqrt2.coerce(phi[j]) * vals[j] for j in range(len(vals))), QSqrt2())
-            if not s.is_zero:
-                return False
-    return True
 
 
 def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> DecompositionVerdict:
@@ -301,7 +286,7 @@ def nonstandard_subspace_witness(space: DVSpace, direction: Sequence, abs_plot_p
     targets = [
         make_prod([Const(QSqrt2.coerce(d)), parse_abs_x()]) for d in direction
     ]
-    err = _plot_matches_components(plot, targets, DEFAULT_GRID)
+    err = _replay_witness(plot, targets, w, DEFAULT_GRID)
     if err is not None:
         raise ValueError(f"witness replay failed: {err}")
     verdicts = [classify_smoothness(t, axioms=space.axioms) for t in targets]
@@ -592,11 +577,11 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
         )
     try:
         prod, ker_standard = kernel_image_space(space, f)
+        src_atoms = _integer_atom_vectors(prod)
+        dst_atoms = _integer_atom_vectors(space)
     except ValueError as exc:
         return KernelImageVerdict("Unknown", None, (), {"reason": str(exc)})
 
-    src_atoms = _integer_atom_vectors(prod)
-    dst_atoms = _integer_atom_vectors(space)
     # precompute annihilators of the per-kind destination spans for the
     # fast integer prefilter
     pref = []

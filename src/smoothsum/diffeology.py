@@ -14,7 +14,7 @@ with smooth maps, which is exactly what generated diffeologies require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,7 +34,7 @@ from .expr import (
     parse_expr,
     to_text,
 )
-from .numbers import QSqrt2, TaggedReal, Tag, add_tagged, mul_tagged
+from .numbers import TaggedReal
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,6 @@ class DVSpace:
         for g in self.generators:
             if len(g) != self.dim:
                 raise ValueError("generator component count does not match dim")
-
-    def generator_component(self, k: int, j: int) -> Expr:
-        return self.generators[k][j]
 
     def to_dict(self) -> dict:
         return {

@@ -456,17 +456,26 @@ def abs_identity_expr(link: RationalityLink) -> Expr:
     return make_sum([make_prod([two_x, da]), make_neg(make_prod([two_x, db])), X])
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def parse_grid(spec: str, seed: int = 0) -> list:
     """Grid specification "rationals:N,negatives:M,quadratic:K" -> exact
     sample points, deterministic for a fixed seed."""
     rng = random.Random(seed)
     pts: list = []
+    total = 0
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         name, _, count = part.partition(":")
         count = int(count) if count else 10
+        if count < 0:
+            raise ValueError(f"negative point count in grid family {part!r}")
+        total += 1 if name == "zero" else count
+        if total > MAX_GRID_POINTS:
+            raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
         if name == "rationals":
             for _ in range(count):
                 pts.append(QSqrt2.coerce(Fraction(rng.randint(1, 1000), rng.randint(1, 1000))))

@@ -13,14 +13,12 @@ from functools import lru_cache
 from .constraints import (
     AXIOM_A,
     AXIOM_SQRT_IMPLICATION,
-    all_lines_standard,
     characteristic_decomposition,
     dual_basis,
     maximal_isotropic,
     subset_standard,
 )
 from .decompose import (
-    KernelImageVerdict,
     certify_smooth_sum,
     complementedness_report,
     decomposability_report,
@@ -28,7 +26,7 @@ from .decompose import (
     nonstandard_subspace_witness,
     refute_smooth_sum_standard,
 )
-from .diffeology import DVSpace, LinearMap, Plot, Subspace, parse_space, zero_tail
+from .diffeology import DVSpace, LinearMap, Plot, Subspace, parse_space
 from .expr import Const, X, make_neg, make_prod, parse_expr, to_text
 from .franklin import (
     AXIOM_EXP_TRANSCENDENCE,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -205,25 +205,6 @@ def parse_qsqrt2(text: str) -> QSqrt2:
     return QSqrt2(a, b)
 
 
-# -- spec-surface operation names -------------------------------------
-
-
-def qs_add(x: QSqrt2, y: QSqrt2) -> QSqrt2:
-    return x + y
-
-
-def qs_mul(x: QSqrt2, y: QSqrt2) -> QSqrt2:
-    return x * y
-
-
-def qs_neg(x: QSqrt2) -> QSqrt2:
-    return -x
-
-
-def qs_inv(x: QSqrt2) -> QSqrt2:
-    return x.inverse()
-
-
 def floor_qsqrt2(v: QSqrt2) -> int:
     """Exact floor of an element of Q(sqrt2)."""
     n = math.floor(float(v))  # guess, then fix up exactly
@@ -369,15 +350,6 @@ def mul_tagged(x: TaggedReal, y: TaggedReal) -> TaggedReal:
     return TaggedReal(value, tag, trans)
 
 
-def tag_propagate(op: str, x: TaggedReal, y: TaggedReal) -> TaggedReal:
-    """Sound propagation of rationality tags through a binary operation."""
-    if op == "add":
-        return add_tagged(x, y)
-    if op == "mul":
-        return mul_tagged(x, y)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def _is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -451,10 +423,12 @@ def transcendence_axiom_lookup(form: str, arg: TaggedReal) -> Tag:
 
     Returns Unknown for every shape the table does not cover.
     """
-    if form == "exp" and arg.is_exact and arg.value.is_rational:
-        if arg.value.is_zero:
-            return Tag.RATIONAL
-        return Tag.IRRATIONAL
+    if not (arg.is_exact and arg.value.is_rational):
+        return Tag.UNKNOWN
+    argument = "zero" if arg.value.is_zero else "nonzero rational"
+    for row in AXIOM_TABLE:
+        if row["form"] == form and row["argument"] == argument:
+            return Tag(row["tag"])
     return Tag.UNKNOWN
 
 

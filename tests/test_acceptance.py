@@ -7,6 +7,7 @@ determinism check is byte-level across separate processes, and the tag
 soundness sweep runs ten thousand randomized DAGs.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -258,6 +259,19 @@ def test_criterion_8_tag_soundness_ten_thousand_dags():
 
 # -- 9. byte-level determinism of every scenario ------------------------
 
+# SHA-256 of `smoothsum scenario <name> --json --n 8`.  A change that
+# alters a scenario report must update its digest here and say why.
+SCENARIO_DIGESTS = {
+    "lemma-2.2": "f0943385e4b2d2d79c08c7872ed723586f066c18dda0f1cf8e493815cc6c78bf",
+    "thm-2.3": "a1dae40dea3f115029c3ac517f69c562bfa64eec0a5118b937d275fc884fdaa7",
+    "cor-2.5": "2124a419928106d4b04d5b29790c28444591a83b85fac81444f6454a4608c345",
+    "nonsmooth-R3": "3ac6d5f692d55e9bf3215d2c462eca09725defb78f2fabb31c3ecb04a2ddc4b6",
+    "gamma-pair": "3c1cf4a1af88190bf0b3e8e6e096f3486773aed168ccc2328af152c79856d8f4",
+    "w-nondecomposable": "855e6c2499f72d313bc04edd826389c29bed9497c55b4264f66d7173b4c560b1",
+    "sqrt-delta": "102e3a151b3c357825d912fa2a2564c1ab54a76cefaebd47a925c1ef51e4e916",
+    "ker-im-R3": "2ca4ced30f6b0a5dd973cfc83cba92d7dba761f0fa4824d785d8fbd127a01bbc",
+}
+
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_criterion_9_scenario_determinism(name):
@@ -271,3 +285,4 @@ def test_criterion_9_scenario_determinism(name):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
     json.loads(outputs[0])  # well-formed
+    assert hashlib.sha256(outputs[0]).hexdigest() == SCENARIO_DIGESTS[name]

@@ -120,3 +120,32 @@ def test_space_declaration_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("space V dim 2\ngen abs(x\n")
     assert _run(capsys, "analyze", str(bad))[0] == 2
+
+
+def test_irrational_isotropic_subspace_exits_2(tmp_path, capsys):
+    f = tmp_path / "irrational.txt"
+    f.write_text("space V dim 2\ngen abs(x), sqrt2*abs(x)\n")
+    code, _, err = _run(capsys, "analyze", str(f), "--n", "8")
+    assert code == 2
+    assert "irrational" in err
+
+
+def test_grid_bounds_exit_2(capsys):
+    code, _, err = _run(capsys, "verify-identity", "--grid", "rationals:-5", "--n", "8")
+    assert code == 2 and "negative" in err
+    code, _, err = _run(capsys, "verify-identity", "--grid", "rationals:60000,negatives:40001", "--n", "8")
+    assert code == 2 and "100000" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "33", "100"])
+def test_order_out_of_range_exits_2(capsys, n):
+    for argv in (
+        ["analyze", "V2-delta"],
+        ["check-sum", "V2-delta", "--w0", "1,0", "--w1", "0,1"],
+        ["franklin"],
+        ["verify-identity"],
+        ["scenario", "lemma-2.2"],
+    ):
+        code, _, err = _run(capsys, *argv, "--n", n)
+        assert code == 2, argv
+        assert "--n must be between 1 and 32" in err

@@ -9,8 +9,13 @@ no shared code path with the solver under test.
 import itertools
 from fractions import Fraction
 
+from smoothsum import constraints
 from smoothsum.constraints import (
+    ALL_KINDS,
     CHARACTERISTIC_CERT,
+    FACT_BASE,
+    SEPARATION_RULES,
+    _facts_for,
     all_lines_standard,
     characteristic_decomposition,
     dual_basis,
@@ -18,7 +23,14 @@ from smoothsum.constraints import (
     subset_standard,
 )
 from smoothsum.diffeology import Subspace
-from smoothsum.expr import AXIOM_A, AXIOM_SQRT_IMPLICATION
+from smoothsum.expr import (
+    ABS_KIND,
+    AXIOM_A,
+    AXIOM_SQRT_IMPLICATION,
+    DELTA_KIND,
+    DELTA_SQRT_KIND,
+    GAMMA_KIND,
+)
 from smoothsum.gallery import gallery_space
 
 
@@ -171,3 +183,73 @@ def test_all_lines_standard_w_space():
     assert res.status == "Standard"
     plain = all_lines_standard(gallery_space("W-nondecomposable"))
     assert plain.status == "Unknown"
+
+
+# ---------------------------------------------------------------------
+# The rule tables are the rules that run
+# ---------------------------------------------------------------------
+
+
+def _reference_facts_for(kinds, axioms):
+    """The fact selection written out branch by branch, as a reference
+    for the table-driven version."""
+    def rule(rule_id):
+        return next(f for f in FACT_BASE if f["id"] == rule_id)
+
+    facts = []
+    forced = set()
+    if GAMMA_KIND in kinds:
+        if AXIOM_A in axioms:
+            facts.append(rule("gamma-under-A"))
+            forced.update(k for k in (GAMMA_KIND, ABS_KIND) if k in kinds)
+    elif ABS_KIND in kinds:
+        facts.append(rule("abs-kink"))
+        forced.add(ABS_KIND)
+    if DELTA_KIND in kinds and DELTA_SQRT_KIND in kinds:
+        facts.append(rule("delta-pair-density"))
+        forced.update((DELTA_KIND, DELTA_SQRT_KIND))
+    elif DELTA_KIND in kinds:
+        facts.append(rule("delta-discontinuity"))
+        forced.add(DELTA_KIND)
+    elif DELTA_SQRT_KIND in kinds:
+        facts.append(rule("delta-sqrt-discontinuity"))
+        forced.add(DELTA_SQRT_KIND)
+    return facts, sorted(forced), forced == set(kinds)
+
+
+def test_fact_table_matches_reference_on_every_pattern():
+    axiom_sets = [frozenset(a) for a in ((), (AXIOM_A,), (AXIOM_SQRT_IMPLICATION,),
+                                         (AXIOM_A, AXIOM_SQRT_IMPLICATION))]
+    patterns = [
+        frozenset(c) for r in range(len(ALL_KINDS) + 1) for c in itertools.combinations(ALL_KINDS, r)
+    ]
+    assert len(patterns) == 16
+    for kinds in patterns:
+        for axioms in axiom_sets:
+            facts, forced, complete = _facts_for(kinds, axioms)
+            ref_facts, ref_forced, ref_complete = _reference_facts_for(kinds, axioms)
+            assert [f["id"] for f in facts] == [f["id"] for f in ref_facts], (kinds, axioms)
+            assert forced == ref_forced and complete == ref_complete, (kinds, axioms)
+
+
+def _without(table, rule_id):
+    return [r for r in table if r["id"] != rule_id]
+
+
+def test_dropping_abs_kink_leaves_r3_dual_undecided(monkeypatch):
+    monkeypatch.setattr(constraints, "FACT_BASE", _without(FACT_BASE, "abs-kink"))
+    dual = dual_basis(gallery_space("R3-abs"))
+    assert dual.status == "upper-bound"
+    assert "abs-kink" not in dual.facts_used
+
+
+def test_dropping_sqrt_delta_implication_leaves_e1_unknown(monkeypatch):
+    cond = gallery_space("sqrt-delta", frozenset({AXIOM_SQRT_IMPLICATION}))
+    e1 = Subspace.from_vectors(2, [[1, 0]])
+    assert subset_standard(cond, e1).status == "Standard"
+    monkeypatch.setattr(
+        constraints, "SEPARATION_RULES", _without(SEPARATION_RULES, "sqrt-delta-implication")
+    )
+    verdict = subset_standard(cond, e1)
+    assert verdict.status == "Unknown"
+    assert not any("sqrt-delta-implication" in line for line in verdict.derivation)

@@ -16,8 +16,8 @@ from smoothsum.decompose import (
     refute_smooth_sum_standard,
     verify_kernel_image_witness,
 )
-from smoothsum.diffeology import LinearMap, Subspace
-from smoothsum.expr import AXIOM_A, Smoothness, to_text
+from smoothsum.diffeology import DVSpace, LinearMap, Subspace
+from smoothsum.expr import AXIOM_A, Smoothness, parse_expr, to_text
 from smoothsum.gallery import (
     franklin_map,
     gallery_space,
@@ -157,3 +157,13 @@ def test_kernel_image_invertible_trivial():
     f = LinearMap.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
     verdict = kernel_image_check(sp, f)
     assert verdict.status == "Diffeomorphic"
+
+
+def test_kernel_image_check_irrational_atoms_unknown():
+    # the kernel e1 is standard, but the atom coefficient sqrt2 is not
+    # rational, so the integer search does not apply
+    sp = DVSpace("irr", 2, ((parse_expr("0"), parse_expr("sqrt2*abs(x)")),))
+    f = LinearMap.from_rows([[0, 0], [0, 1]])
+    verdict = kernel_image_check(sp, f)
+    assert verdict.status == "Unknown"
+    assert "irrational" in verdict.detail["reason"]

@@ -16,6 +16,7 @@ from smoothsum.expr import (
     NotDifferentiableError,
     ParseError,
     Smoothness,
+    SmoothnessVerdict,
     Var,
     X,
     classify_smoothness,
@@ -218,6 +219,36 @@ def test_classifier_gamma_requires_axiom():
     v = classify_smoothness(e, axioms=frozenset({AXIOM_A}))
     assert v.status == Smoothness.NONSMOOTH
     assert AXIOM_A in v.axioms_used
+    assert verify_nonsmooth_witness(e, v, axioms=frozenset({AXIOM_A}))
+
+
+def _forged_axiom_witness():
+    return SmoothnessVerdict(
+        Smoothness.NONSMOOTH,
+        witness={"kind": "axiom-nonsmooth-generator"},
+        axioms_used=(AXIOM_A,),
+    )
+
+
+def test_axiom_witness_rejected_without_gamma_content():
+    # abs(x) has no gamma part, so the axiom-A witness does not apply
+    forged = _forged_axiom_witness()
+    assert not verify_nonsmooth_witness(parse_expr("abs(x)"), forged, axioms=frozenset({AXIOM_A}))
+
+
+def test_axiom_witness_rejected_when_decomposition_has_leftovers():
+    e = parse_expr("abs(x) + abs(x^2 - 1)")
+    assert not decompose_exotic(e).ok
+    forged = _forged_axiom_witness()
+    assert not verify_nonsmooth_witness(e, forged, axioms=frozenset({AXIOM_A}))
+
+
+def test_axiom_witness_needs_the_callers_axiom():
+    # the verdict's own axioms_used must not stand in for the caller's
+    e = parse_expr("gamma(x)")
+    v = classify_smoothness(e, axioms=frozenset({AXIOM_A}))
+    assert not verify_nonsmooth_witness(e, v)
+    assert not verify_nonsmooth_witness(e, v, axioms=frozenset())
 
 
 def test_classifier_never_calls_undecidable_smooth():

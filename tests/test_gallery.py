@@ -14,7 +14,8 @@ from smoothsum.gallery import (
     v2_delta_witnesses,
 )
 from smoothsum.gallery import franklin_map
-from smoothsum.decompose import DEFAULT_GRID, _plot_matches_components
+from smoothsum.decompose import DEFAULT_GRID, _replay_witness
+from smoothsum.diffeology import Subspace
 from smoothsum.expr import parse_expr
 
 
@@ -49,12 +50,23 @@ def test_v2_delta_witnesses_realize_targets():
     fm = franklin_map(8)
     wit = v2_delta_witnesses(sp, fm)
     targets = {
-        (0, 0): [parse_expr("abs(x)"), parse_expr("0")],
-        (0, 1): [parse_expr("0"), parse_expr("abs(x)")],
+        (0, 0): ([parse_expr("abs(x)"), parse_expr("0")], [1, 0]),
+        (0, 1): ([parse_expr("0"), parse_expr("abs(x)")], [0, 1]),
     }
-    for key, comps in targets.items():
+    for key, (comps, axis) in targets.items():
         assert key in wit
-        assert _plot_matches_components(wit[key], comps, DEFAULT_GRID) is None
+        w = Subspace.from_vectors(2, [axis])
+        assert _replay_witness(wit[key], comps, w, DEFAULT_GRID) is None
+
+
+def test_replay_witness_reports_values_outside_the_subspace():
+    sp = gallery_space("V2-delta")
+    plot = v2_delta_witnesses(sp, franklin_map(8))[(0, 0)]
+    comps = [parse_expr("abs(x)"), parse_expr("0")]
+    err = _replay_witness(plot, comps, Subspace.from_vectors(2, [[0, 1]]), DEFAULT_GRID)
+    assert err is not None and "outside the subspace" in err
+    err = _replay_witness(plot, comps[::-1], Subspace.from_vectors(2, [[1, 0]]), DEFAULT_GRID)
+    assert err is not None and err.startswith("mismatch")
 
 
 def test_scenarios_complete_and_deterministic():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothsum import numbers
 from smoothsum.numbers import (
     ONE,
     ZERO,
@@ -22,6 +23,7 @@ from smoothsum.numbers import (
     neg_tagged,
     parse_qsqrt2,
     sqrt_tagged,
+    transcendence_axiom_lookup,
 )
 
 rationals = st.fractions(
@@ -147,6 +149,18 @@ def test_exp_tagging():
     # (Lindemann), and our table knows it
     u = exp_tagged(TaggedReal.exact(QSqrt2(Fraction(0), Fraction(1))))
     assert u.tag in (Tag.IRRATIONAL, Tag.UNKNOWN)
+
+
+def test_axiom_table_is_the_lookup(monkeypatch):
+    third = TaggedReal.exact(Fraction(1, 3))
+    assert transcendence_axiom_lookup("exp", TaggedReal.exact(0)) == Tag.RATIONAL
+    assert transcendence_axiom_lookup("exp", third) == Tag.IRRATIONAL
+    assert transcendence_axiom_lookup("sin", third) == Tag.UNKNOWN
+    assert transcendence_axiom_lookup("exp", TaggedReal.approx(0.5)) == Tag.UNKNOWN
+    rows = [r for r in numbers.AXIOM_TABLE if r["argument"] != "nonzero rational"]
+    monkeypatch.setattr(numbers, "AXIOM_TABLE", rows)
+    assert transcendence_axiom_lookup("exp", third) == Tag.UNKNOWN
+    assert not exp_tagged(third).transcendental
 
 
 def test_tagged_real_consistency_checks():
