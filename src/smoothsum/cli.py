@@ -46,7 +46,7 @@ class InputError(Exception):
 
 
 # Largest accepted matching-construction order: --n 32 builds in about
-# 40 s on a 2-vCPU machine and the cost grows superlinearly, so --n 100
+# 10 s on a 2-vCPU machine and the cost grows superlinearly, so --n 100
 # would run for hours.
 MAX_N = 32
 

@@ -50,6 +50,7 @@ from .expr import (
     make_prod,
     make_sum,
     to_text,
+    verify_nonsmooth_witness,
 )
 from .franklin import parse_grid
 from .numbers import QSqrt2, TaggedReal
@@ -233,10 +234,15 @@ def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> De
             reason="standardness certificates unavailable for one of the subspaces",
         )
     axioms = set(s0.axioms_used) | set(s1.axioms_used)
+    unreplayed = []
     for k, g in enumerate(space.generators):
         for j, comp in enumerate(g):
             verdict = classify_smoothness(comp, axioms=space.axioms)
             if verdict.status == Smoothness.NONSMOOTH:
+                # a NonSmooth verdict counts only once its witness replays
+                if not verify_nonsmooth_witness(comp, verdict, space.axioms):
+                    unreplayed.append(f"generator {k} component {j}")
+                    continue
                 axioms |= set(verdict.axioms_used)
                 return DecompositionVerdict(
                     "NonSmooth",
@@ -252,7 +258,10 @@ def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> De
                         "standard diffeology, whose plots are all smooth"
                     ),
                 )
-    return DecompositionVerdict("Unknown", [], [], tuple(sorted(axioms)), reason="all generators smooth")
+    reason = "all generators smooth"
+    if unreplayed:
+        reason = "NonSmooth witness failed replay for " + ", ".join(unreplayed)
+    return DecompositionVerdict("Unknown", [], [], tuple(sorted(axioms)), reason=reason)
 
 
 # ---------------------------------------------------------------------
@@ -289,10 +298,13 @@ def nonstandard_subspace_witness(space: DVSpace, direction: Sequence, abs_plot_p
     err = _replay_witness(plot, targets, w, DEFAULT_GRID)
     if err is not None:
         raise ValueError(f"witness replay failed: {err}")
-    verdicts = [classify_smoothness(t, axioms=space.axioms) for t in targets]
-    nonsmooth = next((v for v in verdicts if v.status == Smoothness.NONSMOOTH), None)
-    if nonsmooth is None:
+    classified = [(t, classify_smoothness(t, axioms=space.axioms)) for t in targets]
+    found = next(((t, v) for t, v in classified if v.status == Smoothness.NONSMOOTH), None)
+    if found is None:
         raise ValueError("witness did not classify NonSmooth")
+    target, nonsmooth = found
+    if not verify_nonsmooth_witness(target, nonsmooth, space.axioms):
+        raise ValueError(f"witness replay failed: NonSmooth witness for {to_text(target)} does not replay")
     return plot, nonsmooth, w
 
 

@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator, Optional
 
 from .expr import (
@@ -89,6 +90,8 @@ def simplest_in_interval(lo: QSqrt2, hi: QSqrt2) -> Fraction:
     hi = QSqrt2.coerce(hi)
     if not lo < hi:
         raise ValueError("empty open interval")
+    if lo.is_rational and hi.is_rational:
+        return _simplest_rational(lo.a, hi.a)
     if lo.sign() < 0 and hi.sign() > 0:
         return Fraction(0)
     if hi.sign() <= 0:
@@ -108,6 +111,21 @@ def simplest_in_interval(lo: QSqrt2, hi: QSqrt2) -> Fraction:
     return fl + 1 / inner
 
 
+def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
+    """simplest_in_interval for rational lo < hi: the same Stern-Brocot
+    descent, in plain Fraction arithmetic."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_simplest_rational(-hi, -lo)
+    fl = math.floor(lo)
+    if fl + 1 < hi:
+        return Fraction(fl + 1)
+    if lo == fl:
+        return fl + 1 / Fraction(math.floor(1 / (hi - fl)) + 1)
+    return fl + 1 / _simplest_rational(1 / (hi - fl), 1 / (lo - fl))
+
+
 # ---------------------------------------------------------------------
 # The matching map
 # ---------------------------------------------------------------------
@@ -124,24 +142,91 @@ class MatchStep:
     direction: str  # "forward" (a chosen first) or "backward" (q chosen first)
 
 
+@dataclass(frozen=True)
+class _CollapsedPoly:
+    """(sum p[i] t^i + sqrt2 * sum q[i] t^i) / d with integer coefficient
+    vectors of equal length and d > 0, in lowest terms."""
+
+    p: tuple
+    q: tuple
+    d: int
+
+    def plus(self, c: QSqrt2, roots) -> "_CollapsedPoly":
+        """This polynomial plus c * prod (t - r) over rational roots r."""
+        # prod (t - n/m) = prod (m t - n) / prod m, in integers
+        prod = [1]
+        scale = 1
+        for r in roots:
+            r = Fraction(r)
+            n, m = r.numerator, r.denominator
+            shifted = [0] + [m * x for x in prod]
+            for i, x in enumerate(prod):
+                shifted[i] -= n * x
+            prod = shifted
+            scale *= m
+        # c * prod (t - r) = (ka + kb sqrt2) * prod / d over the common
+        # denominator d
+        cden = math.lcm(c.a.denominator, c.b.denominator)
+        d = math.lcm(self.d, scale * cden)
+        us, ue = d // self.d, d // (scale * cden)
+        ka = c.a.numerator * (cden // c.a.denominator) * ue
+        kb = c.b.numerator * (cden // c.b.denominator) * ue
+        p = [x * us + ka * y for x, y in zip_longest(self.p, prod, fillvalue=0)]
+        q = [x * us + kb * y for x, y in zip_longest(self.q, prod, fillvalue=0)]
+        g = math.gcd(d, *p, *q)
+        return _CollapsedPoly(tuple(x // g for x in p), tuple(x // g for x in q), d // g)
+
+    def at(self, t: QSqrt2) -> QSqrt2:
+        if t.is_rational:
+            # homogenised Horner at u/v: integers throughout, reduced once
+            u, v = t.a.numerator, t.a.denominator
+            hp, hq = self.p[-1], self.q[-1]
+            vk = 1
+            for cp, cq in zip(reversed(self.p[:-1]), reversed(self.q[:-1])):
+                vk *= v
+                hp = hp * u + cp * vk
+                hq = hq * u + cq * vk
+            den = self.d * vk
+            return QSqrt2(Fraction(hp, den), Fraction(hq, den))
+        out = QSqrt2()
+        for cp, cq in zip(reversed(self.p), reversed(self.q)):
+            out = out * t + QSqrt2(Fraction(cp), Fraction(cq))
+        return QSqrt2(out.a / self.d, out.b / self.d)
+
+
+_IDENTITY = _CollapsedPoly((0, 1), (0, 0), 1)
+
+
 @dataclass(eq=False)
 class FranklinMap:
-    """f(t) = t + sum_n c_n * prod_k (t - r_{n,k}), with exact data."""
+    """f(t) = t + sum_n c_n * prod_k (t - r_{n,k}), with exact data.
+
+    ``steps`` is the construction record.  Exact evaluation reads the
+    same f collapsed into one polynomial with integer coefficient vectors,
+    f(t) = (sum P_i t^i + sqrt2 * sum Q_i t^i) / D, which ``extended``
+    updates one correction at a time.  The float evaluator and the
+    derivative enclosures keep the product form.
+    """
 
     steps: tuple = ()
     _float_cache: Optional[list] = field(default=None, repr=False)
+    _poly: Optional[_CollapsedPoly] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._poly is None:
+            poly = _IDENTITY
+            for s in self.steps:
+                poly = poly.plus(s.c, s.roots)
+            self._poly = poly
+
+    def extended(self, step: MatchStep) -> "FranklinMap":
+        """The map with one more correction step."""
+        return FranklinMap(self.steps + (step,), _poly=self._poly.plus(step.c, step.roots))
 
     # -- evaluation ----------------------------------------------------
 
     def eval_exact(self, t) -> QSqrt2:
-        t = QSqrt2.coerce(t)
-        out = t
-        for s in self.steps:
-            p = QSqrt2.coerce(1)
-            for r in s.roots:
-                p = p * (t - QSqrt2.coerce(r))
-            out = out + s.c * p
-        return out
+        return self._poly.at(QSqrt2.coerce(t))
 
     def eval_float(self, t: float) -> float:
         if self._float_cache is None:
@@ -274,15 +359,14 @@ def build_franklin(n_steps: int) -> FranklinMap:
     Every round keeps |c_n| <= 2^{-n} and spends at most half of the
     remaining derivative budget, so f stays certifiably increasing.
     """
-    steps: list = []
-    fm = FranklinMap(())
+    fm = FranklinMap()
     budget = QSqrt2.coerce(1)  # certified lower bound for f' so far
     a_stream = enumerate_unit_rationals()
     q_stream = target_rationals()
     two = QSqrt2.coerce(2)
 
     for n in range(1, n_steps + 1):
-        fm = FranklinMap(tuple(steps))
+        steps = fm.steps
         roots = _current_roots(steps)
         deg = len(roots)
         matched_a = set(fm.matched_rationals())
@@ -353,9 +437,9 @@ def build_franklin(n_steps: int) -> FranklinMap:
         budget = budget - abs(c) * QSqrt2.coerce(deg)
         if budget.sign() <= 0:
             raise ConstructionError(f"step {n}: derivative budget exhausted")
-        steps.append(MatchStep(n, a, q, b, c, tuple(roots), direction))
+        fm = fm.extended(MatchStep(n, a, q, b, c, tuple(roots), direction))
 
-    return FranklinMap(tuple(steps))
+    return fm
 
 
 # ---------------------------------------------------------------------

@@ -85,14 +85,23 @@ def poly_product_eval(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
 
 def poly_product_derivative(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
     """Interval enclosure of d/dt prod (t - a_k): sum over k of the
-    product with the k-th factor removed."""
+    product with the k-th factor removed.
+
+    Each leave-one-out product is a prefix product times a suffix
+    product.  Exact interval multiplication is associative, so this is
+    the same interval as multiplying the other factors in order.
+    """
+    factors = [iv - Interval.point(a) for a in roots]
+    prefix = [Interval.point(1)]
+    for f in factors:
+        prefix.append(prefix[-1] * f)
+    suffix = [Interval.point(1)]
+    for f in reversed(factors):
+        suffix.append(suffix[-1] * f)
+    suffix.reverse()
     out = Interval.point(0)
     for k in range(len(roots)):
-        term = Interval.point(1)
-        for j, a in enumerate(roots):
-            if j != k:
-                term = term * (iv - Interval.point(a))
-        out = out + term
+        out = out + prefix[k] * suffix[k + 1]
     return out
 
 

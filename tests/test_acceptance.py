@@ -286,3 +286,26 @@ def test_criterion_9_scenario_determinism(name):
     assert outputs[0] == outputs[1] == outputs[2]
     json.loads(outputs[0])  # well-formed
     assert hashlib.sha256(outputs[0]).hexdigest() == SCENARIO_DIGESTS[name]
+
+
+# SHA-256 of the `--json` report of each command below with its
+# `timing_seconds` field removed, re-serialised as the CLI prints it.  A
+# change that alters a certificate report must update its digest here and
+# say why.
+CERTIFICATE_DIGESTS = {
+    ("franklin", "--n", "16"): "2353cf06bf656038b9abf4cd75179d2bc3af181e46554027eea7b9d4d06ae2d2",
+    ("verify-identity", "--n", "16"): "086d8846708d5fcd490b3afc4796d89865c4ac9db5f245432f377e540950c953",
+}
+
+
+@pytest.mark.parametrize("argv", list(CERTIFICATE_DIGESTS), ids=" ".join)
+def test_criterion_9_certificate_digests(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "smoothsum.cli", *argv, "--json"],
+        capture_output=True,
+        check=True,
+    )
+    doc = json.loads(proc.stdout)
+    doc.pop("timing_seconds")
+    stable = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(stable.encode()).hexdigest() == CERTIFICATE_DIGESTS[argv]

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from smoothsum import decompose
 from smoothsum.constraints import maximal_isotropic
 from smoothsum.decompose import (
     certify_smooth_sum,
@@ -17,7 +20,7 @@ from smoothsum.decompose import (
     verify_kernel_image_witness,
 )
 from smoothsum.diffeology import DVSpace, LinearMap, Subspace
-from smoothsum.expr import AXIOM_A, Smoothness, parse_expr, to_text
+from smoothsum.expr import AXIOM_A, Smoothness, SmoothnessVerdict, parse_expr, to_text
 from smoothsum.gallery import (
     franklin_map,
     gallery_space,
@@ -86,6 +89,31 @@ def test_nonstandard_witness_twenty_directions():
         # the witness plot really is the curve x -> (a|x|, b|x|)
         assert to_text(plot.component_expr(0)) is not None
         assert w.contains([a, b])
+
+
+def _forged_classifier(e, **kwargs):
+    """Calls every component NonSmooth, with one-sided derivatives that
+    no component of the gallery has at 0."""
+    return SmoothnessVerdict(
+        Smoothness.NONSMOOTH,
+        witness={"kind": "one-sided-derivative-mismatch", "left": "7", "right": "8"},
+    )
+
+
+def test_forged_nonsmooth_verdict_is_not_reported(monkeypatch):
+    monkeypatch.setattr(decompose, "classify_smoothness", _forged_classifier)
+    verdict = refute_smooth_sum_standard(
+        gallery_space("R3-abs"),
+        Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]]),
+        Subspace.from_vectors(3, [[0, 0, 1]]),
+    )
+    assert verdict.status == "Unknown"
+    assert "failed replay" in verdict.reason
+
+    sp = gallery_space("V2-delta")
+    provider = v2_delta_axis_plots(sp, franklin_map(8))
+    with pytest.raises(ValueError, match="witness replay failed"):
+        nonstandard_subspace_witness(sp, [1, 2], provider)
 
 
 def test_complementedness_gamma_pair():

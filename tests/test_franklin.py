@@ -1,12 +1,17 @@
 """The rational-matching construction and the |x| identity."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothsum.expr import eval_exact
 from smoothsum.franklin import (
+    FranklinMap,
     RationalityLink,
     abs_identity_expr,
     build_franklin,
@@ -52,19 +57,84 @@ def test_simplest_in_interval():
     assert QSqrt2.coerce(0) < QSqrt2.coerce(q2) < QSqrt2.coerce(Fraction(1, 7))
 
 
+def _brute_force_simplest(lo: Fraction, hi: Fraction) -> Fraction:
+    """Smallest denominator in (lo, hi), then smallest absolute numerator."""
+    den = 1
+    while True:
+        first = math.floor(lo * den) + 1
+        last = math.ceil(hi * den) - 1
+        if first <= last:
+            num = 0 if first <= 0 <= last else min(first, last, key=abs)
+            return Fraction(num, den)
+        den += 1
+
+
+_endpoints = st.one_of(
+    st.integers(min_value=-12, max_value=12).map(Fraction),
+    st.fractions(min_value=-12, max_value=12, max_denominator=40),
+)
+
+
+@given(_endpoints, _endpoints)
+def test_simplest_in_interval_rational_matches_brute_force(x, y):
+    if x == y:
+        return
+    lo, hi = min(x, y), max(x, y)
+    got = simplest_in_interval(QSqrt2.coerce(lo), QSqrt2.coerce(hi))
+    assert got == _brute_force_simplest(lo, hi)
+
+
+def _product_form(steps, t) -> QSqrt2:
+    """f(t) = t + sum c_n * prod (t - r), one correction at a time: the
+    reference that eval_exact must agree with exactly."""
+    t = QSqrt2.coerce(t)
+    out = t
+    for s in steps:
+        p = QSqrt2.coerce(1)
+        for r in s.roots:
+            p = p * (t - QSqrt2.coerce(r))
+        out = out + s.c * p
+    return out
+
+
+def _sample_points(rng, n_rational: int, n_irrational: int) -> list:
+    pts = []
+    for _ in range(n_rational):
+        # inside [0,1] and out to [-3, 4]
+        lo, hi = (0, 1) if rng.random() < 0.5 else (-3, 4)
+        den = rng.randint(1, 10**6)
+        pts.append(Fraction(rng.randint(lo * den, hi * den), den))
+    for _ in range(n_irrational):
+        a = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 50))
+        pts.append(QSqrt2(a, b))
+    return pts
+
+
+def test_eval_exact_matches_product_form(fm16):
+    rng = random.Random(16)
+    points = [s.a for s in fm16.steps] + _sample_points(rng, 200, 20)
+    assert sum(1 for t in points if not QSqrt2.coerce(t).is_rational) == 20
+    for t in points:
+        assert fm16.eval_exact(t) == _product_form(fm16.steps, t)
+
+
+def test_intermediate_maps_match_product_form(fm16):
+    rng = random.Random(17)
+    points = [s.a for s in fm16.steps] + _sample_points(rng, 10, 4)
+    for k in range(len(fm16.steps) + 1):
+        fm = FranklinMap(fm16.steps[:k])
+        for t in points:
+            assert fm.eval_exact(t) == _product_form(fm.steps, t)
+
+
 def test_matches_exact(fm16):
     assert len(fm16.steps) == 16
     assert fm16.check_matches()
     # interpolation oracle: re-evaluate each matched point from the raw
-    # step data, independently of eval_exact's accumulation order
+    # step data, independently of eval_exact's collapsed polynomial
     for s in fm16.steps:
-        total = QSqrt2.coerce(s.a)
-        for step in fm16.steps:
-            p = QSqrt2.coerce(1)
-            for r in reversed(step.roots):
-                p = p * (QSqrt2.coerce(s.a) - QSqrt2.coerce(r))
-            total = total + step.c * p
-        assert total == s.b
+        assert _product_form(fm16.steps, s.a) == s.b
         assert w_value(s.b) == QSqrt2.coerce(s.q)
 
 

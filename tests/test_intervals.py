@@ -60,6 +60,31 @@ def test_poly_product_derivative_encloses():
         assert box.contains(exact)
 
 
+def _leave_one_out_reference(roots, iv):
+    """Sum over k of the product of all factors but the k-th, each
+    product formed factor by factor."""
+    out = Interval.point(0)
+    for k in range(len(roots)):
+        term = Interval.point(1)
+        for j, a in enumerate(roots):
+            if j != k:
+                term = term * (iv - Interval.point(a))
+        out = out + term
+    return out
+
+
+def test_poly_product_derivative_matches_quadratic_reference():
+    rng = random.Random(5)
+    for _ in range(200):
+        roots = []
+        for _ in range(rng.randint(0, 9)):
+            a = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            b = Fraction(rng.randint(-2, 2), rng.randint(1, 4)) if rng.random() < 0.3 else 0
+            roots.append(QSqrt2(a, b))
+        iv = _rand_interval(rng)
+        assert poly_product_derivative(roots, iv) == _leave_one_out_reference(roots, iv)
+
+
 def test_certify_positive():
     # 2t - 1 is not positive on [0,1] but t^2 + 1/10 is
     assert not certify_positive(
