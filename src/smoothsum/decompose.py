@@ -18,6 +18,7 @@ standard, so one non-smooth generator component refutes it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -462,11 +463,12 @@ def _integer_atom_vectors(space: DVSpace) -> dict:
     return out
 
 
-def _kindwise_compatible(src: DVSpace, dst: DVSpace, matrix: list) -> bool:
+def _kindwise_compatible(src_atoms: dict, dst_atoms: dict, dst: DVSpace, matrix: list) -> bool:
     """Joint solvability: each src generator's atom content, pushed through
-    the matrix, must be a single rational combination of dst generators."""
-    src_atoms = _integer_atom_vectors(src)
-    dst_atoms = _integer_atom_vectors(dst)
+    the matrix, must be a single rational combination of dst generators.
+
+    ``src_atoms`` and ``dst_atoms`` are the ``_integer_atom_vectors`` of the
+    source space and of ``dst``."""
     n = dst.dim
     m = len(dst.generators)
     by_src_gen: dict = {}
@@ -553,7 +555,66 @@ def verify_kernel_image_witness(space: DVSpace, f: LinearMap, matrix: list) -> b
     if inv is None:
         return False
     prod, _ = kernel_image_space(space, f)
-    return _kindwise_compatible(prod, space, frac) and _kindwise_compatible(space, prod, inv)
+    prod_atoms = _integer_atom_vectors(prod)
+    space_atoms = _integer_atom_vectors(space)
+    return _kindwise_compatible(prod_atoms, space_atoms, space, frac) and _kindwise_compatible(
+        space_atoms, prod_atoms, prod, inv
+    )
+
+
+# Free-entry tuples one kernel-image search may enumerate.  The rank-two
+# projections of R3-abs leave 7 free entries, a box of 5**7 = 78 125 at
+# the default bound; standard R^4 with a rank-two map leaves all 16.
+MAX_KERNEL_IMAGE_TUPLES = 100_000
+
+
+def _admissible_matrices(src_atoms: dict, dst_atoms: dict, n: int, bound: int, max_tuples: int):
+    """Integer n x n matrices with entries in [-bound, bound] that send each
+    source atom vector into the span of the target's atom vectors of the
+    same kind, in row-major lexicographic order.
+
+    Each condition a . (M v) = 0, for ``a`` in the annihilator of that span,
+    is one linear row over the n^2 entries.  The rows are reduced with the
+    entry columns in reversed order, so each pivot entry is a rational
+    combination of earlier free entries only.  The free entries run through
+    the box lexicographically; a tuple whose pivot entries are not integers
+    in [-bound, bound] is skipped.  Two admissible matrices first differ at
+    a free entry (the pivots before it agree), so this is the box's order.
+    After ``max_tuples`` tuples the search stops, yielding ``None`` if the
+    box held more.
+    """
+    nn = n * n
+    rows = []
+    for kind, entries in src_atoms.items():
+        ann = linalg.annihilator([vec for _, vec in dst_atoms.get(kind, [])], n)
+        for _, v in entries:
+            for a in ann:
+                rows.append([a[e // n] * v[e % n] for e in reversed(range(nn))])
+    reduced, pivot_cols = linalg.rref(rows)
+    pivot_entries = {nn - 1 - c for c in pivot_cols}
+    free = [e for e in range(nn) if e not in pivot_entries]
+    slot = {e: k for k, e in enumerate(free)}
+    # pivot entry = (sum of numerator * free value) / denominator
+    pivots = []
+    for row, c in zip(reduced, pivot_cols):
+        terms = [(nn - 1 - d, -x) for d, x in enumerate(row) if d != c and x != 0]
+        den = math.lcm(*(x.denominator for _, x in terms))
+        pivots.append((nn - 1 - c, [(slot[e], int(x * den)) for e, x in terms], den))
+
+    values = range(-bound, bound + 1)
+    for tup in itertools.islice(itertools.product(values, repeat=len(free)), max_tuples):
+        entries = [0] * nn
+        for e, x in zip(free, tup):
+            entries[e] = x
+        for e, terms, den in pivots:
+            q, r = divmod(sum(x * tup[k] for k, x in terms), den)
+            if r or abs(q) > bound:
+                break
+            entries[e] = q
+        else:
+            yield [entries[i * n : (i + 1) * n] for i in range(n)]
+    if len(values) ** len(free) > max_tuples:
+        yield None
 
 
 def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelImageVerdict:
@@ -563,7 +624,20 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
     The first admissible matrix in row-major lexicographic order is the
     witness.  If the space is (conditionally) non-decomposable and f is
     nontrivial with nontrivial kernel, no diffeomorphism can exist.
+
+    A matrix is admissible when it sends each source atom vector into the
+    span of the target's atom vectors of its kind, a linear condition on
+    the entries.  ``_admissible_matrices`` solves it exactly: one ``rref``
+    with the entry columns reversed writes each pivot entry in terms of
+    earlier free entries, so running the free entries through the box
+    lexicographically yields the admissible matrices in the box's order,
+    and the witness is the one an exhaustive search would find.  Each
+    admissible matrix must be invertible and compatible both ways.  At
+    most ``MAX_KERNEL_IMAGE_TUPLES`` free-entry tuples are enumerated;
+    past that budget the verdict is Unknown and its reason names it.
     """
+    if bound < 0:
+        raise ValueError(f"search bound must be non-negative, got {bound}")
     n = space.dim
     rank_f = linalg.rank([list(r) for r in f.matrix])
     if rank_f == n:
@@ -594,32 +668,22 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
     except ValueError as exc:
         return KernelImageVerdict("Unknown", None, (), {"reason": str(exc)})
 
-    # precompute annihilators of the per-kind destination spans for the
-    # fast integer prefilter
-    pref = []
-    for kind, entries in src_atoms.items():
-        span = [vec for _, vec in dst_atoms.get(kind, [])]
-        ann = linalg.annihilator(span, n) if span else [
-            [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)
-        ]
-        for _, v in entries:
-            pref.append((v, ann))
-
-    for entries in itertools.product(range(-bound, bound + 1), repeat=n * n):
-        matrix = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
-        ok = True
-        for v, ann in pref:
-            img = [sum(matrix[i][j] * v[j] for j in range(n)) for i in range(n)]
-            if any(sum(a[i] * img[i] for i in range(n)) != 0 for a in ann):
-                ok = False
-                break
-        if not ok:
-            continue
+    budget = MAX_KERNEL_IMAGE_TUPLES
+    for matrix in _admissible_matrices(src_atoms, dst_atoms, n, bound, budget):
+        if matrix is None:
+            return KernelImageVerdict(
+                "Unknown",
+                None,
+                (),
+                {"reason": f"search stopped at MAX_KERNEL_IMAGE_TUPLES = {budget} free-entry tuples"},
+            )
         frac = [[Fraction(x) for x in row] for row in matrix]
         inv = linalg.inverse(frac)
         if inv is None:
             continue
-        if _kindwise_compatible(prod, space, frac) and _kindwise_compatible(space, prod, inv):
+        if _kindwise_compatible(src_atoms, dst_atoms, space, frac) and _kindwise_compatible(
+            dst_atoms, src_atoms, prod, inv
+        ):
             return KernelImageVerdict(
                 "Diffeomorphic",
                 frac,

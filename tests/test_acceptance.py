@@ -10,14 +10,17 @@ soundness sweep runs ten thousand randomized DAGs.
 import hashlib
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import smoothsum
 from smoothsum.constraints import dual_basis, maximal_isotropic
 from smoothsum.decompose import (
     certify_smooth_sum,
@@ -273,6 +276,15 @@ SCENARIO_DIGESTS = {
 }
 
 
+def _cli_env() -> dict:
+    """Environment for a ``python -m smoothsum.cli`` child that imports the
+    same package as this test run, whether or not PYTHONPATH is set."""
+    src = str(Path(smoothsum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_criterion_9_scenario_determinism(name):
     outputs = []
@@ -281,6 +293,7 @@ def test_criterion_9_scenario_determinism(name):
             [sys.executable, "-m", "smoothsum.cli", "scenario", name, "--json", "--n", "8"],
             capture_output=True,
             check=True,
+            env=_cli_env(),
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
@@ -304,6 +317,7 @@ def test_criterion_9_certificate_digests(argv):
         [sys.executable, "-m", "smoothsum.cli", *argv, "--json"],
         capture_output=True,
         check=True,
+        env=_cli_env(),
     )
     doc = json.loads(proc.stdout)
     doc.pop("timing_seconds")

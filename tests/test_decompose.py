@@ -1,11 +1,12 @@
 """Direct-sum certification, refutation, and ker/im diffeomorphism search."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from smoothsum import decompose
+from smoothsum import decompose, linalg
 from smoothsum.constraints import maximal_isotropic
 from smoothsum.decompose import (
     certify_smooth_sum,
@@ -169,6 +170,88 @@ def test_kernel_image_check_r3():
     # determinism of the bounded search
     again = kernel_image_check(sp, f)
     assert again.witness_matrix == verdict.witness_matrix
+
+
+R3_PROJECTIONS = {
+    "diag(1,1,0)": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+    "diag(1,0,1)": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+    "diag(0,1,1)": [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+
+
+def _bruteforce_admissible(src_atoms, dst_atoms, n, bound):
+    """Every integer matrix of the box, kept when each source atom vector
+    of a kind maps into the annihilated span of the target's vectors of
+    that kind: the prefilter of the exhaustive search."""
+    pref = []
+    for kind, entries in src_atoms.items():
+        ann = linalg.annihilator([vec for _, vec in dst_atoms.get(kind, [])], n)
+        pref.extend((v, ann) for _, v in entries)
+    out = []
+    for entries in itertools.product(range(-bound, bound + 1), repeat=n * n):
+        m = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+        images = [[sum(m[i][j] * v[j] for j in range(n)) for i in range(n)] for v, _ in pref]
+        if all(
+            sum(a[i] * img[i] for i in range(n)) == 0
+            for img, (_, ann) in zip(images, pref)
+            for a in ann
+        ):
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,expected", [("diag(1,1,0)", 2187), ("diag(1,0,1)", 2187), ("diag(0,1,1)", 1539)]
+)
+def test_admissible_matrices_match_exhaustive_prefilter(name, expected):
+    sp = gallery_space("R3-abs")
+    prod, _ = kernel_image_space(sp, LinearMap.from_rows(R3_PROJECTIONS[name]))
+    src = decompose._integer_atom_vectors(prod)
+    dst = decompose._integer_atom_vectors(sp)
+    reference = _bruteforce_admissible(src, dst, 3, 1)
+    assert len(reference) == expected
+    # same matrices in the same row-major lexicographic order
+    assert list(decompose._admissible_matrices(src, dst, 3, 1, 3**9)) == reference
+
+
+@pytest.mark.parametrize(
+    "name,witness",
+    [
+        ("diag(1,1,0)", [[-2, -2, 0], [-2, -2, -2], [-2, -1, -2]]),
+        ("diag(1,0,1)", [[-2, -2, 0], [-2, -2, -2], [-2, -1, -2]]),
+        ("diag(0,1,1)", [[-2, -2, 2], [-2, -2, -2], [-1, -2, -2]]),
+    ],
+)
+def test_kernel_image_witness_is_lex_first_of_full_box(name, witness):
+    # the witnesses the exhaustive 5^9-matrix search returned
+    sp = gallery_space("R3-abs")
+    verdict = kernel_image_check(sp, LinearMap.from_rows(R3_PROJECTIONS[name]))
+    assert verdict.status == "Diffeomorphic"
+    assert verdict.witness_matrix == [[Fraction(x) for x in row] for row in witness]
+
+
+def test_kernel_image_check_stops_at_tuple_budget(monkeypatch):
+    # standard R^4 with a rank-two map: no atom constrains the 16 entries
+    sp = DVSpace("R4", 4, ())
+    f = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    monkeypatch.setattr(decompose, "MAX_KERNEL_IMAGE_TUPLES", 50)
+    verdict = kernel_image_check(sp, f)
+    assert verdict.status == "Unknown"
+    assert "MAX_KERNEL_IMAGE_TUPLES = 50" in verdict.detail["reason"]
+    # a box that fits the budget is searched to the end (only the zero matrix)
+    monkeypatch.setattr(decompose, "MAX_KERNEL_IMAGE_TUPLES", 1)
+    verdict = kernel_image_check(sp, f, bound=0)
+    assert verdict.detail["reason"] == "no witness within the search bound"
+    monkeypatch.setattr(decompose, "MAX_KERNEL_IMAGE_TUPLES", 0)
+    verdict = kernel_image_check(sp, f, bound=0)
+    assert "MAX_KERNEL_IMAGE_TUPLES = 0" in verdict.detail["reason"]
+
+
+def test_kernel_image_check_rejects_negative_bound():
+    sp = gallery_space("R3-abs")
+    f = LinearMap.from_rows(R3_PROJECTIONS["diag(1,1,0)"])
+    with pytest.raises(ValueError, match="non-negative"):
+        kernel_image_check(sp, f, bound=-1)
 
 
 def test_kernel_image_check_w_rank_one():
