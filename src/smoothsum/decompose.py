@@ -632,7 +632,8 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
     earlier free entries, so running the free entries through the box
     lexicographically yields the admissible matrices in the box's order,
     and the witness is the one an exhaustive search would find.  Each
-    admissible matrix must be invertible and compatible both ways.  At
+    admissible matrix must be invertible (an integer determinant rejects
+    singular ones before any Fraction work) and compatible both ways.  At
     most ``MAX_KERNEL_IMAGE_TUPLES`` free-entry tuples are enumerated;
     past that budget the verdict is Unknown and its reason names it.
     """
@@ -677,10 +678,10 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
                 (),
                 {"reason": f"search stopped at MAX_KERNEL_IMAGE_TUPLES = {budget} free-entry tuples"},
             )
+        if linalg.integer_determinant(matrix) == 0:
+            continue
         frac = [[Fraction(x) for x in row] for row in matrix]
         inv = linalg.inverse(frac)
-        if inv is None:
-            continue
         if _kindwise_compatible(src_atoms, dst_atoms, space, frac) and _kindwise_compatible(
             dst_atoms, src_atoms, prod, inv
         ):

@@ -11,6 +11,12 @@ composite H2 = w(f(H1)) needs.
 Everything is exact: corrections live in Q(sqrt2), monotonicity is
 certified both by an a-priori derivative budget and by interval
 arithmetic, and every matched pair is replayable as a field identity.
+No decision is steered by floats; each is made cheap instead.  Targets
+are chosen by ``simplest_in_interval``, which brackets an irrational
+window between dyadic rationals (an exact integer floor) and confirms
+the answer by one exact comparison; the products over the rational roots
+are Fractions; and the backward bisection reuses a rejected candidate's
+verdict while that candidate stays inside the halved window.
 
     f_n = f_{n-1} + c_n * p_n,   p_n(t) = t (t-1) prod (t - a_k)
 
@@ -85,45 +91,52 @@ def target_rationals() -> Iterator[Fraction]:
 
 def simplest_in_interval(lo: QSqrt2, hi: QSqrt2) -> Fraction:
     """The rational with the smallest denominator (then smallest absolute
-    numerator) in the open interval (lo, hi) with exact endpoints."""
+    numerator) in the open interval (lo, hi) with exact endpoints.
+
+    An irrational endpoint is rounded outward to a multiple of 2^-k, so
+    the rational window (lo', hi') contains (lo, hi).  Its simplest
+    rational, once it lies in (lo, hi), is the simplest one there too;
+    otherwise k doubles.  Only finitely many simpler rationals lie near
+    the window, each at a positive distance from it, so the loop ends.
+    """
     lo = QSqrt2.coerce(lo)
     hi = QSqrt2.coerce(hi)
     if not lo < hi:
         raise ValueError("empty open interval")
     if lo.is_rational and hi.is_rational:
         return _simplest_rational(lo.a, hi.a)
-    if lo.sign() < 0 and hi.sign() > 0:
-        return Fraction(0)
-    if hi.sign() <= 0:
-        return -simplest_in_interval(-hi, -lo)
-    # now 0 <= lo < hi
-    fl = floor_qsqrt2(lo)
-    candidate = QSqrt2.coerce(fl + 1)
-    if candidate < hi:
-        return Fraction(fl + 1)
-    # both endpoints in [fl, fl+1): x = fl + 1/y with y in (1/(hi-fl), 1/(lo-fl))
-    flq = QSqrt2.coerce(fl)
-    if lo == flq:
-        # lower endpoint is the integer itself: y ranges over (1/(hi-fl), inf)
-        inner = Fraction(floor_qsqrt2((hi - flq).inverse()) + 1)
-    else:
-        inner = simplest_in_interval((hi - flq).inverse(), (lo - flq).inverse())
-    return fl + 1 / inner
+    k = 64
+    while True:
+        scale = 1 << k
+        lo_q = lo.a if lo.is_rational else Fraction(floor_qsqrt2(lo * scale), scale)
+        hi_q = hi.a if hi.is_rational else Fraction(floor_qsqrt2(hi * scale) + 1, scale)
+        s = _simplest_rational(lo_q, hi_q)
+        if lo < s < hi:
+            return s
+        k *= 2
 
 
 def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
-    """simplest_in_interval for rational lo < hi: the same Stern-Brocot
-    descent, in plain Fraction arithmetic."""
+    """simplest_in_interval for rational lo < hi: the Stern-Brocot
+    descent x = fl + 1/y, one continued-fraction term per pass."""
     if lo < 0 < hi:
         return Fraction(0)
     if hi <= 0:
         return -_simplest_rational(-hi, -lo)
-    fl = math.floor(lo)
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    if lo == fl:
-        return fl + 1 / Fraction(math.floor(1 / (hi - fl)) + 1)
-    return fl + 1 / _simplest_rational(1 / (hi - fl), 1 / (lo - fl))
+    terms = []
+    while True:
+        fl = math.floor(lo)
+        if fl + 1 < hi:
+            out = Fraction(fl + 1)
+            break
+        if lo == fl:
+            out = fl + 1 / Fraction(math.floor(1 / (hi - fl)) + 1)
+            break
+        terms.append(fl)
+        lo, hi = 1 / (hi - fl), 1 / (lo - fl)
+    for fl in reversed(terms):
+        out = fl + 1 / out
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -204,8 +217,10 @@ class FranklinMap:
     ``steps`` is the construction record.  Exact evaluation reads the
     same f collapsed into one polynomial with integer coefficient vectors,
     f(t) = (sum P_i t^i + sqrt2 * sum Q_i t^i) / D, which ``extended``
-    updates one correction at a time.  The float evaluator and the
-    derivative enclosures keep the product form.
+    updates one correction at a time.  The float evaluator keeps the
+    product form, and so does the derivative enclosure: over a rational
+    box each leave-one-out product runs in integers, and only the scale
+    by c_n is in Q(sqrt2).
     """
 
     steps: tuple = ()
@@ -244,8 +259,7 @@ class FranklinMap:
     def derivative_interval(self, iv: Interval) -> Interval:
         out = Interval.point(1)
         for s in self.steps:
-            roots = [QSqrt2.coerce(r) for r in s.roots]
-            out = out + poly_product_derivative(roots, iv).scale(s.c)
+            out = out + poly_product_derivative(s.roots, iv).scale(s.c)
         return out
 
     def derivative_expr(self, arg: Expr) -> Expr:
@@ -378,10 +392,8 @@ def build_franklin(n_steps: int) -> FranklinMap:
         if n % 2 == 1:
             a = next(x for x in a_stream if x not in matched_a)
             v = fm.eval_exact(a)
-            pa = QSqrt2.coerce(1)
-            for r in roots:
-                pa = pa * QSqrt2.coerce(a - r)
-            delta = abs(pa) * bound
+            pa = math.prod((a - r for r in roots), start=Fraction(1))
+            delta = bound * abs(pa)
             (aL, bL), (aR, bR) = _neighbors(steps, a)
             lo = max(bL, v - delta)
             hi = min(bR, v + delta)
@@ -393,7 +405,7 @@ def build_franklin(n_steps: int) -> FranklinMap:
             while q in matched_q:
                 q = simplest_in_interval(q_lo, QSqrt2.coerce(q))
             b = w_inverse(q)
-            c = (b - v) * pa.inverse()
+            c = (b - v) / pa
             direction = "forward"
         else:
             q = next(x for x in q_stream if x not in matched_q)
@@ -411,17 +423,18 @@ def build_franklin(n_steps: int) -> FranklinMap:
                     break
             if lo_a is None:
                 raise ConstructionError(f"step {n}: target {q} outside the matched range")
-            a = None
+            a = cand = None
             lo_f, hi_f = Fraction(lo_a), Fraction(hi_a)
             for _ in range(200):
-                cand = simplest_in_interval(QSqrt2.coerce(lo_f), QSqrt2.coerce(hi_f))
-                if cand not in matched_a:
-                    pa = QSqrt2.coerce(1)
-                    for r in roots:
-                        pa = pa * QSqrt2.coerce(cand - r)
-                    if abs(b - fm.eval_exact(cand)) <= abs(pa) * bound:
-                        a = cand
-                        break
+                # a rejected candidate still inside the halved window is
+                # still its simplest rational, and still rejected
+                if cand is None or not lo_f < cand < hi_f:
+                    cand = simplest_in_interval(lo_f, hi_f)
+                    if cand not in matched_a:
+                        pa = math.prod((cand - r for r in roots), start=Fraction(1))
+                        if abs(b - fm.eval_exact(cand)) <= bound * abs(pa):
+                            a = cand
+                            break
                 mid = (lo_f + hi_f) / 2
                 if fm.eval_exact(mid) < b:
                     lo_f = mid
@@ -429,7 +442,7 @@ def build_franklin(n_steps: int) -> FranklinMap:
                     hi_f = mid
             if a is None:
                 raise ConstructionError(f"step {n}: no admissible preimage found")
-            c = (b - fm.eval_exact(a)) * pa.inverse()
+            c = (b - fm.eval_exact(a)) / pa
             direction = "backward"
 
         if abs(c) > bound:

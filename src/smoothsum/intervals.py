@@ -7,7 +7,9 @@ not a numeric estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .numbers import QSqrt2
@@ -41,13 +43,7 @@ class Interval:
         return self + (-other)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return Interval(min(products), max(products))
+        return Interval(*_hull_product((self.lo, self.hi), (other.lo, other.hi)))
 
     def scale(self, c) -> "Interval":
         c = QSqrt2.coerce(c)
@@ -63,8 +59,6 @@ class Interval:
         return self.hi - self.lo
 
     def midpoint(self) -> QSqrt2:
-        from fractions import Fraction
-
         return (self.lo + self.hi) * QSqrt2.coerce(Fraction(1, 2))
 
     def split(self) -> tuple:
@@ -83,26 +77,44 @@ def poly_product_eval(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
     return out
 
 
+def _hull_product(p: tuple, q: tuple) -> tuple:
+    """(min, max) of the products of the endpoints of p and q."""
+    products = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
+    return min(products), max(products)
+
+
 def poly_product_derivative(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
     """Interval enclosure of d/dt prod (t - a_k): sum over k of the
     product with the k-th factor removed.
 
     Each leave-one-out product is a prefix product times a suffix
     product.  Exact interval multiplication is associative, so this is
-    the same interval as multiplying the other factors in order.
+    the same interval as multiplying the other factors in order.  When
+    the box and the roots are rational, as under ``certify_positive``'s
+    rational bisection, all of them are scaled by the common denominator
+    D to integers, and each (k-1)-fold product is divided by D^(k-1) at
+    the end; an irrational one keeps the arithmetic in Q(sqrt2).
     """
-    factors = [iv - Interval.point(a) for a in roots]
-    prefix = [Interval.point(1)]
+    points = [QSqrt2.coerce(x) for x in (iv.lo, iv.hi, *roots)]
+    den = 1
+    if all(x.is_rational for x in points):
+        den = math.lcm(*(x.a.denominator for x in points))
+        points = [x.a.numerator * (den // x.a.denominator) for x in points]
+    lo, hi, *rs = points
+    factors = [(lo - a, hi - a) for a in rs]
+    prefix = [(1, 1)]
     for f in factors:
-        prefix.append(prefix[-1] * f)
-    suffix = [Interval.point(1)]
+        prefix.append(_hull_product(prefix[-1], f))
+    suffix = [(1, 1)]
     for f in reversed(factors):
-        suffix.append(suffix[-1] * f)
+        suffix.append(_hull_product(suffix[-1], f))
     suffix.reverse()
-    out = Interval.point(0)
-    for k in range(len(roots)):
-        out = out + prefix[k] * suffix[k + 1]
-    return out
+    out_lo = out_hi = 0
+    for k in range(len(factors)):
+        term = _hull_product(prefix[k], suffix[k + 1])
+        out_lo, out_hi = out_lo + term[0], out_hi + term[1]
+    scale = Fraction(1, den ** max(len(factors) - 1, 0))
+    return Interval(out_lo * scale, out_hi * scale)
 
 
 def certify_positive(fn, iv: Interval, max_depth: int = 40) -> bool:

@@ -153,6 +153,26 @@ def inverse(m: Matrix) -> Matrix | None:
     return [row[n:] for row in a]
 
 
+def integer_determinant(m: Matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay integers."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def in_span(vectors: Matrix, v: Sequence) -> bool:
     """Is v in the row span of ``vectors``?"""
     if all(_is_zero(x) for x in v):

@@ -28,6 +28,20 @@ class DomainError(ArithmeticError):
     """Raised for domain violations (inverting zero, sqrt of a negative)."""
 
 
+def _square_exceeds_twice(x: int, y: int) -> bool:
+    """x^2 > 2 y^2 for positive integers, from their leading 64 bits
+    when those settle it, else by squaring."""
+    shift = max(x.bit_length(), y.bit_length()) - 64
+    if shift > 0:
+        # x, y lie in [xs, xs+1) and [ys, ys+1) times 2^shift
+        xs, ys = x >> shift, y >> shift
+        if xs * xs > 2 * (ys + 1) ** 2:
+            return True
+        if (xs + 1) ** 2 <= 2 * ys * ys:
+            return False
+    return x * x > 2 * y * y
+
+
 @dataclass(frozen=True)
 class QSqrt2:
     """An element a + b*sqrt(2) of the field Q(sqrt2).
@@ -80,6 +94,10 @@ class QSqrt2:
 
     def __add__(self, other):
         o = QSqrt2.coerce(other)
+        if o.b == 0:
+            return QSqrt2(self.a + o.a, self.b)
+        if self.b == 0:
+            return QSqrt2(self.a + o.a, o.b)
         return QSqrt2(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
@@ -95,6 +113,10 @@ class QSqrt2:
 
     def __mul__(self, other):
         o = QSqrt2.coerce(other)
+        if o.b == 0:
+            return QSqrt2(self.a * o.a, self.b * o.a)
+        if self.b == 0:
+            return QSqrt2(self.a * o.a, self.a * o.b)
         return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
@@ -138,10 +160,12 @@ class QSqrt2:
             return 1
         if a < 0 and b < 0:
             return -1
-        # Opposite signs: compare a^2 with 2 b^2.
-        if a > 0:  # b < 0; positive iff a^2 > 2 b^2
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if a * a < 2 * b * b else -1
+        # Opposite signs: compare a^2 with 2 b^2, cross-multiplied to
+        # integers; they differ because sqrt2 is irrational.
+        x = abs(a.numerator) * b.denominator
+        y = abs(b.numerator) * a.denominator
+        a_wins = _square_exceeds_twice(x, y)
+        return 1 if a_wins == (a > 0) else -1
 
     def __lt__(self, other):
         return (self - QSqrt2.coerce(other)).sign() < 0
@@ -206,13 +230,19 @@ def parse_qsqrt2(text: str) -> QSqrt2:
 
 
 def floor_qsqrt2(v: QSqrt2) -> int:
-    """Exact floor of an element of Q(sqrt2)."""
-    n = math.floor(float(v))  # guess, then fix up exactly
-    while v < QSqrt2.from_rational(n):
-        n -= 1
-    while v >= QSqrt2.from_rational(n + 1):
-        n += 1
-    return n
+    """Exact floor of an element of Q(sqrt2), in integer arithmetic.
+
+    Write v = (A + B*sqrt2)/D with integers A, B and D > 0.  F =
+    floor(B*sqrt2) comes from ``math.isqrt(2 B^2)``, which is never exact
+    unless B = 0.  As 0 <= B*sqrt2 - F < 1, floor(v) = (A + F) // D.
+    """
+    v = QSqrt2.coerce(v)
+    d = math.lcm(v.a.denominator, v.b.denominator)
+    a = v.a.numerator * (d // v.a.denominator)
+    b = v.b.numerator * (d // v.b.denominator)
+    root = math.isqrt(2 * b * b)  # floor(|B| sqrt2)
+    f = root if b >= 0 else -root - 1
+    return (a + f) // d
 
 
 # ---------------------------------------------------------------------

@@ -307,6 +307,8 @@ def test_criterion_9_scenario_determinism(name):
 # say why.
 CERTIFICATE_DIGESTS = {
     ("franklin", "--n", "16"): "2353cf06bf656038b9abf4cd75179d2bc3af181e46554027eea7b9d4d06ae2d2",
+    ("franklin", "--n", "24"): "08671fa168d88dabc79f335310f1c9b14bbfb8ca9ba3f63962ab0bd21a99ea2b",
+    ("franklin", "--n", "32"): "ec56a33020bfa7906802a9061d87a9b81b2d1bd8f3ba45cc311b41a338d250d6",
     ("verify-identity", "--n", "16"): "086d8846708d5fcd490b3afc4796d89865c4ac9db5f245432f377e540950c953",
 }
 

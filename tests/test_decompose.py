@@ -247,6 +247,28 @@ def test_kernel_image_check_stops_at_tuple_budget(monkeypatch):
     assert "MAX_KERNEL_IMAGE_TUPLES = 0" in verdict.detail["reason"]
 
 
+def test_kernel_image_check_inverts_only_nonsingular_candidates(monkeypatch):
+    seen = []
+    real_inverse = linalg.inverse
+
+    def counting_inverse(m):
+        seen.append(linalg.rank(m) == len(m))
+        return real_inverse(m)
+
+    monkeypatch.setattr(linalg, "inverse", counting_inverse)
+    sp = gallery_space("R3-abs")
+    for rows in R3_PROJECTIONS.values():
+        assert kernel_image_check(sp, LinearMap.from_rows(rows)).status == "Diffeomorphic"
+    assert seen and all(seen)
+    # on standard R^4 the first 5^8 tuples are all singular, so none of
+    # them reaches the inverse
+    seen.clear()
+    monkeypatch.setattr(decompose, "MAX_KERNEL_IMAGE_TUPLES", 2000)
+    f = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert kernel_image_check(DVSpace("R4", 4, ()), f).status == "Unknown"
+    assert seen == []
+
+
 def test_kernel_image_check_rejects_negative_bound():
     sp = gallery_space("R3-abs")
     f = LinearMap.from_rows(R3_PROJECTIONS["diag(1,1,0)"])

@@ -24,8 +24,8 @@ from smoothsum.franklin import (
     w_inverse,
     w_value,
 )
-from smoothsum.intervals import Interval, certify_positive
-from smoothsum.numbers import INV_SQRT2, QSqrt2, parse_qsqrt2
+from smoothsum.intervals import Interval, certify_positive, poly_product_derivative
+from smoothsum.numbers import INV_SQRT2, SQRT2, QSqrt2, floor_qsqrt2, parse_qsqrt2
 
 
 def test_enumerations():
@@ -82,6 +82,76 @@ def test_simplest_in_interval_rational_matches_brute_force(x, y):
     lo, hi = min(x, y), max(x, y)
     got = simplest_in_interval(QSqrt2.coerce(lo), QSqrt2.coerce(hi))
     assert got == _brute_force_simplest(lo, hi)
+
+
+def _simplest_by_recursion(lo: QSqrt2, hi: QSqrt2) -> Fraction:
+    """The Q(sqrt2) continued-fraction recursion that simplest_in_interval
+    used before its dyadic brackets: the oracle they must agree with."""
+    if lo.sign() < 0 and hi.sign() > 0:
+        return Fraction(0)
+    if hi.sign() <= 0:
+        return -_simplest_by_recursion(-hi, -lo)
+    fl = floor_qsqrt2(lo)
+    if QSqrt2.coerce(fl + 1) < hi:
+        return Fraction(fl + 1)
+    flq = QSqrt2.coerce(fl)
+    if lo == flq:
+        inner = Fraction(floor_qsqrt2((hi - flq).inverse()) + 1)
+    else:
+        inner = _simplest_by_recursion((hi - flq).inverse(), (lo - flq).inverse())
+    return fl + 1 / inner
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=30)
+_points = st.one_of(
+    _small.map(QSqrt2.coerce),
+    st.builds(QSqrt2, _small, _small.filter(bool)),
+)
+_widths = st.one_of(
+    _points.filter(lambda w: w.sign() > 0),
+    st.builds(
+        lambda k, w: w * QSqrt2.coerce(Fraction(1, 2**k)),
+        st.integers(min_value=1, max_value=200),
+        st.sampled_from([QSqrt2(Fraction(0), Fraction(1)), QSqrt2(Fraction(-1), Fraction(1)), QSqrt2.coerce(1)]),
+    ),
+)
+
+
+@given(_points, _widths, st.sampled_from(["from", "to", "around-zero"]))
+def test_simplest_in_interval_matches_recursion(p, width, anchor):
+    # windows with rational or irrational ends (either one), around 0, on
+    # either side of it, and down to 2^-200 wide
+    if anchor == "from":
+        lo, hi = p, p + width
+    elif anchor == "to":
+        lo, hi = p - width, p
+    else:
+        lo = -width * QSqrt2.coerce(Fraction(1, 3))
+        hi = lo + width
+    got = simplest_in_interval(lo, hi)
+    assert got == _simplest_by_recursion(lo, hi)
+    assert lo < QSqrt2.coerce(got) < hi
+
+
+def test_simplest_in_interval_tiny_window_near_one():
+    # floor(1/(lo-1)) is about 2^73 here: a float guess of it is off by
+    # about 2^20, too far for a step-by-step fix-up
+    e = QSqrt2(Fraction(-1, 2**72), Fraction(1, 2**72))  # 2^-72 (sqrt2 - 1)
+    lo, hi = 1 + e, 1 + 3 * e
+    got = simplest_in_interval(lo, hi)
+    assert got == _simplest_by_recursion(lo, hi)
+    assert lo < QSqrt2.coerce(got) < hi
+
+
+def test_simplest_in_interval_deep_continued_fraction():
+    # a 2^-2999-wide window around sqrt2 needs about 1180 continued-fraction
+    # terms (convergents of sqrt2), past Python's default recursion limit
+    e = QSqrt2(Fraction(0), Fraction(1, 2**3000))
+    lo, hi = SQRT2 - e, SQRT2 + e
+    got = simplest_in_interval(lo, hi)
+    assert lo < QSqrt2.coerce(got) < hi
+    assert abs(got.numerator**2 - 2 * got.denominator**2) == 1  # a convergent
+    assert got.denominator.bit_length() == 1501
 
 
 def _product_form(steps, t) -> QSqrt2:
@@ -161,6 +231,45 @@ def test_monotonicity_certificates(fm16):
     assert fm16.certify_monotonic()
     inner = Interval(QSqrt2.coerce(Fraction(1, 100)), QSqrt2.coerce(Fraction(99, 100)))
     assert certify_positive(fm16.derivative_interval, inner)
+
+
+def _interval_product_derivative(roots, iv: Interval) -> Interval:
+    """The Q(sqrt2) enclosure poly_product_derivative computed before its
+    integer path: prefix and suffix products of Interval factors."""
+    factors = [iv - Interval.point(QSqrt2.coerce(a)) for a in roots]
+    prefix = [Interval.point(1)]
+    for f in factors:
+        prefix.append(prefix[-1] * f)
+    suffix = [Interval.point(1)]
+    for f in reversed(factors):
+        suffix.append(suffix[-1] * f)
+    suffix.reverse()
+    out = Interval.point(0)
+    for k in range(len(factors)):
+        out = out + prefix[k] * suffix[k + 1]
+    return out
+
+
+def test_rational_derivative_enclosure_matches_qsqrt2_path(fm16):
+    # the boxes certify_positive visits on [0,1] and on [1/100, 99/100],
+    # and every box of the depth-4 bisection tree of [0,1]
+    boxes = []
+
+    def record(iv):
+        boxes.append(iv)
+        return fm16.derivative_interval(iv)
+
+    assert certify_positive(record, Interval(QSqrt2.coerce(0), QSqrt2.coerce(1)))
+    inner = Interval(QSqrt2.coerce(Fraction(1, 100)), QSqrt2.coerce(Fraction(99, 100)))
+    assert certify_positive(record, inner)
+    level = [Interval(QSqrt2.coerce(0), QSqrt2.coerce(1))]
+    for _ in range(4):
+        level = [half for iv in level for half in iv.split()]
+        boxes.extend(level)
+    assert len(boxes) == 2 + 30
+    for iv in boxes:
+        for s in fm16.steps:
+            assert poly_product_derivative(s.roots, iv) == _interval_product_derivative(s.roots, iv)
 
 
 def test_targets_in_range(fm16):

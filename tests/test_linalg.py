@@ -1,5 +1,7 @@
 """Exact linear algebra over Fraction (and Q(sqrt2) by duck typing)."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -103,3 +105,24 @@ def test_qsqrt2_field_supported():
             assert all(
                 prod[i][j] == (one if i == j else zero) for i in range(n) for j in range(n)
             )
+
+
+def _leibniz_determinant(m) -> int:
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_integer_determinant_matches_leibniz():
+    rng = random.Random(13)
+    assert linalg.integer_determinant([]) == 1
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        # small entries with many zeros, so pivots vanish and rows swap
+        m = [[rng.choice((0, 0, 0, -2, -1, 1, 2, 7)) for _ in range(n)] for _ in range(n)]
+        det = linalg.integer_determinant(m)
+        assert det == _leibniz_determinant(m)
+        assert (det == 0) == (linalg.inverse([[Fraction(x) for x in row] for row in m]) is None)

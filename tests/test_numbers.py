@@ -71,6 +71,65 @@ def test_floor(x):
     assert QSqrt2.coerce(n) <= x < QSqrt2.coerce(n + 1)
 
 
+def _sign_reference(x: QSqrt2) -> int:
+    """Sign of a + b*sqrt2 by comparing a^2 with 2 b^2 as Fractions."""
+    a, b = x.a, x.b
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+        return (a + b > 0) - (a + b < 0)
+    return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
+
+
+huge_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.integers(min_value=1, max_value=2**80),
+)
+
+
+@given(st.one_of(qsqrt2s, st.builds(QSqrt2, huge_rationals, huge_rationals)))
+def test_floor_exact_far_outside_float_range(x):
+    n = floor_qsqrt2(x)
+    assert _sign_reference(x - n) >= 0 and _sign_reference(x - (n + 1)) < 0
+
+
+def test_floor_regressions():
+    # a float carries only 53 of these 71 bits, too far off for a
+    # step-by-step fix-up
+    assert floor_qsqrt2(QSqrt2(Fraction(2**70 + 12345), Fraction(1))) == 2**70 + 12346
+    assert floor_qsqrt2(QSqrt2(Fraction(2**70 + 12345), Fraction(-1))) == 2**70 + 12343
+    # float(x) overflows from 2^1024 on
+    assert floor_qsqrt2(QSqrt2(Fraction(2**1100), Fraction(3, 7))) == 2**1100
+    assert floor_qsqrt2(QSqrt2(Fraction(-(2**1100)), Fraction(3, 7))) == -(2**1100)
+    assert floor_qsqrt2(QSqrt2(Fraction(0), Fraction(2**1100))) == math.isqrt(2 ** 2201)
+    assert floor_qsqrt2(QSqrt2(Fraction(0), Fraction(-(2**1100)))) == -math.isqrt(2 ** 2201) - 1
+    # integers and exact halves
+    assert floor_qsqrt2(QSqrt2(Fraction(-3))) == -3
+    assert floor_qsqrt2(QSqrt2(Fraction(-7, 2))) == -4
+
+
+def _pell(k: int) -> tuple:
+    """x, y with x^2 - 2 y^2 = +-1, so x/y is within 1/y^2 of sqrt2."""
+    x, y = 1, 1
+    for _ in range(k):
+        x, y = x + 2 * y, x + y
+    return x, y
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=1, max_value=2**64),
+    st.sampled_from([(1, -1), (-1, 1)]),
+)
+def test_sign_near_sqrt2(k, nudge, den, signs):
+    # a/b at a Pell convergent of sqrt2 (nudged), where the leading bits of
+    # a^2 and 2 b^2 agree and only the full products decide
+    x, y = _pell(k)
+    v = QSqrt2(Fraction(signs[0] * (x + nudge), den), Fraction(signs[1] * y, den))
+    assert v.sign() == _sign_reference(v)
+    assert (-v).sign() == -_sign_reference(v)
+
+
 @given(qsqrt2s)
 def test_sign_and_abs(x):
     s = x.sign()
