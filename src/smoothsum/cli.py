@@ -23,7 +23,7 @@ from .decompose import (
     decomposability_report,
     refute_smooth_sum_standard,
 )
-from .diffeology import DVSpace, Plot, Subspace, parse_space
+from .diffeology import MAX_DIM, DVSpace, Plot, Subspace, parse_space
 from .expr import ExprError, parse_expr
 from .franklin import (
     RationalityLink,
@@ -80,6 +80,8 @@ def _parse_basis(text: str, dim: int) -> Subspace:
             if not chunk:
                 continue
             vectors.append([Fraction(c.strip()) for c in chunk.split(",")])
+            if len(vectors) > MAX_DIM:
+                raise InputError(f"a basis may list at most {MAX_DIM} vectors")
         return Subspace.from_vectors(dim, vectors)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed basis {text!r}: {exc}") from exc

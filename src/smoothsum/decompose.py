@@ -42,11 +42,11 @@ from .diffeology import (
 )
 from .expr import (
     Const,
+    Plan,
     Smoothness,
     X,
     ZERO_E,
     classify_smoothness,
-    eval_tagged,
     is_smooth_expr,
     make_prod,
     make_sum,
@@ -138,20 +138,26 @@ def _replay_witness(plot: Plot, components: Sequence, w: Subspace, grid: str) ->
     evaluation: the plot equals the target componentwise and its values
     lie in W.  Returns an error description or None on success."""
     exprs = [plot.component_expr(j) for j in range(plot.space.dim)]
-    ann = linalg.annihilator([list(r) for r in w.basis], w.ambient_dim)
+    ann = [
+        [QSqrt2.coerce(c) for c in phi]
+        for phi in linalg.annihilator([list(r) for r in w.basis], w.ambient_dim)
+    ]
+    pairs = list(zip(exprs, components))
+    # one plan over each component and its target, in the order they are checked
+    plan = Plan([e for pair in pairs for e in pair])
     for x in parse_grid(grid):
-        tx = TaggedReal.exact(x)
+        values = plan.each(TaggedReal.exact(x))
         vals = []
-        for j, (expr, target) in enumerate(zip(exprs, components)):
-            lhs = eval_tagged(expr, tx)
-            rhs = eval_tagged(target, tx)
-            if isinstance(lhs, tuple) or isinstance(rhs, tuple):
+        for j in range(len(pairs)):
+            lhs, rhs = next(values), next(values)
+            if len(lhs) != 1 or len(rhs) != 1:
                 return f"indeterminate value at {x}, component {j}"
+            (lhs,), (rhs,) = lhs, rhs
             if not (lhs.is_exact and rhs.is_exact and lhs.value == rhs.value):
                 return f"mismatch at {x}, component {j}"
             vals.append(lhs.value)
         for phi in ann:
-            if not sum((QSqrt2.coerce(c) * v for c, v in zip(phi, vals)), QSqrt2()).is_zero:
+            if not sum((c * v for c, v in zip(phi, vals)), QSqrt2()).is_zero:
                 return f"value at {x} lies outside the subspace"
     return None
 

@@ -7,6 +7,13 @@ primitives abs, deltaQ (indicator of the irrationals) and the formal axiom
 function gamma.  Trees are canonical: constants fold, sums and products
 flatten, and negation is absorbed into rational coefficients, so that
 printing and re-parsing is the identity on trees.
+
+Tagged evaluation has two drivers over one node semantics.
+``eval_candidates`` recurses and suits one-off calls.  A ``Plan`` is
+compiled once from a list of trees and then called at many points: equal
+subtrees are shared, so each distinct subexpression is evaluated once
+per point, and subtrees without x are hoisted out and evaluated once per
+plan.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .numbers import (
@@ -414,10 +422,21 @@ def to_text(e: Expr) -> str:
 # Evaluation returns a tuple of candidate values.  A singleton means the
 # value is determined; deltaQ at an Unknown tag yields the indeterminate
 # pair {0, 1}, which propagates as a small candidate set.
+#
+# What each node means lives in ``_apply``, which computes a node's
+# candidates from its children's.  Two drivers call it.
+# ``eval_candidates`` recurses over the tree and costs nothing to set up,
+# so one-off calls use it.  A ``Plan`` compiles a list of trees once, for
+# evaluation at many points: structurally equal subtrees become one node,
+# subtrees free of x are evaluated once per plan, and each call then
+# evaluates every remaining node once, children before parents.
 
 _MAX_CANDIDATES = 4
 
 Candidates = tuple
+
+_ZERO_T = TaggedReal.exact(0)
+_ONE_T = TaggedReal.exact(1)
 
 
 def _dedupe(cands: Sequence[TaggedReal]) -> Candidates:
@@ -509,46 +528,160 @@ def _bar_gamma_tagged(x: TaggedReal, ref) -> TaggedReal:
     return TaggedReal.approx(float(W_SLOPE) * ref.eval_float(fv) + float(W_OFFSET))
 
 
-def eval_candidates(e: Expr, x: TaggedReal) -> Candidates:
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Prod):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, App):
+        return (e.arg,)
+    return ()
+
+
+def _fold(parts: Iterable[Candidates], start: TaggedReal, op) -> Candidates:
+    """Fold ``op`` over candidate tuples from the identity ``start``."""
+    out = (start,)
+    for c in parts:
+        if len(out) == 1 and len(c) == 1:
+            # the identity op'd with an exact value is that value
+            out = c if out[0] is start and c[0].is_exact else (op(out[0], c[0]),)
+        else:
+            out = _combine(out, c, op)
+    return out
+
+
+def _apply(e: Expr, kids: Sequence[Candidates], x: TaggedReal) -> Candidates:
+    """The candidates of node ``e`` at ``x``, given the candidates of its
+    children in the order ``_children`` lists them."""
     if isinstance(e, Const):
         return (TaggedReal.exact(e.value),)
     if isinstance(e, Var):
         return (x,)
     if isinstance(e, Sum):
-        out = (TaggedReal.exact(0),)
-        for t in e.terms:
-            out = _combine(out, eval_candidates(t, x), add_tagged)
-        return out
+        return _fold(kids, _ZERO_T, add_tagged)
     if isinstance(e, Prod):
-        out = (TaggedReal.exact(1),)
-        for f in e.factors:
-            out = _combine(out, eval_candidates(f, x), mul_tagged)
-        return out
+        return _fold(kids, _ONE_T, mul_tagged)
     if isinstance(e, Pow):
-        base = eval_candidates(e.base, x)
-        out = (TaggedReal.exact(1),)
-        for _ in range(e.exponent):
-            out = _combine(out, base, mul_tagged)
-        return out
+        return _fold(repeat(kids[0], e.exponent), _ONE_T, mul_tagged)
     if isinstance(e, App):
-        arg = eval_candidates(e.arg, x)
-        if e.name == "abs":
-            return _map(arg, _abs_tagged)
-        if e.name == "exp":
-            return _map(arg, exp_tagged)
-        if e.name == "sqrt":
-            return _map(arg, sqrt_tagged)
-        if e.name == "deltaQ":
-            return _map(arg, _delta_tagged)
-        if e.name == "H1":
-            return _map(arg, _h1_tagged)
-        if e.name == "w":
-            return _map(arg, _w_tagged)
-        if e.name == "barGamma":
-            return _map(arg, lambda t: _bar_gamma_tagged(t, e.ref))
-        if e.name == "gamma":
+        name = e.name
+        if name == "abs":
+            fn = _abs_tagged
+        elif name == "exp":
+            fn = exp_tagged
+        elif name == "sqrt":
+            fn = sqrt_tagged
+        elif name == "deltaQ":
+            fn = _delta_tagged
+        elif name == "H1":
+            fn = _h1_tagged
+        elif name == "w":
+            fn = _w_tagged
+        elif name == "barGamma":
+            ref = e.ref
+            fn = lambda t: _bar_gamma_tagged(t, ref)
+        elif name == "gamma":
             return (TaggedReal.opaque(),)
+        else:
+            raise ExprError(f"cannot evaluate {e!r}")
+        (arg,) = kids
+        if len(arg) == 1:
+            r = fn(arg[0])
+            return r if isinstance(r, tuple) else (r,)
+        return _map(arg, fn)
     raise ExprError(f"cannot evaluate {e!r}")
+
+
+def eval_candidates(e: Expr, x: TaggedReal) -> Candidates:
+    return _apply(e, [eval_candidates(c, x) for c in _children(e)], x)
+
+
+def _node_key(e: Expr, kids: tuple) -> tuple:
+    """Equal keys mean equal subtrees, given the children's plan slots.
+    A barGamma node is keyed by the identity of its map."""
+    if isinstance(e, Const):
+        return ("c", e.value)
+    if isinstance(e, Var):
+        return ("x",)
+    if isinstance(e, Sum):
+        return ("+", kids)
+    if isinstance(e, Prod):
+        return ("*", kids)
+    if isinstance(e, Pow):
+        return ("^", e.exponent, kids)
+    if isinstance(e, App):
+        return ("a", e.name, id(e.ref), kids)
+    return ("?", id(e))
+
+
+class Plan:
+    """Evaluate a fixed list of trees at many points, sharing the work.
+
+    Construction numbers the distinct nodes of ``exprs`` children first,
+    in the order the recursive driver first reaches them.  Structurally
+    equal subtrees become one node; hashing happens here, once.  Nodes
+    free of x are evaluated here too, once.  A call evaluates each
+    remaining node once per point, so a tree that holds H1(x) twice runs
+    H1 once.  A node free of x whose evaluation raises is kept for the
+    calls instead: each call then raises what ``eval_candidates`` raises,
+    at the same point in the evaluation order, and a plan never called
+    raises nothing.  Nothing outlives the plan.
+    """
+
+    def __init__(self, exprs: Sequence[Expr]):
+        exprs = tuple(exprs)  # keeps every node alive, so no id is reused
+        slot_by_key: dict = {}
+        slot_by_id: dict = {}
+        nodes: list = []  # (node, children's slots, contains x)
+
+        def visit(e: Expr) -> int:
+            slot = slot_by_id.get(id(e))
+            if slot is None:
+                kids = tuple(visit(c) for c in _children(e))
+                key = _node_key(e, kids)
+                slot = slot_by_key.get(key)
+                if slot is None:
+                    slot = slot_by_key[key] = len(nodes)
+                    # the variable, and a node kind this module does not know, vary
+                    varies = key[0] in ("x", "?") or any(nodes[k][2] for k in kids)
+                    nodes.append((e, kids, varies))
+                slot_by_id[id(e)] = slot
+            return slot
+
+        values: list = []  # per slot: candidates if evaluated once here, else None
+        self._segments = []  # per tree: (steps to run at each point, root slot)
+        for e in exprs:
+            root = visit(e)
+            steps = []
+            for slot in range(len(values), len(nodes)):
+                node, kids, varies = nodes[slot]
+                value = None
+                if not varies and all(values[k] is not None for k in kids):
+                    try:
+                        value = _apply(node, [values[k] for k in kids], None)
+                    except Exception:  # raised again, in order, by each call
+                        pass
+                values.append(value)
+                if value is None:
+                    steps.append((slot, node, kids))
+            self._segments.append((tuple(steps), root))
+        self._values = values
+
+    def each(self, x: TaggedReal):
+        """Yield the candidates of each tree in turn; a tree's own nodes
+        are evaluated only when the consumer asks for it."""
+        values = self._values[:]
+        for steps, root in self._segments:
+            for slot, e, kids in steps:
+                values[slot] = _apply(e, [values[k] for k in kids], x)
+            yield values[root]
+
+    def __call__(self, x: TaggedReal) -> list:
+        """The candidates of every tree at ``x``, as ``eval_candidates``
+        gives them."""
+        return list(self.each(x))
 
 
 def eval_tagged(e: Expr, x: TaggedReal):

@@ -38,6 +38,7 @@ from .expr import (
     Const,
     Expr,
     ONE_E,
+    Plan,
     W_OFFSET,
     W_SLOPE,
     X,
@@ -598,11 +599,13 @@ def verify_abs_identity(link: RationalityLink, grid: str = "zero,rationals:200,n
     Q(sqrt2), not a tolerance.
     """
     expr = abs_identity_expr(link)
+    plan = Plan([expr])  # H1(x) occurs twice in expr and is evaluated once
     failures = []
     checked = 0
     for x in parse_grid(grid):
-        lhs = eval_tagged(expr, TaggedReal.exact(x))
-        if isinstance(lhs, tuple) or not lhs.is_exact:
+        (cands,) = plan(TaggedReal.exact(x))
+        lhs = cands[0]
+        if len(cands) != 1 or not lhs.is_exact:
             failures.append(f"indeterminate at {x}")
             continue
         if lhs.value != abs(x):

@@ -69,14 +69,6 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def poly_product_eval(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
-    """Interval enclosure of prod (t - a_k) over the interval."""
-    out = Interval.point(1)
-    for a in roots:
-        out = out * (iv - Interval.point(a))
-    return out
-
-
 def _hull_product(p: tuple, q: tuple) -> tuple:
     """(min, max) of the products of the endpoints of p and q."""
     products = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])

@@ -31,24 +31,6 @@ def mat_copy(m: Matrix) -> Matrix:
     return [list(row) for row in m]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    cols = len(b[0]) if b else 0
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), _zero_start(a, b)) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
-def _zero_start(a, b):
-    for m in (a, b):
-        for row in m:
-            for x in row:
-                return _zero_like(x)
-    return Fraction(0)
-
-
 def mat_vec(a: Matrix, v: Sequence) -> list:
     return [sum((a[i][k] * v[k] for k in range(len(v))), _zero_like_vec(a, v)) for i in range(len(a))]
 

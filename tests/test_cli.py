@@ -7,6 +7,8 @@ import jsonschema
 import pytest
 
 from smoothsum.cli import main
+from smoothsum.diffeology import MAX_DIM, MAX_GENERATORS
+from smoothsum.gallery import SPACE_NAMES, gallery_space
 
 
 @pytest.fixture(scope="session")
@@ -149,3 +151,41 @@ def test_order_out_of_range_exits_2(capsys, n):
         code, _, err = _run(capsys, *argv, "--n", n)
         assert code == 2, argv
         assert "--n must be between 1 and 32" in err
+
+
+def _declaration(dim: int, n_gens: int) -> str:
+    gen = "gen " + ", ".join(["abs(x)"] * max(dim, 1)) + "\n"
+    return f"space V dim {dim}\n" + gen * n_gens
+
+
+@pytest.mark.parametrize("dim", [-1, 0, MAX_DIM + 1])
+def test_declared_dim_out_of_range_exits_2(tmp_path, capsys, dim):
+    f = tmp_path / "space.txt"
+    f.write_text(_declaration(dim, 1))
+    for argv in (["analyze", str(f)], ["check-sum", str(f), "--w0", "1", "--w1", "0"]):
+        code, _, err = _run(capsys, *argv, "--n", "8")
+        assert code == 2, argv
+        assert f"dim must be between 1 and {MAX_DIM}, got {dim}" in err
+
+
+def test_generator_count_bound(tmp_path, capsys):
+    f = tmp_path / "space.txt"
+    f.write_text(_declaration(1, MAX_GENERATORS))
+    assert _run(capsys, "analyze", str(f), "--n", "8")[0] == 0
+    f.write_text(_declaration(1, MAX_GENERATORS + 1))
+    code, _, err = _run(capsys, "analyze", str(f), "--n", "8")
+    assert code == 2
+    assert f"more than {MAX_GENERATORS} generators" in err
+
+
+def test_basis_vector_count_bound(capsys):
+    too_many = ";".join(["1,0"] * (MAX_DIM + 1))
+    code, _, err = _run(capsys, "check-sum", "V2-delta", "--w0", too_many, "--w1", "0,1", "--n", "8")
+    assert code == 2
+    assert f"at most {MAX_DIM} vectors" in err
+
+
+def test_gallery_spaces_within_bounds():
+    for name in SPACE_NAMES:
+        sp = gallery_space(name)
+        assert 1 <= sp.dim <= MAX_DIM and len(sp.generators) <= MAX_GENERATORS

@@ -12,18 +12,51 @@ from smoothsum.diffeology import (
     generator_plot,
     parse_space,
     plot_add,
-    plot_eval,
-    plot_precompose,
     plot_scale,
     print_space,
     product_space,
     pushforward,
-    pushforward_plot,
     smooth_plot,
 )
-from smoothsum.expr import eval_exact, parse_expr, to_text
+from smoothsum.expr import (
+    compose,
+    const,
+    eval_exact,
+    eval_tagged,
+    is_smooth_expr,
+    make_prod,
+    make_sum,
+    parse_expr,
+    to_text,
+)
 from smoothsum.gallery import gallery_space
 from smoothsum.numbers import QSqrt2, TaggedReal
+
+# Plot helpers that only these tests use.
+
+
+def plot_eval(p, x):
+    """Evaluate each component; entries may be indeterminate tuples."""
+    return [eval_tagged(p.component_expr(j), x) for j in range(p.space.dim)]
+
+
+def plot_precompose(p, s):
+    if not is_smooth_expr(s):
+        raise ValueError("precomposition map must be smooth")
+    terms = tuple((compose(h, s), k, compose(H, s)) for h, k, H in p.terms)
+    tail = tuple(compose(t, s) for t in p.tail)
+    return Plot(p.space, terms, tail)
+
+
+def pushforward_plot(L, p, target):
+    """Carry a normal-form plot through L into the pushforward space."""
+    tail = []
+    for i in range(L.codomain_dim):
+        tail.append(
+            make_sum([make_prod([const(L.matrix[i][j]), p.tail[j]]) for j in range(p.space.dim)])
+        )
+    return Plot(target, p.terms, tuple(tail))
+
 
 POINTS = [Fraction(0), Fraction(1, 3), Fraction(-2, 7), QSqrt2(Fraction(1), Fraction(1))]
 

@@ -4,23 +4,34 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from smoothsum import expr as expr_module
+from smoothsum.decompose import _replay_witness
+from smoothsum.diffeology import DVSpace, Subspace, generator_plot
 from smoothsum.expr import (
     ABS_KIND,
     AXIOM_A,
     DELTA_KIND,
+    FUNCTION_NAMES,
     GAMMA_KIND,
     App,
     Const,
     ExprError,
     NotDifferentiableError,
     ParseError,
+    Plan,
+    Pow,
+    Prod,
     Smoothness,
     SmoothnessVerdict,
+    Sum,
     Var,
     X,
     classify_smoothness,
     compose,
+    const,
     decompose_exotic,
     differentiate,
     eval_candidates,
@@ -37,8 +48,14 @@ from smoothsum.expr import (
     to_text,
     verify_nonsmooth_witness,
 )
-from smoothsum.franklin import RationalityLink, abs_identity_expr, parse_grid
-from smoothsum.numbers import QSqrt2, Tag, TaggedReal
+from smoothsum.franklin import (
+    RationalityLink,
+    abs_identity_expr,
+    build_franklin,
+    parse_grid,
+    verify_abs_identity,
+)
+from smoothsum.numbers import DomainError, QSqrt2, Tag, TaggedReal
 
 
 # ---------------------------------------------------------------------
@@ -130,6 +147,125 @@ def test_h1_semantics():
 def test_compose():
     e = compose(parse_expr("x^2+1"), parse_expr("x-1"))
     assert eval_exact(e, Fraction(3)) == QSqrt2.coerce(5)
+
+
+# ---------------------------------------------------------------------
+# Evaluation plans against the recursive driver
+# ---------------------------------------------------------------------
+
+# Two small matching maps, so barGamma nodes over different maps meet.
+_MAPS = (None, build_franklin(1), build_franklin(2))
+
+_leaves = st.one_of(
+    st.just(X),
+    st.builds(
+        lambda p, q, r: Const(QSqrt2(Fraction(p, q), Fraction(r, q))),
+        st.integers(-4, 4), st.integers(1, 4), st.integers(-2, 2),
+    ),
+)
+
+
+def _extend(kids):
+    return st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda fs: Prod(tuple(fs))),
+        st.builds(Pow, kids, st.integers(1, 3)),
+        st.builds(
+            lambda name, arg, ref: App(name, arg, ref if name == "barGamma" else None),
+            st.sampled_from(FUNCTION_NAMES), kids, st.sampled_from(_MAPS),
+        ),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=10)
+
+_points = st.one_of(
+    st.builds(lambda p, q: TaggedReal.exact(Fraction(p, q)), st.integers(-20, 20), st.integers(1, 20)),
+    st.builds(
+        lambda p, q, r: TaggedReal.exact(QSqrt2(Fraction(p, r), Fraction(q, r))),
+        st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9),
+    ),
+    st.builds(TaggedReal.approx, st.floats(-3, 3), st.sampled_from(list(Tag))),
+    st.builds(lambda f: TaggedReal(f, Tag.IRRATIONAL, transcendental=True), st.floats(-3, 3)),
+    st.just(TaggedReal.opaque()),
+)
+
+_DELTA_X = App("deltaQ", X)
+# deltaQ at an Unknown tag gives {0, 1}; these weights make 8 sums, past
+# _MAX_CANDIDATES, so the candidate set collapses to opaque
+_COLLAPSING = Sum(
+    (_DELTA_X, Prod((Const(QSqrt2.coerce(2)), _DELTA_X)), Prod((Const(QSqrt2.coerce(4)), _DELTA_X)))
+)
+
+
+def _outcome(fn) -> str:
+    """The repr of what ``fn`` returns, or the error it raises."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs=st.lists(_trees, min_size=1, max_size=3), x=_points)
+@example(exprs=[_COLLAPSING, _DELTA_X], x=TaggedReal.opaque())
+@example(exprs=[_DELTA_X, Prod((_DELTA_X, X))], x=TaggedReal.approx(0.5))
+def test_plan_matches_recursive_driver(exprs, x):
+    want = _outcome(lambda: [eval_candidates(e, x) for e in exprs])
+    assert _outcome(lambda: Plan(exprs)(x)) == want
+
+
+def test_candidate_sets_branch_and_collapse_in_both_drivers():
+    x = TaggedReal.opaque()
+    branched = App("abs", make_neg(_DELTA_X))  # |-deltaQ(x)| is 0 or 1
+    for got in (eval_candidates(branched, x), Plan([branched])(x)[0]):
+        assert [c.value for c in got] == [QSqrt2.coerce(0), QSqrt2.coerce(1)]
+    assert eval_candidates(_COLLAPSING, x) == (TaggedReal.opaque(),)
+    assert Plan([_COLLAPSING])(x) == [(TaggedReal.opaque(),)]
+    assert len(Plan([Sum((_DELTA_X, _DELTA_X))])(x)[0]) == 3
+
+
+def test_plan_runs_a_repeated_subtree_once_per_point(fm8, monkeypatch):
+    calls = []
+    h1 = expr_module._h1_tagged
+    monkeypatch.setattr(expr_module, "_h1_tagged", lambda t: calls.append(t) or h1(t))
+    result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:20,negatives:5,quadratic:4")
+    assert result["ok"] and result["checked"] == 30
+    assert len(calls) == 30  # H1(x) occurs twice in the identity
+
+
+def test_plan_keeps_barGamma_over_different_maps_apart(fm8, fm16):
+    exprs = [App("barGamma", X, fm8), App("barGamma", X, fm16)]
+    x = TaggedReal.exact(Fraction(5, 13))  # matched by neither map
+    got = Plan(exprs)(x)
+    assert got == [eval_candidates(e, x) for e in exprs]
+    assert got[0] != got[1]
+
+
+def test_hoisted_constant_raises_as_the_recursive_driver_does():
+    bad = make_app("sqrt", const(-1))
+    plan = Plan([make_sum([X, bad])])  # building the plan raises nothing
+    with pytest.raises(DomainError) as recursive:
+        eval_candidates(make_sum([X, bad]), TaggedReal.exact(1))
+    with pytest.raises(DomainError) as planned:
+        plan(TaggedReal.exact(1))
+    assert str(planned.value) == str(recursive.value)
+    # the first error in evaluation order wins, in both drivers
+    unknown = App("nope", X)
+    for exprs, error in (([unknown, bad], ExprError), ([bad, unknown], DomainError)):
+        with pytest.raises(error):
+            [eval_candidates(e, TaggedReal.exact(1)) for e in exprs]
+        with pytest.raises(error):
+            Plan(exprs)(TaggedReal.exact(1))
+
+
+def test_replay_on_an_empty_grid_evaluates_nothing():
+    bad = make_app("sqrt", const(-1))
+    sp = DVSpace("bad", 1, ((bad,),))
+    plot, w = generator_plot(sp, 0), Subspace.from_vectors(1, [[1]])
+    assert _replay_witness(plot, [bad], w, grid="") is None
+    with pytest.raises(DomainError):
+        _replay_witness(plot, [bad], w, grid="zero")
 
 
 # ---------------------------------------------------------------------

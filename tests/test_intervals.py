@@ -3,8 +3,16 @@
 import random
 from fractions import Fraction
 
-from smoothsum.intervals import Interval, certify_positive, poly_product_derivative, poly_product_eval
+from smoothsum.intervals import Interval, certify_positive, poly_product_derivative
 from smoothsum.numbers import QSqrt2
+
+
+def poly_product_eval(roots, iv):
+    """Interval enclosure of prod (t - a_k) over the interval."""
+    out = Interval.point(1)
+    for a in roots:
+        out = out * (iv - Interval.point(a))
+    return out
 
 
 def _q(a, b=0):

@@ -9,6 +9,15 @@ from smoothsum import linalg
 from smoothsum.numbers import QSqrt2
 
 
+def _matmul(a, b):
+    """Product of two non-empty matrices with exact entries."""
+    zero = a[0][0] - a[0][0]
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def _rand_matrix(rng, rows, cols, field="q"):
     def entry():
         f = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -52,7 +61,7 @@ def test_solve_and_inverse():
             solved += 1
         inv = linalg.inverse(m)
         if inv is not None:
-            prod = linalg.matmul(m, inv)
+            prod = _matmul(m, inv)
             assert all(prod[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
     assert solved > 50
 
@@ -99,7 +108,7 @@ def test_qsqrt2_field_supported():
         m = _rand_matrix(rng, n, n, field="s")
         inv = linalg.inverse(m)
         if inv is not None:
-            prod = linalg.matmul(m, inv)
+            prod = _matmul(m, inv)
             one = QSqrt2.coerce(1)
             zero = QSqrt2.coerce(0)
             assert all(
