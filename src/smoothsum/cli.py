@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .constraints import characteristic_decomposition, dual_basis, maximal_isotropic
+from .constraints import characteristic_decomposition
 from .decompose import (
     certify_smooth_sum,
     check_algebraic_sum,
@@ -71,6 +72,18 @@ def _load_space(name_or_file: str, axioms) -> DVSpace:
     return sp
 
 
+# A basis entry is p, p/q or a plain decimal.  Exponent notation is
+# refused: Fraction("1e3000000") alone takes over a second.
+_ENTRY = re.compile(r"[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)")
+
+
+def _entry(text: str) -> Fraction:
+    text = text.strip()
+    if not _ENTRY.fullmatch(text):
+        raise ValueError(f"entry {text!r} is not p, p/q or a plain decimal")
+    return Fraction(text)
+
+
 def _parse_basis(text: str, dim: int) -> Subspace:
     """Vectors separated by ';', components by ',', rational entries."""
     try:
@@ -79,7 +92,7 @@ def _parse_basis(text: str, dim: int) -> Subspace:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            vectors.append([Fraction(c.strip()) for c in chunk.split(",")])
+            vectors.append([_entry(c) for c in chunk.split(",")])
             if len(vectors) > MAX_DIM:
                 raise InputError(f"a basis may list at most {MAX_DIM} vectors")
         return Subspace.from_vectors(dim, vectors)
@@ -140,9 +153,8 @@ def _print_tree(node, indent: int) -> None:
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     sp = _load_space(args.space, args.axiom)
-    dual = dual_basis(sp)
-    iso = maximal_isotropic(sp)
     ch = characteristic_decomposition(sp)
+    iso = ch.analysis
     witnesses = gallery_witnesses(sp, args.n)
     split = None
     if sp.name == "V2-delta":
@@ -150,13 +162,13 @@ def cmd_analyze(args) -> int:
     dec = decomposability_report(sp, witnesses=witnesses, witness_split=split)
     report = {
         "space": sp.to_dict(),
-        "dual": dual.to_dict(),
-        "dual_dim": dual.dim,
+        "dual": iso.dual.to_dict(),
+        "dual_dim": iso.dual.dim,
         "isotropic": iso.to_dict(),
         "characteristic": ch.to_dict(),
         "decomposability": dec.to_dict(),
     }
-    axioms = set(sp.axioms) | set(dual.axioms_used) | set(dec.axioms_used)
+    axioms = set(sp.axioms) | set(iso.dual.axioms_used) | set(dec.axioms_used)
     _emit(_make_report("analyze", {"space": args.space}, report, axioms, time.perf_counter() - t0), args.json)
     return 0
 

@@ -280,20 +280,19 @@ def maximal_isotropic(space: DVSpace) -> IsotropicResult:
     bound for the true isotropic subspace.
     """
     dual = dual_basis(space)
-    rows = [list(r) for r in dual.basis]
-    if not rows:
+    if not dual.basis:
         sub = Subspace.from_vectors(
             space.dim, [[1 if j == i else 0 for j in range(space.dim)] for i in range(space.dim)]
         )
     else:
-        ker = _rationalize(linalg.nullspace(rows))
+        ker = _rationalize(linalg.nullspace(dual.basis))
         if any(isinstance(x, QSqrt2) for row in ker for x in row):
             raise ValueError(
                 f"the isotropic subspace of {space.name}, spanned by "
                 f"{[[str(x) for x in row] for row in ker]}, is irrational; "
                 "only rational subspaces are supported"
             )
-        sub = Subspace.from_vectors(space.dim, ker) if ker else Subspace(space.dim, ())
+        sub = Subspace.from_vectors(space.dim, ker)
     status = "exact" if dual.status == "exact" else "lower-bound"
     return IsotropicResult(status, sub, dual)
 
@@ -303,19 +302,21 @@ CHARACTERISTIC_CERT = "external:dual-dimension-theorem"
 
 @dataclass
 class CharacteristicResult:
-    status: str
-    isotropic: Subspace
+    analysis: IsotropicResult  # the dual and the isotropic subspace split off
     complement: Subspace
     certificate: str
-    dual: DualResult
+
+    @property
+    def isotropic(self) -> Subspace:
+        return self.analysis.subspace
 
     def to_dict(self) -> dict:
         return {
-            "status": self.status,
+            "status": self.analysis.status,
             "isotropic": self.isotropic.to_dict(),
             "complement": self.complement.to_dict(),
             "certificate": self.certificate,
-            "dual": self.dual.to_dict(),
+            "dual": self.analysis.dual.to_dict(),
         }
 
 
@@ -327,9 +328,8 @@ def characteristic_decomposition(space: DVSpace) -> CharacteristicResult:
     finitely generated diffeologies.
     """
     iso = maximal_isotropic(space)
-    comp_rows = linalg.pivot_complement([list(r) for r in iso.subspace.basis], space.dim)
-    comp = Subspace.from_vectors(space.dim, comp_rows) if comp_rows else Subspace(space.dim, ())
-    return CharacteristicResult(iso.status, iso.subspace, comp, CHARACTERISTIC_CERT, iso.dual)
+    comp = Subspace.from_vectors(space.dim, linalg.pivot_complement(iso.subspace.basis, space.dim))
+    return CharacteristicResult(iso, comp, CHARACTERISTIC_CERT)
 
 
 # ---------------------------------------------------------------------
@@ -440,7 +440,7 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
     span: list = []
 
     # seed: annihilator functionals of the subspace
-    ann = linalg.annihilator([list(r) for r in subspace.basis], space.dim)
+    ann = linalg.annihilator(subspace.basis, space.dim)
     for phi in ann:
         v = []
         for s in symbols:
@@ -488,7 +488,7 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
                     ):
                         changed = True
 
-    if all(linalg.in_span(span, cv) for cv in coord_vecs):
+    if linalg.rank(span + coord_vecs) == linalg.rank(span):
         derivation.append("every coordinate's exotic content is a smooth combination")
         return StandardnessVerdict(
             "Standard", subspace, tuple(derivation), tuple(sorted(axioms_used)), span
@@ -506,9 +506,7 @@ def _critical_directions(space: DVSpace) -> list:
                 v = vecs[kind]
                 if all(x.is_rational for x in v):
                     rv = [x.as_rational() for x in v]
-                    if any(rv) and not any(
-                        linalg.in_span([d], rv) and linalg.in_span([rv], d) for d in dirs
-                    ):
+                    if any(rv) and not any(linalg.rank([d, rv]) == 1 for d in dirs):
                         dirs.append(rv)
     return dirs
 
@@ -538,12 +536,12 @@ def all_lines_standard(space: DVSpace) -> AllLinesResult:
         raise ValueError("line enumeration is implemented for dimension 2")
     directions = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     for d in _critical_directions(space):
-        if not any(linalg.in_span([d0], d) and linalg.in_span([d], d0) for d0 in directions):
+        if not any(linalg.rank([d0, d]) == 1 for d0 in directions):
             directions.append(d)
     t = 1
     while True:
         cand = [Fraction(1), Fraction(t)]
-        if not any(linalg.in_span([d0], cand) and linalg.in_span([cand], d0) for d0 in directions):
+        if not any(linalg.rank([d0, cand]) == 1 for d0 in directions):
             directions.append(cand)
             break
         t += 1

@@ -54,7 +54,7 @@ from .expr import (
     verify_nonsmooth_witness,
 )
 from .franklin import parse_grid
-from .numbers import QSqrt2, TaggedReal
+from .numbers import DomainError, QSqrt2, TaggedReal
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -83,18 +83,16 @@ class DecompositionVerdict:
 
 
 def check_algebraic_sum(n: int, w0: Subspace, w1: Subspace) -> bool:
-    """dim W0 + dim W1 = n and W0 ∩ W1 = 0, by exact rank."""
+    """dim W0 + dim W1 = n and W0 + W1 = R^n, by one exact rank."""
     if w0.ambient_dim != n or w1.ambient_dim != n:
         return False
-    if w0.dim + w1.dim != n:
-        return False
-    return w0.intersect(w1).dim == 0
+    return w0.dim + w1.dim == n and linalg.rank(w0.basis + w1.basis) == n
 
 
 def projection_pair(w0: Subspace, w1: Subspace) -> tuple:
     """The rational projections onto W0 along W1 and vice versa."""
     n = w0.ambient_dim
-    columns = [list(r) for r in w0.basis] + [list(r) for r in w1.basis]
+    columns = w0.basis + w1.basis
     # express each e_i in the combined basis
     basis_matrix = [[columns[k][d] for k in range(n)] for d in range(n)]
     inv = linalg.inverse(basis_matrix)
@@ -123,7 +121,7 @@ def _projected_components(space: DVSpace, proj: LinearMap, k: int) -> list:
 
 def _values_in_subspace(components: Sequence, w: Subspace) -> bool:
     """Symbolic check: every annihilator functional of W kills the map."""
-    ann = linalg.annihilator([list(r) for r in w.basis], w.ambient_dim)
+    ann = linalg.annihilator(w.basis, w.ambient_dim)
     for phi in ann:
         combo = make_sum(
             [make_prod([Const(QSqrt2.coerce(phi[j])), components[j]]) for j in range(len(components))]
@@ -138,10 +136,7 @@ def _replay_witness(plot: Plot, components: Sequence, w: Subspace, grid: str) ->
     evaluation: the plot equals the target componentwise and its values
     lie in W.  Returns an error description or None on success."""
     exprs = [plot.component_expr(j) for j in range(plot.space.dim)]
-    ann = [
-        [QSqrt2.coerce(c) for c in phi]
-        for phi in linalg.annihilator([list(r) for r in w.basis], w.ambient_dim)
-    ]
+    ann = [[QSqrt2.coerce(c) for c in phi] for phi in linalg.annihilator(w.basis, w.ambient_dim)]
     pairs = list(zip(exprs, components))
     # one plan over each component and its target, in the order they are checked
     plan = Plan([e for pair in pairs for e in pair])
@@ -149,7 +144,10 @@ def _replay_witness(plot: Plot, components: Sequence, w: Subspace, grid: str) ->
         values = plan.each(TaggedReal.exact(x))
         vals = []
         for j in range(len(pairs)):
-            lhs, rhs = next(values), next(values)
+            try:
+                lhs, rhs = next(values), next(values)
+            except DomainError as exc:
+                return f"domain error at {x}, component {j}: {exc}"
             if len(lhs) != 1 or len(rhs) != 1:
                 return f"indeterminate value at {x}, component {j}"
             (lhs,), (rhs,) = lhs, rhs
@@ -346,8 +344,7 @@ def complementedness_report(
         )
     # try to certify a decomposition containing W
     if complement is None:
-        comp_rows = linalg.pivot_complement([list(r) for r in w.basis], space.dim)
-        complement = Subspace.from_vectors(space.dim, comp_rows)
+        complement = Subspace.from_vectors(space.dim, linalg.pivot_complement(w.basis, space.dim))
     verdict = certify_smooth_sum(space, w, complement, witnesses=witnesses)
     if verdict.status == "SmoothCertified":
         return ComplementednessReport(
@@ -394,7 +391,8 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
     characteristic splitting, while all other splittings of the same
     space are non-smooth.
     """
-    iso = maximal_isotropic(space)
+    ch = characteristic_decomposition(space)
+    iso = ch.analysis
     if iso.status != "exact":
         return DecomposabilityReport("Unknown", (), {"reason": "isotropic subspace undecided"})
     d = iso.subspace.dim
@@ -406,7 +404,6 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
             {"rule": "full dual: the space is standard and any algebraic splitting is smooth"},
         )
     if 0 < d < n:
-        ch = characteristic_decomposition(space)
         verdict = certify_smooth_sum(space, ch.complement, ch.isotropic, witnesses=witnesses)
         return DecomposabilityReport(
             "Decomposable" if verdict.status == "SmoothCertified" else "Unknown",
@@ -646,7 +643,7 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
     if bound < 0:
         raise ValueError(f"search bound must be non-negative, got {bound}")
     n = space.dim
-    rank_f = linalg.rank([list(r) for r in f.matrix])
+    rank_f = linalg.rank(f.matrix)
     if rank_f == n:
         return KernelImageVerdict(
             "Diffeomorphic",

@@ -56,15 +56,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        return linalg.in_span([list(r) for r in self.basis], [Fraction(x) for x in v])
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        inter = linalg.intersect_spans(
-            [list(r) for r in self.basis], [list(r) for r in other.basis], self.ambient_dim
-        )
-        return Subspace(self.ambient_dim, tuple(tuple(r) for r in inter))
+        return linalg.in_span(self.basis, [Fraction(x) for x in v])
 
     def to_dict(self) -> dict:
         return {
@@ -93,10 +85,10 @@ class LinearMap:
         return len(self.matrix[0]) if self.matrix else 0
 
     def apply(self, v: Sequence) -> list:
-        return linalg.mat_vec([list(r) for r in self.matrix], list(v))
+        return linalg.mat_vec(self.matrix, v)
 
     def kernel(self) -> Subspace:
-        ns = linalg.nullspace([list(r) for r in self.matrix])
+        ns = linalg.nullspace(self.matrix)
         return Subspace.from_vectors(self.domain_dim, ns)
 
     def image_basis(self) -> list:
@@ -241,11 +233,12 @@ def product_space(a: DVSpace, b: DVSpace, name: Optional[str] = None) -> DVSpace
 
 
 # Largest accepted declared dimension and generator count.  On the
-# slowest 24-dimensional, 24-generator file probed (a random mix of abs,
-# deltaQ, deltaQ(sqrt(abs)), x and 0), `analyze` takes 1.8 s and
-# `check-sum` on two coordinate halves 3.6 s, wall, on a 2-vCPU machine.
-# The cost grows faster than the square of the size (at 32 and 32,
-# `check-sum` takes 7.6 s), so larger declarations are refused.
+# slowest 24-dimensional, 24-generator file probed (a dense random mix of
+# abs, deltaQ, deltaQ(sqrt(abs)), x, x^2 and 0), `analyze` takes 1.3 s,
+# `check-sum` on two coordinate halves 2.8 s and on e1 against the rest
+# 6.0 s, wall, on a 2-vCPU machine; most of it is Q(sqrt2) elimination in
+# the subset-standardness span.  The cost grows faster than the square of
+# the size, so larger declarations are refused.
 MAX_DIM = 24
 MAX_GENERATORS = 24
 

@@ -14,7 +14,6 @@ from .constraints import (
     AXIOM_A,
     AXIOM_SQRT_IMPLICATION,
     characteristic_decomposition,
-    dual_basis,
     maximal_isotropic,
     subset_standard,
 )
@@ -143,11 +142,10 @@ SCENARIOS = (
 
 
 def _analysis(space: DVSpace) -> dict:
-    dual = dual_basis(space)
     iso = maximal_isotropic(space)
     return {
         "space": space.to_dict(),
-        "dual": dual.to_dict(),
+        "dual": iso.dual.to_dict(),
         "isotropic": iso.to_dict(),
     }
 

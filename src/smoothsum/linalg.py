@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals (and over Q(sqrt2)).
 
-Matrices are lists of rows; entries are Fractions or QSqrt2 elements.
+Matrices are sequences of rows, lists or tuples alike (no entry point
+modifies its input); entries are Fractions or QSqrt2 elements.
 Everything is computed by fraction-free-enough Gaussian elimination with
 exact arithmetic, so ranks, kernels and spans are certificates rather
 than numerics.
@@ -156,12 +157,11 @@ def integer_determinant(m: Matrix) -> int:
 
 
 def in_span(vectors: Matrix, v: Sequence) -> bool:
-    """Is v in the row span of ``vectors``?"""
+    """Is v in the row span of ``vectors``?  One elimination: solve
+    ``vectors``ᵀ x = v."""
     if all(_is_zero(x) for x in v):
         return True
-    if not vectors:
-        return False
-    return rank(vectors) == rank(vectors + [list(v)])
+    return solve(list(zip(*vectors)), v) is not None
 
 
 def span_basis(vectors: Matrix) -> Matrix:
@@ -180,37 +180,13 @@ def annihilator(vectors: Matrix, dim: int) -> Matrix:
     return nullspace(vectors)
 
 
-def intersect_spans(a: Matrix, b: Matrix, dim: int) -> Matrix:
-    """Basis of span(a) ∩ span(b) inside R^dim."""
-    if not a or not b:
-        return []
-    # v in both spans: v = x·a = y·b ; solve [aᵀ | -bᵀ] (x,y)ᵀ = 0
-    stacked = [
-        [a[i][d] for i in range(len(a))] + [-b[j][d] for j in range(len(b))]
-        for d in range(dim)
-    ]
-    sols = nullspace(stacked)
-    out = []
-    for s in sols:
-        x = s[: len(a)]
-        v = [sum((x[i] * a[i][d] for i in range(len(a))), _zero_like(a[0][0])) for d in range(dim)]
-        if not all(_is_zero(t) for t in v):
-            out.append(v)
-    return span_basis(out)
-
-
 def pivot_complement(vectors: Matrix, dim: int) -> Matrix:
-    """Lowest-index coordinate-subspace complement of span(vectors)."""
-    basis = span_basis(vectors)
-    chosen: Matrix = [list(row) for row in basis]
-    out = []
-    one = Fraction(1)
-    for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = one
-        if not in_span(chosen, e):
-            chosen.append(e)
-            out.append(e)
-        if len(chosen) == dim:
-            break
-    return out
+    """Lowest-index coordinate-subspace complement of span(vectors).
+
+    e_i is taken exactly when it is not in span(vectors) + span(e_j : j < i),
+    that is when coordinate i adds no rank to the coordinates after it.  One
+    rref with the columns reversed reads this off: i is then not a pivot.
+    """
+    _, pivots = rref([row[::-1] for row in vectors])
+    taken = {dim - 1 - c for c in pivots}
+    return [[Fraction(int(j == i)) for j in range(dim)] for i in range(dim) if i not in taken]

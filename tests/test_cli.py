@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, report schema, stability."""
 
 import json
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from smoothsum import constraints
 from smoothsum.cli import main
 from smoothsum.diffeology import MAX_DIM, MAX_GENERATORS
 from smoothsum.gallery import SPACE_NAMES, gallery_space
@@ -189,3 +191,77 @@ def test_gallery_spaces_within_bounds():
     for name in SPACE_NAMES:
         sp = gallery_space(name)
         assert 1 <= sp.dim <= MAX_DIM and len(sp.generators) <= MAX_GENERATORS
+
+
+def test_witness_domain_error_is_unknown(tmp_path, capsys):
+    # the plot sqrt(-x) has no real value at x > 0: the replay reports
+    # where, and the verdict is Unknown instead of a traceback
+    space = tmp_path / "space.txt"
+    space.write_text("space s dim 2\ngen sqrt(x), sqrt(x)\n")
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps([
+        {"generator": 0, "part": 0, "terms": [{"scalar": "1", "generator": 0, "inner": "-1*x"}],
+         "tail": ["0", "0"]}
+    ]))
+    code, out, _ = _run(
+        capsys, "check-sum", str(space), "--w0", "1,0", "--w1", "0,1", "--witness", str(witness),
+        "--json", "--n", "8",
+    )
+    assert code == 0
+    verdict = json.loads(out)["report"]["verdict"]
+    assert verdict["status"] == "Unknown"
+    assert verdict["reason"].startswith("witness replay failed for generator 0 part 0: domain error at ")
+    assert ", component 0: sqrt of a negative number" in verdict["reason"]
+
+
+@pytest.mark.parametrize("entry", ["1e3", "1E3", "1e30000000", "2.5e-1", "1_000", "inf", "0x10"])
+def test_basis_entry_notation_exits_2(capsys, entry):
+    code, _, err = _run(capsys, "check-sum", "V2-delta", "--w0", f"{entry},0", "--w1", "0,1", "--n", "8")
+    assert code == 2
+    assert "malformed basis" in err and "not p, p/q or a plain decimal" in err
+
+
+def test_basis_entry_plain_forms_accepted(capsys):
+    code, out, _ = _run(capsys, "check-sum", "V2-delta", "--w0", " 3/2 ,.25", "--w1=-0.5,+1.", "--json", "--n", "8")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["w0"]["basis"] == [["1", "1/6"]]
+    assert report["w1"]["basis"] == [["1", "-2"]]
+
+
+def _count_dual_basis(monkeypatch) -> list:
+    """Count constraints.dual_basis calls at every module that holds it."""
+    calls = []
+    original = constraints.dual_basis
+
+    def counting(space):
+        calls.append(space.name)
+        return original(space)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("smoothsum") and getattr(module, "dual_basis", None) is original:
+            monkeypatch.setattr(module, "dual_basis", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "decl",
+    [
+        "space t dim 3\ngen 0, abs(x), abs(x)\n",  # proper isotropic part
+        "space t dim 2\ngen abs(x), abs(x)\ngen 0, deltaQ(x)\n",  # zero dual
+        "space t dim 2\ngen x, x^2\n",  # full dual
+    ],
+)
+def test_analyze_computes_the_dual_twice(tmp_path, capsys, monkeypatch, decl):
+    # once for the report, once inside decomposability_report
+    f = tmp_path / "space.txt"
+    f.write_text(decl)
+    calls = _count_dual_basis(monkeypatch)
+    assert _run(capsys, "analyze", str(f), "--json", "--n", "8")[0] == 0
+    assert calls == ["t", "t"]
+
+
+def test_scenario_computes_the_dual_once(capsys, monkeypatch):
+    calls = _count_dual_basis(monkeypatch)
+    assert _run(capsys, "scenario", "lemma-2.2", "--json", "--n", "8")[0] == 0
+    assert calls == ["V2-delta"]

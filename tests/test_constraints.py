@@ -22,6 +22,7 @@ from smoothsum.constraints import (
     maximal_isotropic,
     subset_standard,
 )
+from smoothsum.decompose import check_algebraic_sum
 from smoothsum.diffeology import Subspace
 from smoothsum.expr import (
     ABS_KIND,
@@ -146,7 +147,7 @@ def test_characteristic_decomposition_r3():
     ch = characteristic_decomposition(sp)
     assert ch.certificate == CHARACTERISTIC_CERT
     assert ch.isotropic.dim == 1 and ch.complement.dim == 2
-    assert ch.isotropic.intersect(ch.complement).dim == 0
+    assert check_algebraic_sum(3, ch.isotropic, ch.complement)
 
 
 def test_subset_standard_r3_spans():

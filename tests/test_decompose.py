@@ -39,6 +39,46 @@ def test_check_algebraic_sum():
     assert not check_algebraic_sum(2, E1, Subspace.from_vectors(2, []))
 
 
+def _intersection_dim(w0: Subspace, w1: Subspace) -> int:
+    """dim(W0 ∩ W1): the solutions of x·B0 = y·B1, for independent rows."""
+    stacked = [
+        [b[d] for b in w0.basis] + [-b[d] for b in w1.basis] for d in range(w0.ambient_dim)
+    ]
+    return len(linalg.nullspace(stacked)) if w0.dim and w1.dim else 0
+
+
+def test_check_algebraic_sum_matches_intersection_reference():
+    rng = random.Random(21)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        w0, w1 = (
+            Subspace.from_vectors(
+                n,
+                [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(rng.randint(0, n))],
+            )
+            for _ in range(2)
+        )
+        m = n if rng.random() < 0.9 else n + 1
+        expected = m == n and w0.dim + w1.dim == n and _intersection_dim(w0, w1) == 0
+        assert check_algebraic_sum(m, w0, w1) == expected
+        outcomes.add((expected, w0.dim + w1.dim == n))
+    # sums of the right dimension both with and without a common line
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_check_algebraic_sum_is_one_rref(monkeypatch):
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(1) or rref(m))
+    w0 = Subspace.from_vectors(3, [[1, 2, 0], [0, 1, 1]])
+    w1, inside = Subspace.from_vectors(3, [[1, 0, 0]]), Subspace.from_vectors(3, [[1, 3, 1]])
+    calls.clear()
+    assert check_algebraic_sum(3, w0, w1)
+    assert not check_algebraic_sum(3, w0, inside)
+    assert len(calls) == 2
+
+
 def test_projection_pair():
     p0, p1 = projection_pair(E1, E2)
     for v in ([1, 0], [0, 1], [3, -2]):

@@ -83,13 +83,45 @@ def test_annihilator_duality():
             assert linalg.in_span(back, v)
 
 
+def _intersect_spans(a, b, dim):
+    """Basis of span(a) ∩ span(b) inside R^dim (reference: v = x·a = y·b
+    solves [aᵀ | -bᵀ] (x, y)ᵀ = 0)."""
+    if not a or not b:
+        return []
+    stacked = [
+        [a[i][d] for i in range(len(a))] + [-b[j][d] for j in range(len(b))]
+        for d in range(dim)
+    ]
+    out = []
+    for s in linalg.nullspace(stacked):
+        v = [sum((s[i] * a[i][d] for i in range(len(a))), Fraction(0)) for d in range(dim)]
+        if any(t != 0 for t in v):
+            out.append(v)
+    return linalg.span_basis(out)
+
+
+def _greedy_complement(vectors, dim):
+    """Reference: take e_0, e_1, ... in turn whenever it is not yet spanned."""
+    chosen = [list(row) for row in linalg.span_basis(vectors)]
+    out = []
+    for i in range(dim):
+        e = [Fraction(0)] * dim
+        e[i] = Fraction(1)
+        if not linalg.in_span(chosen, e):
+            chosen.append(e)
+            out.append(e)
+        if len(chosen) == dim:
+            break
+    return out
+
+
 def test_intersect_and_complement():
     rng = random.Random(11)
     for _ in range(100):
         dim = rng.randint(1, 5)
         a = _rand_matrix(rng, rng.randint(0, dim), dim)
         b = _rand_matrix(rng, rng.randint(0, dim), dim)
-        inter = linalg.intersect_spans(a, b, dim)
+        inter = _intersect_spans(a, b, dim)
         for v in inter:
             assert linalg.in_span(a, v) or not a
             assert linalg.in_span(b, v) or not b
@@ -99,6 +131,68 @@ def test_intersect_and_complement():
         comp = linalg.pivot_complement(a, dim)
         assert len(comp) == dim - linalg.rank(a)
         assert linalg.rank([*a, *comp]) == dim
+
+
+def _sparse_matrix(rng, rows, cols, rank):
+    """A rows x cols Fraction matrix of rank at most ``rank``, with zero
+    columns and repeated rows likely, as tuples."""
+    if rank == 0:
+        return [tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)]
+    basis = [
+        [Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.randint(1, 3)) for _ in range(cols)]
+        for _ in range(rank)
+    ]
+    return [
+        tuple(sum((Fraction(rng.randint(-2, 2)) * b[c] for b in basis), Fraction(0)) for c in range(cols))
+        for _ in range(rows)
+    ]
+
+
+def test_pivot_complement_matches_greedy():
+    rng = random.Random(14)
+    cases = [([], 1), ([], 4), ([(Fraction(0),) * 3], 3), ([(Fraction(0),) * 3] * 2, 3)]
+    for _ in range(600):
+        dim = rng.randint(1, 7)
+        rows = rng.randint(1, dim + 2)
+        cases.append((_sparse_matrix(rng, rows, dim, rng.randint(0, min(rows, dim))), dim))
+    kinds = set()
+    for m, dim in cases:
+        r = linalg.rank(m) if m else 0
+        kinds.add("empty" if not m else "zero" if r == 0 else "full" if r == dim else "deficient")
+        assert linalg.pivot_complement(m, dim) == _greedy_complement(m, dim)
+    assert kinds == {"empty", "zero", "deficient", "full"}
+
+
+def test_pivot_complement_and_in_span_are_one_rref(monkeypatch):
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(1) or rref(m))
+    m = _sparse_matrix(random.Random(15), 5, 8, 3)
+    linalg.pivot_complement(m, 8)
+    assert len(calls) == 1
+    calls.clear()
+    linalg.in_span(m, m[0])
+    assert len(calls) == 1
+
+
+def test_in_span_matches_rank():
+    rng = random.Random(16)
+    for field in ("q", "s"):
+        seen = set()
+        for _ in range(300):
+            dim = rng.randint(1, 4)
+            vs = _rand_matrix(rng, rng.randint(0, 3), dim, field)
+            if vs and rng.random() < 0.5:
+                # a combination of the rows, so that both answers occur
+                v = [sum((rng.randint(-2, 2) * row[d] for row in vs), vs[0][0] - vs[0][0]) for d in range(dim)]
+            else:
+                v = _rand_matrix(rng, 1, dim, field)[0]
+            expected = linalg.rank(vs + [v]) == linalg.rank(vs)
+            got = linalg.in_span(vs, v)
+            assert got == expected
+            assert linalg.in_span([tuple(row) for row in vs], tuple(v)) == expected
+            seen.add(got)
+        assert seen == {True, False}
 
 
 def test_qsqrt2_field_supported():
