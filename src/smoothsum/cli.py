@@ -27,12 +27,14 @@ from .decompose import (
 from .diffeology import MAX_DIM, DVSpace, Plot, Subspace, parse_space
 from .expr import ExprError, parse_expr
 from .franklin import (
+    IDENTITY_GRID,
     RationalityLink,
     build_franklin,
     certify_rationality_link,
     verify_abs_identity,
 )
 from .gallery import (
+    AXIOMS,
     SCENARIOS,
     SPACE_NAMES,
     franklin_map,
@@ -54,21 +56,28 @@ MAX_N = 32
 
 
 def _load_space(name_or_file: str, axioms) -> DVSpace:
-    ax = frozenset(axioms or ())
+    """The gallery space or declaration file, with the ``--axiom`` names
+    added; every axiom name, from the flag or from the file, must be one
+    of ``gallery.AXIOMS``."""
+    ax = frozenset(axioms)
     if name_or_file in SPACE_NAMES:
-        return gallery_space(name_or_file, ax)
-    path = Path(name_or_file)
-    if not path.exists():
-        raise InputError(
-            f"unknown space {name_or_file!r}: not a gallery name "
-            f"({', '.join(SPACE_NAMES)}) and no such file"
-        )
-    try:
-        sp = parse_space(path.read_text())
-    except (ExprError, ValueError) as exc:
-        raise InputError(f"cannot parse space file {name_or_file}: {exc}") from exc
-    if ax:
-        sp = DVSpace(sp.name, sp.dim, sp.generators, sp.axioms | ax)
+        sp = gallery_space(name_or_file, ax)
+    else:
+        path = Path(name_or_file)
+        if not path.exists():
+            raise InputError(
+                f"unknown space {name_or_file!r}: not a gallery name "
+                f"({', '.join(SPACE_NAMES)}) and no such file"
+            )
+        try:
+            sp = parse_space(path.read_text())
+        except (ExprError, ValueError) as exc:
+            raise InputError(f"cannot parse space file {name_or_file}: {exc}") from exc
+        if ax:
+            sp = DVSpace(sp.name, sp.dim, sp.generators, sp.axioms | ax)
+    unknown = sorted(sp.axioms.difference(AXIOMS))
+    if unknown:
+        raise InputError(f"unknown axiom {', '.join(map(repr, unknown))}; known: {', '.join(AXIOMS)}")
     return sp
 
 
@@ -285,13 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p):
-        p.add_argument("--axiom", action="append", default=[], help="assume a named axiom (repeatable)")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument("--n", type=int, default=16, help="matching-construction order")
+
+    def axiom(p):
+        p.add_argument("--axiom", action="append", default=[], help="assume a named axiom (repeatable)")
 
     p = sub.add_parser("analyze", help="dual, isotropic, characteristic and decomposability")
     p.add_argument("space", help="gallery space name or declaration file")
     common(p)
+    axiom(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("check-sum", help="certify or refute a smooth direct sum")
@@ -300,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w1", required=True)
     p.add_argument("--witness", default="builtin", help="'builtin', 'none', or a witness JSON file")
     common(p)
+    axiom(p)
     p.set_defaults(fn=cmd_check_sum)
 
     p = sub.add_parser("franklin", help="build and certify the matching map")
@@ -309,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-identity", help="replay the |x| identity on a grid")
     p.add_argument(
         "--grid",
-        default="zero,rationals:1000,negatives:100",
+        default=IDENTITY_GRID,
         help="grid spec, e.g. rationals:1000,negatives:100 (seeded, deterministic)",
     )
     common(p)

@@ -246,11 +246,7 @@ def dual_basis(space: DVSpace) -> DualResult:
                 f"generator {k}: atom kinds {missing} not decidable under axioms "
                 f"{sorted(space.axioms)}"
             )
-    if equations:
-        basis = _rationalize(linalg.nullspace(equations))
-    else:
-        one = Fraction(1)
-        basis = [[one if j == i else Fraction(0) for j in range(space.dim)] for i in range(space.dim)]
+    basis = _rationalize(linalg.annihilator(equations, space.dim))
     status = "exact" if complete else "upper-bound"
     return DualResult(
         status=status,
@@ -280,19 +276,14 @@ def maximal_isotropic(space: DVSpace) -> IsotropicResult:
     bound for the true isotropic subspace.
     """
     dual = dual_basis(space)
-    if not dual.basis:
-        sub = Subspace.from_vectors(
-            space.dim, [[1 if j == i else 0 for j in range(space.dim)] for i in range(space.dim)]
+    ker = _rationalize(linalg.annihilator(dual.basis, space.dim))
+    if any(isinstance(x, QSqrt2) for row in ker for x in row):
+        raise ValueError(
+            f"the isotropic subspace of {space.name}, spanned by "
+            f"{[[str(x) for x in row] for row in ker]}, is irrational; "
+            "only rational subspaces are supported"
         )
-    else:
-        ker = _rationalize(linalg.nullspace(dual.basis))
-        if any(isinstance(x, QSqrt2) for row in ker for x in row):
-            raise ValueError(
-                f"the isotropic subspace of {space.name}, spanned by "
-                f"{[[str(x) for x in row] for row in ker]}, is irrational; "
-                "only rational subspaces are supported"
-            )
-        sub = Subspace.from_vectors(space.dim, ker)
+    sub = Subspace.from_vectors(space.dim, ker)
     status = "exact" if dual.status == "exact" else "lower-bound"
     return IsotropicResult(status, sub, dual)
 

@@ -36,20 +36,22 @@ from .diffeology import (
     LinearMap,
     Plot,
     Subspace,
+    linear_image,
     plot_add,
     plot_scale,
     product_space,
+    pushforward,
 )
 from .expr import (
+    ABS_KIND,
+    ATOM_EXPRS,
     Const,
     Plan,
     Smoothness,
-    X,
     ZERO_E,
     classify_smoothness,
     is_smooth_expr,
     make_prod,
-    make_sum,
     to_text,
     verify_nonsmooth_witness,
 )
@@ -111,24 +113,10 @@ def projection_pair(w0: Subspace, w1: Subspace) -> tuple:
     return LinearMap.from_rows(p0), LinearMap.from_rows(p1)
 
 
-def _projected_components(space: DVSpace, proj: LinearMap, k: int) -> list:
-    g = space.generators[k]
-    return [
-        make_sum([make_prod([Const(QSqrt2.coerce(proj.matrix[i][j])), g[j]]) for j in range(space.dim)])
-        for i in range(proj.codomain_dim)
-    ]
-
-
 def _values_in_subspace(components: Sequence, w: Subspace) -> bool:
     """Symbolic check: every annihilator functional of W kills the map."""
     ann = linalg.annihilator(w.basis, w.ambient_dim)
-    for phi in ann:
-        combo = make_sum(
-            [make_prod([Const(QSqrt2.coerce(phi[j])), components[j]]) for j in range(len(components))]
-        )
-        if combo != ZERO_E:
-            return False
-    return True
+    return all(c == ZERO_E for c in linear_image(ann, components))
 
 
 def _replay_witness(plot: Plot, components: Sequence, w: Subspace, grid: str) -> Optional[str]:
@@ -161,11 +149,7 @@ def _replay_witness(plot: Plot, components: Sequence, w: Subspace, grid: str) ->
 
 
 def certify_smooth_sum(
-    space: DVSpace,
-    w0: Subspace,
-    w1: Subspace,
-    witnesses: Optional[dict] = None,
-    grid: str = DEFAULT_GRID,
+    space: DVSpace, w0: Subspace, w1: Subspace, witnesses: Optional[dict] = None
 ) -> DecompositionVerdict:
     """Certify V = W0 (+) W1 as a smooth direct sum.
 
@@ -181,13 +165,13 @@ def certify_smooth_sum(
     p0, p1 = projection_pair(w0, w1)
     forward = []
     axioms: set = set()
-    for k in range(len(space.generators)):
+    for k, g in enumerate(space.generators):
         for part, (proj, w) in enumerate(((p0, w0), (p1, w1))):
-            comps = _projected_components(space, proj, k)
+            comps = linear_image(proj.matrix, g)
             entry = {"generator": k, "part": part, "target": [to_text(c) for c in comps]}
             if all(c == ZERO_E for c in comps):
                 entry["rule"] = "zero-projection"
-            elif list(comps) == list(space.generators[k]) and _values_in_subspace(comps, w):
+            elif comps == list(g) and _values_in_subspace(comps, w):
                 entry["rule"] = "generator-in-subspace"
             elif all(is_smooth_expr(c) for c in comps) and _values_in_subspace(comps, w):
                 entry["rule"] = "componentwise-smooth-tail"
@@ -197,7 +181,7 @@ def certify_smooth_sum(
                     entry["rule"] = f"rational-multiple-of-generator-{scaled}"
                 elif (k, part) in witnesses:
                     plot = witnesses[(k, part)]
-                    err = _replay_witness(plot, comps, w, grid)
+                    err = _replay_witness(plot, comps, w, DEFAULT_GRID)
                     if err is None:
                         entry["rule"] = "replayed-witness"
                         entry["witness"] = plot.to_dict()
@@ -274,31 +258,32 @@ def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> De
 # ---------------------------------------------------------------------
 
 
-def nonstandard_subspace_witness(space: DVSpace, direction: Sequence, abs_plot_provider=None):
+def nonstandard_subspace_witness(space: DVSpace, direction: Sequence, axis_plots: Sequence):
     """Produce the witness plot x -> |x| * (a, b, ...) showing the line
     through ``direction`` inherits a non-standard subset diffeology.
 
-    ``abs_plot_provider(j)`` must return a Plot of the space equal to
-    |x| * e_j (for V2-delta these come from the matched-map witnesses).
-    Returns (plot, smoothness verdict) or raises ValueError.
+    ``axis_plots[j]`` is a Plot of the space equal to |x| * e_j (for
+    V2-delta, ``gallery.v2_delta_axis_plots`` builds them from the
+    matched-map witnesses); only the axes where ``direction`` is nonzero
+    are read.  The plot is replayed on the grid against its target and the
+    target's NonSmooth witness is replayed too.  Returns (plot, NonSmooth
+    verdict, the line) or raises ValueError.
     """
     direction = [Fraction(d) for d in direction]
     if not any(direction):
         raise ValueError("zero direction has no nonzero subspace")
-    if abs_plot_provider is None:
-        raise ValueError("no derivation available for |x| axis plots in this space")
     plot = None
     for j, d in enumerate(direction):
         if d == 0:
             continue
-        piece = plot_scale(abs_plot_provider(j), Const(QSqrt2.coerce(d)))
+        piece = plot_scale(axis_plots[j], Const(QSqrt2.coerce(d)))
         plot = piece if plot is None else plot_add(plot, piece)
     w = Subspace.from_vectors(space.dim, [direction])
     # the plot realizes x -> |x| * direction; replay that on the grid,
     # then classify the realized curve, which has a non-smooth component
     # in every nonzero coordinate
     targets = [
-        make_prod([Const(QSqrt2.coerce(d)), parse_abs_x()]) for d in direction
+        make_prod([Const(QSqrt2.coerce(d)), ATOM_EXPRS[ABS_KIND]]) for d in direction
     ]
     err = _replay_witness(plot, targets, w, DEFAULT_GRID)
     if err is not None:
@@ -313,20 +298,19 @@ def nonstandard_subspace_witness(space: DVSpace, direction: Sequence, abs_plot_p
     return plot, nonsmooth, w
 
 
-def parse_abs_x():
-    from .expr import App
-
-    return App("abs", X)
-
-
 # ---------------------------------------------------------------------
 # Complementedness and decomposability
 # ---------------------------------------------------------------------
 
 
 @dataclass
-class ComplementednessReport:
-    status: str  # "Complemented" | "NotComplemented" | "Unknown"
+class SplittingReport:
+    """A verdict on a splitting question, with the rule that decided it.
+
+    Complementedness reports Complemented | NotComplemented | Unknown,
+    decomposability Decomposable | NonDecomposable | Unknown."""
+
+    status: str
     axioms_used: tuple
     detail: dict
 
@@ -334,20 +318,17 @@ class ComplementednessReport:
         return {"status": self.status, "axioms_used": list(self.axioms_used), "detail": self.detail}
 
 
-def complementedness_report(
-    space: DVSpace, w: Subspace, witnesses: Optional[dict] = None, complement: Optional[Subspace] = None
-) -> ComplementednessReport:
+def complementedness_report(space: DVSpace, w: Subspace) -> SplittingReport:
     """Does W split off as a smooth direct summand of the space?"""
     if w.dim in (0, space.dim):
-        return ComplementednessReport(
+        return SplittingReport(
             "Complemented", (), {"rule": "trivial decomposition V = V (+) 0"}
         )
     # try to certify a decomposition containing W
-    if complement is None:
-        complement = Subspace.from_vectors(space.dim, linalg.pivot_complement(w.basis, space.dim))
-    verdict = certify_smooth_sum(space, w, complement, witnesses=witnesses)
+    complement = Subspace.from_vectors(space.dim, linalg.pivot_complement(w.basis, space.dim))
+    verdict = certify_smooth_sum(space, w, complement)
     if verdict.status == "SmoothCertified":
-        return ComplementednessReport(
+        return SplittingReport(
             "Complemented", verdict.axioms_used, {"decomposition": verdict.to_dict()}
         )
     iso = maximal_isotropic(space)
@@ -355,7 +336,7 @@ def complementedness_report(
         st = subset_standard(space, w)
         if st.status == "Standard":
             axioms = tuple(sorted(set(st.axioms_used) | set(iso.dual.axioms_used)))
-            return ComplementednessReport(
+            return SplittingReport(
                 "NotComplemented",
                 axioms,
                 {
@@ -369,21 +350,11 @@ def complementedness_report(
                     "certificate": "external:dual-dimension-theorem",
                 },
             )
-    return ComplementednessReport("Unknown", (), {"reason": "no certificate either way"})
-
-
-@dataclass
-class DecomposabilityReport:
-    status: str  # "Decomposable" | "NonDecomposable" | "Unknown"
-    axioms_used: tuple
-    detail: dict
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "axioms_used": list(self.axioms_used), "detail": self.detail}
+    return SplittingReport("Unknown", (), {"reason": "no certificate either way"})
 
 
 def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
-                           witness_split: Optional[tuple] = None) -> DecomposabilityReport:
+                           witness_split: Optional[tuple] = None) -> SplittingReport:
     """Does the space admit a nontrivial smooth direct-sum decomposition?
 
     Two readings of the corollary about spaces with proper isotropic part
@@ -394,18 +365,18 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
     ch = characteristic_decomposition(space)
     iso = ch.analysis
     if iso.status != "exact":
-        return DecomposabilityReport("Unknown", (), {"reason": "isotropic subspace undecided"})
+        return SplittingReport("Unknown", (), {"reason": "isotropic subspace undecided"})
     d = iso.subspace.dim
     n = space.dim
     if d == 0:
-        return DecomposabilityReport(
+        return SplittingReport(
             "Decomposable",
             tuple(iso.dual.axioms_used),
             {"rule": "full dual: the space is standard and any algebraic splitting is smooth"},
         )
     if 0 < d < n:
         verdict = certify_smooth_sum(space, ch.complement, ch.isotropic, witnesses=witnesses)
-        return DecomposabilityReport(
+        return SplittingReport(
             "Decomposable" if verdict.status == "SmoothCertified" else "Unknown",
             tuple(sorted(set(iso.dual.axioms_used) | set(verdict.axioms_used))),
             {
@@ -423,7 +394,7 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
         w0, w1 = witness_split
         verdict = certify_smooth_sum(space, w0, w1, witnesses=witnesses)
         if verdict.status == "SmoothCertified":
-            return DecomposabilityReport(
+            return SplittingReport(
                 "Decomposable",
                 verdict.axioms_used,
                 {"decomposition": verdict.to_dict()},
@@ -434,7 +405,7 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
             axioms = set(iso.dual.axioms_used)
             for v in lines.verdicts:
                 axioms |= set(v.axioms_used)
-            return DecomposabilityReport(
+            return SplittingReport(
                 "NonDecomposable",
                 tuple(sorted(axioms)),
                 {
@@ -446,7 +417,7 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
                     "lines": lines.to_dict(),
                 },
             )
-    return DecomposabilityReport("Unknown", (), {"reason": "no certificate either way"})
+    return SplittingReport("Unknown", (), {"reason": "no certificate either way"})
 
 
 # ---------------------------------------------------------------------
@@ -454,43 +425,51 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
 # ---------------------------------------------------------------------
 
 
-def _integer_atom_vectors(space: DVSpace) -> dict:
-    """kind -> list of per-generator coefficient vectors (Fractions)."""
-    table = atom_table(space)
-    out: dict = {}
-    for k, vecs in enumerate(table.coefvecs):
-        for kind, v in vecs.items():
-            if not all(x.is_rational for x in v):
-                raise ValueError("irrational atom coefficients unsupported here")
-            out.setdefault(kind, []).append((k, [x.as_rational() for x in v]))
+def _integer_atom_vectors(space: DVSpace) -> list:
+    """The space's atom table in Fractions, in the table's own layout:
+    entry k maps each atom kind of generator k to its coefficient vector
+    (a generator without exotic content has an empty dict).  Raises
+    ValueError on an irrational coefficient, which the integer-matrix
+    search does not handle."""
+    out = []
+    for vecs in atom_table(space).coefvecs:
+        if not all(x.is_rational for v in vecs.values() for x in v):
+            raise ValueError("irrational atom coefficients unsupported here")
+        out.append({kind: [x.as_rational() for x in v] for kind, v in vecs.items()})
     return out
 
 
-def _kindwise_compatible(src_atoms: dict, dst_atoms: dict, dst: DVSpace, matrix: list) -> bool:
+def _kindwise_compatible(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
     """Joint solvability: each src generator's atom content, pushed through
     the matrix, must be a single rational combination of dst generators.
 
-    ``src_atoms`` and ``dst_atoms`` are the ``_integer_atom_vectors`` of the
-    source space and of ``dst``."""
-    n = dst.dim
-    m = len(dst.generators)
-    by_src_gen: dict = {}
-    for kind, entries in src_atoms.items():
-        for k, v in entries:
-            by_src_gen.setdefault(k, []).append((kind, v))
-    for k, items in by_src_gen.items():
+    ``src_atoms`` and ``dst_atoms`` are ``_integer_atom_vectors`` tables."""
+    n = len(matrix)
+    zero = [Fraction(0)] * n
+    for vecs in src_atoms:
+        if not vecs:
+            continue
         # unknowns: coefficients c_g for dst generators; equations per kind/coord
         rows = []
         rhs = []
-        for kind, v in items:
-            img = [sum(Fraction(matrix[i][j]) * v[j] for j in range(len(v))) for i in range(n)]
-            dst_k = {g: vec for g, vec in dst_atoms.get(kind, [])}
-            for i in range(n):
-                rows.append([dst_k.get(g, [Fraction(0)] * n)[i] for g in range(m)])
-                rhs.append(img[i])
+        for kind, v in vecs.items():
+            rows.extend([d.get(kind, zero)[i] for d in dst_atoms] for i in range(n))
+            rhs.extend(linalg.mat_vec(matrix, v))
         if linalg.solve(rows, rhs) is None:
             return False
     return True
+
+
+def _is_diffeomorphism(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
+    """The matrix is invertible and compatible with the atom tables both
+    ways: forward from the source space, and back through its inverse."""
+    frac = [[Fraction(x) for x in row] for row in matrix]
+    inv = linalg.inverse(frac)
+    return (
+        inv is not None
+        and _kindwise_compatible(src_atoms, dst_atoms, frac)
+        and _kindwise_compatible(dst_atoms, src_atoms, inv)
+    )
 
 
 def kernel_image_space(space: DVSpace, f: LinearMap) -> tuple:
@@ -507,19 +486,13 @@ def kernel_image_space(space: DVSpace, f: LinearMap) -> tuple:
     img_basis = f.image_basis()
     r = len(img_basis)
     ker_space = DVSpace("ker", ker.dim, ())
-    img_gens = []
-    for g in space.generators:
-        fg = [
-            make_sum([make_prod([Const(QSqrt2.coerce(f.matrix[i][j])), g[j]]) for j in range(space.dim)])
-            for i in range(space.dim)
-        ]
-        img_gens.append(fg)
+    img_gens = pushforward(f, space).generators
     # the image basis is in rref, so pivot coordinates read the
     # image-basis coefficients straight off the ambient components
     pivots = []
     seen = set()
     for b in range(r):
-        for i in range(space.dim):
+        for i in range(f.codomain_dim):
             if img_basis[b][i] != 0 and i not in seen:
                 pivots.append(i)
                 seen.add(i)
@@ -553,16 +526,8 @@ class KernelImageVerdict:
 
 def verify_kernel_image_witness(space: DVSpace, f: LinearMap, matrix: list) -> bool:
     """Replay a stored diffeomorphism witness from its matrix alone."""
-    frac = [[Fraction(x) for x in row] for row in matrix]
-    inv = linalg.inverse(frac)
-    if inv is None:
-        return False
     prod, _ = kernel_image_space(space, f)
-    prod_atoms = _integer_atom_vectors(prod)
-    space_atoms = _integer_atom_vectors(space)
-    return _kindwise_compatible(prod_atoms, space_atoms, space, frac) and _kindwise_compatible(
-        space_atoms, prod_atoms, prod, inv
-    )
+    return _is_diffeomorphism(_integer_atom_vectors(prod), _integer_atom_vectors(space), matrix)
 
 
 # Free-entry tuples one kernel-image search may enumerate.  The rank-two
@@ -571,7 +536,7 @@ def verify_kernel_image_witness(space: DVSpace, f: LinearMap, matrix: list) -> b
 MAX_KERNEL_IMAGE_TUPLES = 100_000
 
 
-def _admissible_matrices(src_atoms: dict, dst_atoms: dict, n: int, bound: int, max_tuples: int):
+def _admissible_matrices(src_atoms: list, dst_atoms: list, n: int, bound: int, max_tuples: int):
     """Integer n x n matrices with entries in [-bound, bound] that send each
     source atom vector into the span of the target's atom vectors of the
     same kind, in row-major lexicographic order.
@@ -587,12 +552,14 @@ def _admissible_matrices(src_atoms: dict, dst_atoms: dict, n: int, bound: int, m
     box held more.
     """
     nn = n * n
-    rows = []
-    for kind, entries in src_atoms.items():
-        ann = linalg.annihilator([vec for _, vec in dst_atoms.get(kind, [])], n)
-        for _, v in entries:
-            for a in ann:
-                rows.append([a[e // n] * v[e % n] for e in reversed(range(nn))])
+    kinds = {kind for vecs in src_atoms for kind in vecs}
+    ann = {kind: linalg.annihilator([d[kind] for d in dst_atoms if kind in d], n) for kind in kinds}
+    rows = [
+        [a[e // n] * v[e % n] for e in reversed(range(nn))]
+        for vecs in src_atoms
+        for kind, v in vecs.items()
+        for a in ann[kind]
+    ]
     reduced, pivot_cols = linalg.rref(rows)
     pivot_entries = {nn - 1 - c for c in pivot_cols}
     free = [e for e in range(nn) if e not in pivot_entries]
@@ -683,14 +650,10 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
             )
         if linalg.integer_determinant(matrix) == 0:
             continue
-        frac = [[Fraction(x) for x in row] for row in matrix]
-        inv = linalg.inverse(frac)
-        if _kindwise_compatible(src_atoms, dst_atoms, space, frac) and _kindwise_compatible(
-            dst_atoms, src_atoms, prod, inv
-        ):
+        if _is_diffeomorphism(src_atoms, dst_atoms, matrix):
             return KernelImageVerdict(
                 "Diffeomorphic",
-                frac,
+                [[Fraction(x) for x in row] for row in matrix],
                 tuple(ker_standard.axioms_used),
                 {
                     "rule": (

@@ -199,17 +199,24 @@ def plot_scale(p: Plot, scalar: Expr) -> Plot:
 # ---------------------------------------------------------------------
 
 
+def linear_image(matrix: Sequence[Sequence], components: Sequence[Expr]) -> list:
+    """The curve ``matrix`` · ``components``, componentwise.
+
+    Component i is sum_j matrix[i][j] * components[j], built with the
+    canonicalising constructors, so a zero row gives the expression 0 and
+    two equal images give equal trees.  This is the one place a rational
+    matrix meets a curve: pushforwards, the projections of a splitting and
+    the annihilator of a subspace all apply it.
+    """
+    return [make_sum([make_prod([const(a), c]) for a, c in zip(row, components)]) for row in matrix]
+
+
 def pushforward(L: LinearMap, space: DVSpace, name: Optional[str] = None) -> DVSpace:
     """The image space R^n with the diffeology generated by L o g_k."""
     if L.domain_dim != space.dim:
         raise ValueError("map domain does not match space dimension")
-    gens = []
-    for g in space.generators:
-        comp = []
-        for i in range(L.codomain_dim):
-            comp.append(make_sum([make_prod([const(L.matrix[i][j]), g[j]]) for j in range(space.dim)]))
-        gens.append(tuple(comp))
-    return DVSpace(name or f"{space.name}-pushforward", L.codomain_dim, tuple(gens), space.axioms)
+    gens = tuple(tuple(linear_image(L.matrix, g)) for g in space.generators)
+    return DVSpace(name or f"{space.name}-pushforward", L.codomain_dim, gens, space.axioms)
 
 
 def product_space(a: DVSpace, b: DVSpace, name: Optional[str] = None) -> DVSpace:

@@ -76,7 +76,7 @@ def test_criterion_2_smooth_sum_and_identity(fm16):
 
     link = RationalityLink(fm16)
     grid = "zero,rationals:1000,negatives:100"
-    points = parse_grid(grid, seed=0)
+    points = parse_grid(grid)
     # required coverage: >= 1000 points, a 100-point x<=0 set, and x=0
     assert len(points) >= 1000
     assert sum(1 for x in points if x.sign() < 0) >= 100
@@ -315,16 +315,37 @@ CERTIFICATE_DIGESTS = {
     ("scenario", "cor-2.5"): "44bd8e38e40be1793aad6e3af6ca11d52f8f69ea6a87a68ca3dd794ee990fcc4",
     ("check-sum", "V2-delta", "--w0", "1,0", "--w1", "0,1"): "a39706e1ca543da1d47b07afad4b0ea2c3aa6dcd6c268845371601d576b2ea9d",
     ("analyze", "V2-delta"): "93b107392abc30fed929bce211e8eca12432baebe882c0622c5641fcf186645d",
+    # the rest of the verdict-mix commands
+    ("analyze", "R3-abs"): "e3d8043df89924f17c4f481acdda8124da9d006bf846523192492dc43ef86129",
+    ("analyze", "gamma-pair"): "f7f0c4e78399b2c15a15a731a03a69b19205a3418208340af9e396ebeb745e7f",
+    ("analyze", "sqrt-delta"): "34cc1db956d313bc93e9bb34732b674d2856e95df7fa5ef5e4210e3e5e2f0334",
+    ("analyze", "W-nondecomposable", "--axiom", "A"): "e5d3b9de9028bf9229262238a0d4e84985cd0c83cab9e81ccf8e5b45bf9f97d3",
+    ("check-sum", "gamma-pair", "--w0", "1,1", "--w1", "0,1", "--axiom", "A"): "98608f98398864cc847029094de48e7d03a5c4e3d071a47d2b397b9e068302da",
+    ("check-sum", "R3-abs", "--w0", "1,0,0;0,1,0", "--w1", "0,0,1"): "d6872e0d4c1394c992c916a8c853222dd437e48c037d9cc3cd20b9294d8f7da5",
+    # declaration files from DECLARATION_FILES: no dual equations at all,
+    # and an irrational equation whose dual basis is rational
+    ("analyze", "smooth-gens.space"): "ff1d94b0d1516444d694c7d07e3ef8bf66df4ef239dacc6e59725f029ebf024a",
+    ("analyze", "sqrt2-abs.space"): "f54f6d9db63eac42cfe3c3506dff2d32a5d40e8c72d35137d3f32acc231db846",
+}
+
+# Written to the working directory of each certificate command, so a
+# report names the file by the same relative path on every run.
+DECLARATION_FILES = {
+    "smooth-gens.space": "space smooth-gens dim 3\ngen x, x^2, 0\ngen exp(x), 0, x\n",
+    "sqrt2-abs.space": "space sqrt2-abs dim 2\ngen sqrt2*abs(x), sqrt2*abs(x)\n",
 }
 
 
 @pytest.mark.parametrize("argv", list(CERTIFICATE_DIGESTS), ids=" ".join)
-def test_criterion_9_certificate_digests(argv):
+def test_criterion_9_certificate_digests(argv, tmp_path):
+    for name, text in DECLARATION_FILES.items():
+        (tmp_path / name).write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "smoothsum.cli", *argv, "--json"],
         capture_output=True,
         check=True,
         env=_cli_env(),
+        cwd=tmp_path,
     )
     doc = json.loads(proc.stdout)
     doc.pop("timing_seconds", None)  # scenario reports carry no timing

@@ -126,6 +126,28 @@ def test_space_declaration_file(tmp_path, capsys):
     assert _run(capsys, "analyze", str(bad))[0] == 2
 
 
+def test_unknown_axiom_exits_2(tmp_path, capsys):
+    code, _, err = _run(capsys, "analyze", "W-nondecomposable", "--axiom", "a", "--n", "8")
+    assert code == 2 and "unknown axiom 'a'" in err
+    f = tmp_path / "space.txt"
+    f.write_text("space V dim 2\ngen abs(x), gamma(x)\naxiom typo\n")
+    code, _, err = _run(capsys, "analyze", str(f), "--n", "8")
+    assert code == 2 and "unknown axiom 'typo'" in err
+    assert _run(capsys, "check-sum", str(f), "--w0", "1,0", "--w1", "0,1", "--n", "8")[0] == 2
+    # a known axiom in the file is assumed
+    f.write_text("space V dim 2\ngen abs(x), gamma(x)\naxiom A\n")
+    code, out, _ = _run(capsys, "analyze", str(f), "--json", "--n", "8")
+    assert code == 0
+    assert json.loads(out)["report"]["decomposability"]["status"] == "NonDecomposable"
+
+
+@pytest.mark.parametrize("argv", [["scenario", "lemma-2.2"], ["franklin"], ["verify-identity"]])
+def test_axiom_flag_only_where_a_space_is_loaded(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--axiom", "A", "--n", "8"])
+    assert exc.value.code == 2
+
+
 def test_irrational_isotropic_subspace_exits_2(tmp_path, capsys):
     f = tmp_path / "irrational.txt"
     f.write_text("space V dim 2\ngen abs(x), sqrt2*abs(x)\n")

@@ -212,6 +212,16 @@ def test_kernel_image_check_r3():
     assert again.witness_matrix == verdict.witness_matrix
 
 
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[0, 1, 1]]])
+def test_kernel_image_check_map_to_a_lower_dimension(rows):
+    # the image generators and their pivot coordinates live in the codomain
+    sp = gallery_space("R3-abs")
+    f = LinearMap.from_rows(rows)
+    verdict = kernel_image_check(sp, f)
+    assert verdict.status == "Diffeomorphic"
+    assert verify_kernel_image_witness(sp, f, verdict.witness_matrix)
+
+
 R3_PROJECTIONS = {
     "diag(1,1,0)": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
     "diag(1,0,1)": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
@@ -224,9 +234,10 @@ def _bruteforce_admissible(src_atoms, dst_atoms, n, bound):
     of a kind maps into the annihilated span of the target's vectors of
     that kind: the prefilter of the exhaustive search."""
     pref = []
-    for kind, entries in src_atoms.items():
-        ann = linalg.annihilator([vec for _, vec in dst_atoms.get(kind, [])], n)
-        pref.extend((v, ann) for _, v in entries)
+    for vecs in src_atoms:
+        for kind, v in vecs.items():
+            ann = linalg.annihilator([d[kind] for d in dst_atoms if kind in d], n)
+            pref.append((v, ann))
     out = []
     for entries in itertools.product(range(-bound, bound + 1), repeat=n * n):
         m = [list(entries[i * n : (i + 1) * n]) for i in range(n)]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothsum.expr import eval_exact
+from smoothsum.expr import W_SLOPE, App, X, differentiate, eval_exact
 from smoothsum.franklin import (
     FranklinMap,
     RationalityLink,
@@ -288,9 +288,22 @@ def test_rationality_link(fm8):
     assert cert["axioms_used"] == ["exp-transcendence"]
 
 
+def test_bar_gamma_derivative_matches_collapsed_polynomial(fm8):
+    # barGamma = w o f, so its derivative is W_SLOPE * f'; f' is read off
+    # the collapsed form f = (sum P_i t^i + sqrt2 * sum Q_i t^i) / D
+    d = differentiate(App("barGamma", X, fm8))
+    poly = fm8._poly
+    for t in (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 4), Fraction(0), Fraction(9, 10)):
+        dp, dq = (
+            sum(i * c * t ** (i - 1) for i, c in enumerate(coefs) if i) / poly.d
+            for coefs in (poly.p, poly.q)
+        )
+        assert eval_exact(d, t) == W_SLOPE * QSqrt2(Fraction(dp), Fraction(dq))
+
+
 def test_parse_grid_deterministic():
-    g1 = parse_grid("zero,rationals:10,negatives:5,quadratic:3", seed=0)
-    g2 = parse_grid("zero,rationals:10,negatives:5,quadratic:3", seed=0)
+    g1 = parse_grid("zero,rationals:10,negatives:5,quadratic:3")
+    g2 = parse_grid("zero,rationals:10,negatives:5,quadratic:3")
     assert g1 == g2
     assert len(g1) == 19
     assert QSqrt2.coerce(0) in g1
