@@ -472,6 +472,22 @@ def _is_diffeomorphism(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
     )
 
 
+def _image_pivots(f: LinearMap, img_basis: list) -> list:
+    """The codomain coordinates at which the image basis has its pivots.
+
+    The image basis is in rref, so these coordinates read the image-basis
+    coefficients straight off the ambient components."""
+    pivots = []
+    seen = set()
+    for b in range(len(img_basis)):
+        for i in range(f.codomain_dim):
+            if img_basis[b][i] != 0 and i not in seen:
+                pivots.append(i)
+                seen.add(i)
+                break
+    return pivots
+
+
 def kernel_image_space(space: DVSpace, f: LinearMap) -> tuple:
     """The product space Ker(f) x Im(f) inside R^n coordinates.
 
@@ -487,16 +503,7 @@ def kernel_image_space(space: DVSpace, f: LinearMap) -> tuple:
     r = len(img_basis)
     ker_space = DVSpace("ker", ker.dim, ())
     img_gens = pushforward(f, space).generators
-    # the image basis is in rref, so pivot coordinates read the
-    # image-basis coefficients straight off the ambient components
-    pivots = []
-    seen = set()
-    for b in range(r):
-        for i in range(f.codomain_dim):
-            if img_basis[b][i] != 0 and i not in seen:
-                pivots.append(i)
-                seen.add(i)
-                break
+    pivots = _image_pivots(f, img_basis)
     img_space = DVSpace(
         "im",
         r,
@@ -612,11 +619,26 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
     n = space.dim
     rank_f = linalg.rank(f.matrix)
     if rank_f == n:
+        # Ker(f) = 0 and f is a diffeomorphism onto Im(f) with the
+        # pushforward diffeology, so f^-1 (on the image's pivot
+        # coordinates) carries Ker(f) x Im(f) back onto the space
+        witness = linalg.inverse([f.matrix[i] for i in _image_pivots(f, f.image_basis())])
+        try:
+            replayed = verify_kernel_image_witness(space, f, witness)
+        except ValueError as exc:
+            return KernelImageVerdict("Unknown", None, (), {"reason": str(exc)})
+        if not replayed:
+            return KernelImageVerdict("Unknown", None, (), {"reason": "the inverse of f did not replay"})
         return KernelImageVerdict(
             "Diffeomorphic",
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)],
+            witness,
             (),
-            {"rule": "f invertible: kernel is zero and the image is the space itself"},
+            {
+                "rule": (
+                    "f injective: the kernel is zero, and f^-1 carries the image, "
+                    "with the pushforward diffeology, back onto the space"
+                )
+            },
         )
     dec = decomposability_report(space)
     if dec.status == "NonDecomposable" and 0 < rank_f < n:

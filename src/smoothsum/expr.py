@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .numbers import (
     INV_SQRT2,
     QSqrt2,
+    SQRT2,
     Tag,
     TaggedReal,
     add_tagged,
@@ -364,7 +365,7 @@ def _const_text(v: QSqrt2, atomic: bool) -> str:
     s = str(v)
     if v.is_rational:
         return s
-    if v.a == 0 and v.b == 1:
+    if v == SQRT2:
         return s  # bare sqrt2 is an atom
     return f"({s})" if atomic else s
 

@@ -49,7 +49,7 @@ from .expr import (
     to_text,
 )
 from .intervals import Interval, certify_positive, poly_product_derivative
-from .numbers import INV_SQRT2, QSqrt2, Tag, TaggedReal, floor_qsqrt2
+from .numbers import INV_SQRT2, QSqrt2, Tag, TaggedReal, floor_qsqrt2, sign_of_parts
 
 # ---------------------------------------------------------------------
 # Enumerations
@@ -178,34 +178,40 @@ class _CollapsedPoly:
                 shifted[i] -= n * x
             prod = shifted
             scale *= m
-        # c * prod (t - r) = (ka + kb sqrt2) * prod / d over the common
-        # denominator d
-        cden = math.lcm(c.a.denominator, c.b.denominator)
-        d = math.lcm(self.d, scale * cden)
-        us, ue = d // self.d, d // (scale * cden)
-        ka = c.a.numerator * (cden // c.a.denominator) * ue
-        kb = c.b.numerator * (cden // c.b.denominator) * ue
+        # c * prod (t - r) = (c.p + c.q sqrt2) * prod / (c.d * scale), put
+        # over the common denominator d
+        d = math.lcm(self.d, scale * c.d)
+        us, ue = d // self.d, d // (scale * c.d)
+        ka, kb = c.p * ue, c.q * ue
         p = [x * us + ka * y for x, y in zip_longest(self.p, prod, fillvalue=0)]
         q = [x * us + kb * y for x, y in zip_longest(self.q, prod, fillvalue=0)]
         g = math.gcd(d, *p, *q)
         return _CollapsedPoly(tuple(x // g for x in p), tuple(x // g for x in q), d // g)
 
+    def _horner(self, u: int, v: int) -> tuple:
+        """(hp, hq, den) with f(u/v) = (hp + hq sqrt2) / den, den > 0, by
+        homogenised Horner in integers, not reduced; v > 0."""
+        hp, hq = self.p[-1], self.q[-1]
+        vk = 1
+        for cp, cq in zip(reversed(self.p[:-1]), reversed(self.q[:-1])):
+            vk *= v
+            hp = hp * u + cp * vk
+            hq = hq * u + cq * vk
+        return hp, hq, self.d * vk
+
     def at(self, t: QSqrt2) -> QSqrt2:
         if t.is_rational:
-            # homogenised Horner at u/v: integers throughout, reduced once
-            u, v = t.a.numerator, t.a.denominator
-            hp, hq = self.p[-1], self.q[-1]
-            vk = 1
-            for cp, cq in zip(reversed(self.p[:-1]), reversed(self.q[:-1])):
-                vk *= v
-                hp = hp * u + cp * vk
-                hq = hq * u + cq * vk
-            den = self.d * vk
-            return QSqrt2(Fraction(hp, den), Fraction(hq, den))
+            return QSqrt2.from_ints(*self._horner(t.p, t.d))
         out = QSqrt2()
         for cp, cq in zip(reversed(self.p), reversed(self.q)):
-            out = out * t + QSqrt2(Fraction(cp), Fraction(cq))
-        return QSqrt2(out.a / self.d, out.b / self.d)
+            out = out * t + QSqrt2(cp, cq)
+        return QSqrt2.from_ints(out.p, out.q, out.d * self.d)
+
+    def sign_minus(self, t: Fraction, b: QSqrt2) -> int:
+        """The sign of f(t) - b at a rational t, read off the unreduced
+        Horner integers: both denominators are positive."""
+        hp, hq, den = self._horner(t.numerator, t.denominator)
+        return sign_of_parts(hp * b.d - b.p * den, hq * b.d - b.q * den)
 
 
 _IDENTITY = _CollapsedPoly((0, 1), (0, 0), 1)
@@ -437,7 +443,7 @@ def build_franklin(n_steps: int) -> FranklinMap:
                             a = cand
                             break
                 mid = (lo_f + hi_f) / 2
-                if fm.eval_exact(mid) < b:
+                if fm._poly.sign_minus(mid, b) < 0:
                     lo_f = mid
                 else:
                     hi_f = mid
@@ -588,7 +594,7 @@ def parse_grid(spec: str) -> list:
         elif name == "quadratic":
             for _ in range(count):
                 # sqrt2-multiples: x = m*sqrt2/k has rational square
-                pts.append(QSqrt2(Fraction(0), Fraction(rng.randint(1, 30), rng.randint(1, 30))))
+                pts.append(QSqrt2(0, Fraction(rng.randint(1, 30), rng.randint(1, 30))))
         elif name == "zero":
             pts.append(QSqrt2.coerce(0))
         else:

@@ -90,8 +90,8 @@ def poly_product_derivative(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
     points = [QSqrt2.coerce(x) for x in (iv.lo, iv.hi, *roots)]
     den = 1
     if all(x.is_rational for x in points):
-        den = math.lcm(*(x.a.denominator for x in points))
-        points = [x.a.numerator * (den // x.a.denominator) for x in points]
+        den = math.lcm(*(x.d for x in points))
+        points = [x.p * (den // x.d) for x in points]
     lo, hi, *rs = points
     factors = [(lo - a, hi - a) for a in rs]
     prefix = [(1, 1)]

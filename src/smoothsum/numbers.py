@@ -1,18 +1,19 @@
 """Exact arithmetic in Q and Q(sqrt2), with three-valued rationality tags.
 
 Nothing on a certificate path ever goes through floating point: every
-certified value is an element of Q(sqrt2) held exactly as a pair of
-fractions.  A :class:`TaggedReal` carries, in addition to its value, a
-rationality tag (Rational / Irrational / Unknown) that makes the indicator
-of the irrationals evaluable wherever the tag is decided.  Tag propagation
-is sound but deliberately incomplete: Unknown is an honest answer.
+certified value is an element of Q(sqrt2) held exactly as an integer
+triple (p, q, d) standing for (p + q*sqrt2)/d.  A :class:`TaggedReal`
+carries, in addition to its value, a rationality tag (Rational /
+Irrational / Unknown) that makes the indicator of the irrationals
+evaluable wherever the tag is decided.  Tag propagation is sound but
+deliberately incomplete: Unknown is an honest answer.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -42,92 +43,152 @@ def _square_exceeds_twice(x: int, y: int) -> bool:
     return x * x > 2 * y * y
 
 
-@dataclass(frozen=True)
+def sign_of_parts(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt2 for integers p and q."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p >= 0 and q > 0:
+        return 1
+    if p <= 0 and q < 0:
+        return -1
+    # Opposite signs: compare p^2 with 2 q^2; they differ because sqrt2
+    # is irrational.
+    p_wins = _square_exceeds_twice(abs(p), abs(q))
+    return 1 if p_wins == (p > 0) else -1
+
+
 class QSqrt2:
     """An element a + b*sqrt(2) of the field Q(sqrt2).
 
-    The (a, b) pair is canonical: two values are equal iff their pairs are.
-    The value is rational iff b == 0.
+    It is held as three integers (p, q, d) standing for (p + q*sqrt2)/d,
+    in canonical form: d > 0 and gcd(p, q, d) = 1.  Two values are equal
+    iff their triples are, and the value is rational iff q == 0.  ``a``
+    and ``b`` read the two rational parts as Fractions.  The value is
+    immutable.
     """
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    __slots__ = ("p", "q", "d")
 
-    def __post_init__(self):
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a=0, b=0):
+        if type(a) is int and type(b) is int:
+            p, q, d = a, b, 1
+        else:
+            a = a if isinstance(a, Fraction) else Fraction(a)
+            b = b if isinstance(b, Fraction) else Fraction(b)
+            # coprime parts over the lcm of their denominators share no
+            # factor with it
+            d = math.lcm(a.denominator, b.denominator)
+            p = a.numerator * (d // a.denominator)
+            q = b.numerator * (d // b.denominator)
+        _SET_P(self, p)
+        _SET_Q(self, q)
+        _SET_D(self, d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QSqrt2, (self.a, self.b)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, r) -> "QSqrt2":
-        return cls(Fraction(r), Fraction(0))
+        return cls.coerce(Fraction(r))
 
     @classmethod
     def sqrt2(cls) -> "QSqrt2":
-        return cls(Fraction(0), Fraction(1))
+        return _triple(0, 1, 1)
+
+    @staticmethod
+    def from_ints(p: int, q: int, d: int) -> "QSqrt2":
+        """(p + q*sqrt2)/d for integers with d > 0, in canonical form."""
+        return _reduced(p, q, d)
 
     @classmethod
     def coerce(cls, x: Union["QSqrt2", Fraction, int]) -> "QSqrt2":
         if isinstance(x, QSqrt2):
             return x
-        return cls.from_rational(x)
+        if type(x) is int:
+            return _triple(x, 0, 1)
+        x = x if isinstance(x, Fraction) else Fraction(x)
+        return _triple(x.numerator, 0, x.denominator)
 
-    # -- predicates ----------------------------------------------------
+    # -- parts and predicates ------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def as_rational(self) -> Fraction:
-        if self.b != 0:
+        if self.q != 0:
             raise DomainError(f"{self} is not rational")
-        return self.a
+        return Fraction(self.p, self.d)
+
+    def __eq__(self, other):
+        if type(other) is not QSqrt2:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     # -- field arithmetic ----------------------------------------------
 
     def __add__(self, other):
-        o = QSqrt2.coerce(other)
-        if o.b == 0:
-            return QSqrt2(self.a + o.a, self.b)
-        if self.b == 0:
-            return QSqrt2(self.a + o.a, o.b)
-        return QSqrt2(self.a + o.a, self.b + o.b)
+        o = other if type(other) is QSqrt2 else QSqrt2.coerce(other)
+        return _sum(self.p, self.q, self.d, o.p, o.q, o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
+        return _triple(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        return self + (-QSqrt2.coerce(other))
+        o = other if type(other) is QSqrt2 else QSqrt2.coerce(other)
+        return _sum(self.p, self.q, self.d, -o.p, -o.q, o.d)
 
     def __rsub__(self, other):
-        return (-self) + QSqrt2.coerce(other)
+        return QSqrt2.coerce(other) - self
 
     def __mul__(self, other):
-        o = QSqrt2.coerce(other)
-        if o.b == 0:
-            return QSqrt2(self.a * o.a, self.b * o.a)
-        if self.b == 0:
-            return QSqrt2(self.a * o.a, self.a * o.b)
-        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        o = other if type(other) is QSqrt2 else QSqrt2.coerce(other)
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        if q2 == 0:
+            return _reduced(p1 * p2, q1 * p2, self.d * o.d)
+        if q1 == 0:
+            return _reduced(p1 * p2, p1 * q2, self.d * o.d)
+        return _reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QSqrt2":
-        # 1/(a+b*sqrt2) = (a-b*sqrt2)/(a^2-2b^2); the norm vanishes only at 0
-        # because sqrt2 is irrational.
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
-            raise DomainError("inversion of zero in Q(sqrt2)")
-        return QSqrt2(self.a / norm, -self.b / norm)
+        # d/(p+q*sqrt2) = d(p-q*sqrt2)/(p^2-2q^2); the norm vanishes only
+        # at 0 because sqrt2 is irrational.
+        p, q, d = self.p, self.q, self.d
+        if q == 0:
+            if p == 0:
+                raise DomainError("inversion of zero in Q(sqrt2)")
+            return _triple(d, 0, p) if p > 0 else _triple(-d, 0, -p)
+        norm = p * p - 2 * q * q
+        if norm < 0:
+            return _reduced(-d * p, d * q, -norm)
+        return _reduced(d * p, -d * q, norm)
 
     def __truediv__(self, other):
         return self * QSqrt2.coerce(other).inverse()
@@ -150,62 +211,103 @@ class QSqrt2:
     # -- exact order ---------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt2."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 with 2 b^2, cross-multiplied to
-        # integers; they differ because sqrt2 is irrational.
-        x = abs(a.numerator) * b.denominator
-        y = abs(b.numerator) * a.denominator
-        a_wins = _square_exceeds_twice(x, y)
-        return 1 if a_wins == (a > 0) else -1
+        """Exact sign of a + b*sqrt2 (d > 0 does not change it)."""
+        return sign_of_parts(self.p, self.q)
+
+    def _cmp(self, other) -> int:
+        """Sign of self - other, from the cross-multiplied triples."""
+        o = other if type(other) is QSqrt2 else QSqrt2.coerce(other)
+        d1, d2 = self.d, o.d
+        return sign_of_parts(self.p * d2 - o.p * d1, self.q * d2 - o.q * d1)
 
     def __lt__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if sign_of_parts(self.p, self.q) < 0 else self
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(2)
+        # int / int is correctly rounded, like float(Fraction)
+        if self.q == 0:
+            return self.p / self.d
+        return self.p / self.d + (self.q / self.d) * math.sqrt(2)
 
     # -- text form -------------------------------------------------------
     # Canonical form `a+b*sqrt2`, rationals as `p/q` or `p`; bit-exact
     # round trip through parse_qsqrt2.
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        bpart = f"{abs(self.b)}*sqrt2" if abs(self.b) != 1 else "sqrt2"
-        if self.a == 0:
-            return bpart if self.b > 0 else "-" + bpart
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a}{sign}{bpart}"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        bpart = f"{abs(b)}*sqrt2" if abs(b) != 1 else "sqrt2"
+        if a == 0:
+            return bpart if b > 0 else "-" + bpart
+        sign = "+" if b > 0 else "-"
+        return f"{a}{sign}{bpart}"
 
     def __repr__(self):
         return f"QSqrt2({self.a!r}, {self.b!r})"
 
 
+_SET_P = QSqrt2.p.__set__
+_SET_Q = QSqrt2.q.__set__
+_SET_D = QSqrt2.d.__set__
+_new = object.__new__
+
+
+def _triple(p: int, q: int, d: int) -> QSqrt2:
+    """The QSqrt2 (p + q*sqrt2)/d of a triple already in canonical form."""
+    v = _new(QSqrt2)
+    _SET_P(v, p)
+    _SET_Q(v, q)
+    _SET_D(v, d)
+    return v
+
+
+def _sum(p1: int, q1: int, d1: int, p2: int, q2: int, d2: int) -> QSqrt2:
+    """The sum of two canonical triples, over the lcm of d1 and d2.
+
+    With g = gcd(d1, d2), a prime of d1/g or of d2/g cannot divide both
+    numerator parts of the sum (it would divide p, q and d of one
+    summand), so only their gcd with g is left to cancel.
+    """
+    if d1 == d2:
+        return _reduced(p1 + p2, q1 + q2, d1)
+    g = math.gcd(d1, d2)
+    s, t = d1 // g, d2 // g
+    p, q = p1 * t + p2 * s, q1 * t + q2 * s
+    if g != 1:
+        g = math.gcd(p, q, g)
+        if g != 1:
+            return _triple(p // g, q // g, s * (d2 // g))
+    return _triple(p, q, s * d2)
+
+
+def _reduced(p: int, q: int, d: int) -> QSqrt2:
+    """(p + q*sqrt2)/d for d > 0, divided by gcd(p, q, d)."""
+    if d != 1:
+        g = math.gcd(p, q, d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    return _triple(p, q, d)
+
+
 ZERO = QSqrt2()
 ONE = QSqrt2.from_rational(1)
 SQRT2 = QSqrt2.sqrt2()
-INV_SQRT2 = QSqrt2(Fraction(0), Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
+INV_SQRT2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 
 
 def parse_qsqrt2(text: str) -> QSqrt2:
@@ -232,17 +334,15 @@ def parse_qsqrt2(text: str) -> QSqrt2:
 def floor_qsqrt2(v: QSqrt2) -> int:
     """Exact floor of an element of Q(sqrt2), in integer arithmetic.
 
-    Write v = (A + B*sqrt2)/D with integers A, B and D > 0.  F =
-    floor(B*sqrt2) comes from ``math.isqrt(2 B^2)``, which is never exact
-    unless B = 0.  As 0 <= B*sqrt2 - F < 1, floor(v) = (A + F) // D.
+    v is held as (p + q*sqrt2)/d with integers p, q and d > 0.  F =
+    floor(q*sqrt2) comes from ``math.isqrt(2 q^2)``, which is never exact
+    unless q = 0.  As 0 <= q*sqrt2 - F < 1, floor(v) = (p + F) // d.
     """
     v = QSqrt2.coerce(v)
-    d = math.lcm(v.a.denominator, v.b.denominator)
-    a = v.a.numerator * (d // v.a.denominator)
-    b = v.b.numerator * (d // v.b.denominator)
-    root = math.isqrt(2 * b * b)  # floor(|B| sqrt2)
-    f = root if b >= 0 else -root - 1
-    return (a + f) // d
+    q = v.q
+    root = math.isqrt(2 * q * q)  # floor(|q| sqrt2)
+    f = root if q >= 0 else -root - 1
+    return (v.p + f) // v.d
 
 
 # ---------------------------------------------------------------------
@@ -256,7 +356,7 @@ class Tag(str, Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedReal:
     """A real number with a sound rationality tag.
 
@@ -286,8 +386,14 @@ class TaggedReal:
 
     @classmethod
     def exact(cls, v) -> "TaggedReal":
-        v = QSqrt2.coerce(v)
-        return cls(v, Tag.RATIONAL if v.is_rational else Tag.IRRATIONAL)
+        # the tag is read off the value, so there is nothing to validate
+        if type(v) is not QSqrt2:
+            v = QSqrt2.coerce(v)
+        t = _new(cls)
+        _SET_VALUE(t, v)
+        _SET_TAG(t, _RATIONAL if v.q == 0 else _IRRATIONAL)
+        _SET_TRANSCENDENTAL(t, False)
+        return t
 
     @classmethod
     def approx(cls, x: float, tag: Tag = Tag.UNKNOWN, transcendental: bool = False) -> "TaggedReal":
@@ -316,6 +422,13 @@ class TaggedReal:
         if self.is_exact:
             return f"{self.value} [{self.tag.value}]"
         return f"~{self.value} [{self.tag.value}]"
+
+
+_SET_VALUE = TaggedReal.value.__set__
+_SET_TAG = TaggedReal.tag.__set__
+_SET_TRANSCENDENTAL = TaggedReal.transcendental.__set__
+_RATIONAL = Tag.RATIONAL
+_IRRATIONAL = Tag.IRRATIONAL
 
 
 def _approx_value(x: TaggedReal, y: TaggedReal, op) -> Optional[float]:

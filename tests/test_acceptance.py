@@ -36,7 +36,6 @@ from smoothsum.expr import AXIOM_A, Smoothness
 from smoothsum.franklin import RationalityLink, parse_grid, verify_abs_identity
 from smoothsum.gallery import (
     SCENARIOS,
-    franklin_map,
     gallery_space,
     gallery_witnesses,
     v2_delta_axis_plots,

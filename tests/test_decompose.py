@@ -343,6 +343,57 @@ def test_kernel_image_invertible_trivial():
     assert verdict.status == "Diffeomorphic"
 
 
+@pytest.mark.parametrize(
+    "name,rows",
+    [
+        ("V2-delta", [[0, 1], [1, 0]]),
+        ("V2-delta", [[1, 1], [0, 1]]),
+        ("V2-delta", [[2, 0], [0, 1]]),
+        ("R3-abs", [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        ("R3-abs", [[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
+    ],
+)
+def test_invertible_map_witness_replays(name, rows):
+    # the witness is f^-1, which carries Ker(f) x Im(f) = 0 x Im(f) back
+    # onto the space; the identity matrix did not replay on any of these
+    sp = gallery_space(name)
+    f = LinearMap.from_rows(rows)
+    verdict = kernel_image_check(sp, f)
+    assert verdict.status == "Diffeomorphic"
+    assert verdict.witness_matrix == linalg.inverse(f.matrix)
+    assert verify_kernel_image_witness(sp, f, verdict.witness_matrix)
+    assert "f^-1" in verdict.detail["rule"]
+
+
+def test_injective_map_to_a_higher_dimension_witness_replays():
+    # the image lives in R^3; the witness inverts f on its pivot rows
+    sp = gallery_space("V2-delta")
+    f = LinearMap.from_rows([[1, 1], [0, 1], [1, 0]])
+    verdict = kernel_image_check(sp, f)
+    assert verdict.status == "Diffeomorphic"
+    assert verdict.witness_matrix == linalg.inverse(f.matrix[:2])
+    assert verify_kernel_image_witness(sp, f, verdict.witness_matrix)
+
+
+def test_invertible_map_witness_that_fails_replay_is_not_reported(monkeypatch):
+    monkeypatch.setattr(decompose, "_is_diffeomorphism", lambda src, dst, matrix: False)
+    f = LinearMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    verdict = kernel_image_check(gallery_space("R3-abs"), f)
+    assert verdict.status == "Unknown"
+    assert verdict.witness_matrix is None
+    assert verdict.detail["reason"] == "the inverse of f did not replay"
+
+
+def test_invertible_map_on_irrational_atoms_is_unknown():
+    # the replay reads the atom tables in Fractions, so nothing unreplayed
+    # is reported
+    sp = DVSpace("irr", 2, ((parse_expr("0"), parse_expr("sqrt2*abs(x)")),))
+    verdict = kernel_image_check(sp, LinearMap.from_rows([[0, 1], [1, 0]]))
+    assert verdict.status == "Unknown"
+    assert verdict.witness_matrix is None
+    assert "irrational" in verdict.detail["reason"]
+
+
 def test_kernel_image_check_irrational_atoms_unknown():
     # the kernel e1 is standard, but the atom coefficient sqrt2 is not
     # rational, so the integer search does not apply

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from smoothsum.diffeology import (
-    DVSpace,
     LinearMap,
     Plot,
     Subspace,

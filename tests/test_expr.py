@@ -15,7 +15,6 @@ from smoothsum.expr import (
     AXIOM_A,
     DELTA_KIND,
     FUNCTION_NAMES,
-    GAMMA_KIND,
     App,
     Const,
     ExprError,
@@ -27,7 +26,6 @@ from smoothsum.expr import (
     Smoothness,
     SmoothnessVerdict,
     Sum,
-    Var,
     X,
     classify_smoothness,
     compose,

@@ -14,7 +14,6 @@ from smoothsum.franklin import (
     FranklinMap,
     RationalityLink,
     abs_identity_expr,
-    build_franklin,
     certify_rationality_link,
     enumerate_unit_rationals,
     parse_grid,
@@ -196,6 +195,26 @@ def test_intermediate_maps_match_product_form(fm16):
         fm = FranklinMap(fm16.steps[:k])
         for t in points:
             assert fm.eval_exact(t) == _product_form(fm.steps, t)
+
+
+def test_sign_minus_is_the_sign_of_the_exact_difference(fm16):
+    # the backward bisection asks only for sign(f(t) - b)
+    poly = fm16._poly
+    rng = random.Random(9)
+    for _ in range(200):
+        t = Fraction(rng.randint(-3000, 3000), rng.randint(1, 1000))
+        b = QSqrt2(
+            Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
+            Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
+        )
+        assert poly.sign_minus(t, b) == (fm16.eval_exact(t) - b).sign()
+    # at a matched point the difference is exactly 0, and a nudge of
+    # 2^-200 either way is seen
+    tiny = Fraction(1, 2**200)
+    for s in fm16.steps:
+        assert poly.sign_minus(s.a, s.b) == 0
+        assert poly.sign_minus(s.a, s.b + tiny) == -1
+        assert poly.sign_minus(s.a, s.b - tiny * SQRT2) == 1
 
 
 def test_matches_exact(fm16):

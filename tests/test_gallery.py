@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from smoothsum.expr import AXIOM_A, to_text
+from smoothsum.expr import AXIOM_A
 from smoothsum.gallery import (
     SCENARIOS,
     SPACE_NAMES,

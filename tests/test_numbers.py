@@ -1,6 +1,8 @@
 """Exact Q(sqrt2) arithmetic and sound rationality tagging."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -238,3 +240,170 @@ def test_tag_propagation_matches_exact_arithmetic(x, y):
     assert add_tagged(tx, ty).value == x + y
     assert mul_tagged(tx, ty).value == x * y
     assert neg_tagged(tx).value == -x
+
+
+# ---------------------------------------------------------------------
+# The integer triple (p, q, d), (p + q*sqrt2)/d, against a reference
+# model written out here: a value a + b*sqrt2 as a pair of Fractions,
+# with the arithmetic of the field on pairs.
+# ---------------------------------------------------------------------
+
+# few small denominators, so that equal and overlapping denominators and
+# cancellations are common, next to the wide `rationals`
+small_rationals = st.fractions(
+    min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
+)
+pairs = st.tuples(
+    st.one_of(small_rationals, rationals, st.just(Fraction(0))),
+    st.one_of(small_rationals, rationals, st.just(Fraction(0))),
+)
+
+
+def _ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    norm = x[0] * x[0] - 2 * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _pair_sign(a: Fraction, b: Fraction) -> int:
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+        return (a + b > 0) - (a + b < 0)
+    return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
+
+
+def _ref_floor(x) -> int:
+    """The largest integer n with x - n >= 0, by bisection on the sign."""
+    lo = -math.ceil(abs(x[0]) + 2 * abs(x[1])) - 1  # x - lo >= 0
+    hi = -lo  # x - hi < 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _pair_sign(x[0] - mid, x[1]) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _ref_str(x) -> str:
+    a, b = x
+    if b == 0:
+        return str(a)
+    bpart = f"{abs(b)}*sqrt2" if abs(b) != 1 else "sqrt2"
+    if a == 0:
+        return bpart if b > 0 else "-" + bpart
+    return f"{a}{'+' if b > 0 else '-'}{bpart}"
+
+
+def _model(v: QSqrt2) -> tuple:
+    """The reference pair of a triple, after checking the triple is
+    canonical."""
+    assert type(v) is QSqrt2
+    assert isinstance(v.p, int) and isinstance(v.q, int) and isinstance(v.d, int)
+    assert v.d > 0 and math.gcd(v.p, v.q, v.d) == 1
+    a, b = v.a, v.b
+    assert (a, b) == (Fraction(v.p, v.d), Fraction(v.q, v.d))
+    return (a, b)
+
+
+@given(pairs)
+def test_triple_is_canonical_and_reads_back(x):
+    v = QSqrt2(*x)
+    assert _model(v) == x
+    assert v.is_rational == (x[1] == 0)
+    assert v.is_zero == (x == (0, 0))
+    assert repr(v) == f"QSqrt2({x[0]!r}, {x[1]!r})"
+    assert str(v) == _ref_str(x)
+    assert parse_qsqrt2(str(v)) == v
+    assert _model(parse_qsqrt2(str(v))) == x
+    assert float(v) == float(x[0]) + float(x[1]) * math.sqrt(2)
+
+
+@given(pairs, pairs)
+def test_arithmetic_matches_the_pair_model(x, y):
+    u, v = QSqrt2(*x), QSqrt2(*y)
+    assert _model(u + v) == _ref_add(x, y)
+    assert _model(u - v) == _ref_sub(x, y)
+    assert _model(u * v) == _ref_mul(x, y)
+    assert _model(-u) == (-x[0], -x[1])
+    # mixed operands: a rational on either side
+    assert _model(u + y[0]) == _ref_add(x, (y[0], 0))
+    assert _model(y[0] + u) == _ref_add(x, (y[0], 0))
+    assert _model(y[0] - u) == _ref_sub((y[0], 0), x)
+    assert _model(3 * u) == (3 * x[0], 3 * x[1])
+    assert _model(u * y[1]) == (x[0] * y[1], x[1] * y[1])
+    if y == (0, 0):
+        with pytest.raises(DomainError):
+            v.inverse()
+        with pytest.raises(DomainError):
+            u / v
+    else:
+        assert _model(v.inverse()) == _ref_inverse(y)
+        assert _model(u / v) == _ref_mul(x, _ref_inverse(y))
+
+
+@given(pairs, pairs)
+def test_equality_hash_and_order_match_the_pair_model(x, y):
+    u, v = QSqrt2(*x), QSqrt2(*y)
+    assert (u == v) == (x == y)
+    assert (u != v) == (x != y)
+    if u == v:
+        assert hash(u) == hash(v)
+    # the hash of the pair of parts, so set and dict order is unchanged
+    assert hash(u) == hash(x)
+    s = _pair_sign(*_ref_sub(x, y))
+    assert (u < v, u <= v, u > v, u >= v) == (s < 0, s <= 0, s > 0, s >= 0)
+    # values of other types are never equal to a QSqrt2, as before
+    assert u != x[0] and x[0] != u
+
+
+@given(st.one_of(pairs, st.tuples(huge_rationals, huge_rationals)))
+def test_sign_floor_and_abs_match_the_pair_model(x):
+    v = QSqrt2(*x)
+    assert v.sign() == _pair_sign(*x)
+    assert floor_qsqrt2(v) == _ref_floor(x)
+    assert _model(abs(v)) == (x if _pair_sign(*x) >= 0 else (-x[0], -x[1]))
+
+
+@given(pairs)
+def test_exact_tag_is_read_off_the_triple(x):
+    v = QSqrt2(*x)
+    t = TaggedReal.exact(v)
+    assert t.value is v
+    assert t.tag == (Tag.IRRATIONAL if v.q != 0 else Tag.RATIONAL)
+    assert not t.transcendental
+    # the validating constructor agrees with it
+    assert TaggedReal(v, t.tag) == t
+    assert TaggedReal.exact(x[0]).value == QSqrt2(x[0])
+    assert TaggedReal.exact(x[0]).tag == Tag.RATIONAL
+
+
+def test_constructor_accepts_ints_and_fractions():
+    assert QSqrt2() == QSqrt2(0, 0) == QSqrt2(Fraction(0)) == ZERO
+    assert (QSqrt2(3, -2).p, QSqrt2(3, -2).q, QSqrt2(3, -2).d) == (3, -2, 1)
+    v = QSqrt2(Fraction(1, 6), Fraction(-3, 4))
+    assert (v.p, v.q, v.d) == (2, -9, 12)
+    assert QSqrt2(Fraction(4, 2), 1) == QSqrt2(2, 1)
+    assert QSqrt2.from_ints(6, 4, 8) == QSqrt2(Fraction(3, 4), Fraction(1, 2))
+    assert QSqrt2.coerce(Fraction(-5, 10)) == QSqrt2(Fraction(-1, 2))
+
+
+def test_value_is_immutable_and_copies():
+    v = QSqrt2(1, 2)
+    for name in ("p", "q", "d", "a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 5)
+    assert (v.p, v.q, v.d) == (1, 2, 1)
+    w = QSqrt2(Fraction(-1, 6), Fraction(3, 4))
+    assert copy.deepcopy(w) == w
+    assert pickle.loads(pickle.dumps(w)) == w

@@ -1,15 +1,18 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""Checks on the sources themselves.
 
 `perfbench/tracer.py` names the functions it traces as (module, qualified
 name) pairs.  Deleting or renaming one of them breaks the traced benchmark
-run; this test makes it break the test suite as well.
+run; the first test makes it break the test suite as well.  The second
+keeps every module-level import in `src/` and `tests/` in use.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -30,3 +33,62 @@ def test_every_trace_target_resolves():
         if not callable(obj):
             missing.append(f"{modname}.{qualname}")
     assert missing == []
+
+
+def _unused_imports(path: Path, root: Path = ROOT) -> list:
+    """Names bound by a module-level import that the module never reads,
+    as "file:line name".  A name counts as read when it occurs as a name
+    anywhere in the module, in a quoted annotation, or in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                quoted = ast.parse(ann.value, mode="eval")
+                read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    rel = path.relative_to(root)
+    return [f"{rel}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_module_level_imports():
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(sources) > 20
+    unused = [entry for path in sources for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def test_unused_import_check_sees_what_it_should(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from fractions import Fraction as F\n"
+        "from typing import Optional\n"
+        "from decimal import Decimal\n"
+        "__all__ = ['Decimal']\n"
+        "def f(x: 'Optional[int]') -> None:\n"
+        "    return math.floor(x)\n"
+    )
+    found = _unused_imports(sample, tmp_path)
+    assert found == ["sample.py:3 os", "sample.py:4 F"]
