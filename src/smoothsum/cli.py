@@ -49,7 +49,8 @@ class InputError(Exception):
 
 
 # Largest accepted matching-construction order: `franklin --n 32` runs in
-# 1.6-1.9 s wall on a 2-vCPU machine (about 10 s before the exact dyadic
+# 0.43-0.56 s wall on a 2-vCPU machine, interpreter start-up included
+# (1.1 s with exact bisection signs, about 10 s before the exact dyadic
 # brackets), but the coefficient size grows quadratically in n (12 577
 # bits at n=32) and the cost faster still, so larger orders are refused.
 MAX_N = 32

@@ -438,6 +438,10 @@ Candidates = tuple
 
 _ZERO_T = TaggedReal.exact(0)
 _ONE_T = TaggedReal.exact(1)
+# deltaQ's candidate tuples; a TaggedReal is immutable, so they are shared
+_DELTA_RATIONAL = (_ZERO_T,)
+_DELTA_IRRATIONAL = (_ONE_T,)
+_DELTA_UNKNOWN = (_ZERO_T, _ONE_T)
 
 
 def _dedupe(cands: Sequence[TaggedReal]) -> Candidates:
@@ -477,10 +481,10 @@ def _abs_tagged(x: TaggedReal) -> TaggedReal:
 
 def _delta_tagged(x: TaggedReal) -> Candidates:
     if x.tag == Tag.RATIONAL:
-        return (TaggedReal.exact(0),)
+        return _DELTA_RATIONAL
     if x.tag == Tag.IRRATIONAL:
-        return (TaggedReal.exact(1),)
-    return (TaggedReal.exact(0), TaggedReal.exact(1))
+        return _DELTA_IRRATIONAL
+    return _DELTA_UNKNOWN
 
 
 def _h1_tagged(x: TaggedReal) -> TaggedReal:

@@ -11,12 +11,20 @@ composite H2 = w(f(H1)) needs.
 Everything is exact: corrections live in Q(sqrt2), monotonicity is
 certified both by an a-priori derivative budget and by interval
 arithmetic, and every matched pair is replayable as a field identity.
-No decision is steered by floats; each is made cheap instead.  Targets
-are chosen by ``simplest_in_interval``, which brackets an irrational
-window between dyadic rationals (an exact integer floor) and confirms
-the answer by one exact comparison; the products over the rational roots
-are Fractions; and the backward bisection reuses a rejected candidate's
-verdict while that candidate stays inside the halved window.
+No decision is steered by floats; each is made cheap instead, and runs
+on plain integers.  Targets are chosen by ``simplest_in_interval``,
+which brackets an irrational window between dyadic rationals (an exact
+integer floor), runs the Stern-Brocot descent on integer pairs and
+confirms the answer by one exact comparison.  The products over the
+rational roots are integer numerator/denominator pairs.  The backward
+bisection keeps its window as integers over one dyadic denominator,
+reuses a rejected candidate's verdict while that candidate stays inside
+the halved window, and reads each sign and each admissibility test off
+a fixed-point enclosure of f: a proven integer interval, not a float
+estimate.  Whenever that interval cannot settle a question (an exact
+tie, a point outside [0,1], a margin below its width) the question is
+answered by exact evaluation, so the enclosure changes what is computed,
+never what is decided.
 
     f_n = f_{n-1} + c_n * p_n,   p_n(t) = t (t-1) prod (t - a_k)
 
@@ -30,6 +38,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from typing import Iterator, Optional
 
@@ -49,7 +58,15 @@ from .expr import (
     to_text,
 )
 from .intervals import Interval, certify_positive, poly_product_derivative
-from .numbers import INV_SQRT2, QSqrt2, Tag, TaggedReal, floor_qsqrt2, sign_of_parts
+from .numbers import (
+    INV_SQRT2,
+    QSqrt2,
+    Tag,
+    TaggedReal,
+    floor_parts,
+    floor_qsqrt2,
+    sign_of_parts,
+)
 
 # ---------------------------------------------------------------------
 # Enumerations
@@ -105,39 +122,42 @@ def simplest_in_interval(lo: QSqrt2, hi: QSqrt2) -> Fraction:
     if not lo < hi:
         raise ValueError("empty open interval")
     if lo.is_rational and hi.is_rational:
-        return _simplest_rational(lo.a, hi.a)
+        return _simplest_rational(lo.p, lo.d, hi.p, hi.d)
     k = 64
     while True:
         scale = 1 << k
-        lo_q = lo.a if lo.is_rational else Fraction(floor_qsqrt2(lo * scale), scale)
-        hi_q = hi.a if hi.is_rational else Fraction(floor_qsqrt2(hi * scale) + 1, scale)
-        s = _simplest_rational(lo_q, hi_q)
+        lo_n, lo_d = (lo.p, lo.d) if lo.is_rational else (floor_qsqrt2(lo * scale), scale)
+        hi_n, hi_d = (hi.p, hi.d) if hi.is_rational else (floor_qsqrt2(hi * scale) + 1, scale)
+        s = _simplest_rational(lo_n, lo_d, hi_n, hi_d)
         if lo < s < hi:
             return s
         k *= 2
 
 
-def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
-    """simplest_in_interval for rational lo < hi: the Stern-Brocot
-    descent x = fl + 1/y, one continued-fraction term per pass."""
-    if lo < 0 < hi:
+def _simplest_rational(ln: int, ld: int, hn: int, hd: int) -> Fraction:
+    """simplest_in_interval for rational ln/ld < hn/hd with ld, hd > 0:
+    the Stern-Brocot descent x = fl + 1/y, one continued-fraction term
+    per pass, on integer pairs."""
+    if ln < 0 < hn:
         return Fraction(0)
-    if hi <= 0:
-        return -_simplest_rational(-hi, -lo)
+    if hn <= 0:
+        return -_simplest_rational(-hn, hd, -ln, ld)
     terms = []
     while True:
-        fl = math.floor(lo)
-        if fl + 1 < hi:
-            out = Fraction(fl + 1)
+        fl, r = divmod(ln, ld)  # lo = fl + r/ld
+        top = hn - fl * hd  # hi = fl + top/hd, 0 < top <= hd unless fl + 1 < hi
+        if top > hd:
+            num, den = fl + 1, 1
             break
-        if lo == fl:
-            out = fl + 1 / Fraction(math.floor(1 / (hi - fl)) + 1)
+        if r == 0:
+            k = hd // top + 1  # floor(1/(hi - fl)) + 1
+            num, den = fl * k + 1, k
             break
         terms.append(fl)
-        lo, hi = 1 / (hi - fl), 1 / (lo - fl)
+        ln, ld, hn, hd = hd, top, ld, r  # (1/(hi - fl), 1/(lo - fl))
     for fl in reversed(terms):
-        out = fl + 1 / out
-    return out
+        num, den = fl * num + den, num
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------
@@ -207,14 +227,68 @@ class _CollapsedPoly:
             out = out * t + QSqrt2(cp, cq)
         return QSqrt2.from_ints(out.p, out.q, out.d * self.d)
 
-    def sign_minus(self, t: Fraction, b: QSqrt2) -> int:
-        """The sign of f(t) - b at a rational t, read off the unreduced
-        Horner integers: both denominators are positive."""
-        hp, hq, den = self._horner(t.numerator, t.denominator)
+    @cached_property
+    def _fixed(self) -> tuple:
+        """floor(2^FIX_BITS * c_i) for each coefficient c_i = (p_i +
+        q_i sqrt2)/d, highest degree first."""
+        return tuple(
+            floor_parts(cp << FIX_BITS, cq << FIX_BITS, self.d)
+            for cp, cq in zip(reversed(self.p), reversed(self.q))
+        )
+
+    def _gap(self, u: int, v: int, b: QSqrt2) -> Optional[int]:
+        """g with g - 1 < 2^FIX_BITS (f(u/v) - b) < g + 2 len(p), for
+        0 <= u/v <= 1 (v > 0); None elsewhere.
+
+        Horner on the floored coefficients, flooring each product by
+        t = u/v, gives h <= 2^FIX_BITS f(t) < h + 2 deg + 1: each step
+        adds below 1 for its coefficient and below 1 for its floor, and
+        multiplying by t in [0, 1] does not grow what came before.  Then
+        g = h - floor(2^FIX_BITS b).
+        """
+        if not 0 <= u <= v:
+            return None
+        fixed = iter(self._fixed)
+        h = next(fixed)
+        for c in fixed:
+            h = h * u // v + c
+        return h - floor_parts(b.p << FIX_BITS, b.q << FIX_BITS, b.d)
+
+    def sign_minus(self, u: int, v: int, b: QSqrt2) -> int:
+        """The sign of f(u/v) - b for integers u and v > 0: from the
+        fixed-point enclosure when it excludes 0, else exactly from the
+        unreduced Horner integers (both denominators are positive)."""
+        g = self._gap(u, v, b)
+        if g is not None:
+            if g > 0:
+                return 1
+            if g + 2 * len(self.p) <= 0:
+                return -1
+        hp, hq, den = self._horner(u, v)
         return sign_of_parts(hp * b.d - b.p * den, hq * b.d - b.q * den)
+
+    def within(self, u: int, v: int, b: QSqrt2, x: QSqrt2) -> bool:
+        """|f(u/v) - b| <= x for integers u and v > 0 and x >= 0: from the
+        fixed-point enclosure when it settles the comparison, else
+        exactly."""
+        g = self._gap(u, v, b)
+        if g is not None:
+            xw = floor_parts(x.p << FIX_BITS, x.q << FIX_BITS, x.d)
+            if -xw <= g - 1 and g + 2 * len(self.p) <= xw:
+                return True
+            if g - 1 > xw or g + 2 * len(self.p) <= -xw - 1:
+                return False
+        return abs(QSqrt2.from_ints(*self._horner(u, v)) - b) <= x
 
 
 _IDENTITY = _CollapsedPoly((0, 1), (0, 0), 1)
+
+# Fractional bits of the fixed-point enclosure in _CollapsedPoly._gap.
+# Only speed depends on it: a sign or comparison the enclosure cannot
+# settle is decided exactly.  At 320 bits no sign or admissibility test
+# of build_franklin(n) for n <= 32 needs the exact path; the smallest
+# |f(t) - b| met there is about 2^-112, at n = 32.
+FIX_BITS = 320
 
 
 @dataclass(eq=False)
@@ -224,10 +298,13 @@ class FranklinMap:
     ``steps`` is the construction record.  Exact evaluation reads the
     same f collapsed into one polynomial with integer coefficient vectors,
     f(t) = (sum P_i t^i + sqrt2 * sum Q_i t^i) / D, which ``extended``
-    updates one correction at a time.  The float evaluator keeps the
-    product form, and so does the derivative enclosure: over a rational
-    box each leave-one-out product runs in integers, and only the scale
-    by c_n is in Q(sqrt2).
+    updates one correction at a time.  The construction's sign and
+    distance tests on [0,1] first try that polynomial's coefficients
+    floored to 2^-FIX_BITS, a certified integer enclosure of f, and fall
+    back to exact evaluation when it is too coarse.  The float evaluator
+    keeps the product form, and so does the derivative enclosure: over a
+    rational box each leave-one-out product runs in integers, and only
+    the scale by c_n is in Q(sqrt2).
     """
 
     steps: tuple = ()
@@ -362,6 +439,17 @@ def _current_roots(steps) -> list:
     return roots
 
 
+def _root_product(u: int, v: int, roots) -> tuple:
+    """(N, M) with prod (u/v - r) = N/M over rational roots r, M > 0:
+    prod (u m - n v) / (v^deg prod m) for r = n/m, in integers."""
+    num, den = 1, 1
+    for r in roots:
+        m = r.denominator
+        num *= u * m - r.numerator * v
+        den *= m
+    return num, den * v ** len(roots)
+
+
 def _neighbors(steps, a: Fraction) -> tuple:
     """The matched/anchor points bracketing a, with their exact images."""
     pts = [(Fraction(0), QSqrt2.coerce(0)), (Fraction(1), QSqrt2.coerce(1))]
@@ -399,7 +487,7 @@ def build_franklin(n_steps: int) -> FranklinMap:
         if n % 2 == 1:
             a = next(x for x in a_stream if x not in matched_a)
             v = fm.eval_exact(a)
-            pa = math.prod((a - r for r in roots), start=Fraction(1))
+            pa = Fraction(*_root_product(a.numerator, a.denominator, roots))
             delta = bound * abs(pa)
             (aL, bL), (aR, bR) = _neighbors(steps, a)
             lo = max(bL, v - delta)
@@ -430,26 +518,31 @@ def build_franklin(n_steps: int) -> FranklinMap:
                     break
             if lo_a is None:
                 raise ConstructionError(f"step {n}: target {q} outside the matched range")
-            a = cand = None
-            lo_f, hi_f = Fraction(lo_a), Fraction(hi_a)
+            # the window (lo, hi) / den, halved by exact dyadic steps
+            den = lo_a.denominator * hi_a.denominator
+            lo, hi = lo_a.numerator * hi_a.denominator, hi_a.numerator * lo_a.denominator
+            a = None
+            cn, cd = 0, 1  # no candidate yet: 0 lies outside every window
             for _ in range(200):
                 # a rejected candidate still inside the halved window is
                 # still its simplest rational, and still rejected
-                if cand is None or not lo_f < cand < hi_f:
-                    cand = simplest_in_interval(lo_f, hi_f)
+                if not lo * cd < cn * den < hi * cd:
+                    cand = _simplest_rational(lo, den, hi, den)
+                    cn, cd = cand.numerator, cand.denominator
                     if cand not in matched_a:
-                        pa = math.prod((cand - r for r in roots), start=Fraction(1))
-                        if abs(b - fm.eval_exact(cand)) <= bound * abs(pa):
+                        pn, pd = _root_product(cn, cd, roots)
+                        if fm._poly.within(cn, cd, b, bound * Fraction(abs(pn), pd)):
                             a = cand
                             break
-                mid = (lo_f + hi_f) / 2
-                if fm._poly.sign_minus(mid, b) < 0:
-                    lo_f = mid
+                mid = lo + hi
+                den *= 2
+                if fm._poly.sign_minus(mid, den, b) < 0:
+                    lo, hi = mid, 2 * hi
                 else:
-                    hi_f = mid
+                    lo, hi = 2 * lo, mid
             if a is None:
                 raise ConstructionError(f"step {n}: no admissible preimage found")
-            c = (b - fm.eval_exact(a)) / pa
+            c = (b - fm.eval_exact(a)) * Fraction(pd, pn)
             direction = "backward"
 
         if abs(c) > bound:

@@ -332,17 +332,22 @@ def parse_qsqrt2(text: str) -> QSqrt2:
 
 
 def floor_qsqrt2(v: QSqrt2) -> int:
-    """Exact floor of an element of Q(sqrt2), in integer arithmetic.
-
-    v is held as (p + q*sqrt2)/d with integers p, q and d > 0.  F =
-    floor(q*sqrt2) comes from ``math.isqrt(2 q^2)``, which is never exact
-    unless q = 0.  As 0 <= q*sqrt2 - F < 1, floor(v) = (p + F) // d.
-    """
+    """Exact floor of an element of Q(sqrt2), in integer arithmetic."""
     v = QSqrt2.coerce(v)
-    q = v.q
+    return floor_parts(v.p, v.q, v.d)
+
+
+def floor_parts(p: int, q: int, d: int) -> int:
+    """Exact floor of (p + q*sqrt2)/d for integers p, q and d > 0, in
+    lowest terms or not.
+
+    F = floor(q*sqrt2) comes from ``math.isqrt(2 q^2)``, which is never
+    exact unless q = 0.  As 0 <= q*sqrt2 - F < 1, the floor is
+    (p + F) // d.
+    """
     root = math.isqrt(2 * q * q)  # floor(|q| sqrt2)
     f = root if q >= 0 else -root - 1
-    return (v.p + f) // v.d
+    return (p + f) // d
 
 
 # ---------------------------------------------------------------------

@@ -11,3 +11,8 @@ def fm8():
 @pytest.fixture(scope="session")
 def fm16():
     return build_franklin(16)
+
+
+@pytest.fixture(scope="session")
+def fm24():
+    return build_franklin(24)

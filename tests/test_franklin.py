@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 
 from smoothsum.expr import W_SLOPE, App, X, differentiate, eval_exact
 from smoothsum.franklin import (
+    FIX_BITS,
     FranklinMap,
     RationalityLink,
+    _CollapsedPoly,
+    _root_product,
+    _simplest_rational,
     abs_identity_expr,
+    build_franklin,
     certify_rationality_link,
     enumerate_unit_rationals,
     parse_grid,
@@ -54,6 +59,61 @@ def test_simplest_in_interval():
     # integer lower endpoint (regression: inverse of zero)
     q2 = simplest_in_interval(QSqrt2.coerce(0), QSqrt2.coerce(Fraction(1, 7)))
     assert QSqrt2.coerce(0) < QSqrt2.coerce(q2) < QSqrt2.coerce(Fraction(1, 7))
+
+
+def _simplest_rational_fraction(lo: Fraction, hi: Fraction) -> Fraction:
+    """The Stern-Brocot descent on Fractions that _simplest_rational ran
+    before it moved to integer pairs: the oracle it must agree with."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_simplest_rational_fraction(-hi, -lo)
+    terms = []
+    while True:
+        fl = math.floor(lo)
+        if fl + 1 < hi:
+            out = Fraction(fl + 1)
+            break
+        if lo == fl:
+            out = fl + 1 / Fraction(math.floor(1 / (hi - fl)) + 1)
+            break
+        terms.append(fl)
+        lo, hi = 1 / (hi - fl), 1 / (lo - fl)
+    for fl in reversed(terms):
+        out = fl + 1 / out
+    return out
+
+
+_narrow = st.builds(
+    lambda lo, k, w: (lo, lo + Fraction(w, 2**k)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+    st.integers(min_value=100, max_value=400),
+    st.integers(min_value=1, max_value=7),
+)
+_wide = st.tuples(
+    st.one_of(st.integers(min_value=-12, max_value=12).map(Fraction), st.fractions(min_value=-12, max_value=12)),
+    st.one_of(st.integers(min_value=-12, max_value=12).map(Fraction), st.fractions(min_value=-12, max_value=12)),
+).filter(lambda w: w[0] != w[1]).map(sorted)
+
+
+@given(st.one_of(_wide, _narrow), st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
+def test_simplest_rational_on_integers_matches_fraction_descent(window, k, m):
+    # negative windows, windows across 0, integer ends, windows down to
+    # 2^-400 wide; the pairs need not be in lowest terms
+    lo, hi = window
+    got = _simplest_rational(lo.numerator * k, lo.denominator * k, hi.numerator * m, hi.denominator * m)
+    assert got == _simplest_rational_fraction(lo, hi)
+    assert lo < got < hi
+
+
+@given(
+    st.fractions(min_value=-2, max_value=3, max_denominator=10**9),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=200), max_size=12),
+)
+def test_root_product_is_the_fraction_product(t, roots):
+    num, den = _root_product(t.numerator, t.denominator, roots)
+    assert den > 0
+    assert Fraction(num, den) == math.prod((t - r for r in roots), start=Fraction(1))
 
 
 def _brute_force_simplest(lo: Fraction, hi: Fraction) -> Fraction:
@@ -197,24 +257,97 @@ def test_intermediate_maps_match_product_form(fm16):
             assert fm.eval_exact(t) == _product_form(fm.steps, t)
 
 
-def test_sign_minus_is_the_sign_of_the_exact_difference(fm16):
+def _sign_minus(fm, t: Fraction, b: QSqrt2) -> int:
+    return fm._poly.sign_minus(t.numerator, t.denominator, b)
+
+
+def test_sign_minus_is_the_sign_of_the_exact_difference(fm16, fm24):
     # the backward bisection asks only for sign(f(t) - b)
-    poly = fm16._poly
     rng = random.Random(9)
-    for _ in range(200):
-        t = Fraction(rng.randint(-3000, 3000), rng.randint(1, 1000))
-        b = QSqrt2(
-            Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
-            Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
-        )
-        assert poly.sign_minus(t, b) == (fm16.eval_exact(t) - b).sign()
-    # at a matched point the difference is exactly 0, and a nudge of
-    # 2^-200 either way is seen
-    tiny = Fraction(1, 2**200)
-    for s in fm16.steps:
-        assert poly.sign_minus(s.a, s.b) == 0
-        assert poly.sign_minus(s.a, s.b + tiny) == -1
-        assert poly.sign_minus(s.a, s.b - tiny * SQRT2) == 1
+    for fm in (fm16, fm24):
+        for _ in range(200):
+            t = Fraction(rng.randint(-3000, 3000), rng.randint(1, 1000))
+            b = QSqrt2(
+                Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
+                Fraction(rng.randint(-40, 40), rng.randint(1, 30)),
+            )
+            assert _sign_minus(fm, t, b) == (fm.eval_exact(t) - b).sign()
+        # at a matched point the difference is exactly 0, and a nudge of
+        # 2^-200 either way is seen; so is one of 2^-(FIX_BITS + 64),
+        # far inside the enclosure, which only the exact path can see
+        for tiny in (Fraction(1, 2**200), Fraction(1, 2 ** (FIX_BITS + 64))):
+            for s in fm.steps:
+                assert _sign_minus(fm, s.a, s.b) == 0
+                assert _sign_minus(fm, s.a, s.b + tiny) == -1
+                assert _sign_minus(fm, s.a, s.b - tiny * SQRT2) == 1
+    # unmatched points of [0, 1], unreduced, nudged the same way
+    for _ in range(20):
+        den = rng.randint(1, 10**6)
+        t = Fraction(rng.randint(0, den), den)
+        v = fm24.eval_exact(t)
+        tiny = Fraction(1, 2 ** (FIX_BITS + 64))
+        u3, v3 = 3 * t.numerator, 3 * t.denominator
+        assert fm24._poly.sign_minus(u3, v3, v + tiny) == -1
+        assert fm24._poly.sign_minus(u3, v3, v - tiny) == 1
+        assert fm24._poly.sign_minus(u3, v3, v) == 0
+
+
+def test_within_is_the_exact_comparison(fm24):
+    # the backward admissibility test |f(t) - b| <= x, at and around ties
+    poly = fm24._poly
+    rng = random.Random(10)
+    tiny = Fraction(1, 2 ** (FIX_BITS + 64))
+    for _ in range(100):
+        den = rng.randint(1, 10**4)
+        t = Fraction(rng.randint(-den, 2 * den), den)
+        b = QSqrt2(Fraction(rng.randint(0, 40), 40), Fraction(rng.randint(-40, 40), 80))
+        gap = abs(fm24.eval_exact(t) - b)
+        for x in (gap, gap + tiny, gap - tiny, gap * 2, gap / 2, QSqrt2()):
+            if x.sign() >= 0:
+                assert poly.within(t.numerator, t.denominator, b, x) == (gap <= x)
+
+
+def _count_horner(monkeypatch) -> list:
+    calls = []
+    exact = _CollapsedPoly._horner
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return exact(self, u, v)
+
+    monkeypatch.setattr(_CollapsedPoly, "_horner", counted)
+    return calls
+
+
+def test_enclosure_falls_back_to_exact_horner(fm16, monkeypatch):
+    calls = _count_horner(monkeypatch)
+    poly = fm16._poly
+    s = fm16.steps[3]
+    # far from a tie the enclosure decides alone
+    assert poly.sign_minus(s.a.numerator, s.a.denominator, s.b + Fraction(1, 2**40)) == -1
+    assert poly.within(s.a.numerator, s.a.denominator, s.b, QSqrt2.coerce(Fraction(1, 2**40)))
+    assert calls == []
+    # an exact tie: f(a) - b = 0 lies inside every enclosure
+    assert poly.sign_minus(s.a.numerator, s.a.denominator, s.b) == 0
+    assert not poly.within(s.a.numerator, s.a.denominator, s.b + Fraction(1, 2**400), QSqrt2())
+    assert len(calls) == 2
+    # t = 3/2 and -1/2 lie outside [0, 1], where the enclosure's error
+    # bound fails
+    sign_at = (fm16.eval_exact(Fraction(3, 2)) - 1).sign()
+    gap_at = abs(fm16.eval_exact(Fraction(-1, 2)))
+    del calls[:]
+    assert poly.sign_minus(3, 2, QSqrt2.coerce(1)) == sign_at
+    assert poly.within(-1, 2, QSqrt2(), gap_at)
+    assert calls == [(3, 2), (-1, 2)]
+
+
+def test_build_franklin_decides_on_the_enclosure(monkeypatch):
+    # one exact evaluation per step: f(a), for the target window of a
+    # forward step or the correction c of a backward one.  Exact
+    # bisection signs and admissibility tests would cost 737 at n = 24.
+    calls = _count_horner(monkeypatch)
+    build_franklin(24)
+    assert len(calls) <= 24
 
 
 def test_matches_exact(fm16):
