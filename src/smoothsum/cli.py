@@ -2,7 +2,8 @@
 
 Subcommands: analyze, check-sum, franklin, verify-identity, scenario.
 Exit codes: 0 success (including Unknown verdicts), 1 verification
-failure, 2 input error.
+failure, 2 input error.  A reader closing the output pipe early changes
+none of them.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -127,13 +129,21 @@ def _make_report(command: str, inputs: dict, report: dict, axioms, timing=None) 
 
 
 def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True, default=str))
-        return
-    print(f"# {report['command']}  (smoothsum {report['tool_version']})")
-    if report["axioms_used"]:
-        print(f"axioms: {', '.join(report['axioms_used'])}")
-    _print_tree(report["report"], indent=0)
+    """Print the report.  A reader that closes the pipe early, as
+    ``| head`` does, has read all it wanted: the rest is dropped without a
+    word, and the command keeps its exit code."""
+    try:
+        if as_json:
+            print(json.dumps(report, indent=2, sort_keys=True, default=str))
+        else:
+            print(f"# {report['command']}  (smoothsum {report['tool_version']})")
+            if report["axioms_used"]:
+                print(f"axioms: {', '.join(report['axioms_used'])}")
+            _print_tree(report["report"], indent=0)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered would fail again at exit; send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _print_tree(node, indent: int) -> None:

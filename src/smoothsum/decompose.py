@@ -34,7 +34,6 @@ from .constraints import (
 from .diffeology import (
     DVSpace,
     LinearMap,
-    Plot,
     Subspace,
     linear_image,
     plot_add,
@@ -119,32 +118,67 @@ def _values_in_subspace(components: Sequence, w: Subspace) -> bool:
     return all(c == ZERO_E for c in linear_image(ann, components))
 
 
-def _replay_witness(plot: Plot, components: Sequence, w: Subspace, grid: str) -> Optional[str]:
-    """Replay a witness on the deterministic grid, by exact tagged
-    evaluation: the plot equals the target componentwise and its values
-    lie in W.  Returns an error description or None on success."""
-    exprs = [plot.component_expr(j) for j in range(plot.space.dim)]
-    ann = [[QSqrt2.coerce(c) for c in phi] for phi in linalg.annihilator(w.basis, w.ambient_dim)]
-    pairs = list(zip(exprs, components))
-    # one plan over each component and its target, in the order they are checked
-    plan = Plan([e for pair in pairs for e in pair])
+def _replay_witness(witnesses: Sequence, grid: str) -> list:
+    """Replay a batch of witnesses on the deterministic grid, by exact
+    tagged evaluation: each plot equals its target componentwise and its
+    values lie in its W.
+
+    ``witnesses`` holds (plot, target components, W) triples.  The grid is
+    parsed once, and one ``Plan`` over every component and target of the
+    batch evaluates each grid point once, so the subtrees the witnesses
+    share (H1(x), its barGamma, their deltaQ, |x|) run once per point.
+    Returns one entry per witness: None when it replays, else the error
+    its replay alone gives, at the first failing grid point and, there,
+    the first failing component.  A witness that fails is not checked
+    further; a domain error or an indeterminate value in one witness never
+    stops the others.  An error other than ``DomainError`` is a fault in
+    the trees, not a replay verdict, and propagates.  An empty batch
+    parses no grid.
+    """
+    if not witnesses:
+        return []
+    trees: list = []
+    checks = []  # per witness: (its first tree, its component count, W's annihilator)
+    for plot, components, w in witnesses:
+        exprs = [plot.component_expr(j) for j in range(plot.space.dim)]
+        pairs = list(zip(exprs, components))
+        ann = [[QSqrt2.coerce(c) for c in phi] for phi in linalg.annihilator(w.basis, w.ambient_dim)]
+        checks.append((len(trees), len(pairs), ann))
+        # each component beside its target, in the order they are checked
+        trees.extend(e for pair in pairs for e in pair)
+    plan = Plan(trees)
+    results: list = [None] * len(checks)
+    pending = range(len(checks))
     for x in parse_grid(grid):
-        values = plan.each(TaggedReal.exact(x))
-        vals = []
-        for j in range(len(pairs)):
-            try:
-                lhs, rhs = next(values), next(values)
-            except DomainError as exc:
-                return f"domain error at {x}, component {j}: {exc}"
-            if len(lhs) != 1 or len(rhs) != 1:
-                return f"indeterminate value at {x}, component {j}"
-            (lhs,), (rhs,) = lhs, rhs
-            if not (lhs.is_exact and rhs.is_exact and lhs.value == rhs.value):
-                return f"mismatch at {x}, component {j}"
-            vals.append(lhs.value)
-        for phi in ann:
-            if not sum((c * v for c, v in zip(phi, vals)), QSqrt2()).is_zero:
-                return f"value at {x} lies outside the subspace"
+        if not pending:
+            break
+        outcomes = plan.outcomes(TaggedReal.exact(x))
+        for i in pending:
+            results[i] = _check_point(x, outcomes, *checks[i])
+        pending = [i for i in pending if results[i] is None]
+    return results
+
+
+def _check_point(x: QSqrt2, outcomes: list, first: int, count: int, ann: list) -> Optional[str]:
+    """One witness at one grid point, from the plan's outcomes: the error
+    its replay reports there, or None."""
+    vals = []
+    for j in range(count):
+        lhs, rhs = outcomes[first + 2 * j], outcomes[first + 2 * j + 1]
+        for side in (lhs, rhs):
+            if isinstance(side, DomainError):
+                return f"domain error at {x}, component {j}: {side}"
+            if isinstance(side, Exception):
+                raise side
+        if len(lhs) != 1 or len(rhs) != 1:
+            return f"indeterminate value at {x}, component {j}"
+        (lhs,), (rhs,) = lhs, rhs
+        if not (lhs.is_exact and rhs.is_exact and lhs.value == rhs.value):
+            return f"mismatch at {x}, component {j}"
+        vals.append(lhs.value)
+    for phi in ann:
+        if not sum((c * v for c, v in zip(phi, vals)), QSqrt2()).is_zero:
+            return f"value at {x} lies outside the subspace"
     return None
 
 
@@ -155,7 +189,9 @@ def certify_smooth_sum(
 
     ``witnesses`` maps (generator index, part index 0/1) to a Plot that
     realizes the projected generator inside the subset diffeology; every
-    witness is replayed before it is believed.
+    witness is replayed before it is believed.  Rules are picked in
+    generator/part order first, then every witness they call for is
+    replayed in one batch.
     """
     if not check_algebraic_sum(space.dim, w0, w1):
         return DecompositionVerdict(
@@ -163,8 +199,9 @@ def certify_smooth_sum(
         )
     witnesses = witnesses or {}
     p0, p1 = projection_pair(w0, w1)
-    forward = []
-    axioms: set = set()
+    entries = []
+    batch = []  # (plot, target, W) of each entry that a witness must settle
+    missing = None
     for k, g in enumerate(space.generators):
         for part, (proj, w) in enumerate(((p0, w0), (p1, w1))):
             comps = linear_image(proj.matrix, g)
@@ -180,22 +217,31 @@ def certify_smooth_sum(
                 if scaled is not None and _values_in_subspace(comps, w):
                     entry["rule"] = f"rational-multiple-of-generator-{scaled}"
                 elif (k, part) in witnesses:
-                    plot = witnesses[(k, part)]
-                    err = _replay_witness(plot, comps, w, DEFAULT_GRID)
-                    if err is None:
-                        entry["rule"] = "replayed-witness"
-                        entry["witness"] = plot.to_dict()
-                    else:
-                        return DecompositionVerdict(
-                            "Unknown", forward, [], tuple(sorted(axioms)),
-                            reason=f"witness replay failed for generator {k} part {part}: {err}",
-                        )
+                    batch.append((witnesses[(k, part)], comps, w))
                 else:
-                    return DecompositionVerdict(
-                        "Unknown", forward, [], tuple(sorted(axioms)),
-                        reason=f"no rule or witness for generator {k} part {part}",
-                    )
-            forward.append(entry)
+                    missing = f"no rule or witness for generator {k} part {part}"
+                    break
+            entries.append(entry)
+        if missing is not None:
+            break
+    # every witness collected above is replayed in one pass; the verdict
+    # names the first entry, in generator/part order, that did not settle
+    forward = []
+    axioms: set = set()
+    replays = zip(batch, _replay_witness(batch, DEFAULT_GRID))
+    for entry in entries:
+        if "rule" not in entry:
+            (plot, _, _), err = next(replays)
+            if err is not None:
+                return DecompositionVerdict(
+                    "Unknown", forward, [], tuple(sorted(axioms)),
+                    reason=f"witness replay failed for generator {entry['generator']} part {entry['part']}: {err}",
+                )
+            entry["rule"] = "replayed-witness"
+            entry["witness"] = plot.to_dict()
+        forward.append(entry)
+    if missing is not None:
+        return DecompositionVerdict("Unknown", forward, [], tuple(sorted(axioms)), reason=missing)
     backward = [
         "subset plots are ambient plots with values in the subspace, and the "
         "generated diffeology is closed under sums, so sums of subset plots are plots of V"
@@ -258,44 +304,52 @@ def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> De
 # ---------------------------------------------------------------------
 
 
-def nonstandard_subspace_witness(space: DVSpace, direction: Sequence, axis_plots: Sequence):
-    """Produce the witness plot x -> |x| * (a, b, ...) showing the line
-    through ``direction`` inherits a non-standard subset diffeology.
+def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plots: Sequence) -> list:
+    """For each of ``directions``, produce the witness plot
+    x -> |x| * (a, b, ...) showing that the line through it inherits a
+    non-standard subset diffeology.
 
     ``axis_plots[j]`` is a Plot of the space equal to |x| * e_j (for
     V2-delta, ``gallery.v2_delta_axis_plots`` builds them from the
-    matched-map witnesses); only the axes where ``direction`` is nonzero
-    are read.  The plot is replayed on the grid against its target and the
-    target's NonSmooth witness is replayed too.  Returns (plot, NonSmooth
-    verdict, the line) or raises ValueError.
+    matched-map witnesses); only the axes where a direction is nonzero
+    are read.  Every plot is replayed on the grid against its target, all
+    in one batch, and each target's NonSmooth witness is replayed too.
+    Returns one (plot, NonSmooth verdict, the line) per direction, or
+    raises the ValueError of the first direction, in the given order, that
+    fails, as one direction at a time would.
     """
-    direction = [Fraction(d) for d in direction]
-    if not any(direction):
+    directions = [[Fraction(d) for d in direction] for direction in directions]
+    # the directions before the first zero one are replayed; a zero
+    # direction is reported once every direction before it has passed
+    zero = next((i for i, d in enumerate(directions) if not any(d)), len(directions))
+    batch = []
+    for direction in directions[:zero]:
+        plot = None
+        for j, d in enumerate(direction):
+            if d == 0:
+                continue
+            piece = plot_scale(axis_plots[j], Const(QSqrt2.coerce(d)))
+            plot = piece if plot is None else plot_add(plot, piece)
+        # the plot realizes x -> |x| * direction; replay that on the grid,
+        # then classify the realized curve, which has a non-smooth
+        # component in every nonzero coordinate
+        targets = [make_prod([Const(QSqrt2.coerce(d)), ATOM_EXPRS[ABS_KIND]]) for d in direction]
+        batch.append((plot, targets, Subspace.from_vectors(space.dim, [direction])))
+    out = []
+    for (plot, targets, w), err in zip(batch, _replay_witness(batch, DEFAULT_GRID)):
+        if err is not None:
+            raise ValueError(f"witness replay failed: {err}")
+        classified = [(t, classify_smoothness(t, axioms=space.axioms)) for t in targets]
+        found = next(((t, v) for t, v in classified if v.status == Smoothness.NONSMOOTH), None)
+        if found is None:
+            raise ValueError("witness did not classify NonSmooth")
+        target, nonsmooth = found
+        if not verify_nonsmooth_witness(target, nonsmooth, space.axioms):
+            raise ValueError(f"witness replay failed: NonSmooth witness for {to_text(target)} does not replay")
+        out.append((plot, nonsmooth, w))
+    if zero < len(directions):
         raise ValueError("zero direction has no nonzero subspace")
-    plot = None
-    for j, d in enumerate(direction):
-        if d == 0:
-            continue
-        piece = plot_scale(axis_plots[j], Const(QSqrt2.coerce(d)))
-        plot = piece if plot is None else plot_add(plot, piece)
-    w = Subspace.from_vectors(space.dim, [direction])
-    # the plot realizes x -> |x| * direction; replay that on the grid,
-    # then classify the realized curve, which has a non-smooth component
-    # in every nonzero coordinate
-    targets = [
-        make_prod([Const(QSqrt2.coerce(d)), ATOM_EXPRS[ABS_KIND]]) for d in direction
-    ]
-    err = _replay_witness(plot, targets, w, DEFAULT_GRID)
-    if err is not None:
-        raise ValueError(f"witness replay failed: {err}")
-    classified = [(t, classify_smoothness(t, axioms=space.axioms)) for t in targets]
-    found = next(((t, v) for t, v in classified if v.status == Smoothness.NONSMOOTH), None)
-    if found is None:
-        raise ValueError("witness did not classify NonSmooth")
-    target, nonsmooth = found
-    if not verify_nonsmooth_witness(target, nonsmooth, space.axioms):
-        raise ValueError(f"witness replay failed: NonSmooth witness for {to_text(target)} does not replay")
-    return plot, nonsmooth, w
+    return out
 
 
 # ---------------------------------------------------------------------

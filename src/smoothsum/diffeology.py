@@ -22,8 +22,6 @@ from . import linalg
 from .expr import (
     Expr,
     ExprError,
-    ONE_E,
-    X,
     ZERO_E,
     compose,
     const,
@@ -167,18 +165,6 @@ class Plot:
         }
 
 
-def zero_tail(dim: int) -> tuple:
-    return tuple(ZERO_E for _ in range(dim))
-
-
-def smooth_plot(space: DVSpace, components: Sequence[Expr]) -> Plot:
-    return Plot(space, (), tuple(components))
-
-
-def generator_plot(space: DVSpace, k: int, h: Expr = ONE_E, inner: Expr = X) -> Plot:
-    return Plot(space, ((h, k, inner),), zero_tail(space.dim))
-
-
 def plot_add(p: Plot, q: Plot) -> Plot:
     if p.space is not q.space and p.space != q.space:
         raise ValueError("plots live in different spaces")
@@ -281,12 +267,3 @@ def parse_space(text: str, bar_gamma_ref=None) -> DVSpace:
     if name is None or dim is None:
         raise ExprError("missing 'space <name> dim <n>' header")
     return DVSpace(name, dim, tuple(gens), frozenset(axioms))
-
-
-def print_space(space: DVSpace) -> str:
-    lines = [f"space {space.name} dim {space.dim}"]
-    for g in space.generators:
-        lines.append("gen " + ", ".join(to_text(c) for c in g))
-    for a in sorted(space.axioms):
-        lines.append(f"axiom {a}")
-    return "\n".join(lines) + "\n"

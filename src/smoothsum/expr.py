@@ -626,13 +626,20 @@ class Plan:
 
     Construction numbers the distinct nodes of ``exprs`` children first,
     in the order the recursive driver first reaches them.  Structurally
-    equal subtrees become one node; hashing happens here, once.  Nodes
-    free of x are evaluated here too, once.  A call evaluates each
-    remaining node once per point, so a tree that holds H1(x) twice runs
-    H1 once.  A node free of x whose evaluation raises is kept for the
-    calls instead: each call then raises what ``eval_candidates`` raises,
-    at the same point in the evaluation order, and a plan never called
-    raises nothing.  Nothing outlives the plan.
+    equal subtrees become one node, across trees as within one; hashing
+    happens here, once.  Nodes free of x are evaluated here too, once.  A
+    call evaluates each remaining node once per point, so any number of
+    trees that hold H1(x) run H1 once.  A node free of x whose evaluation
+    raises is kept for the calls instead, so a plan never called raises
+    nothing.  Nothing outlives the plan.
+
+    Errors are kept per node and per call.  A node whose evaluation raises
+    records the exception; a node above it is not evaluated and records
+    the exception of its first child that raised, which is the one the
+    recursive driver meets first.  A failed node hands no value on, not
+    even one from an earlier point.  So each tree's outcome at a point is
+    what ``eval_candidates`` gives for that tree alone, its candidates or
+    the exception it raises, whatever the other trees of the plan do.
     """
 
     def __init__(self, exprs: Sequence[Expr]):
@@ -655,38 +662,47 @@ class Plan:
                 slot_by_id[id(e)] = slot
             return slot
 
+        self._roots = [visit(e) for e in exprs]
         values: list = []  # per slot: candidates if evaluated once here, else None
-        self._segments = []  # per tree: (steps to run at each point, root slot)
-        for e in exprs:
-            root = visit(e)
-            steps = []
-            for slot in range(len(values), len(nodes)):
-                node, kids, varies = nodes[slot]
-                value = None
-                if not varies and all(values[k] is not None for k in kids):
-                    try:
-                        value = _apply(node, [values[k] for k in kids], None)
-                    except Exception:  # raised again, in order, by each call
-                        pass
-                values.append(value)
-                if value is None:
-                    steps.append((slot, node, kids))
-            self._segments.append((tuple(steps), root))
+        steps = []  # (slot, node, children's slots) to run at each point
+        for slot, (node, kids, varies) in enumerate(nodes):
+            value = None
+            if not varies and all(values[k] is not None for k in kids):
+                try:
+                    value = _apply(node, [values[k] for k in kids], None)
+                except Exception:  # raised again by each call that reaches it
+                    pass
+            values.append(value)
+            if value is None:
+                steps.append((slot, node, kids))
         self._values = values
+        self._steps = steps
 
-    def each(self, x: TaggedReal):
-        """Yield the candidates of each tree in turn; a tree's own nodes
-        are evaluated only when the consumer asks for it."""
+    def outcomes(self, x: TaggedReal) -> list:
+        """Per tree, its candidates at ``x`` or the exception evaluating
+        it alone raises."""
         values = self._values[:]
-        for steps, root in self._segments:
-            for slot, e, kids in steps:
+        raised: dict = {}  # slot -> the exception its node raises at x
+        for slot, e, kids in self._steps:
+            if raised:
+                failed = next((raised[k] for k in kids if k in raised), None)
+                if failed is not None:
+                    raised[slot] = failed
+                    continue
+            try:
                 values[slot] = _apply(e, [values[k] for k in kids], x)
-            yield values[root]
+            except Exception as exc:  # whatever eval_candidates would raise, kept for its trees
+                raised[slot] = exc
+        return [raised.get(root, values[root]) for root in self._roots]
 
     def __call__(self, x: TaggedReal) -> list:
         """The candidates of every tree at ``x``, as ``eval_candidates``
-        gives them."""
-        return list(self.each(x))
+        gives them; raises what the first failing tree raises."""
+        out = self.outcomes(x)
+        for outcome in out:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return out
 
 
 def eval_tagged(e: Expr, x: TaggedReal):

@@ -661,9 +661,10 @@ MAX_GRID_POINTS = 100_000
 
 
 def parse_grid(spec: str) -> list:
-    """Grid specification "rationals:N,negatives:M,quadratic:K" -> exact
-    sample points, from one fixed seed, so a spec always gives the same
-    points."""
+    """Grid specification "zero,rationals:N,negatives:M,quadratic:K" ->
+    exact sample points, from one fixed seed, so a spec always gives the
+    same points.  A family given without a count has 10 points; ``zero`` is
+    the one point 0 and takes no count."""
     rng = random.Random(0)
     pts: list = []
     total = 0
@@ -671,11 +672,25 @@ def parse_grid(spec: str) -> list:
         part = part.strip()
         if not part:
             continue
-        name, _, count = part.partition(":")
-        count = int(count) if count else 10
-        if count < 0:
-            raise ValueError(f"negative point count in grid family {part!r}")
-        total += 1 if name == "zero" else count
+        name, sep, count = (s.strip() for s in part.partition(":"))
+        if name not in ("zero", "rationals", "negatives", "quadratic"):
+            raise ValueError(f"unknown grid family {name!r}")
+        if name == "zero":
+            if sep:
+                raise ValueError(
+                    f"grid family 'zero' is the one point 0 and takes no count: {part!r} in grid {spec!r}"
+                )
+            count = 1
+        elif not sep:
+            count = 10
+        elif count.isascii() and count.isdigit():
+            count = int(count)
+        else:
+            raise ValueError(
+                f"the point count of grid family {name!r} must be a non-negative integer, "
+                f"got {count!r} in grid {spec!r}"
+            )
+        total += count
         if total > MAX_GRID_POINTS:
             raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
         if name == "rationals":
@@ -688,10 +703,8 @@ def parse_grid(spec: str) -> list:
             for _ in range(count):
                 # sqrt2-multiples: x = m*sqrt2/k has rational square
                 pts.append(QSqrt2(0, Fraction(rng.randint(1, 30), rng.randint(1, 30))))
-        elif name == "zero":
-            pts.append(QSqrt2.coerce(0))
         else:
-            raise ValueError(f"unknown grid family {name!r}")
+            pts.append(QSqrt2.coerce(0))
     return pts
 
 

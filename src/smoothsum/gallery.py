@@ -184,20 +184,23 @@ def run_scenario(name: str, n: int = 16) -> dict:
         fm = franklin_map(n)
         axis_plots = v2_delta_axis_plots(sp, fm)
         rng = random.Random(0)
-        results = []
+        directions = []
         for _ in range(20):
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             if a == 0 and b == 0:
                 a = Fraction(1)
-            plot, verdict, w = nonstandard_subspace_witness(sp, [a, b], axis_plots)
-            results.append(
-                {
-                    "direction": [str(a), str(b)],
-                    "witness_components": [to_text(plot.component_expr(j)) for j in range(2)],
-                    "classification": verdict.to_dict(),
-                }
+            directions.append([a, b])
+        results = [
+            {
+                "direction": [str(d) for d in direction],
+                "witness_components": [to_text(plot.component_expr(j)) for j in range(2)],
+                "classification": verdict.to_dict(),
+            }
+            for direction, (plot, verdict, _) in zip(
+                directions, nonstandard_subspace_witness(sp, directions, axis_plots)
             )
+        ]
         ok = all(r["classification"]["status"] == "NonSmooth" for r in results)
         return {
             "scenario": name,

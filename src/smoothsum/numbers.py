@@ -465,13 +465,6 @@ def add_tagged(x: TaggedReal, y: TaggedReal) -> TaggedReal:
     return TaggedReal(value, tag, trans)
 
 
-def neg_tagged(x: TaggedReal) -> TaggedReal:
-    if x.is_exact:
-        return TaggedReal.exact(-x.value)
-    value = None if x.value is None else -x.value
-    return TaggedReal(value, x.tag, x.transcendental)
-
-
 def mul_tagged(x: TaggedReal, y: TaggedReal) -> TaggedReal:
     if x.is_exact and y.is_exact:
         return TaggedReal.exact(x.value * y.value)

@@ -41,7 +41,15 @@ from smoothsum.gallery import (
     v2_delta_axis_plots,
 )
 from smoothsum.intervals import Interval, certify_positive
-from smoothsum.numbers import QSqrt2, Tag, TaggedReal, add_tagged, mul_tagged, neg_tagged, sqrt_tagged
+from smoothsum.numbers import QSqrt2, Tag, TaggedReal, add_tagged, mul_tagged, sqrt_tagged
+
+
+def neg_tagged(x: TaggedReal) -> TaggedReal:
+    """Tagged negation, for the random arithmetic trees below."""
+    if x.is_exact:
+        return TaggedReal.exact(-x.value)
+    value = None if x.value is None else -x.value
+    return TaggedReal(value, x.tag, x.transcendental)
 
 
 # -- 1. dual and isotropic subspace of the double-absolute-value space --
@@ -172,13 +180,15 @@ def test_criterion_5_twenty_random_directions(fm16):
     sp = gallery_space("V2-delta")
     provider = v2_delta_axis_plots(sp, fm16)
     rng = random.Random(0)
-    successes = 0
+    directions = []
     for _ in range(20):
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         if a == 0 and b == 0:
             a = Fraction(1)
-        plot, verdict, w = nonstandard_subspace_witness(sp, [a, b], provider)
+        directions.append([a, b])
+    successes = 0
+    for (a, b), (plot, verdict, w) in zip(directions, nonstandard_subspace_witness(sp, directions, provider)):
         assert w.contains([a, b])  # membership derivation replays
         assert verdict.status == Smoothness.NONSMOOTH
         successes += 1

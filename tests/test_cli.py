@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, report schema, stability."""
 
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -11,6 +14,8 @@ from smoothsum import constraints
 from smoothsum.cli import main
 from smoothsum.diffeology import MAX_DIM, MAX_GENERATORS
 from smoothsum.gallery import SPACE_NAMES, gallery_space
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="session")
@@ -161,6 +166,29 @@ def test_grid_bounds_exit_2(capsys):
     assert code == 2 and "negative" in err
     code, _, err = _run(capsys, "verify-identity", "--grid", "rationals:60000,negatives:40001", "--n", "8")
     assert code == 2 and "100000" in err
+
+
+def test_malformed_grid_counts_exit_2(capsys):
+    code, out, err = _run(capsys, "verify-identity", "--grid", "zero:5,rationals:2", "--n", "8")
+    assert code == 2 and out == ""
+    assert "'zero'" in err and "takes no count" in err and "'zero:5,rationals:2'" in err
+    code, out, err = _run(capsys, "verify-identity", "--grid", "rationals:abc", "--n", "8")
+    assert code == 2 and out == ""
+    assert "'rationals'" in err and "'abc'" in err and "'rationals:abc'" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("argv", [["scenario", "cor-2.5", "--json"], ["scenario", "lemma-2.2"]])
+def test_closed_pipe_ends_quietly(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "smoothsum.cli", *argv, "--n", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before a byte is written
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("n", ["0", "-3", "33", "100"])

@@ -97,6 +97,31 @@ def test_certify_v2_delta_axes():
     assert "replayed-witness" in rules
 
 
+def test_certify_reports_the_first_entry_that_does_not_settle():
+    sp = gallery_space("V2-delta")
+    good = gallery_witnesses(sp, 8)
+    along_e1 = good[(0, 0)]  # |x| e1: right for part 0 only
+
+    def verdict(witnesses):
+        return certify_smooth_sum(sp, E1, E2, witnesses=witnesses)
+
+    # both witnesses fail: the first, in generator/part order, is named
+    both = verdict({(0, 0): good[(0, 1)], (0, 1): along_e1})
+    assert both.status == "Unknown" and both.forward_witnesses == []
+    assert both.reason.startswith("witness replay failed for generator 0 part 0: mismatch at ")
+    # the first replays and is listed as such; the second is named
+    second = verdict({(0, 0): along_e1, (0, 1): along_e1})
+    assert second.reason.startswith("witness replay failed for generator 0 part 1: mismatch at ")
+    assert [e["rule"] for e in second.forward_witnesses] == ["replayed-witness"]
+    assert second.forward_witnesses[0]["witness"] == along_e1.to_dict()
+    # a missing witness is named where it stands, before a later bad one
+    missing = verdict({(0, 1): along_e1})
+    assert missing.reason == "no rule or witness for generator 0 part 0"
+    missing = verdict({(0, 0): along_e1})
+    assert missing.reason == "no rule or witness for generator 0 part 1"
+    assert [e["rule"] for e in missing.forward_witnesses] == ["replayed-witness"]
+
+
 def test_certify_deterministic():
     sp = gallery_space("V2-delta")
     w = gallery_witnesses(sp, 8)
@@ -120,12 +145,16 @@ def test_nonstandard_witness_twenty_directions():
     sp = gallery_space("V2-delta")
     provider = v2_delta_axis_plots(sp, franklin_map(8))
     rng = random.Random(0)
+    directions = []
     for _ in range(20):
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         if a == 0 and b == 0:
             a = Fraction(1)
-        plot, verdict, w = nonstandard_subspace_witness(sp, [a, b], provider)
+        directions.append([a, b])
+    results = nonstandard_subspace_witness(sp, directions, provider)
+    assert len(results) == 20
+    for (a, b), (plot, verdict, w) in zip(directions, results):
         assert verdict.status == Smoothness.NONSMOOTH
         # the witness plot really is the curve x -> (a|x|, b|x|)
         assert to_text(plot.component_expr(0)) is not None
@@ -154,7 +183,7 @@ def test_forged_nonsmooth_verdict_is_not_reported(monkeypatch):
     sp = gallery_space("V2-delta")
     provider = v2_delta_axis_plots(sp, franklin_map(8))
     with pytest.raises(ValueError, match="witness replay failed"):
-        nonstandard_subspace_witness(sp, [1, 2], provider)
+        nonstandard_subspace_witness(sp, [[1, 2]], provider)
 
 
 def test_complementedness_gamma_pair():

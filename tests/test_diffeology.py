@@ -8,14 +8,11 @@ from smoothsum.diffeology import (
     LinearMap,
     Plot,
     Subspace,
-    generator_plot,
     parse_space,
     plot_add,
     plot_scale,
-    print_space,
     product_space,
     pushforward,
-    smooth_plot,
 )
 from smoothsum.expr import (
     compose,
@@ -25,13 +22,33 @@ from smoothsum.expr import (
     is_smooth_expr,
     make_prod,
     make_sum,
+    X,
     parse_expr,
     to_text,
 )
 from smoothsum.gallery import gallery_space
 from smoothsum.numbers import QSqrt2, TaggedReal
 
-# Plot helpers that only these tests use.
+# Plot and space helpers that only these tests use.
+
+
+def generator_plot(space, k):
+    """The plot x -> g_k(x) of generator k."""
+    return Plot(space, ((const(1), k, X),), (const(0),) * space.dim)
+
+
+def smooth_plot(space, components):
+    return Plot(space, (), tuple(components))
+
+
+def print_space(space) -> str:
+    """The declaration-file text that ``parse_space`` reads back."""
+    lines = [f"space {space.name} dim {space.dim}"]
+    for g in space.generators:
+        lines.append("gen " + ", ".join(to_text(c) for c in g))
+    for a in sorted(space.axioms):
+        lines.append(f"axiom {a}")
+    return "\n".join(lines) + "\n"
 
 
 def plot_eval(p, x):

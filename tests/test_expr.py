@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from smoothsum import expr as expr_module
 from smoothsum.decompose import _replay_witness
-from smoothsum.diffeology import DVSpace, Subspace, generator_plot
+from smoothsum.diffeology import DVSpace, Plot, Subspace
 from smoothsum.expr import (
     ABS_KIND,
     AXIOM_A,
@@ -195,6 +195,9 @@ _COLLAPSING = Sum(
     (_DELTA_X, Prod((Const(QSqrt2.coerce(2)), _DELTA_X)), Prod((Const(QSqrt2.coerce(4)), _DELTA_X)))
 )
 
+_UNKNOWN_X = App("nope", X)  # evaluating it raises ExprError
+_SQRT_NEG = App("sqrt", Const(QSqrt2.coerce(-1)))  # and this DomainError
+
 
 def _outcome(fn) -> str:
     """The repr of what ``fn`` returns, or the error it raises."""
@@ -208,9 +211,18 @@ def _outcome(fn) -> str:
 @given(exprs=st.lists(_trees, min_size=1, max_size=3), x=_points)
 @example(exprs=[_COLLAPSING, _DELTA_X], x=TaggedReal.opaque())
 @example(exprs=[_DELTA_X, Prod((_DELTA_X, X))], x=TaggedReal.approx(0.5))
+# a node over two failing children fails with the first, and a tree
+# sharing a failed node fails with it
+@example(exprs=[Sum((_UNKNOWN_X, _SQRT_NEG)), _SQRT_NEG, X], x=TaggedReal.exact(1))
+@example(exprs=[Sum((_SQRT_NEG, _UNKNOWN_X)), Prod((_UNKNOWN_X, X)), X], x=TaggedReal.exact(1))
 def test_plan_matches_recursive_driver(exprs, x):
     want = _outcome(lambda: [eval_candidates(e, x) for e in exprs])
-    assert _outcome(lambda: Plan(exprs)(x)) == want
+    plan = Plan(exprs)
+    assert _outcome(lambda: plan(x)) == want
+    # each tree's own outcome, whatever the trees beside it raise
+    for e, got in zip(exprs, plan.outcomes(x)):
+        shown = f"{type(got).__name__}: {got}" if isinstance(got, Exception) else repr(got)
+        assert shown == _outcome(lambda: eval_candidates(e, x))
 
 
 def test_candidate_sets_branch_and_collapse_in_both_drivers():
@@ -260,11 +272,11 @@ def test_hoisted_constant_raises_as_the_recursive_driver_does():
 def test_replay_on_an_empty_grid_evaluates_nothing():
     bad = make_app("sqrt", const(-1))
     sp = DVSpace("bad", 1, ((bad,),))
-    plot, w = generator_plot(sp, 0), Subspace.from_vectors(1, [[1]])
-    assert _replay_witness(plot, [bad], w, grid="") is None
+    plot, w = Plot(sp, ((const(1), 0, X),), (const(0),)), Subspace.from_vectors(1, [[1]])
+    assert _replay_witness([(plot, [bad], w)], grid="") == [None]
     # on a point the error is raised, and the replay reports where
-    reason = _replay_witness(plot, [bad], w, grid="zero")
-    assert reason == "domain error at 0, component 0: sqrt of a negative number"
+    reasons = _replay_witness([(plot, [bad], w)], grid="zero")
+    assert reasons == ["domain error at 0, component 0: sqrt of a negative number"]
 
 
 # ---------------------------------------------------------------------

@@ -465,6 +465,24 @@ def test_parse_grid_deterministic():
         parse_grid("bogus:3")
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("zero:5,rationals:2", "grid family 'zero' is the one point 0 and takes no count: 'zero:5'"),
+        ("zero:", "grid family 'zero' is the one point 0 and takes no count: 'zero:'"),
+        ("rationals:abc", "grid family 'rationals' must be a non-negative integer, got 'abc' in grid 'rationals:abc'"),
+        ("zero,negatives:-3", "grid family 'negatives' must be a non-negative integer, got '-3'"),
+        ("quadratic:", "grid family 'quadratic' must be a non-negative integer, got ''"),
+        ("rationals:1e3", "got '1e3'"),
+    ],
+    ids=["zero-count", "zero-empty-count", "letters", "negative", "empty-count", "exponent"],
+)
+def test_parse_grid_rejects_malformed_counts(spec, message):
+    with pytest.raises(ValueError) as info:
+        parse_grid(spec)
+    assert message in str(info.value)
+
+
 def test_abs_identity_exact(fm8):
     link = RationalityLink(fm8)
     result = verify_abs_identity(link, grid="zero,rationals:100,negatives:50,quadratic:20")

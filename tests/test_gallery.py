@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from smoothsum import expr as expr_module
 from smoothsum.expr import AXIOM_A
 from smoothsum.gallery import (
     SCENARIOS,
@@ -11,12 +12,14 @@ from smoothsum.gallery import (
     gallery_space,
     gallery_witnesses,
     run_scenario,
+    v2_delta_axis_plots,
     v2_delta_witnesses,
 )
 from smoothsum.gallery import franklin_map
-from smoothsum.decompose import DEFAULT_GRID, _replay_witness
-from smoothsum.diffeology import Subspace
+from smoothsum.decompose import DEFAULT_GRID, _replay_witness, nonstandard_subspace_witness
+from smoothsum.diffeology import Plot, Subspace, parse_space
 from smoothsum.expr import parse_expr
+from smoothsum.franklin import parse_grid
 
 
 def test_space_names():
@@ -56,17 +59,94 @@ def test_v2_delta_witnesses_realize_targets():
     for key, (comps, axis) in targets.items():
         assert key in wit
         w = Subspace.from_vectors(2, [axis])
-        assert _replay_witness(wit[key], comps, w, DEFAULT_GRID) is None
+        assert _replay_witness([(wit[key], comps, w)], DEFAULT_GRID) == [None]
 
 
 def test_replay_witness_reports_values_outside_the_subspace():
     sp = gallery_space("V2-delta")
     plot = v2_delta_witnesses(sp, franklin_map(8))[(0, 0)]
     comps = [parse_expr("abs(x)"), parse_expr("0")]
-    err = _replay_witness(plot, comps, Subspace.from_vectors(2, [[0, 1]]), DEFAULT_GRID)
+    (err,) = _replay_witness([(plot, comps, Subspace.from_vectors(2, [[0, 1]]))], DEFAULT_GRID)
     assert err is not None and "outside the subspace" in err
-    err = _replay_witness(plot, comps[::-1], Subspace.from_vectors(2, [[1, 0]]), DEFAULT_GRID)
+    (err,) = _replay_witness([(plot, comps[::-1], Subspace.from_vectors(2, [[1, 0]]))], DEFAULT_GRID)
     assert err is not None and err.startswith("mismatch")
+
+
+def _mixed_witnesses() -> dict:
+    """Witnesses that replay and witnesses that fail each way, by name."""
+    sp = gallery_space("V2-delta")
+    wit = v2_delta_witnesses(sp, franklin_map(8))
+    e1, e2 = Subspace.from_vectors(2, [[1, 0]]), Subspace.from_vectors(2, [[0, 1]])
+    abs_e1 = [parse_expr("abs(x)"), parse_expr("0")]
+    abs_e2 = abs_e1[::-1]
+    space = parse_space(
+        "space s dim 2\ngen sqrt(x), sqrt(x)\ngen abs(sqrt(x)), 0\ngen deltaQ(gamma(x)), 0\n"
+    )
+
+    def plot(k, inner):
+        return Plot(space, ((parse_expr("1"), k, parse_expr(inner)),), (parse_expr("0"),) * 2)
+
+    # the plot sqrt(-x) of the CLI test has no real value at x > 0; a tree
+    # over its sqrt(-x) node must fail with it there, not pass on the value
+    # that node had at x = 0
+    over_sqrt = [parse_expr("abs(sqrt(-1*x))"), parse_expr("0")]
+    return {
+        "good-e1": (wit[(0, 0)], abs_e1, e1),
+        "good-e2": (wit[(0, 1)], abs_e2, e2),
+        "mismatch": (wit[(0, 0)], abs_e2, e1),
+        "outside": (wit[(0, 0)], abs_e1, e2),
+        "domain": (plot(0, "-1*x"), [parse_expr("sqrt(x)"), parse_expr("0")], e1),
+        "over-domain": (plot(1, "-1*x"), over_sqrt, e1),
+        "indeterminate": (plot(2, "x"), [parse_expr("deltaQ(gamma(x))"), parse_expr("0")], e1),
+    }
+
+
+def test_batch_replay_gives_each_witness_its_own_result():
+    witnesses = _mixed_witnesses()
+    alone = {name: _replay_witness([w], DEFAULT_GRID)[0] for name, w in witnesses.items()}
+    assert alone["good-e1"] is None and alone["good-e2"] is None
+    assert alone["mismatch"].startswith("mismatch at ")
+    assert "outside the subspace" in alone["outside"]
+    assert alone["domain"].startswith("domain error at ")
+    assert alone["domain"].endswith(", component 0: sqrt of a negative number")
+    assert alone["over-domain"] == alone["domain"]
+    assert alone["indeterminate"] == "indeterminate value at 0, component 0"
+    names = list(witnesses)
+    # the failing ones before the good ones, after them, and interleaved
+    for order in (names, names[::-1], names[2:] + names[:2], names[1::2] + names[::2]):
+        got = _replay_witness([witnesses[name] for name in order], DEFAULT_GRID)
+        assert got == [alone[name] for name in order]
+
+
+def test_nonstandard_witness_raises_for_the_first_failing_direction():
+    sp = gallery_space("V2-delta")
+    good = v2_delta_axis_plots(sp, franklin_map(8))
+    # axis 1 wrongly realized by the axis-0 plot: only directions along e1 replay
+    wrong = [good[0], good[0]]
+
+    def message(directions):
+        with pytest.raises(ValueError) as info:
+            nonstandard_subspace_witness(sp, directions, wrong)
+        return str(info.value)
+
+    assert len(nonstandard_subspace_witness(sp, [[1, 0], [-2, 0]], wrong)) == 2
+    alone = {d: message([list(d)]) for d in ((0, 1), (1, 1))}
+    assert alone[(0, 1)].startswith("witness replay failed: mismatch at ")
+    assert message([[1, 0], [0, 1], [1, 1]]) == alone[(0, 1)]
+    assert message([[1, 0], [1, 1], [0, 1]]) == alone[(1, 1)]
+    # a zero direction fails where it stands in the order
+    assert message([[0, 1], [0, 0]]) == alone[(0, 1)]
+    assert message([[1, 0], [0, 0], [0, 1]]) == "zero direction has no nonzero subspace"
+
+
+def test_cor_2_5_evaluates_H1_once_per_grid_point(monkeypatch):
+    franklin_map(16)  # built outside the count
+    calls = []
+    h1 = expr_module._h1_tagged
+    monkeypatch.setattr(expr_module, "_h1_tagged", lambda t: calls.append(t) or h1(t))
+    assert run_scenario("cor-2.5")["all_nonsmooth"]
+    # 20 directions share one plan: 106 calls, where one plan per direction made 2 120
+    assert 0 < len(calls) <= len(parse_grid(DEFAULT_GRID)) == 106
 
 
 def test_scenarios_complete_and_deterministic():

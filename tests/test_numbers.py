@@ -22,7 +22,6 @@ from smoothsum.numbers import (
     exp_tagged,
     floor_qsqrt2,
     mul_tagged,
-    neg_tagged,
     parse_qsqrt2,
     sqrt_tagged,
     transcendence_axiom_lookup,
@@ -32,6 +31,14 @@ rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
 )
 qsqrt2s = st.builds(QSqrt2, rationals, rationals)
+
+
+def neg_tagged(x: TaggedReal) -> TaggedReal:
+    """Tagged negation, for the random arithmetic trees below."""
+    if x.is_exact:
+        return TaggedReal.exact(-x.value)
+    value = None if x.value is None else -x.value
+    return TaggedReal(value, x.tag, x.transcendental)
 
 
 @given(qsqrt2s, qsqrt2s, qsqrt2s)

@@ -3,12 +3,15 @@
 `perfbench/tracer.py` names the functions it traces as (module, qualified
 name) pairs.  Deleting or renaming one of them breaks the traced benchmark
 run; the first test makes it break the test suite as well.  The second
-keeps every module-level import in `src/` and `tests/` in use.
+keeps every module-level import in `src/` and `tests/` in use, and the
+third keeps every top-level function and class of the package called
+from the package itself, so code only the tests reach lives in the tests.
 """
 
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,3 +95,60 @@ def test_unused_import_check_sees_what_it_should(tmp_path):
     )
     found = _unused_imports(sample, tmp_path)
     assert found == ["sample.py:3 os", "sample.py:4 F"]
+
+
+def _names_read(node: ast.AST):
+    """Every name ``node`` reads, bare or as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _unreferenced_definitions(package: Path, root: Path = ROOT) -> list:
+    """Top-level functions and classes of ``package`` whose name the package
+    never reads outside their own definition, as "file:line name".  An
+    import is not a read, and an attribute of the same name is, so the
+    check errs towards passing."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.rglob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _names_read(tree))
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inside = sum(1 for name in _names_read(node) if name == node.name)
+                if reads[node.name] == inside:
+                    found.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
+    return found
+
+
+def test_no_definition_only_tests_reach():
+    assert _unreferenced_definitions(ROOT / "src" / "smoothsum") == []
+
+
+def test_unreferenced_definition_check_sees_what_it_should(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "def used():\n"
+        "    return helper() + Box.size\n"
+        "def helper():\n"
+        "    return 1\n"
+        "class Box:\n"
+        "    size = 2\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def only_imported():\n"
+        "    return 0\n"
+        "def read_as_attribute():\n"
+        "    return 0\n"
+    )
+    (package / "b.py").write_text(
+        "from . import a\n"
+        "from .a import only_imported, used\n"
+        "def main():\n"
+        "    return used() + a.read_as_attribute()\n"
+    )
+    found = _unreferenced_definitions(package, tmp_path)
+    assert found == ["pkg/a.py:7 recursive", "pkg/a.py:9 only_imported", "pkg/b.py:3 main"]
