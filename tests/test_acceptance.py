@@ -335,6 +335,9 @@ CERTIFICATE_DIGESTS = {
     # and an irrational equation whose dual basis is rational
     ("analyze", "smooth-gens.space"): "ff1d94b0d1516444d694c7d07e3ef8bf66df4ef239dacc6e59725f029ebf024a",
     ("analyze", "sqrt2-abs.space"): "f54f6d9db63eac42cfe3c3506dff2d32a5d40e8c72d35137d3f32acc231db846",
+    # an irrational dual, (-sqrt2, 1): the standardness derivation of W0
+    # prints the irrational smooth combination ['sqrt2']
+    ("check-sum", "irr.space", "--w0", "1,0", "--w1", "0,1"): "e57755d36a1568e9bead06c3397ed0d8fc478cbe713afdc008c63728326bd648",
 }
 
 # Written to the working directory of each certificate command, so a
@@ -342,6 +345,7 @@ CERTIFICATE_DIGESTS = {
 DECLARATION_FILES = {
     "smooth-gens.space": "space smooth-gens dim 3\ngen x, x^2, 0\ngen exp(x), 0, x\n",
     "sqrt2-abs.space": "space sqrt2-abs dim 2\ngen sqrt2*abs(x), sqrt2*abs(x)\n",
+    "irr.space": "space irr dim 2\ngen abs(x), sqrt2*abs(x)\n",
 }
 
 
