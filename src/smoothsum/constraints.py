@@ -27,7 +27,6 @@ fired.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import linalg
@@ -42,7 +41,7 @@ from .expr import (
     decompose_exotic,
     to_text,
 )
-from .numbers import QSqrt2
+from .numbers import ONE, ZERO, QSqrt2
 
 ALL_KINDS = (ABS_KIND, DELTA_KIND, DELTA_SQRT_KIND, GAMMA_KIND)
 
@@ -172,7 +171,7 @@ def atom_table(space: DVSpace) -> AtomTable:
             for kind in ALL_KINDS:
                 c = d.coefficient(kind)
                 if not c.is_zero:
-                    vecs.setdefault(kind, [QSqrt2() for _ in range(space.dim)])[j] = c
+                    vecs.setdefault(kind, [ZERO] * space.dim)[j] = c
         table.append(vecs)
     return AtomTable(space, table, complete, tuple(notes))
 
@@ -185,7 +184,7 @@ def atom_table(space: DVSpace) -> AtomTable:
 @dataclass
 class DualResult:
     status: str  # "exact" | "upper-bound"
-    basis: list  # rows (lists of Fraction or QSqrt2)
+    basis: list  # rows of QSqrt2
     dim: Optional[int]
     equations: list
     facts_used: tuple
@@ -202,17 +201,6 @@ class DualResult:
             "axioms_used": list(self.axioms_used),
             "notes": list(self.notes),
         }
-
-
-def _rationalize(rows):
-    """Convert QSqrt2 rows to Fractions when every entry is rational."""
-    out = []
-    for row in rows:
-        if all(isinstance(x, QSqrt2) and x.is_rational for x in row):
-            out.append([x.as_rational() for x in row])
-        else:
-            out.append(list(row))
-    return out
 
 
 def dual_basis(space: DVSpace) -> DualResult:
@@ -246,13 +234,13 @@ def dual_basis(space: DVSpace) -> DualResult:
                 f"generator {k}: atom kinds {missing} not decidable under axioms "
                 f"{sorted(space.axioms)}"
             )
-    basis = _rationalize(linalg.annihilator(equations, space.dim))
+    basis = linalg.annihilator(equations, space.dim)
     status = "exact" if complete else "upper-bound"
     return DualResult(
         status=status,
         basis=basis,
         dim=len(basis) if complete else None,
-        equations=_rationalize(equations),
+        equations=equations,
         facts_used=tuple(facts_used),
         axioms_used=tuple(sorted(axioms_used)),
         notes=tuple(notes),
@@ -276,8 +264,8 @@ def maximal_isotropic(space: DVSpace) -> IsotropicResult:
     bound for the true isotropic subspace.
     """
     dual = dual_basis(space)
-    ker = _rationalize(linalg.annihilator(dual.basis, space.dim))
-    if any(isinstance(x, QSqrt2) for row in ker for x in row):
+    ker = linalg.annihilator(dual.basis, space.dim)
+    if any(not x.is_rational for row in ker for x in row):
         raise ValueError(
             f"the isotropic subspace of {space.name}, spanned by "
             f"{[[str(x) for x in row] for row in ker]}, is irrational; "
@@ -436,7 +424,7 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
         v = []
         for s in symbols:
             cv = coefvec(s)
-            v.append(sum((QSqrt2.coerce(phi[j]) * cv[j] for j in range(space.dim)), QSqrt2()))
+            v.append(sum((phi[j] * cv[j] for j in range(space.dim)), ZERO))
         if any(not x.is_zero for x in v) and _span_add(span, v):
             derivation.append(
                 "annihilator " + str([str(x) for x in phi]) + " forces the smooth combination "
@@ -444,7 +432,7 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
             )
 
     def unit(i):
-        return [QSqrt2.coerce(1) if m == i else QSqrt2() for m in range(n_sym)]
+        return [ONE if m == i else ZERO for m in range(n_sym)]
 
     def grow(rule, v, **where) -> bool:
         if not _span_add(span, v):
@@ -461,7 +449,7 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
         for rule in rules:
             for v in list(span):
                 for kind in rule.get("splits", ()):
-                    proj = [v[i] if symbols[i][1] == kind else QSqrt2() for i in range(n_sym)]
+                    proj = [v[i] if symbols[i][1] == kind else ZERO for i in range(n_sym)]
                     rest = [v[i] - proj[i] for i in range(n_sym)]
                     if (
                         any(not x.is_zero for x in proj)
@@ -488,17 +476,17 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
 
 
 def _critical_directions(space: DVSpace) -> list:
-    """Rational directions spanned by single atom coefficient vectors."""
+    """Rational directions spanned by single atom coefficient vectors
+    (each is nonzero: the table holds a kind's vector only when some
+    coefficient is)."""
     table = atom_table(space)
     dirs = []
     for vecs in table.coefvecs:
         for kind in ALL_KINDS:
-            if kind in vecs:
-                v = vecs[kind]
-                if all(x.is_rational for x in v):
-                    rv = [x.as_rational() for x in v]
-                    if any(rv) and not any(linalg.rank([d, rv]) == 1 for d in dirs):
-                        dirs.append(rv)
+            v = vecs.get(kind)
+            if v is not None and all(x.is_rational for x in v):
+                if not any(linalg.rank([d, v]) == 1 for d in dirs):
+                    dirs.append(v)
     return dirs
 
 
@@ -525,13 +513,13 @@ def all_lines_standard(space: DVSpace) -> AllLinesResult:
     """
     if space.dim != 2:
         raise ValueError("line enumeration is implemented for dimension 2")
-    directions = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    directions = [[ONE, ZERO], [ZERO, ONE]]
     for d in _critical_directions(space):
         if not any(linalg.rank([d0, d]) == 1 for d0 in directions):
             directions.append(d)
     t = 1
     while True:
-        cand = [Fraction(1), Fraction(t)]
+        cand = [ONE, QSqrt2(t)]
         if not any(linalg.rank([d0, cand]) == 1 for d0 in directions):
             directions.append(cand)
             break

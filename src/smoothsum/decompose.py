@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
@@ -55,7 +54,7 @@ from .expr import (
     verify_nonsmooth_witness,
 )
 from .franklin import parse_grid
-from .numbers import DomainError, QSqrt2, TaggedReal
+from .numbers import ONE, ZERO, DomainError, QSqrt2, TaggedReal
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -99,8 +98,8 @@ def projection_pair(w0: Subspace, w1: Subspace) -> tuple:
     inv = linalg.inverse(basis_matrix)
     if inv is None:
         raise ValueError("subspaces do not form an algebraic direct sum")
-    p0 = [[Fraction(0)] * n for _ in range(n)]
-    p1 = [[Fraction(0)] * n for _ in range(n)]
+    p0 = [[ZERO] * n for _ in range(n)]
+    p1 = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         coeffs = [inv[k][i] for k in range(n)]
         for k in range(w0.dim):
@@ -123,7 +122,8 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
     tagged evaluation: each plot equals its target componentwise and its
     values lie in its W.
 
-    ``witnesses`` holds (plot, target components, W) triples.  The grid is
+    ``witnesses`` holds (the plot's component trees, target components, W)
+    triples; the caller builds the trees once and keeps them.  The grid is
     parsed once, and one ``Plan`` over every component and target of the
     batch evaluates each grid point once, so the subtrees the witnesses
     share (H1(x), its barGamma, their deltaQ, |x|) run once per point.
@@ -139,10 +139,9 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
         return []
     trees: list = []
     checks = []  # per witness: (its first tree, its component count, W's annihilator)
-    for plot, components, w in witnesses:
-        exprs = [plot.component_expr(j) for j in range(plot.space.dim)]
+    for exprs, components, w in witnesses:
         pairs = list(zip(exprs, components))
-        ann = [[QSqrt2.coerce(c) for c in phi] for phi in linalg.annihilator(w.basis, w.ambient_dim)]
+        ann = linalg.annihilator(w.basis, w.ambient_dim)
         checks.append((len(trees), len(pairs), ann))
         # each component beside its target, in the order they are checked
         trees.extend(e for pair in pairs for e in pair)
@@ -200,7 +199,7 @@ def certify_smooth_sum(
     witnesses = witnesses or {}
     p0, p1 = projection_pair(w0, w1)
     entries = []
-    batch = []  # (plot, target, W) of each entry that a witness must settle
+    batch = []  # (plot components, target, W) of each entry that a witness must settle
     missing = None
     for k, g in enumerate(space.generators):
         for part, (proj, w) in enumerate(((p0, w0), (p1, w1))):
@@ -217,7 +216,7 @@ def certify_smooth_sum(
                 if scaled is not None and _values_in_subspace(comps, w):
                     entry["rule"] = f"rational-multiple-of-generator-{scaled}"
                 elif (k, part) in witnesses:
-                    batch.append((witnesses[(k, part)], comps, w))
+                    batch.append((witnesses[(k, part)].components(), comps, w))
                 else:
                     missing = f"no rule or witness for generator {k} part {part}"
                     break
@@ -228,17 +227,17 @@ def certify_smooth_sum(
     # names the first entry, in generator/part order, that did not settle
     forward = []
     axioms: set = set()
-    replays = zip(batch, _replay_witness(batch, DEFAULT_GRID))
+    replays = iter(_replay_witness(batch, DEFAULT_GRID))
     for entry in entries:
         if "rule" not in entry:
-            (plot, _, _), err = next(replays)
+            err = next(replays)
             if err is not None:
                 return DecompositionVerdict(
                     "Unknown", forward, [], tuple(sorted(axioms)),
                     reason=f"witness replay failed for generator {entry['generator']} part {entry['part']}: {err}",
                 )
             entry["rule"] = "replayed-witness"
-            entry["witness"] = plot.to_dict()
+            entry["witness"] = witnesses[(entry["generator"], entry["part"])].to_dict()
         forward.append(entry)
     if missing is not None:
         return DecompositionVerdict("Unknown", forward, [], tuple(sorted(axioms)), reason=missing)
@@ -251,7 +250,7 @@ def certify_smooth_sum(
 
 def _find_generator_multiple(space: DVSpace, comps: Sequence) -> Optional[int]:
     for m, g in enumerate(space.generators):
-        for c in (QSqrt2.coerce(1), QSqrt2.coerce(-1)):
+        for c in (ONE, -ONE):
             if all(make_prod([Const(c), g[j]]) == comps[j] for j in range(space.dim)):
                 return m
     return None
@@ -314,29 +313,30 @@ def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plot
     matched-map witnesses); only the axes where a direction is nonzero
     are read.  Every plot is replayed on the grid against its target, all
     in one batch, and each target's NonSmooth witness is replayed too.
-    Returns one (plot, NonSmooth verdict, the line) per direction, or
-    raises the ValueError of the first direction, in the given order, that
-    fails, as one direction at a time would.
+    Returns one (the plot's component trees, as replayed; NonSmooth
+    verdict; the line) per direction, or raises the ValueError of the
+    first direction, in the given order, that fails, as one direction at
+    a time would.
     """
-    directions = [[Fraction(d) for d in direction] for direction in directions]
+    directions = [[QSqrt2.coerce(d) for d in direction] for direction in directions]
     # the directions before the first zero one are replayed; a zero
     # direction is reported once every direction before it has passed
-    zero = next((i for i, d in enumerate(directions) if not any(d)), len(directions))
+    zero = next((i for i, d in enumerate(directions) if all(x.is_zero for x in d)), len(directions))
     batch = []
     for direction in directions[:zero]:
         plot = None
         for j, d in enumerate(direction):
-            if d == 0:
+            if d.is_zero:
                 continue
-            piece = plot_scale(axis_plots[j], Const(QSqrt2.coerce(d)))
+            piece = plot_scale(axis_plots[j], Const(d))
             plot = piece if plot is None else plot_add(plot, piece)
         # the plot realizes x -> |x| * direction; replay that on the grid,
         # then classify the realized curve, which has a non-smooth
         # component in every nonzero coordinate
-        targets = [make_prod([Const(QSqrt2.coerce(d)), ATOM_EXPRS[ABS_KIND]]) for d in direction]
-        batch.append((plot, targets, Subspace.from_vectors(space.dim, [direction])))
+        targets = [make_prod([Const(d), ATOM_EXPRS[ABS_KIND]]) for d in direction]
+        batch.append((plot.components(), targets, Subspace.from_vectors(space.dim, [direction])))
     out = []
-    for (plot, targets, w), err in zip(batch, _replay_witness(batch, DEFAULT_GRID)):
+    for (trees, targets, w), err in zip(batch, _replay_witness(batch, DEFAULT_GRID)):
         if err is not None:
             raise ValueError(f"witness replay failed: {err}")
         classified = [(t, classify_smoothness(t, axioms=space.axioms)) for t in targets]
@@ -346,7 +346,7 @@ def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plot
         target, nonsmooth = found
         if not verify_nonsmooth_witness(target, nonsmooth, space.axioms):
             raise ValueError(f"witness replay failed: NonSmooth witness for {to_text(target)} does not replay")
-        out.append((plot, nonsmooth, w))
+        out.append((trees, nonsmooth, w))
     if zero < len(directions):
         raise ValueError("zero direction has no nonzero subspace")
     return out
@@ -480,17 +480,14 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
 
 
 def _integer_atom_vectors(space: DVSpace) -> list:
-    """The space's atom table in Fractions, in the table's own layout:
-    entry k maps each atom kind of generator k to its coefficient vector
-    (a generator without exotic content has an empty dict).  Raises
-    ValueError on an irrational coefficient, which the integer-matrix
-    search does not handle."""
-    out = []
-    for vecs in atom_table(space).coefvecs:
-        if not all(x.is_rational for v in vecs.values() for x in v):
-            raise ValueError("irrational atom coefficients unsupported here")
-        out.append({kind: [x.as_rational() for x in v] for kind, v in vecs.items()})
-    return out
+    """The space's atom table, in its own layout: entry k maps each atom
+    kind of generator k to its coefficient vector (a generator without
+    exotic content has an empty dict).  Raises ValueError on an irrational
+    coefficient, which the integer-matrix search does not handle."""
+    coefvecs = atom_table(space).coefvecs
+    if not all(x.is_rational for vecs in coefvecs for v in vecs.values() for x in v):
+        raise ValueError("irrational atom coefficients unsupported here")
+    return coefvecs
 
 
 def _kindwise_compatible(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
@@ -499,7 +496,7 @@ def _kindwise_compatible(src_atoms: list, dst_atoms: list, matrix: list) -> bool
 
     ``src_atoms`` and ``dst_atoms`` are ``_integer_atom_vectors`` tables."""
     n = len(matrix)
-    zero = [Fraction(0)] * n
+    zero = [ZERO] * n
     for vecs in src_atoms:
         if not vecs:
             continue
@@ -517,11 +514,11 @@ def _kindwise_compatible(src_atoms: list, dst_atoms: list, matrix: list) -> bool
 def _is_diffeomorphism(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
     """The matrix is invertible and compatible with the atom tables both
     ways: forward from the source space, and back through its inverse."""
-    frac = [[Fraction(x) for x in row] for row in matrix]
-    inv = linalg.inverse(frac)
+    matrix = [[QSqrt2.coerce(x) for x in row] for row in matrix]
+    inv = linalg.inverse(matrix)
     return (
         inv is not None
-        and _kindwise_compatible(src_atoms, dst_atoms, frac)
+        and _kindwise_compatible(src_atoms, dst_atoms, matrix)
         and _kindwise_compatible(dst_atoms, src_atoms, inv)
     )
 
@@ -535,7 +532,7 @@ def _image_pivots(f: LinearMap, img_basis: list) -> list:
     seen = set()
     for b in range(len(img_basis)):
         for i in range(f.codomain_dim):
-            if img_basis[b][i] != 0 and i not in seen:
+            if not img_basis[b][i].is_zero and i not in seen:
                 pivots.append(i)
                 seen.add(i)
                 break
@@ -628,9 +625,9 @@ def _admissible_matrices(src_atoms: list, dst_atoms: list, n: int, bound: int, m
     # pivot entry = (sum of numerator * free value) / denominator
     pivots = []
     for row, c in zip(reduced, pivot_cols):
-        terms = [(nn - 1 - d, -x) for d, x in enumerate(row) if d != c and x != 0]
-        den = math.lcm(*(x.denominator for _, x in terms))
-        pivots.append((nn - 1 - c, [(slot[e], int(x * den)) for e, x in terms], den))
+        terms = [(nn - 1 - d, -x) for d, x in enumerate(row) if d != c and not x.is_zero]
+        den = math.lcm(*(x.d for _, x in terms))
+        pivots.append((nn - 1 - c, [(slot[e], x.p * (den // x.d)) for e, x in terms], den))
 
     values = range(-bound, bound + 1)
     for tup in itertools.islice(itertools.product(values, repeat=len(free)), max_tuples):
@@ -664,7 +661,7 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
     lexicographically yields the admissible matrices in the box's order,
     and the witness is the one an exhaustive search would find.  Each
     admissible matrix must be invertible (an integer determinant rejects
-    singular ones before any Fraction work) and compatible both ways.  At
+    singular ones before any Q(sqrt2) work) and compatible both ways.  At
     most ``MAX_KERNEL_IMAGE_TUPLES`` free-entry tuples are enumerated;
     past that budget the verdict is Unknown and its reason names it.
     """
@@ -729,7 +726,7 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
         if _is_diffeomorphism(src_atoms, dst_atoms, matrix):
             return KernelImageVerdict(
                 "Diffeomorphic",
-                [[Fraction(x) for x in row] for row in matrix],
+                [[QSqrt2(x) for x in row] for row in matrix],
                 tuple(ker_standard.axioms_used),
                 {
                     "rule": (

@@ -15,7 +15,6 @@ with smooth maps, which is exactly what generated diffeologies require.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
@@ -31,6 +30,18 @@ from .expr import (
     parse_expr,
     to_text,
 )
+from .numbers import QSqrt2
+
+
+def _rational_entries(v: Sequence) -> tuple:
+    """The entries of v (ints, Fractions or QSqrt2) as rational QSqrt2
+    values; an irrational entry raises ValueError, since subspaces and
+    linear maps here are rational."""
+    out = tuple(QSqrt2.coerce(x) for x in v)
+    for x in out:
+        if not x.is_rational:
+            raise ValueError(f"irrational entry {x}: only rational subspaces and maps are supported")
+    return out
 
 
 @dataclass(frozen=True)
@@ -38,11 +49,11 @@ class Subspace:
     """A rational linear subspace of R^n, stored as a canonical basis."""
 
     ambient_dim: int
-    basis: tuple  # tuple of tuples of Fraction, in reduced row echelon form
+    basis: tuple  # tuple of tuples of rational QSqrt2, in reduced row echelon form
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        rows = [[Fraction(x) for x in v] for v in vectors]
+        rows = [_rational_entries(v) for v in vectors]
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
@@ -54,7 +65,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        return linalg.in_span(self.basis, [Fraction(x) for x in v])
+        return linalg.in_span(self.basis, _rational_entries(v))
 
     def to_dict(self) -> dict:
         return {
@@ -68,11 +79,11 @@ class Subspace:
 class LinearMap:
     """A linear map R^m -> R^n with rational entries (rows of length m)."""
 
-    matrix: tuple  # tuple of n rows, each a tuple of m Fractions
+    matrix: tuple  # tuple of n rows, each a tuple of m rational QSqrt2
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "LinearMap":
-        return LinearMap(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return LinearMap(tuple(_rational_entries(row) for row in rows))
 
     @property
     def codomain_dim(self) -> int:
@@ -153,6 +164,10 @@ class Plot:
         parts.append(self.tail[j])
         return make_sum(parts)
 
+    def components(self) -> list:
+        """Every component tree, in coordinate order."""
+        return [self.component_expr(j) for j in range(self.space.dim)]
+
     def to_dict(self) -> dict:
         return {
             "space": self.space.name,
@@ -161,7 +176,7 @@ class Plot:
                 for h, k, H in self.terms
             ],
             "tail": [to_text(t) for t in self.tail],
-            "components": [to_text(self.component_expr(j)) for j in range(self.space.dim)],
+            "components": [to_text(c) for c in self.components()],
         }
 
 

@@ -33,6 +33,7 @@ from .numbers import (
     add_tagged,
     exp_tagged,
     mul_tagged,
+    parse_qsqrt2,
     sqrt_tagged,
 )
 
@@ -232,6 +233,22 @@ def compose(e: Expr, inner: Expr) -> Expr:
 #   atom   := rational | 'sqrt2' | 'x' | fn '(' expr ')' | '(' expr ')'
 # Rationals are written p/q or p.
 
+# Deepest accepted nesting of parentheses; a function call's parentheses
+# count.  The parser and every tree walk after it recurse once per level.
+# A declaration whose two generators nest abs, exp, deltaQ, sqrt or plain
+# parentheses 100 deep takes 0.13 s in `analyze` and in `check-sum`, wall
+# on a 2-vCPU machine, start-up included; near 250 levels the parser
+# itself exhausts Python's default recursion limit.
+MAX_NESTING = 100
+
+# Largest accepted exponent, where the exponents of powers nested in a
+# power's base multiply: (x^a)^b and (3^a)^b count as a*b.  A constant
+# power is computed while parsing.  With x^1000, abs(x)^1000,
+# (3/7)^1000*abs(x), (1+sqrt2)^1000*deltaQ(x), (x+abs(x))^1000 or
+# exp(x)^1000*abs(x) in both generators, `analyze` and `check-sum` take
+# 0.13-0.19 s, measured as above; (3/7)^1000000 alone ran past 30 s.
+MAX_EXPONENT = 1000
+
 
 class ParseError(ExprError):
     def __init__(self, message: str, position: int):
@@ -242,6 +259,7 @@ class ParseError(ExprError):
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     i = 0
+    depth = 0
     while i < len(text):
         c = text[i]
         if c.isspace():
@@ -262,6 +280,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i = j
             continue
         if c in "+-*/^()":
+            depth += (c == "(") - (c == ")")
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than MAX_NESTING = {MAX_NESTING}", i)
             tokens.append((c, c, i))
             i += 1
             continue
@@ -275,6 +296,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.bar_gamma_ref = bar_gamma_ref
+        # the largest product of exponents along nested powers in the
+        # factor being parsed
+        self.power = 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -306,14 +330,23 @@ class _Parser:
         if self.peek()[0] == "-":
             self.take()
             neg = True
+        outer, self.power = self.power, 1
         e = self.parse_atom()
         if self.peek()[0] == "^":
             self.take()
             tok = self.take("int")
-            k = int(tok[1])
-            if k < 1:
+            digits = tok[1].lstrip("0")
+            if not digits:
                 raise ParseError("exponent must be a positive integer", tok[2])
+            # a long digit string is past the bound before int() reads it
+            k = int(digits) if len(digits) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+            self.power *= k
+            if self.power > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent past MAX_EXPONENT = {MAX_EXPONENT} (nested powers multiply)", tok[2]
+                )
             e = make_pow(e, k)
+        self.power = max(self.power, outer)
         return make_neg(e) if neg else e
 
     def parse_atom(self) -> Expr:
@@ -877,6 +910,12 @@ class ExoticDecomposition:
     def kinds_present(self) -> frozenset:
         return frozenset(k for k, c in self.coeffs.items() if not c.is_zero)
 
+    def delta_part(self) -> Expr:
+        """The indicator part cd*deltaQ(x) + cs*deltaQ(sqrt|x|): the curve a
+        dense-discontinuity witness evaluates."""
+        kinds = (DELTA_KIND, DELTA_SQRT_KIND)
+        return make_sum([make_prod([Const(self.coefficient(k)), ATOM_EXPRS[k]]) for k in kinds])
+
 
 def decompose_exotic(e: Expr) -> ExoticDecomposition:
     terms = e.terms if isinstance(e, Sum) else (e,)
@@ -1070,8 +1109,6 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
         )
 
     if DELTA_KIND in kinds or DELTA_SQRT_KIND in kinds:
-        cd = d.coefficient(DELTA_KIND)
-        cs = d.coefficient(DELTA_SQRT_KIND)
         # Dense-family discontinuity: on rationals with rational square
         # root the delta part is 0; on rationals with irrational root it
         # is cs; on irrationals it is cd + cs.  A smooth function minus a
@@ -1081,10 +1118,7 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
             "rational, irrational sqrt (x=2)": QSqrt2.coerce(2),
             "irrational (x=sqrt2)": QSqrt2.sqrt2(),
         }
-        delta_part = make_sum(
-            [make_prod([Const(cd), ATOM_EXPRS[DELTA_KIND]]),
-             make_prod([Const(cs), ATOM_EXPRS[DELTA_SQRT_KIND]])]
-        )
+        delta_part = d.delta_part()
         values = {label: eval_exact(delta_part, p) for label, p in pts.items()}
         return SmoothnessVerdict(
             Smoothness.NONSMOOTH,
@@ -1135,12 +1169,7 @@ def verify_nonsmooth_witness(e: Expr, verdict: SmoothnessVerdict, axioms: frozen
         d = decompose_exotic(e)
         if not d.ok:
             return False
-        delta_part = make_sum(
-            [make_prod([Const(d.coefficient(DELTA_KIND)), ATOM_EXPRS[DELTA_KIND]]),
-             make_prod([Const(d.coefficient(DELTA_SQRT_KIND)), ATOM_EXPRS[DELTA_SQRT_KIND]])]
-        )
-        from .numbers import parse_qsqrt2
-
+        delta_part = d.delta_part()
         values = {label: eval_exact(delta_part, parse_qsqrt2(p)) for label, p in w["points"].items()}
         if {label: str(v) for label, v in values.items()} != w["values"]:
             return False

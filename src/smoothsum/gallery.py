@@ -7,7 +7,6 @@ byte-identical JSON.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .constraints import (
@@ -37,7 +36,7 @@ from .franklin import (
     h2_expr,
     verify_abs_identity,
 )
-from .numbers import QSqrt2
+from .numbers import ONE, QSqrt2
 
 AXIOMS = {
     AXIOM_A: (
@@ -99,7 +98,7 @@ def v2_delta_witnesses(space: DVSpace, fm: FranklinMap) -> dict:
     neg_two_x = make_neg(two_x)
     d1 = Plot(
         space,
-        ((Const(QSqrt2.coerce(1)), 0, X), (neg_two_x, 1, h1), (two_x, 1, h2)),
+        ((Const(ONE), 0, X), (neg_two_x, 1, h1), (two_x, 1, h2)),
         (parse_expr("0"), make_neg(X)),
     )
     d2 = Plot(
@@ -186,18 +185,18 @@ def run_scenario(name: str, n: int = 16) -> dict:
         rng = random.Random(0)
         directions = []
         for _ in range(20):
-            a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if a == 0 and b == 0:
-                a = Fraction(1)
+            a = QSqrt2.from_ints(rng.randint(-9, 9), 0, rng.randint(1, 9))
+            b = QSqrt2.from_ints(rng.randint(-9, 9), 0, rng.randint(1, 9))
+            if a.is_zero and b.is_zero:
+                a = ONE
             directions.append([a, b])
         results = [
             {
                 "direction": [str(d) for d in direction],
-                "witness_components": [to_text(plot.component_expr(j)) for j in range(2)],
+                "witness_components": [to_text(c) for c in trees],
                 "classification": verdict.to_dict(),
             }
-            for direction, (plot, verdict, _) in zip(
+            for direction, (trees, verdict, _) in zip(
                 directions, nonstandard_subspace_witness(sp, directions, axis_plots)
             )
         ]

@@ -1,66 +1,44 @@
-"""Exact linear algebra over the rationals (and over Q(sqrt2)).
+"""Exact linear algebra over Q(sqrt2).
 
 Matrices are sequences of rows, lists or tuples alike (no entry point
-modifies its input); entries are Fractions or QSqrt2 elements.
-Everything is computed by fraction-free-enough Gaussian elimination with
-exact arithmetic, so ranks, kernels and spans are certificates rather
-than numerics.
+modifies its input).  Every entry is a ``QSqrt2``, and every entry point
+returns ``QSqrt2`` entries; a rational matrix is one whose entries all
+have a zero sqrt2 part.  Everything is computed by Gaussian elimination
+with exact arithmetic, so ranks, kernels and spans are certificates
+rather than numerics.  ``integer_determinant`` alone works on plain
+integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Sequence
 
-from .numbers import QSqrt2
+from .numbers import ONE, ZERO
 
 Row = List
 Matrix = List[Row]
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, QSqrt2):
-        return x.is_zero
-    return x == 0
-
-
-def _zero_like(x):
-    return QSqrt2() if isinstance(x, QSqrt2) else Fraction(0)
-
-
-def mat_copy(m: Matrix) -> Matrix:
-    return [list(row) for row in m]
-
-
 def mat_vec(a: Matrix, v: Sequence) -> list:
-    return [sum((a[i][k] * v[k] for k in range(len(v))), _zero_like_vec(a, v)) for i in range(len(a))]
-
-
-def _zero_like_vec(a, v):
-    for x in v:
-        return _zero_like(x)
-    for row in a:
-        for x in row:
-            return _zero_like(x)
-    return Fraction(0)
+    return [sum((row[k] * v[k] for k in range(len(v))), ZERO) for row in a]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot columns)."""
-    a = mat_copy(m)
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if not _is_zero(a[i][c])), None)
+        pivot_row = next((i for i in range(r, rows) if not a[i][c].is_zero), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = _invert(a[r][c])
+        inv = a[r][c].inverse()
         a[r] = [x * inv for x in a[r]]
         for i in range(rows):
-            if i != r and not _is_zero(a[i][c]):
+            if i != r and not a[i][c].is_zero:
                 f = a[i][c]
                 a[i] = [a[i][j] - f * a[r][j] for j in range(cols)]
         pivots.append(c)
@@ -68,12 +46,6 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if r == rows:
             break
     return a, pivots
-
-
-def _invert(x):
-    if isinstance(x, QSqrt2):
-        return x.inverse()
-    return Fraction(1) / x
 
 
 def rank(m: Matrix) -> int:
@@ -86,25 +58,15 @@ def nullspace(m: Matrix) -> Matrix:
         return []
     cols = len(m[0])
     a, pivots = rref(m)
-    one = _one_for(m)
-    zero = one - one
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [zero] * cols
-        v[f] = one
+        v = [ZERO] * cols
+        v[f] = ONE
         for r, p in enumerate(pivots):
             v[p] = -a[r][f]
         basis.append(v)
     return basis
-
-
-def _one_for(m: Matrix):
-    for row in m:
-        for x in row:
-            z = _zero_like(x)
-            return z + 1 if not isinstance(z, QSqrt2) else QSqrt2.coerce(1)
-    return Fraction(1)
 
 
 def solve(m: Matrix, b: Sequence):
@@ -116,20 +78,21 @@ def solve(m: Matrix, b: Sequence):
     a, pivots = rref(aug)
     if cols in pivots:
         return None
-    zero = _zero_like(m[0][0]) if m and m[0] else Fraction(0)
-    x = [zero] * cols
+    x = [ZERO] * cols
     for r, p in enumerate(pivots):
         x[p] = a[r][cols]
     return x
+
+
+def _identity(n: int) -> Matrix:
+    return [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
 
 
 def inverse(m: Matrix) -> Matrix | None:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    one = _one_for(m)
-    zero = one - one
-    aug = [list(m[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(m, _identity(n))]
     a, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
@@ -159,7 +122,7 @@ def integer_determinant(m: Matrix) -> int:
 def in_span(vectors: Matrix, v: Sequence) -> bool:
     """Is v in the row span of ``vectors``?  One elimination: solve
     ``vectors``ᵀ x = v."""
-    if all(_is_zero(x) for x in v):
+    if all(x.is_zero for x in v):
         return True
     return solve(list(zip(*vectors)), v) is not None
 
@@ -175,8 +138,7 @@ def span_basis(vectors: Matrix) -> Matrix:
 def annihilator(vectors: Matrix, dim: int) -> Matrix:
     """Basis of {phi : phi(v) = 0 for all v}, as row vectors in R^dim."""
     if not vectors:
-        one = Fraction(1)
-        return [[one if j == i else Fraction(0) for j in range(dim)] for i in range(dim)]
+        return _identity(dim)
     return nullspace(vectors)
 
 
@@ -189,4 +151,4 @@ def pivot_complement(vectors: Matrix, dim: int) -> Matrix:
     """
     _, pivots = rref([row[::-1] for row in vectors])
     taken = {dim - 1 - c for c in pivots}
-    return [[Fraction(int(j == i)) for j in range(dim)] for i in range(dim) if i not in taken]
+    return [e for i, e in enumerate(_identity(dim)) if i not in taken]

@@ -188,7 +188,7 @@ def test_criterion_5_twenty_random_directions(fm16):
             a = Fraction(1)
         directions.append([a, b])
     successes = 0
-    for (a, b), (plot, verdict, w) in zip(directions, nonstandard_subspace_witness(sp, directions, provider)):
+    for (a, b), (trees, verdict, w) in zip(directions, nonstandard_subspace_witness(sp, directions, provider)):
         assert w.contains([a, b])  # membership derivation replays
         assert verdict.status == Smoothness.NONSMOOTH
         successes += 1

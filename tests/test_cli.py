@@ -237,6 +237,43 @@ def test_basis_vector_count_bound(capsys):
     assert f"at most {MAX_DIM} vectors" in err
 
 
+@pytest.mark.parametrize(
+    "gen,bound",
+    [
+        ("abs(" * 300 + "x" + ")" * 300, "MAX_NESTING"),
+        ("(" * 5000 + "x" + ")" * 5000, "MAX_NESTING"),
+        ("3^10000000000*x", "MAX_EXPONENT"),
+    ],
+    ids=["abs-300", "parens-5000", "power"],
+)
+def test_parser_bounds_exit_2(tmp_path, gen, bound):
+    # a RecursionError traceback or a hang without the bounds
+    f = tmp_path / "space.txt"
+    f.write_text(f"space s dim 1\ngen {gen}\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    for argv in (["analyze", str(f)], ["check-sum", str(f), "--w0", "1", "--w1", "0"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "smoothsum.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, argv
+        assert f"{bound} = " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_witness_file_parser_bound_exits_2(tmp_path, capsys):
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps([
+        {"generator": 0, "part": 0, "terms": [{"scalar": "1", "generator": 0, "inner": "(" * 300 + "x" + ")" * 300}],
+         "tail": ["0", "0"]}
+    ]))
+    code, _, err = _run(
+        capsys, "check-sum", "V2-delta", "--w0", "1,0", "--w1", "0,1", "--witness", str(witness), "--n", "8"
+    )
+    assert code == 2
+    assert "MAX_NESTING = " in err
+
+
 def test_gallery_spaces_within_bounds():
     for name in SPACE_NAMES:
         sp = gallery_space(name)

@@ -105,8 +105,8 @@ def test_r3_abs_bruteforce_oracle_agrees():
     for row in dual.basis:
         denom = 1
         for x in row:
-            denom = denom * Fraction(x).denominator
-        scaled = [float(Fraction(x) * denom) for x in row]
+            denom = denom * x.d
+        scaled = [float(x * denom) for x in row]
         assert _functional_smooth_bruteforce(scaled)
     # the isotropic subspace is exactly the vectors killed by all
     # brute-force smooth functionals

@@ -105,6 +105,42 @@ def test_parser_errors():
             parse_expr(bad)
 
 
+def test_nesting_bound():
+    n = expr_module.MAX_NESTING
+    assert parse_expr("abs(" * n + "x" + ")" * n) is not None
+    assert parse_expr("(" * n + "x" + ")" * n) == X
+    # the bound counts open parentheses, not the depth of the tree
+    assert parse_expr("+".join(["(" * n + "x" + ")" * n] * 3)) is not None
+    for bad in ("abs(" * (n + 1) + "x" + ")" * (n + 1), "(" * 5000 + "x" + ")" * 5000):
+        with pytest.raises(ParseError, match=f"MAX_NESTING = {n}"):
+            parse_expr(bad)
+
+
+def test_exponent_bound():
+    k = expr_module.MAX_EXPONENT
+    assert parse_expr(f"x^{k}") == Pow(X, k)
+    assert parse_expr(f"2^{k}") == Const(QSqrt2(2**k))
+    assert parse_expr(f"(x^10)^{k // 10}") == Pow(X, k)
+    # powers side by side do not multiply, and the count is per factor
+    assert parse_expr(f"x^{k}*abs(x)^{k}+(x^2)^{k // 2}") is not None
+    assert parse_expr(f"abs(x^{k})") is not None
+    assert parse_expr("x^0002") == Pow(X, 2)
+    for bad in (
+        f"x^{k + 1}",
+        f"(x^10)^{k // 10 + 1}",
+        f"(3^10)^{k // 10 + 1}",  # a constant power, folded while parsing
+        f"(x^2+abs(x)^{k // 2 + 1})^2",  # the deepest chain counts
+        f"abs(x^{k})^2",
+        "3^10000000000*x",
+        "x^" + "9" * 5000,  # past int()'s digit limit
+    ):
+        with pytest.raises(ParseError, match=f"MAX_EXPONENT = {k}"):
+            parse_expr(bad)
+    for bad in ("x^0", "x^000"):
+        with pytest.raises(ParseError, match="positive integer"):
+            parse_expr(bad)
+
+
 def test_constant_folding():
     assert parse_expr("2*3 + 1") == Const(QSqrt2.coerce(7))
     assert parse_expr("sqrt2*sqrt2") == Const(QSqrt2.coerce(2))
@@ -272,10 +308,10 @@ def test_hoisted_constant_raises_as_the_recursive_driver_does():
 def test_replay_on_an_empty_grid_evaluates_nothing():
     bad = make_app("sqrt", const(-1))
     sp = DVSpace("bad", 1, ((bad,),))
-    plot, w = Plot(sp, ((const(1), 0, X),), (const(0),)), Subspace.from_vectors(1, [[1]])
-    assert _replay_witness([(plot, [bad], w)], grid="") == [None]
+    trees, w = Plot(sp, ((const(1), 0, X),), (const(0),)).components(), Subspace.from_vectors(1, [[1]])
+    assert _replay_witness([(trees, [bad], w)], grid="") == [None]
     # on a point the error is raised, and the replay reports where
-    reasons = _replay_witness([(plot, [bad], w)], grid="zero")
+    reasons = _replay_witness([(trees, [bad], w)], grid="zero")
     assert reasons == ["domain error at 0, component 0: sqrt of a negative number"]
 
 
@@ -355,9 +391,22 @@ def test_classifier_smooth_and_abs():
 
 
 def test_classifier_delta_dense_discontinuity():
-    v = classify_smoothness(parse_expr("deltaQ(x)"))
-    assert v.status == Smoothness.NONSMOOTH
-    assert verify_nonsmooth_witness(parse_expr("deltaQ(x)"), v)
+    # values at x = 4 (rational root), 2 (irrational root), sqrt2: 0, cs, cd + cs
+    for text, delta_part, values in (
+        ("deltaQ(x)", "deltaQ(x)", ["0", "0", "1"]),
+        ("deltaQ(sqrt(abs(x)))", "deltaQ(sqrt(abs(x)))", ["0", "1", "1"]),
+        ("3*deltaQ(x) - deltaQ(sqrt(abs(x))) + x", "3*deltaQ(x)-deltaQ(sqrt(abs(x)))", ["0", "-1", "2"]),
+    ):
+        e = parse_expr(text)
+        v = classify_smoothness(e)
+        assert v.status == Smoothness.NONSMOOTH
+        assert v.witness["kind"] == "dense-discontinuity"
+        assert v.witness["delta_part"] == delta_part
+        assert list(v.witness["values"].values()) == values
+        assert verify_nonsmooth_witness(e, v)
+        zeros = dict.fromkeys(v.witness["values"], "0")
+        forged = SmoothnessVerdict(Smoothness.NONSMOOTH, witness={**v.witness, "values": zeros})
+        assert not verify_nonsmooth_witness(e, forged)
 
 
 def test_classifier_gamma_requires_axiom():

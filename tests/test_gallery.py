@@ -59,16 +59,16 @@ def test_v2_delta_witnesses_realize_targets():
     for key, (comps, axis) in targets.items():
         assert key in wit
         w = Subspace.from_vectors(2, [axis])
-        assert _replay_witness([(wit[key], comps, w)], DEFAULT_GRID) == [None]
+        assert _replay_witness([(wit[key].components(), comps, w)], DEFAULT_GRID) == [None]
 
 
 def test_replay_witness_reports_values_outside_the_subspace():
     sp = gallery_space("V2-delta")
-    plot = v2_delta_witnesses(sp, franklin_map(8))[(0, 0)]
+    trees = v2_delta_witnesses(sp, franklin_map(8))[(0, 0)].components()
     comps = [parse_expr("abs(x)"), parse_expr("0")]
-    (err,) = _replay_witness([(plot, comps, Subspace.from_vectors(2, [[0, 1]]))], DEFAULT_GRID)
+    (err,) = _replay_witness([(trees, comps, Subspace.from_vectors(2, [[0, 1]]))], DEFAULT_GRID)
     assert err is not None and "outside the subspace" in err
-    (err,) = _replay_witness([(plot, comps[::-1], Subspace.from_vectors(2, [[1, 0]]))], DEFAULT_GRID)
+    (err,) = _replay_witness([(trees, comps[::-1], Subspace.from_vectors(2, [[1, 0]]))], DEFAULT_GRID)
     assert err is not None and err.startswith("mismatch")
 
 
@@ -84,17 +84,17 @@ def _mixed_witnesses() -> dict:
     )
 
     def plot(k, inner):
-        return Plot(space, ((parse_expr("1"), k, parse_expr(inner)),), (parse_expr("0"),) * 2)
+        return Plot(space, ((parse_expr("1"), k, parse_expr(inner)),), (parse_expr("0"),) * 2).components()
 
     # the plot sqrt(-x) of the CLI test has no real value at x > 0; a tree
     # over its sqrt(-x) node must fail with it there, not pass on the value
     # that node had at x = 0
     over_sqrt = [parse_expr("abs(sqrt(-1*x))"), parse_expr("0")]
     return {
-        "good-e1": (wit[(0, 0)], abs_e1, e1),
-        "good-e2": (wit[(0, 1)], abs_e2, e2),
-        "mismatch": (wit[(0, 0)], abs_e2, e1),
-        "outside": (wit[(0, 0)], abs_e1, e2),
+        "good-e1": (wit[(0, 0)].components(), abs_e1, e1),
+        "good-e2": (wit[(0, 1)].components(), abs_e2, e2),
+        "mismatch": (wit[(0, 0)].components(), abs_e2, e1),
+        "outside": (wit[(0, 0)].components(), abs_e1, e2),
         "domain": (plot(0, "-1*x"), [parse_expr("sqrt(x)"), parse_expr("0")], e1),
         "over-domain": (plot(1, "-1*x"), over_sqrt, e1),
         "indeterminate": (plot(2, "x"), [parse_expr("deltaQ(gamma(x))"), parse_expr("0")], e1),
@@ -147,6 +147,17 @@ def test_cor_2_5_evaluates_H1_once_per_grid_point(monkeypatch):
     assert run_scenario("cor-2.5")["all_nonsmooth"]
     # 20 directions share one plan: 106 calls, where one plan per direction made 2 120
     assert 0 < len(calls) <= len(parse_grid(DEFAULT_GRID)) == 106
+
+
+def test_cor_2_5_builds_each_witness_tree_once(monkeypatch):
+    franklin_map(8)
+    calls = []
+    component_expr = Plot.component_expr
+    monkeypatch.setattr(Plot, "component_expr", lambda p, j: calls.append(j) or component_expr(p, j))
+    report = run_scenario("cor-2.5", n=8)
+    # 20 directions of 2 components: the report shows the trees the replay built
+    assert len(calls) == 40
+    assert all(len(r["witness_components"]) == 2 for r in report["directions"])
 
 
 def test_scenarios_complete_and_deterministic():

@@ -1,19 +1,21 @@
-"""Exact linear algebra over Fraction (and Q(sqrt2) by duck typing)."""
+"""Exact linear algebra over Q(sqrt2): QSqrt2 entries in and out."""
 
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from smoothsum import linalg
-from smoothsum.numbers import QSqrt2
+from smoothsum.diffeology import LinearMap, Subspace
+from smoothsum.numbers import ONE, ZERO, QSqrt2
 
 
 def _matmul(a, b):
     """Product of two non-empty matrices with exact entries."""
-    zero = a[0][0] - a[0][0]
     return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
 
@@ -22,7 +24,7 @@ def _rand_matrix(rng, rows, cols, field="q"):
     def entry():
         f = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         if field == "q":
-            return f
+            return QSqrt2(f)
         return QSqrt2(f, Fraction(rng.randint(-2, 2)))
 
     return [[entry() for _ in range(cols)] for _ in range(rows)]
@@ -44,7 +46,7 @@ def test_nullspace_is_exact_kernel():
         m = _rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         ns = linalg.nullspace(m)
         for v in ns:
-            assert all(x == 0 for x in linalg.mat_vec(m, v))
+            assert all(x.is_zero for x in linalg.mat_vec(m, v))
         assert len(ns) == len(m[0]) - linalg.rank(m)
 
 
@@ -54,7 +56,7 @@ def test_solve_and_inverse():
     for _ in range(200):
         n = rng.randint(1, 4)
         m = _rand_matrix(rng, n, n)
-        b = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+        b = [QSqrt2(rng.randint(-5, 5)) for _ in range(n)]
         x = linalg.solve(m, b)
         if x is not None:
             assert linalg.mat_vec(m, x) == b
@@ -62,7 +64,7 @@ def test_solve_and_inverse():
         inv = linalg.inverse(m)
         if inv is not None:
             prod = _matmul(m, inv)
-            assert all(prod[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+            assert all(prod[i][j] == (ONE if i == j else ZERO) for i in range(n) for j in range(n))
     assert solved > 50
 
 
@@ -74,7 +76,7 @@ def test_annihilator_duality():
         ann = linalg.annihilator(vecs, dim)
         for a in ann:
             for v in vecs:
-                assert sum(a[i] * v[i] for i in range(dim)) == 0
+                assert sum((a[i] * v[i] for i in range(dim)), ZERO).is_zero
         assert len(ann) == (dim - linalg.rank(vecs) if vecs else dim)
         # double annihilator recovers the span
         back = linalg.annihilator(ann, dim)
@@ -94,8 +96,8 @@ def _intersect_spans(a, b, dim):
     ]
     out = []
     for s in linalg.nullspace(stacked):
-        v = [sum((s[i] * a[i][d] for i in range(len(a))), Fraction(0)) for d in range(dim)]
-        if any(t != 0 for t in v):
+        v = [sum((s[i] * a[i][d] for i in range(len(a))), ZERO) for d in range(dim)]
+        if any(not t.is_zero for t in v):
             out.append(v)
     return linalg.span_basis(out)
 
@@ -105,8 +107,8 @@ def _greedy_complement(vectors, dim):
     chosen = [list(row) for row in linalg.span_basis(vectors)]
     out = []
     for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
+        e = [ZERO] * dim
+        e[i] = ONE
         if not linalg.in_span(chosen, e):
             chosen.append(e)
             out.append(e)
@@ -134,23 +136,23 @@ def test_intersect_and_complement():
 
 
 def _sparse_matrix(rng, rows, cols, rank):
-    """A rows x cols Fraction matrix of rank at most ``rank``, with zero
+    """A rows x cols rational matrix of rank at most ``rank``, with zero
     columns and repeated rows likely, as tuples."""
     if rank == 0:
-        return [tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)]
+        return [tuple(ZERO for _ in range(cols)) for _ in range(rows)]
     basis = [
-        [Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.randint(1, 3)) for _ in range(cols)]
+        [QSqrt2(Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.randint(1, 3))) for _ in range(cols)]
         for _ in range(rank)
     ]
     return [
-        tuple(sum((Fraction(rng.randint(-2, 2)) * b[c] for b in basis), Fraction(0)) for c in range(cols))
+        tuple(sum((QSqrt2(rng.randint(-2, 2)) * b[c] for b in basis), ZERO) for c in range(cols))
         for _ in range(rows)
     ]
 
 
 def test_pivot_complement_matches_greedy():
     rng = random.Random(14)
-    cases = [([], 1), ([], 4), ([(Fraction(0),) * 3], 3), ([(Fraction(0),) * 3] * 2, 3)]
+    cases = [([], 1), ([], 4), ([(ZERO,) * 3], 3), ([(ZERO,) * 3] * 2, 3)]
     for _ in range(600):
         dim = rng.randint(1, 7)
         rows = rng.randint(1, dim + 2)
@@ -184,7 +186,7 @@ def test_in_span_matches_rank():
             vs = _rand_matrix(rng, rng.randint(0, 3), dim, field)
             if vs and rng.random() < 0.5:
                 # a combination of the rows, so that both answers occur
-                v = [sum((rng.randint(-2, 2) * row[d] for row in vs), vs[0][0] - vs[0][0]) for d in range(dim)]
+                v = [sum((rng.randint(-2, 2) * row[d] for row in vs), ZERO) for d in range(dim)]
             else:
                 v = _rand_matrix(rng, 1, dim, field)[0]
             expected = linalg.rank(vs + [v]) == linalg.rank(vs)
@@ -203,10 +205,8 @@ def test_qsqrt2_field_supported():
         inv = linalg.inverse(m)
         if inv is not None:
             prod = _matmul(m, inv)
-            one = QSqrt2.coerce(1)
-            zero = QSqrt2.coerce(0)
             assert all(
-                prod[i][j] == (one if i == j else zero) for i in range(n) for j in range(n)
+                prod[i][j] == (ONE if i == j else ZERO) for i in range(n) for j in range(n)
             )
 
 
@@ -228,4 +228,53 @@ def test_integer_determinant_matches_leibniz():
         m = [[rng.choice((0, 0, 0, -2, -1, 1, 2, 7)) for _ in range(n)] for _ in range(n)]
         det = linalg.integer_determinant(m)
         assert det == _leibniz_determinant(m)
-        assert (det == 0) == (linalg.inverse([[Fraction(x) for x in row] for row in m]) is None)
+        assert (det == 0) == (linalg.inverse([[QSqrt2(x) for x in row] for row in m]) is None)
+
+
+def _entries(x):
+    """Every scalar in a nested list or tuple result."""
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _entries(y)
+    else:
+        yield x
+
+
+def test_every_entry_point_returns_qsqrt2_entries():
+    rng = random.Random(17)
+    zero_rows = [[ZERO] * 3, [ZERO] * 3]
+    for m in [_rand_matrix(rng, 3, 3), _rand_matrix(rng, 2, 4, "s"), zero_rows, _sparse_matrix(rng, 4, 3, 2)]:
+        cols = len(m[0])
+        k = min(len(m), cols)
+        square = [row[:k] for row in m[:k]]
+        results = [
+            linalg.mat_vec(m, [ONE] * cols),
+            linalg.rref(m)[0],
+            linalg.nullspace(m),
+            linalg.solve(m, [ZERO] * len(m)),
+            linalg.span_basis(m),
+            linalg.annihilator(m, cols),
+            linalg.annihilator([], cols),
+            linalg.pivot_complement(m, cols),
+            linalg.inverse(square) or [],
+        ]
+        for result in results:
+            assert all(type(x) is QSqrt2 for x in _entries(result))
+    assert linalg.inverse([[QSqrt2(2), ONE], [ONE, ONE]]) == [[ONE, -ONE], [-ONE, QSqrt2(2)]]
+
+
+def test_subspace_and_map_entries_are_rational_qsqrt2():
+    forms = ([[1, 2]], [[Fraction(1), Fraction(2)]], [[ONE, QSqrt2(2)]], [["1", "2"]])
+    spaces = {Subspace.from_vectors(2, v) for v in forms}
+    assert len(spaces) == 1
+    (w,) = spaces
+    assert w.basis == ((ONE, QSqrt2(2)),)
+    assert w.contains([Fraction(1, 2), 1]) and w.contains([QSqrt2(3), QSqrt2(6)])
+    assert LinearMap.from_rows([[1, Fraction(1, 2)]]).matrix == ((ONE, QSqrt2(Fraction(1, 2))),)
+    for bad in (
+        lambda: Subspace.from_vectors(2, [[1, QSqrt2.sqrt2()]]),
+        lambda: w.contains([QSqrt2.sqrt2(), 2 * QSqrt2.sqrt2()]),
+        lambda: LinearMap.from_rows([[QSqrt2(1, 1)]]),
+    ):
+        with pytest.raises(ValueError, match="irrational entry"):
+            bad()

@@ -6,6 +6,8 @@ run; the first test makes it break the test suite as well.  The second
 keeps every module-level import in `src/` and `tests/` in use, and the
 third keeps every top-level function and class of the package called
 from the package itself, so code only the tests reach lives in the tests.
+The fourth keeps the linear-algebra layer on one scalar, ``QSqrt2``:
+``Fraction`` stays in parsing, the matching construction and ``numbers``.
 """
 
 import ast
@@ -95,6 +97,47 @@ def test_unused_import_check_sees_what_it_should(tmp_path):
     )
     found = _unused_imports(sample, tmp_path)
     assert found == ["sample.py:3 os", "sample.py:4 F"]
+
+
+# Modules whose matrices, subspaces and maps hold QSqrt2 entries only.
+SINGLE_SCALAR_MODULES = ("linalg", "diffeology", "constraints", "decompose")
+
+
+def _fractions_imports(path: Path) -> list:
+    """Line numbers at which ``path`` imports the stdlib fractions module,
+    at module level or inside a function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "fractions" for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_linear_algebra_layer_does_not_import_fractions():
+    package = ROOT / "src" / "smoothsum"
+    found = {m: _fractions_imports(package / f"{m}.py") for m in SINGLE_SCALAR_MODULES}
+    assert found == {m: [] for m in SINGLE_SCALAR_MODULES}
+
+
+def test_fractions_import_check_sees_what_it_should(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "from .fractions import local\n"
+        "import fractionsx\n"
+        "def f():\n"
+        "    import fractions as fr\n"
+        "    return fr\n"
+    )
+    assert _fractions_imports(sample) == [1, 2, 6]
 
 
 def _names_read(node: ast.AST):
