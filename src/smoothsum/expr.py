@@ -236,8 +236,8 @@ def compose(e: Expr, inner: Expr) -> Expr:
 # Deepest accepted nesting of parentheses; a function call's parentheses
 # count.  The parser and every tree walk after it recurse once per level.
 # A declaration whose two generators nest abs, exp, deltaQ, sqrt or plain
-# parentheses 100 deep takes 0.13 s in `analyze` and in `check-sum`, wall
-# on a 2-vCPU machine, start-up included; near 250 levels the parser
+# parentheses 100 deep takes 0.13-0.20 s in `analyze` and in `check-sum`,
+# wall on a 2-vCPU machine, start-up included; near 250 levels the parser
 # itself exhausts Python's default recursion limit.
 MAX_NESTING = 100
 
@@ -246,7 +246,7 @@ MAX_NESTING = 100
 # power is computed while parsing.  With x^1000, abs(x)^1000,
 # (3/7)^1000*abs(x), (1+sqrt2)^1000*deltaQ(x), (x+abs(x))^1000 or
 # exp(x)^1000*abs(x) in both generators, `analyze` and `check-sum` take
-# 0.13-0.19 s, measured as above; (3/7)^1000000 alone ran past 30 s.
+# 0.14-0.20 s, measured as above; (3/7)^1000000 alone ran past 30 s.
 MAX_EXPONENT = 1000
 
 
