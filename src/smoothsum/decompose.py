@@ -176,9 +176,28 @@ def _check_point(x: QSqrt2, outcomes: list, first: int, count: int, ann: list) -
             return f"mismatch at {x}, component {j}"
         vals.append(lhs.value)
     for phi in ann:
-        if not sum((c * v for c, v in zip(phi, vals)), QSqrt2()).is_zero:
+        if not _annihilates(phi, vals):
             return f"value at {x} lies outside the subspace"
     return None
+
+
+def _annihilates(phi: Sequence, vals: Sequence) -> bool:
+    """phi . vals == 0, summed on the integer triples over one denominator:
+    the sum is zero iff both parts of its numerator are, so nothing is
+    reduced."""
+    p = q = 0
+    d = 1
+    for c, v in zip(phi, vals):
+        cp, cq = c.p, c.q
+        if not (cp or cq):
+            continue
+        tp, tq, td = cp * v.p + 2 * cq * v.q, cp * v.q + cq * v.p, c.d * v.d
+        if td == d:
+            p += tp
+            q += tq
+        else:
+            p, q, d = p * td + tp * d, q * td + tq * d, d * td
+    return p == 0 and q == 0
 
 
 def certify_smooth_sum(
@@ -227,17 +246,17 @@ def certify_smooth_sum(
     # names the first entry, in generator/part order, that did not settle
     forward = []
     axioms: set = set()
-    replays = iter(_replay_witness(batch, DEFAULT_GRID))
+    replays = iter(zip(batch, _replay_witness(batch, DEFAULT_GRID)))
     for entry in entries:
         if "rule" not in entry:
-            err = next(replays)
+            (trees, _, _), err = next(replays)
             if err is not None:
                 return DecompositionVerdict(
                     "Unknown", forward, [], tuple(sorted(axioms)),
                     reason=f"witness replay failed for generator {entry['generator']} part {entry['part']}: {err}",
                 )
             entry["rule"] = "replayed-witness"
-            entry["witness"] = witnesses[(entry["generator"], entry["part"])].to_dict()
+            entry["witness"] = witnesses[(entry["generator"], entry["part"])].to_dict(trees)
         forward.append(entry)
     if missing is not None:
         return DecompositionVerdict("Unknown", forward, [], tuple(sorted(axioms)), reason=missing)

@@ -168,7 +168,11 @@ class Plot:
         """Every component tree, in coordinate order."""
         return [self.component_expr(j) for j in range(self.space.dim)]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, components: Optional[Sequence[Expr]] = None) -> dict:
+        """The plot's report; ``components`` are its component trees when
+        the caller has built them already."""
+        if components is None:
+            components = self.components()
         return {
             "space": self.space.name,
             "terms": [
@@ -176,7 +180,7 @@ class Plot:
                 for h, k, H in self.terms
             ],
             "tail": [to_text(t) for t in self.tail],
-            "components": [to_text(c) for c in self.components()],
+            "components": [to_text(c) for c in components],
         }
 
 

@@ -13,7 +13,11 @@ Tagged evaluation has two drivers over one node semantics.
 compiled once from a list of trees and then called at many points: equal
 subtrees are shared, so each distinct subexpression is evaluated once
 per point, and subtrees without x are hoisted out and evaluated once per
-plan.
+plan.  Each remaining node is compiled once into a step, with its
+dispatch and, for a function node, its function resolved when the plan
+is built.  Sums and products of single exact values run on the
+integer triples of ``QSqrt2`` and reduce once; any other value falls
+back to the shared node semantics.
 """
 
 from __future__ import annotations
@@ -26,10 +30,13 @@ from typing import Iterable, Optional, Sequence
 
 from .numbers import (
     INV_SQRT2,
+    ONE,
     QSqrt2,
     SQRT2,
     Tag,
     TaggedReal,
+    ZERO,
+    _reduced,
     add_tagged,
     exp_tagged,
     mul_tagged,
@@ -249,6 +256,18 @@ MAX_NESTING = 100
 # 0.14-0.20 s, measured as above; (3/7)^1000000 alone ran past 30 s.
 MAX_EXPONENT = 1000
 
+# Most decimal digits accepted in each integer (p, q and d) of a constant,
+# written as a literal or folded while parsing; Python reads and prints no
+# integer past 4300 digits, and (3/7)^1000 has 846.  With 1000-digit
+# constants in both generators of a dim-2 space (literals, or
+# (3/7)^1000*(3/7)^150 folded), `analyze` and `check-sum` take 0.12-0.14
+# s, measured as above; on a dense dim-4 space, 0.30-0.38 s.  The bound
+# does not cap the cost of dimension: a dense dim-24 space with 20-digit
+# constants takes 14 s in `analyze`.
+MAX_CONSTANT_DIGITS = 1000
+_CONSTANT_LIMIT = 10**MAX_CONSTANT_DIGITS
+_CONSTANT_MESSAGE = f"constant past MAX_CONSTANT_DIGITS = {MAX_CONSTANT_DIGITS} digits"
+
 
 class ParseError(ExprError):
     def __init__(self, message: str, position: int):
@@ -311,18 +330,23 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> Expr:
+        at = self.peek()[2]
         terms = [self.parse_term()]
         while self.peek()[0] in "+-":
             op = self.take()[0]
             t = self.parse_term()
             terms.append(t if op == "+" else make_neg(t))
-        return make_sum(terms)
+        return _bounded_constants(make_sum(terms), at)
 
     def parse_term(self) -> Expr:
+        at = self.peek()[2]
         factors = [self.parse_factor()]
+        coef = _split_coefficient(factors[0])[0]
         while self.peek()[0] == "*":
             self.take()
             factors.append(self.parse_factor())
+            # the constant make_prod folds, bounded factor by factor
+            coef = _bounded(coef * _split_coefficient(factors[-1])[0], at)
         return make_prod(factors)
 
     def parse_factor(self) -> Expr:
@@ -331,6 +355,7 @@ class _Parser:
             self.take()
             neg = True
         outer, self.power = self.power, 1
+        at = self.peek()[2]
         e = self.parse_atom()
         if self.peek()[0] == "^":
             self.take()
@@ -346,6 +371,8 @@ class _Parser:
                     f"exponent past MAX_EXPONENT = {MAX_EXPONENT} (nested powers multiply)", tok[2]
                 )
             e = make_pow(e, k)
+            if isinstance(e, Const):
+                _bounded(e.value, at)
         self.power = max(self.power, outer)
         return make_neg(e) if neg else e
 
@@ -353,10 +380,11 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "int":
             self.take()
-            num = int(text)
+            num = _literal(text, at)
             if self.peek()[0] == "/":
                 self.take()
-                den = int(self.take("int")[1])
+                tok = self.take("int")
+                den = _literal(tok[1], tok[2])
                 if den == 0:
                     raise ParseError("zero denominator", at)
                 return const(Fraction(num, den))
@@ -380,6 +408,29 @@ class _Parser:
             self.take(")")
             return e
         raise ParseError(f"unexpected token {text!r}", at)
+
+
+def _literal(digits: str, at: int) -> int:
+    # a long digit string is past the bound before int() reads it, and
+    # leading zeros count towards int()'s limit but not towards the bound
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > MAX_CONSTANT_DIGITS:
+        raise ParseError(_CONSTANT_MESSAGE, at)
+    return int(digits)
+
+
+def _bounded(v: QSqrt2, at: int) -> QSqrt2:
+    if max(abs(v.p), abs(v.q), v.d) >= _CONSTANT_LIMIT:
+        raise ParseError(_CONSTANT_MESSAGE, at)
+    return v
+
+
+def _bounded_constants(e: Expr, at: int) -> Expr:
+    """``e``, once the constants a sum may have folded or merged (its
+    constant term and each term's coefficient) are within the bound."""
+    for t in e.terms if isinstance(e, Sum) else (e,):
+        _bounded(_split_coefficient(t)[0], at)
+    return e
 
 
 def parse_expr(text: str, bar_gamma_ref=None) -> Expr:
@@ -604,32 +655,42 @@ def _apply(e: Expr, kids: Sequence[Candidates], x: TaggedReal) -> Candidates:
     if isinstance(e, Pow):
         return _fold(repeat(kids[0], e.exponent), _ONE_T, mul_tagged)
     if isinstance(e, App):
-        name = e.name
-        if name == "abs":
-            fn = _abs_tagged
-        elif name == "exp":
-            fn = exp_tagged
-        elif name == "sqrt":
-            fn = sqrt_tagged
-        elif name == "deltaQ":
-            fn = _delta_tagged
-        elif name == "H1":
-            fn = _h1_tagged
-        elif name == "w":
-            fn = _w_tagged
-        elif name == "barGamma":
-            ref = e.ref
-            fn = lambda t: _bar_gamma_tagged(t, ref)
-        elif name == "gamma":
-            return (TaggedReal.opaque(),)
-        else:
-            raise ExprError(f"cannot evaluate {e!r}")
         (arg,) = kids
-        if len(arg) == 1:
-            r = fn(arg[0])
-            return r if isinstance(r, tuple) else (r,)
-        return _map(arg, fn)
+        return _app_candidates(_app_fn(e), arg)
     raise ExprError(f"cannot evaluate {e!r}")
+
+
+def _app_fn(e: App):
+    """The function evaluating App node ``e`` at one candidate of its
+    argument; raises ExprError for a name this module cannot evaluate.
+    Each name is read from the module globals when this runs, so a plan
+    built after a wrapper is installed on the module calls the wrapper."""
+    name = e.name
+    if name == "abs":
+        return _abs_tagged
+    if name == "exp":
+        return exp_tagged
+    if name == "sqrt":
+        return sqrt_tagged
+    if name == "deltaQ":
+        return _delta_tagged
+    if name == "H1":
+        return _h1_tagged
+    if name == "w":
+        return _w_tagged
+    if name == "barGamma":
+        ref = e.ref
+        return lambda t: _bar_gamma_tagged(t, ref)
+    if name == "gamma":
+        return lambda t: TaggedReal.opaque()
+    raise ExprError(f"cannot evaluate {e!r}")
+
+
+def _app_candidates(fn, arg: Candidates) -> Candidates:
+    if len(arg) == 1:
+        r = fn(arg[0])
+        return r if isinstance(r, tuple) else (r,)
+    return _map(arg, fn)
 
 
 def eval_candidates(e: Expr, x: TaggedReal) -> Candidates:
@@ -654,6 +715,112 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
     return ("?", id(e))
 
 
+# A plan compiles each node it evaluates per point into a step: a
+# function of the plan's values by slot and of the point, which returns
+# the node's candidates.  The Sum/Prod/Pow/App dispatch and an App's
+# function are resolved once, when the step is built.  Sum and Prod steps
+# have an exact fast path: when every child they read holds one exact
+# value, they compute on the integer triples (p, q, d) over one
+# denominator and reduce once.  Anything else (a candidate set, an
+# approximate or opaque value) falls back to ``_apply`` on all children
+# in their order, so the plan and ``eval_candidates`` keep one node
+# semantics.
+
+
+def _var_step(values: list, x: TaggedReal) -> Candidates:
+    return (x,)
+
+
+def _generic_step(e: Expr, kids: tuple):
+    return lambda values, x: _apply(e, [values[k] for k in kids], x)
+
+
+def _app_step(e: App, kids: tuple):
+    try:
+        fn = _app_fn(e)
+    except ExprError:
+        return _generic_step(e, kids)  # raises at each call, as _apply does
+    (arg,) = kids
+    return lambda values, x: _app_candidates(fn, values[arg])
+
+
+def _sum_step(e: Sum, kids: tuple, start: QSqrt2, rest: tuple):
+    """``start`` is the sum of the Const children, ``rest`` the slots of
+    the others."""
+    p0, q0, d0 = start.p, start.q, start.d
+
+    def run(values: list, x: TaggedReal) -> Candidates:
+        p, q, d = p0, q0, d0
+        for k in rest:
+            c = values[k]
+            v = c[0].value
+            if len(c) != 1 or type(v) is not QSqrt2:
+                return _apply(e, [values[j] for j in kids], x)
+            vd = v.d
+            if vd == d:
+                p += v.p
+                q += v.q
+            else:
+                p, q, d = p * vd + v.p * d, q * vd + v.q * d, d * vd
+        return (TaggedReal.exact(_reduced(p, q, d)),)
+
+    return run
+
+
+def _prod_step(e: Prod, kids: tuple, start: QSqrt2, rest: tuple):
+    """``start`` is the product of the Const children, ``rest`` the slots
+    of the others."""
+    p0, q0, d0 = start.p, start.q, start.d
+
+    def run(values: list, x: TaggedReal) -> Candidates:
+        p, q, d = p0, q0, d0
+        for k in rest:
+            c = values[k]
+            v = c[0].value
+            if len(c) != 1 or type(v) is not QSqrt2:
+                return _apply(e, [values[j] for j in kids], x)
+            vp, vq = v.p, v.q
+            if vq:
+                p, q = p * vp + 2 * q * vq, p * vq + q * vp
+            else:
+                p *= vp
+                q *= vp
+            d *= v.d
+        return (TaggedReal.exact(_reduced(p, q, d)),)
+
+    return run
+
+
+def _pow_step(e: Pow, kids: tuple):
+    (base,) = kids
+    k = e.exponent
+    return lambda values, x: _fold(repeat(values[base], k), _ONE_T, mul_tagged)
+
+
+def _compile_step(e: Expr, kids: tuple, nodes: list):
+    """The step evaluating plan node ``e``, whose children sit in slots
+    ``kids`` of ``nodes``.  Const children of a Sum or Prod fold into the
+    step's start value here, once."""
+    if isinstance(e, Var):
+        return _var_step
+    if isinstance(e, App):
+        return _app_step(e, kids)
+    if isinstance(e, (Sum, Prod)):
+        is_sum = isinstance(e, Sum)
+        start = ZERO if is_sum else ONE
+        rest = []
+        for k in kids:
+            kid = nodes[k][0]
+            if isinstance(kid, Const):
+                start = start + kid.value if is_sum else start * kid.value
+            else:
+                rest.append(k)
+        return (_sum_step if is_sum else _prod_step)(e, kids, start, tuple(rest))
+    if isinstance(e, Pow):
+        return _pow_step(e, kids)
+    return _generic_step(e, kids)
+
+
 class Plan:
     """Evaluate a fixed list of trees at many points, sharing the work.
 
@@ -665,6 +832,16 @@ class Plan:
     trees that hold H1(x) run H1 once.  A node free of x whose evaluation
     raises is kept for the calls instead, so a plan never called raises
     nothing.  Nothing outlives the plan.
+
+    Each remaining node is compiled here into a step (``_compile_step``).
+    Its Sum/Prod/Pow/App dispatch is resolved once, and so is a function
+    node's function, read from the module globals when the plan is built:
+    a plan built after a wrapper is installed on this module calls the
+    wrapper.  Const children of a sum or product fold into the step's
+    start value.  When every other child holds one exact value at a point,
+    the step sums or multiplies their integer triples over one denominator
+    and reduces once; otherwise it applies ``_apply`` to all children in
+    their order.  So the result is ``eval_candidates``'s, value for value.
 
     Errors are kept per node and per call.  A node whose evaluation raises
     records the exception; a node above it is not evaluated and records
@@ -697,7 +874,7 @@ class Plan:
 
         self._roots = [visit(e) for e in exprs]
         values: list = []  # per slot: candidates if evaluated once here, else None
-        steps = []  # (slot, node, children's slots) to run at each point
+        steps = []  # (slot, step, children's slots) to run at each point
         for slot, (node, kids, varies) in enumerate(nodes):
             value = None
             if not varies and all(values[k] is not None for k in kids):
@@ -707,7 +884,7 @@ class Plan:
                     pass
             values.append(value)
             if value is None:
-                steps.append((slot, node, kids))
+                steps.append((slot, _compile_step(node, kids, nodes), kids))
         self._values = values
         self._steps = steps
 
@@ -716,14 +893,14 @@ class Plan:
         it alone raises."""
         values = self._values[:]
         raised: dict = {}  # slot -> the exception its node raises at x
-        for slot, e, kids in self._steps:
+        for slot, step, kids in self._steps:
             if raised:
                 failed = next((raised[k] for k in kids if k in raised), None)
                 if failed is not None:
                     raised[slot] = failed
                     continue
             try:
-                values[slot] = _apply(e, [values[k] for k in kids], x)
+                values[slot] = step(values, x)
             except Exception as exc:  # whatever eval_candidates would raise, kept for its trees
                 raised[slot] = exc
         return [raised.get(root, values[root]) for root in self._roots]

@@ -243,8 +243,11 @@ def test_basis_vector_count_bound(capsys):
         ("abs(" * 300 + "x" + ")" * 300, "MAX_NESTING"),
         ("(" * 5000 + "x" + ")" * 5000, "MAX_NESTING"),
         ("3^10000000000*x", "MAX_EXPONENT"),
+        # past Python's 4300-digit int/str limit: folded, and a literal
+        ("(3/7)^1000*" * 6 + "abs(x)", "MAX_CONSTANT_DIGITS"),
+        ("1" * 5001 + "*abs(x)", "MAX_CONSTANT_DIGITS"),
     ],
-    ids=["abs-300", "parens-5000", "power"],
+    ids=["abs-300", "parens-5000", "power", "folded-constant", "long-literal"],
 )
 def test_parser_bounds_exit_2(tmp_path, gen, bound):
     # a RecursionError traceback or a hang without the bounds

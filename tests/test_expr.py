@@ -1,5 +1,6 @@
 """Expression trees: parsing, printing, evaluation, classification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -138,6 +139,27 @@ def test_exponent_bound():
             parse_expr(bad)
     for bad in ("x^0", "x^000"):
         with pytest.raises(ParseError, match="positive integer"):
+            parse_expr(bad)
+
+
+def test_constant_digit_bound():
+    n = expr_module.MAX_CONSTANT_DIGITS
+    top = "9" * n
+    assert parse_expr(f"{top}*x") == Prod((const(int(top)), X))
+    assert parse_expr(f"1/{top}*abs(x)") is not None
+    assert parse_expr("(3/7)^1000*(3/7)^150*abs(x)") is not None
+    assert parse_expr("0" * 5000 + "1*x") == X  # leading zeros are not digits
+    for bad in (
+        "1" + "0" * n + "*x",
+        f"1/1{top}",
+        "1" * 5001,  # past int()'s digit limit
+        "(3/7)^1000*" * 6 + "abs(x)",  # each factor within MAX_EXPONENT
+        "x*(3/7)^1000*x*(3/7)^1000",  # folded across other factors
+        f"(1+{top})^2*x",  # a constant power
+        "1/7^1000+1/3^1000+x",  # a constant sum
+        f"{top}*x+{top}*x",  # merged coefficients
+    ):
+        with pytest.raises(ParseError, match=f"MAX_CONSTANT_DIGITS = {n}"):
             parse_expr(bad)
 
 
@@ -313,6 +335,75 @@ def test_replay_on_an_empty_grid_evaluates_nothing():
     # on a point the error is raised, and the replay reports where
     reasons = _replay_witness([(trees, [bad], w)], grid="zero")
     assert reasons == ["domain error at 0, component 0: sqrt of a negative number"]
+
+
+# ---------------------------------------------------------------------
+# The plan's exact fast path against eval_candidates
+# ---------------------------------------------------------------------
+
+_small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+# rational and sqrt2-multiple constants; sums and products may hold
+# several of them, which a plan folds into one start value
+_exact_leaves = st.one_of(
+    st.just(X),
+    _small.map(lambda r: Const(QSqrt2(r))),
+    _small.map(lambda r: Const(QSqrt2(0, r))),
+)
+
+
+def _extend_exact(kids):
+    return st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda fs: Prod(tuple(fs))),
+        st.builds(Pow, kids, st.integers(1, 3)),
+        kids.map(lambda arg: App("abs", arg)),
+    )
+
+
+_exact_trees = st.recursive(_exact_leaves, _extend_exact, max_leaves=10)
+_exact_points = st.one_of(
+    st.just(QSqrt2()),
+    _small.map(QSqrt2),
+    _small.map(lambda r: QSqrt2(0, r)),
+)
+
+_HALF, _THIRD, _ROOT = QSqrt2(Fraction(1, 2)), QSqrt2(Fraction(1, 3)), QSqrt2.sqrt2()
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs=st.lists(_exact_trees, min_size=1, max_size=3), x=_exact_points)
+@example(exprs=[Sum((X, X))], x=_HALF)  # 1/2 + 1/2
+@example(exprs=[Prod((Const(_ROOT), X)), Prod((X, X))], x=_ROOT)  # sqrt2 * sqrt2
+@example(exprs=[Pow(X, 2), Prod((X, X))], x=QSqrt2(0, Fraction(1, 2)))  # (sqrt2/2)^2
+@example(exprs=[Prod((Const(QSqrt2(3)), Const(_THIRD), X))], x=_HALF)  # 3 * (1/3) * x
+@example(exprs=[Sum((X, make_neg(X)))], x=_THIRD)  # x - x
+@example(exprs=[Sum((Const(_HALF), X)), Prod((Const(QSqrt2(3)), X))], x=QSqrt2(1))
+def test_plan_exact_fast_path_matches_eval_candidates(exprs, x):
+    point = TaggedReal.exact(x)
+    got = Plan(exprs).outcomes(point)
+    assert repr(got) == repr([eval_candidates(e, point) for e in exprs])
+    # the fast path reduces its integers: every triple is canonical
+    for cands in got:
+        for c in cands:
+            v = c.value
+            assert v.d > 0 and math.gcd(v.p, v.q, v.d) == 1, (v.p, v.q, v.d)
+
+
+def test_plan_exact_fast_path_falls_back_on_anything_else():
+    half = TaggedReal.exact(Fraction(1, 2))
+    cases = [
+        # a candidate set beside a folded constant
+        (Sum((const(1), _DELTA_X)), TaggedReal.opaque()),
+        (Prod((const(2), _DELTA_X)), TaggedReal.approx(0.5)),
+        (Pow(_DELTA_X, 2), TaggedReal.opaque()),
+        # an exact zero beside a value that is not exact is exactly zero
+        (Prod((Sum((X, make_neg(X))), App("exp", X))), half),
+        (Sum((X, App("exp", X))), half),
+    ]
+    for e, x in cases:
+        assert repr(Plan([e])(x)) == repr([eval_candidates(e, x)])
+    assert [c.value for c in Plan([cases[0][0]])(TaggedReal.opaque())[0]] == [QSqrt2(1), QSqrt2(2)]
 
 
 # ---------------------------------------------------------------------

@@ -8,11 +8,14 @@ third keeps every top-level function and class of the package called
 from the package itself, so code only the tests reach lives in the tests.
 The fourth keeps the linear-algebra layer on one scalar, ``QSqrt2``:
 ``Fraction`` stays in parsing, the matching construction and ``numbers``.
+The last installs the tracer on a fresh import of the package and finds
+no reference to an unwrapped original, which would fail the traced run.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -195,3 +198,34 @@ def test_unreferenced_definition_check_sees_what_it_should(tmp_path):
     )
     found = _unreferenced_definitions(package, tmp_path)
     assert found == ["pkg/a.py:7 recursive", "pkg/a.py:9 only_imported", "pkg/b.py:3 main"]
+
+
+def _package_modules() -> list:
+    return [name for name in sys.modules if name == "smoothsum" or name.startswith("smoothsum.")]
+
+
+def test_tracer_leaves_no_unwrapped_original():
+    """A module-level container, class attribute or default argument that
+    keeps a traced function (say ``{"exp": exp_tagged}`` in ``expr``)
+    would bypass its wrapper."""
+    tracer_module = _load_tracer()
+    saved = {name: sys.modules[name] for name in _package_modules()}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        package = {
+            path.stem: importlib.import_module(f"smoothsum.{path.stem}")
+            for path in sorted((ROOT / "src" / "smoothsum").glob("*.py"))
+            if path.stem != "__init__"
+        }
+        tracer = tracer_module.Tracer(package)
+        tracer.install()
+        try:
+            assert tracer.leftovers() == []
+        finally:
+            tracer.uninstall()
+    finally:
+        # the other tests keep the modules they imported
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
