@@ -54,7 +54,7 @@ from .expr import (
     verify_nonsmooth_witness,
 )
 from .franklin import parse_grid
-from .numbers import ONE, ZERO, DomainError, QSqrt2, TaggedReal
+from .numbers import ONE, ZERO, DomainError, QSqrt2, TaggedReal, dot_is_zero
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -176,28 +176,9 @@ def _check_point(x: QSqrt2, outcomes: list, first: int, count: int, ann: list) -
             return f"mismatch at {x}, component {j}"
         vals.append(lhs.value)
     for phi in ann:
-        if not _annihilates(phi, vals):
+        if not dot_is_zero(phi, vals):
             return f"value at {x} lies outside the subspace"
     return None
-
-
-def _annihilates(phi: Sequence, vals: Sequence) -> bool:
-    """phi . vals == 0, summed on the integer triples over one denominator:
-    the sum is zero iff both parts of its numerator are, so nothing is
-    reduced."""
-    p = q = 0
-    d = 1
-    for c, v in zip(phi, vals):
-        cp, cq = c.p, c.q
-        if not (cp or cq):
-            continue
-        tp, tq, td = cp * v.p + 2 * cq * v.q, cp * v.q + cq * v.p, c.d * v.d
-        if td == d:
-            p += tp
-            q += tq
-        else:
-            p, q, d = p * td + tp * d, q * td + tq * d, d * td
-    return p == 0 and q == 0
 
 
 def certify_smooth_sum(

@@ -13,11 +13,11 @@ Tagged evaluation has two drivers over one node semantics.
 compiled once from a list of trees and then called at many points: equal
 subtrees are shared, so each distinct subexpression is evaluated once
 per point, and subtrees without x are hoisted out and evaluated once per
-plan.  Each remaining node is compiled once into a step, with its
-dispatch and, for a function node, its function resolved when the plan
-is built.  Sums and products of single exact values run on the
-integer triples of ``QSqrt2`` and reduce once; any other value falls
-back to the shared node semantics.
+plan.  Each remaining node is compiled once into a step, with a function
+node's function resolved when the plan is built.  Sums and products of
+single exact values go to ``numbers.sum_exact`` and ``prod_exact``,
+which reduce once; any other value falls back to the shared node
+semantics.
 """
 
 from __future__ import annotations
@@ -30,18 +30,17 @@ from typing import Iterable, Optional, Sequence
 
 from .numbers import (
     INV_SQRT2,
-    ONE,
     QSqrt2,
     SQRT2,
     Tag,
     TaggedReal,
-    ZERO,
-    _reduced,
     add_tagged,
     exp_tagged,
     mul_tagged,
     parse_qsqrt2,
+    prod_exact,
     sqrt_tagged,
+    sum_exact,
 )
 
 # The affine map w(t) = ((sqrt2-1)/sqrt2) t + 1/sqrt2 used throughout the
@@ -266,6 +265,7 @@ MAX_EXPONENT = 1000
 # constants takes 14 s in `analyze`.
 MAX_CONSTANT_DIGITS = 1000
 _CONSTANT_LIMIT = 10**MAX_CONSTANT_DIGITS
+_CONSTANT_BITS = _CONSTANT_LIMIT.bit_length()
 _CONSTANT_MESSAGE = f"constant past MAX_CONSTANT_DIGITS = {MAX_CONSTANT_DIGITS} digits"
 
 
@@ -370,6 +370,8 @@ class _Parser:
                 raise ParseError(
                     f"exponent past MAX_EXPONENT = {MAX_EXPONENT} (nested powers multiply)", tok[2]
                 )
+            if isinstance(e, Const):
+                _bounded_power(e.value, k, at)
             e = make_pow(e, k)
             if isinstance(e, Const):
                 _bounded(e.value, at)
@@ -423,6 +425,17 @@ def _bounded(v: QSqrt2, at: int) -> QSqrt2:
     if max(abs(v.p), abs(v.q), v.d) >= _CONSTANT_LIMIT:
         raise ParseError(_CONSTANT_MESSAGE, at)
     return v
+
+
+def _bounded_power(v: QSqrt2, k: int, at: int) -> None:
+    """Refuse v^k before computing it when it must pass the bound.  With
+    m the largest of |p|, |q| and d, a part of the reduced v^k is at least
+    m^k / ((1 + sqrt2) * 2^(k//2)): only powers of sqrt2 cancel, since
+    gcd(p, q, d) = 1, and at most k//2 factors of 2 of them.  A power that
+    passes this test has parts of at most about 6100 bits."""
+    m_bits = max(abs(v.p), abs(v.q), v.d).bit_length() - 1
+    if k * m_bits - k // 2 - 2 >= _CONSTANT_BITS:
+        raise ParseError(_CONSTANT_MESSAGE, at)
 
 
 def _bounded_constants(e: Expr, at: int) -> Expr:
@@ -717,18 +730,13 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
 
 # A plan compiles each node it evaluates per point into a step: a
 # function of the plan's values by slot and of the point, which returns
-# the node's candidates.  The Sum/Prod/Pow/App dispatch and an App's
-# function are resolved once, when the step is built.  Sum and Prod steps
-# have an exact fast path: when every child they read holds one exact
-# value, they compute on the integer triples (p, q, d) over one
-# denominator and reduce once.  Anything else (a candidate set, an
-# approximate or opaque value) falls back to ``_apply`` on all children
-# in their order, so the plan and ``eval_candidates`` keep one node
-# semantics.
-
-
-def _var_step(values: list, x: TaggedReal) -> Candidates:
-    return (x,)
+# the node's candidates.  An App step resolves its function once, when
+# the step is built.  Sum and Prod steps have an exact fast path: when
+# every child they read holds one exact value, ``numbers.sum_exact`` or
+# ``prod_exact`` combines them over one denominator and reduces once.
+# Anything else (a candidate set, an approximate or opaque value) falls
+# back to ``_apply`` on all children in their order, so the plan and
+# ``eval_candidates`` keep one node semantics.
 
 
 def _generic_step(e: Expr, kids: tuple):
@@ -744,81 +752,35 @@ def _app_step(e: App, kids: tuple):
     return lambda values, x: _app_candidates(fn, values[arg])
 
 
-def _sum_step(e: Sum, kids: tuple, start: QSqrt2, rest: tuple):
-    """``start`` is the sum of the Const children, ``rest`` the slots of
-    the others."""
-    p0, q0, d0 = start.p, start.q, start.d
+def _exact_step(e: Expr, kids: tuple, start: QSqrt2, rest: tuple, combine):
+    """``start`` is the sum or product of the Const children, ``rest`` the
+    slots of the others, ``combine`` ``sum_exact`` or ``prod_exact``."""
 
     def run(values: list, x: TaggedReal) -> Candidates:
-        p, q, d = p0, q0, d0
+        vals = []
         for k in rest:
             c = values[k]
             v = c[0].value
             if len(c) != 1 or type(v) is not QSqrt2:
                 return _apply(e, [values[j] for j in kids], x)
-            vd = v.d
-            if vd == d:
-                p += v.p
-                q += v.q
-            else:
-                p, q, d = p * vd + v.p * d, q * vd + v.q * d, d * vd
-        return (TaggedReal.exact(_reduced(p, q, d)),)
+            vals.append(v)
+        return (TaggedReal.exact(combine(vals, start)),)
 
     return run
-
-
-def _prod_step(e: Prod, kids: tuple, start: QSqrt2, rest: tuple):
-    """``start`` is the product of the Const children, ``rest`` the slots
-    of the others."""
-    p0, q0, d0 = start.p, start.q, start.d
-
-    def run(values: list, x: TaggedReal) -> Candidates:
-        p, q, d = p0, q0, d0
-        for k in rest:
-            c = values[k]
-            v = c[0].value
-            if len(c) != 1 or type(v) is not QSqrt2:
-                return _apply(e, [values[j] for j in kids], x)
-            vp, vq = v.p, v.q
-            if vq:
-                p, q = p * vp + 2 * q * vq, p * vq + q * vp
-            else:
-                p *= vp
-                q *= vp
-            d *= v.d
-        return (TaggedReal.exact(_reduced(p, q, d)),)
-
-    return run
-
-
-def _pow_step(e: Pow, kids: tuple):
-    (base,) = kids
-    k = e.exponent
-    return lambda values, x: _fold(repeat(values[base], k), _ONE_T, mul_tagged)
 
 
 def _compile_step(e: Expr, kids: tuple, nodes: list):
     """The step evaluating plan node ``e``, whose children sit in slots
     ``kids`` of ``nodes``.  Const children of a Sum or Prod fold into the
     step's start value here, once."""
-    if isinstance(e, Var):
-        return _var_step
     if isinstance(e, App):
         return _app_step(e, kids)
-    if isinstance(e, (Sum, Prod)):
-        is_sum = isinstance(e, Sum)
-        start = ZERO if is_sum else ONE
-        rest = []
-        for k in kids:
-            kid = nodes[k][0]
-            if isinstance(kid, Const):
-                start = start + kid.value if is_sum else start * kid.value
-            else:
-                rest.append(k)
-        return (_sum_step if is_sum else _prod_step)(e, kids, start, tuple(rest))
-    if isinstance(e, Pow):
-        return _pow_step(e, kids)
-    return _generic_step(e, kids)
+    if not isinstance(e, (Sum, Prod)):
+        return _generic_step(e, kids)
+    combine = sum_exact if isinstance(e, Sum) else prod_exact
+    consts = [nodes[k][0].value for k in kids if isinstance(nodes[k][0], Const)]
+    rest = tuple(k for k in kids if not isinstance(nodes[k][0], Const))
+    return _exact_step(e, kids, combine(consts), rest, combine)
 
 
 class Plan:
@@ -834,14 +796,14 @@ class Plan:
     nothing.  Nothing outlives the plan.
 
     Each remaining node is compiled here into a step (``_compile_step``).
-    Its Sum/Prod/Pow/App dispatch is resolved once, and so is a function
-    node's function, read from the module globals when the plan is built:
-    a plan built after a wrapper is installed on this module calls the
-    wrapper.  Const children of a sum or product fold into the step's
-    start value.  When every other child holds one exact value at a point,
-    the step sums or multiplies their integer triples over one denominator
-    and reduces once; otherwise it applies ``_apply`` to all children in
-    their order.  So the result is ``eval_candidates``'s, value for value.
+    A function node's function is resolved once, read from the module
+    globals when the plan is built: a plan built after a wrapper is
+    installed on this module calls the wrapper.  Const children of a sum
+    or product fold into the step's start value.  When every other child
+    holds one exact value at a point, the step combines them with
+    ``numbers.sum_exact`` or ``prod_exact``, which reduce once; otherwise
+    it applies ``_apply`` to all children in their order.  So the result
+    is ``eval_candidates``'s, value for value.
 
     Errors are kept per node and per call.  A node whose evaluation raises
     records the exception; a node above it is not evaluated and records

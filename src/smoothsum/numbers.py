@@ -16,7 +16,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 #: Exact rational numbers; stdlib fractions are stored coprime with a
 #: positive denominator, which is exactly the canonical form we need.
@@ -306,6 +306,56 @@ def _reduced(p: int, q: int, d: int) -> QSqrt2:
 
 ZERO = QSqrt2()
 ONE = QSqrt2.from_rational(1)
+
+
+# -- many values at once ---------------------------------------------------
+# Sums and products of a list of values on the integer triples, over one
+# denominator, reduced once at the end.
+
+
+def sum_exact(values: Iterable[QSqrt2], start: QSqrt2 = ZERO) -> QSqrt2:
+    """start + the sum of ``values``."""
+    p, q, d = start.p, start.q, start.d
+    for v in values:
+        vd = v.d
+        if vd == d:
+            p += v.p
+            q += v.q
+        else:
+            p, q, d = p * vd + v.p * d, q * vd + v.q * d, d * vd
+    return _reduced(p, q, d)
+
+
+def prod_exact(values: Iterable[QSqrt2], start: QSqrt2 = ONE) -> QSqrt2:
+    """start times the product of ``values``."""
+    p, q, d = start.p, start.q, start.d
+    for v in values:
+        vp, vq = v.p, v.q
+        if vq:
+            p, q = p * vp + 2 * q * vq, p * vq + q * vp
+        else:
+            p *= vp
+            q *= vp
+        d *= v.d
+    return _reduced(p, q, d)
+
+
+def dot_is_zero(phi: Iterable[QSqrt2], vals: Iterable[QSqrt2]) -> bool:
+    """Whether the sum of phi[i] * vals[i] is 0.  Over one denominator it
+    is zero iff both parts of its numerator are, so nothing is reduced."""
+    p = q = 0
+    d = 1
+    for c, v in zip(phi, vals):
+        cp, cq = c.p, c.q
+        if not (cp or cq):
+            continue
+        tp, tq, td = cp * v.p + 2 * cq * v.q, cp * v.q + cq * v.p, c.d * v.d
+        if td == d:
+            p += tp
+            q += tq
+        else:
+            p, q, d = p * td + tp * d, q * td + tq * d, d * td
+    return p == 0 and q == 0
 SQRT2 = QSqrt2.sqrt2()
 INV_SQRT2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 

@@ -149,6 +149,9 @@ def test_constant_digit_bound():
     assert parse_expr(f"1/{top}*abs(x)") is not None
     assert parse_expr("(3/7)^1000*(3/7)^150*abs(x)") is not None
     assert parse_expr("0" * 5000 + "1*x") == X  # leading zeros are not digits
+    assert parse_expr("27^698*x") is not None  # 1000 digits
+    assert parse_expr("(1/8*sqrt2)^1000*x") is not None  # 2^500 of 8^1000 cancels
+    assert parse_expr("(1/16*sqrt2)^900*x") is not None  # 1/2^3150: 949 digits
     for bad in (
         "1" + "0" * n + "*x",
         f"1/1{top}",
@@ -156,10 +159,25 @@ def test_constant_digit_bound():
         "(3/7)^1000*" * 6 + "abs(x)",  # each factor within MAX_EXPONENT
         "x*(3/7)^1000*x*(3/7)^1000",  # folded across other factors
         f"(1+{top})^2*x",  # a constant power
+        "27^699*x",  # 1001 digits
+        f"{top}/{top[:-1]}8^1000*x",  # a million digits if computed
         "1/7^1000+1/3^1000+x",  # a constant sum
         f"{top}*x+{top}*x",  # merged coefficients
     ):
         with pytest.raises(ParseError, match=f"MAX_CONSTANT_DIGITS = {n}"):
+            parse_expr(bad)
+
+
+def test_constant_power_past_the_bound_is_not_computed(monkeypatch):
+    # x^k for a 1000-digit x has a million digits: computing it first took
+    # over 30 s
+    def no_power(base, k):
+        raise AssertionError(f"computed a constant to the power {k}")
+
+    top = "7" * expr_module.MAX_CONSTANT_DIGITS
+    monkeypatch.setattr(expr_module, "make_pow", no_power)
+    for bad in (f"{top}/{top[:-1]}8^1000*x", f"(1/{top}*sqrt2)^5*x", "(1/16*sqrt2)^1000*x"):
+        with pytest.raises(ParseError, match="MAX_CONSTANT_DIGITS"):
             parse_expr(bad)
 
 

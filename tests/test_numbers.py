@@ -19,11 +19,14 @@ from smoothsum.numbers import (
     Tag,
     TaggedReal,
     add_tagged,
+    dot_is_zero,
     exp_tagged,
     floor_qsqrt2,
     mul_tagged,
     parse_qsqrt2,
+    prod_exact,
     sqrt_tagged,
+    sum_exact,
     transcendence_axiom_lookup,
 )
 
@@ -60,6 +63,30 @@ def test_inverse(x):
             x.inverse()
     else:
         assert x * x.inverse() == ONE
+
+
+@given(st.lists(qsqrt2s, max_size=6), qsqrt2s)
+def test_sum_and_product_of_many(values, start):
+    # == compares triples, so equal to a canonical value means canonical
+    total, product = start, start
+    for v in values:
+        total, product = total + v, product * v
+    assert sum_exact(values, start) == total
+    assert prod_exact(values, start) == product
+    assert sum_exact(values) == total - start
+    assert sum_exact(values + [-v for v in values]) == ZERO
+    assert prod_exact([]) == ONE
+
+
+@given(st.lists(st.tuples(qsqrt2s, qsqrt2s), max_size=5))
+def test_dot_is_zero(pairs):
+    phi = [c for c, _ in pairs]
+    vals = [v for _, v in pairs]
+    dot = sum((c * v for c, v in pairs), ZERO)
+    assert dot_is_zero(phi, vals) == dot.is_zero
+    # completed to an exact zero by one more coordinate
+    assert dot_is_zero(phi + [ONE], vals + [-dot])
+    assert dot_is_zero(phi + [ZERO], vals + [ONE]) == dot.is_zero
 
 
 @given(qsqrt2s)
