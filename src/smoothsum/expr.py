@@ -17,14 +17,17 @@ plan.  Each remaining node is compiled once into a step, with a function
 node's function resolved when the plan is built.  Sums and products of
 single exact values go to ``numbers.sum_exact`` and ``prod_exact``,
 which reduce once; any other value falls back to the shared node
-semantics.
+semantics.  A float is computed only where a reader needs it: under
+deltaQ, which reads only a tag, H1, exp and barGamma skip theirs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
@@ -584,50 +587,55 @@ def _delta_tagged(x: TaggedReal) -> Candidates:
     return _DELTA_UNKNOWN
 
 
-def _h1_tagged(x: TaggedReal) -> TaggedReal:
+def _h1_float(fx: Optional[float]) -> Optional[float]:
+    """exp(-1/fx^2), or None when it cannot be formed: fx is None, or so
+    small that its square is 0.0."""
+    if fx is None:
+        return None
+    try:
+        return math.exp(-1.0 / (fx * fx))
+    except ZeroDivisionError:
+        return None
+
+
+def _h1_tagged(x: TaggedReal, approx: bool = True) -> TaggedReal:
+    """H1(x) = exp(-1/x^2) for x > 0, and 0 for x <= 0.  With ``approx``
+    false an inexact result carries no float; its tag is the same."""
     s = x.sign()
     if s is not None and s <= 0:
-        return TaggedReal.exact(0)
+        return _ZERO_T
     if s is not None:  # exact positive
         sq = x.value * x.value
         if sq.is_rational:
-            return exp_tagged(TaggedReal.exact(-sq.inverse()))
-        fx = x.float_value()
-        import math
-
-        return TaggedReal.approx(math.exp(-1.0 / (fx * fx)))
-    if x.value is None:
+            return exp_tagged(TaggedReal.exact(-sq.inverse()), approx)
+        return TaggedReal(_h1_float(x.float_value()) if approx else None, Tag.UNKNOWN)
+    if x.value is None or not approx:
         return TaggedReal.opaque()
-    import math
-
-    fx = float(x.value)
-    if fx <= 0:
-        return TaggedReal.approx(0.0)
-    return TaggedReal.approx(math.exp(-1.0 / (fx * fx)))
+    fx = x.value
+    return TaggedReal(0.0 if fx <= 0 else _h1_float(fx), Tag.UNKNOWN)
 
 
 def _w_tagged(x: TaggedReal) -> TaggedReal:
     return add_tagged(mul_tagged(TaggedReal.exact(W_SLOPE), x), TaggedReal.exact(W_OFFSET))
 
 
-def _bar_gamma_tagged(x: TaggedReal, ref) -> TaggedReal:
+def _bar_gamma_tagged(x: TaggedReal, ref, approx: bool = True) -> TaggedReal:
+    """w(f(x)) for the matching map f of ``ref``.  With ``approx`` false an
+    inexact result carries no float; its tag is the same."""
     if ref is None:
         return TaggedReal.opaque()
     if x.is_exact:
         if x.value.is_zero:
             return TaggedReal.exact(INV_SQRT2)
         return TaggedReal.exact(W_SLOPE * ref.eval_exact(x.value) + W_OFFSET)
+    fv = x.float_value() if approx else None
+    value = None if fv is None else float(W_SLOPE) * ref.eval_float(fv) + float(W_OFFSET)
     if x.transcendental:
         # A nonconstant polynomial with coefficients in Q(sqrt2) maps a
         # transcendental number to a transcendental number, and the affine
         # map w preserves that.
-        fv = x.float_value()
-        approx = None if fv is None else float(W_SLOPE) * ref.eval_float(fv) + float(W_OFFSET)
-        return TaggedReal(approx, Tag.IRRATIONAL, transcendental=True)
-    fv = x.float_value()
-    if fv is None:
-        return TaggedReal.opaque()
-    return TaggedReal.approx(float(W_SLOPE) * ref.eval_float(fv) + float(W_OFFSET))
+        return TaggedReal.certified_transcendental(value)
+    return TaggedReal(value, Tag.UNKNOWN)
 
 
 def _children(e: Expr) -> tuple:
@@ -673,27 +681,29 @@ def _apply(e: Expr, kids: Sequence[Candidates], x: TaggedReal) -> Candidates:
     raise ExprError(f"cannot evaluate {e!r}")
 
 
-def _app_fn(e: App):
+def _app_fn(e: App, approx: bool = True):
     """The function evaluating App node ``e`` at one candidate of its
     argument; raises ExprError for a name this module cannot evaluate.
     Each name is read from the module globals when this runs, so a plan
-    built after a wrapper is installed on the module calls the wrapper."""
+    built after a wrapper is installed on the module calls the wrapper.
+    With ``approx`` false, the names in ``_TAG_ONLY`` evaluate without
+    their float (see ``Plan``)."""
     name = e.name
     if name == "abs":
         return _abs_tagged
     if name == "exp":
-        return exp_tagged
+        return exp_tagged if approx else partial(exp_tagged, approx=False)
     if name == "sqrt":
         return sqrt_tagged
     if name == "deltaQ":
         return _delta_tagged
     if name == "H1":
-        return _h1_tagged
+        return _h1_tagged if approx else partial(_h1_tagged, approx=False)
     if name == "w":
         return _w_tagged
     if name == "barGamma":
         ref = e.ref
-        return lambda t: _bar_gamma_tagged(t, ref)
+        return lambda t: _bar_gamma_tagged(t, ref, approx)
     if name == "gamma":
         return lambda t: TaggedReal.opaque()
     raise ExprError(f"cannot evaluate {e!r}")
@@ -731,7 +741,10 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
 # A plan compiles each node it evaluates per point into a step: a
 # function of the plan's values by slot and of the point, which returns
 # the node's candidates.  An App step resolves its function once, when
-# the step is built.  Sum and Prod steps have an exact fast path: when
+# the step is built.  An App step of a name in ``_TAG_ONLY`` whose float
+# no reader needs evaluates a single candidate without its float: the
+# same exact value, tag and transcendental flag, and value None where the
+# full step holds a float.  Sum and Prod steps have an exact fast path: when
 # every child they read holds one exact value, ``numbers.sum_exact`` or
 # ``prod_exact`` combines them over one denominator and reduces once.
 # Anything else (a candidate set, an approximate or opaque value) falls
@@ -739,17 +752,34 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
 # ``eval_candidates`` keep one node semantics.
 
 
+# Functions that never read their argument's float, nor decide a tag
+# from their own, when asked for no float
+_TAG_ONLY = ("H1", "exp", "barGamma")
+
+
 def _generic_step(e: Expr, kids: tuple):
     return lambda values, x: _apply(e, [values[k] for k in kids], x)
 
 
-def _app_step(e: App, kids: tuple):
+def _app_step(e: App, kids: tuple, floats: bool):
     try:
         fn = _app_fn(e)
     except ExprError:
         return _generic_step(e, kids)  # raises at each call, as _apply does
     (arg,) = kids
-    return lambda values, x: _app_candidates(fn, values[arg])
+    if floats or e.name not in _TAG_ONLY:
+        return lambda values, x: _app_candidates(fn, values[arg])
+    tag_fn = _app_fn(e, approx=False)
+
+    def run(values: list, x: TaggedReal) -> Candidates:
+        c = values[arg]
+        if len(c) == 1:
+            return (tag_fn(c[0]),)
+        # a candidate set keeps its floats, so _dedupe merges and collapses
+        # exactly the candidates eval_candidates does
+        return _map(c, fn)
+
+    return run
 
 
 def _exact_step(e: Expr, kids: tuple, start: QSqrt2, rest: tuple, combine):
@@ -769,12 +799,13 @@ def _exact_step(e: Expr, kids: tuple, start: QSqrt2, rest: tuple, combine):
     return run
 
 
-def _compile_step(e: Expr, kids: tuple, nodes: list):
+def _compile_step(e: Expr, kids: tuple, nodes: list, floats: bool):
     """The step evaluating plan node ``e``, whose children sit in slots
-    ``kids`` of ``nodes``.  Const children of a Sum or Prod fold into the
-    step's start value here, once."""
+    ``kids`` of ``nodes``; ``floats`` is false when no reader needs the
+    node's float.  Const children of a Sum or Prod fold into the step's
+    start value here, once."""
     if isinstance(e, App):
-        return _app_step(e, kids)
+        return _app_step(e, kids, floats)
     if not isinstance(e, (Sum, Prod)):
         return _generic_step(e, kids)
     combine = sum_exact if isinstance(e, Sum) else prod_exact
@@ -804,6 +835,19 @@ class Plan:
     ``numbers.sum_exact`` or ``prod_exact``, which reduce once; otherwise
     it applies ``_apply`` to all children in their order.  So the result
     is ``eval_candidates``'s, value for value.
+
+    Floats are computed only where they are read (the demand rule).  A
+    slot's float is needed when the slot is a root, or a child of a node
+    that reads floats.  deltaQ reads only its argument's tag.  An H1, exp or barGamma
+    node whose own float no reader needs is compiled without it, and then
+    reads only its argument's exact value, tag and transcendental flag.
+    At a single candidate such a step gives the full step's exact value,
+    tag and transcendental flag, with value None where the full step has
+    a float; at a candidate set it runs the full step, so ``_dedupe`` and
+    the collapse to opaque see what they see in ``eval_candidates``.  None
+    of the three decides a tag from a float, and a float that cannot be
+    formed is None in both steps, so both raise the same errors and every
+    root's outcome is unchanged.
 
     Errors are kept per node and per call.  A node whose evaluation raises
     records the exception; a node above it is not evaluated and records
@@ -835,6 +879,20 @@ class Plan:
             return slot
 
         self._roots = [visit(e) for e in exprs]
+        # Which slots some reader needs the float of: the roots, and the
+        # children of every node that reads floats.  Parents sit after
+        # their children, so every reader of a slot is settled before it.
+        floats = [False] * len(nodes)
+        for root in self._roots:
+            floats[root] = True
+        for slot in reversed(range(len(nodes))):
+            node, kids, _ = nodes[slot]
+            if isinstance(node, App) and (
+                node.name == "deltaQ" or (node.name in _TAG_ONLY and not floats[slot])
+            ):
+                continue  # reads its argument's tag and exact value only
+            for k in kids:
+                floats[k] = True
         values: list = []  # per slot: candidates if evaluated once here, else None
         steps = []  # (slot, step, children's slots) to run at each point
         for slot, (node, kids, varies) in enumerate(nodes):
@@ -846,7 +904,7 @@ class Plan:
                     pass
             values.append(value)
             if value is None:
-                steps.append((slot, _compile_step(node, kids, nodes), kids))
+                steps.append((slot, _compile_step(node, kids, nodes, floats[slot]), kids))
         self._values = values
         self._steps = steps
 

@@ -657,6 +657,11 @@ def abs_identity_expr(link: RationalityLink) -> Expr:
     return make_sum([make_prod([two_x, da]), make_neg(make_prod([two_x, db])), X])
 
 
+# The most points a grid may have; a larger spec exits 2.  At the bound,
+# `verify-identity --n 32 --grid zero,rationals:90000,negatives:9000,quadratic:999`
+# takes 3.0-3.4 s wall (interpreter start-up included) on a 2-vCPU VM,
+# Python 3.11; 6.4-7.0 s before deltaQ's arguments stopped computing
+# their floats.
 MAX_GRID_POINTS = 100_000
 
 
@@ -693,16 +698,19 @@ def parse_grid(spec: str) -> list:
         total += count
         if total > MAX_GRID_POINTS:
             raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+        # each point is built from its integers; arguments are drawn left
+        # to right, the numerator first
+        ints = rng.randint
         if name == "rationals":
             for _ in range(count):
-                pts.append(QSqrt2.coerce(Fraction(rng.randint(1, 1000), rng.randint(1, 1000))))
+                pts.append(QSqrt2.from_ints(ints(1, 1000), 0, ints(1, 1000)))
         elif name == "negatives":
             for _ in range(count):
-                pts.append(QSqrt2.coerce(Fraction(-rng.randint(1, 1000), rng.randint(1, 1000))))
+                pts.append(QSqrt2.from_ints(-ints(1, 1000), 0, ints(1, 1000)))
         elif name == "quadratic":
             for _ in range(count):
                 # sqrt2-multiples: x = m*sqrt2/k has rational square
-                pts.append(QSqrt2(0, Fraction(rng.randint(1, 30), rng.randint(1, 30))))
+                pts.append(QSqrt2.from_ints(0, ints(1, 30), ints(1, 30)))
         else:
             pts.append(QSqrt2.coerce(0))
     return pts

@@ -417,8 +417,15 @@ class TaggedReal:
 
     ``value`` is an exact QSqrt2, an approximate float (diagnostics only),
     or None when the number is opaque (for instance the value of an axiom
-    function).  ``transcendental`` is set only when the value is certified
-    transcendental by the axiom table; it strengthens the Irrational tag.
+    function) or when no float is formed.  ``transcendental`` is set only
+    when the value is certified transcendental by the axiom table; it
+    strengthens the Irrational tag.
+
+    No tag is ever decided from a float.  So a float that cannot be formed
+    (out of the float range) becomes None and the tag stays as it is, and
+    a caller that reads only the tag may ask for no float at all: an
+    ``expr.Plan`` does so for an H1, exp or barGamma node that only tags
+    are read from (the demand rule in ``Plan``).
     """
 
     value: Union[QSqrt2, float, None]
@@ -451,6 +458,15 @@ class TaggedReal:
         return t
 
     @classmethod
+    def certified_transcendental(cls, approx: Optional[float]) -> "TaggedReal":
+        # Irrational and transcendental, so there is nothing to validate
+        t = _new(cls)
+        _SET_VALUE(t, approx)
+        _SET_TAG(t, _IRRATIONAL)
+        _SET_TRANSCENDENTAL(t, True)
+        return t
+
+    @classmethod
     def approx(cls, x: float, tag: Tag = Tag.UNKNOWN, transcendental: bool = False) -> "TaggedReal":
         return cls(float(x), tag, transcendental)
 
@@ -463,9 +479,13 @@ class TaggedReal:
         return isinstance(self.value, QSqrt2)
 
     def float_value(self) -> Optional[float]:
+        """The value as a float; None when opaque or out of the float range."""
         if self.value is None:
             return None
-        return float(self.value)
+        try:
+            return float(self.value)
+        except OverflowError:
+            return None
 
     def sign(self) -> Optional[int]:
         """Exact sign when available, else None."""
@@ -568,14 +588,11 @@ def sqrt_tagged(x: TaggedReal) -> TaggedReal:
         if _is_perfect_square(half.numerator) and _is_perfect_square(half.denominator):
             root = Fraction(math.isqrt(half.numerator), math.isqrt(half.denominator))
             return TaggedReal.exact(QSqrt2(Fraction(0), root))
-        return TaggedReal.approx(math.sqrt(float(r)), Tag.IRRATIONAL)
-    if x.is_exact:
-        # the square root of an irrational number is irrational
-        return TaggedReal.approx(math.sqrt(float(x.value)), Tag.IRRATIONAL)
-    if x.tag == Tag.IRRATIONAL:
+    if x.is_exact or x.tag == Tag.IRRATIONAL:
+        # the square root of an irrational number is irrational, and so is
+        # that of a rational that is neither a square nor twice one
         value = x.float_value()
-        approx = None if value is None else math.sqrt(value)
-        return TaggedReal(approx, Tag.IRRATIONAL)
+        return TaggedReal(None if value is None else math.sqrt(value), Tag.IRRATIONAL)
     value = x.float_value()
     if value is not None and value < 0:
         raise DomainError("sqrt of a negative number")
@@ -609,27 +626,40 @@ AXIOM_TABLE = [
 ]
 
 
+_TAG_BY_VALUE = {t.value: t for t in Tag}
+
+
 def transcendence_axiom_lookup(form: str, arg: TaggedReal) -> Tag:
     """Look up the rationality tag of `form(arg)` in the axiom table.
 
-    Returns Unknown for every shape the table does not cover.
+    Returns Unknown for every shape the table does not cover.  The table
+    is read on every call, so it is the rule that runs.
     """
     if not (arg.is_exact and arg.value.is_rational):
         return Tag.UNKNOWN
     argument = "zero" if arg.value.is_zero else "nonzero rational"
     for row in AXIOM_TABLE:
         if row["form"] == form and row["argument"] == argument:
-            return Tag(row["tag"])
+            return _TAG_BY_VALUE[row["tag"]]
     return Tag.UNKNOWN
 
 
-def exp_tagged(x: TaggedReal) -> TaggedReal:
-    """exp with tag decided by the axiom table where possible."""
+def exp_tagged(x: TaggedReal, approx: bool = True) -> TaggedReal:
+    """exp with tag decided by the axiom table where possible.
+
+    The tag never depends on the float.  With ``approx`` false an inexact
+    result carries no float (value None), for a caller that reads only
+    the tag; a float past the float range is None too.
+    """
     tag = transcendence_axiom_lookup("exp", x)
-    if x.is_exact and x.value.is_rational and x.value.is_zero:
+    if x.is_exact and x.value.is_zero:
         return TaggedReal.exact(1)
-    value = x.float_value()
-    approx = math.exp(value) if value is not None else None
-    if tag == Tag.IRRATIONAL:
-        return TaggedReal(approx, Tag.IRRATIONAL, transcendental=True)
-    return TaggedReal(approx, Tag.UNKNOWN)
+    value = x.float_value() if approx else None
+    if value is not None:
+        try:
+            value = math.exp(value)
+        except OverflowError:
+            value = None
+    if tag is Tag.IRRATIONAL:
+        return TaggedReal.certified_transcendental(value)
+    return TaggedReal(value, Tag.UNKNOWN)

@@ -304,6 +304,29 @@ def test_witness_domain_error_is_unknown(tmp_path, capsys):
     assert ", component 0: sqrt of a negative number" in verdict["reason"]
 
 
+def test_float_past_the_range_in_a_replay_is_not_a_crash(tmp_path, capsys):
+    # e^(1000x) is past the float range at most grid points; deltaQ reads
+    # only its tag, which the axiom table decides at rational x
+    space = tmp_path / "space.txt"
+    space.write_text("space s dim 2\ngen x*deltaQ(exp(1000*x)), 0\ngen 0, x*deltaQ(exp(1000*x))\n")
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps([
+        {"generator": 0, "part": 0,
+         "terms": [{"scalar": "1", "generator": 0, "inner": "x"}, {"scalar": "1", "generator": 1, "inner": "x"}],
+         "tail": ["0", "0"]}
+    ]))
+    code, out, err = _run(
+        capsys, "check-sum", str(space), "--w0", "1,1", "--w1", "0,1", "--witness", str(witness),
+        "--json", "--n", "8",
+    )
+    assert code == 0 and "Traceback" not in err
+    verdict = json.loads(out)["report"]["verdict"]
+    # at x = m*sqrt2/k the tag of e^(1000x) is undecided, so the replay
+    # cannot decide the plot there
+    assert verdict["status"] == "Unknown"
+    assert verdict["reason"].startswith("witness replay failed for generator 0 part 0: indeterminate value at ")
+
+
 @pytest.mark.parametrize("entry", ["1e3", "1E3", "1e30000000", "2.5e-1", "1_000", "inf", "0x10"])
 def test_basis_entry_notation_exits_2(capsys, entry):
     code, _, err = _run(capsys, "check-sum", "V2-delta", "--w0", f"{entry},0", "--w1", "0,1", "--n", "8")

@@ -35,6 +35,7 @@ from smoothsum.expr import (
     differentiate,
     eval_candidates,
     eval_exact,
+    eval_tagged,
     is_smooth_expr,
     make_app,
     make_neg,
@@ -48,6 +49,7 @@ from smoothsum.expr import (
     verify_nonsmooth_witness,
 )
 from smoothsum.franklin import (
+    FranklinMap,
     RationalityLink,
     abs_identity_expr,
     build_franklin,
@@ -218,6 +220,24 @@ def test_h1_semantics():
     assert len(pos) == 1 and pos[0].tag == Tag.IRRATIONAL and pos[0].transcendental
 
 
+def test_diagnostic_float_past_the_range_does_not_crash():
+    # e^1000 is past the float range; the axiom table still decides the tag
+    r = eval_tagged(parse_expr("deltaQ(exp(1000*x))"), TaggedReal.exact(1))
+    assert r.value == QSqrt2.coerce(1)
+    for x in (
+        TaggedReal.exact(QSqrt2.from_ints(1, 1, 10**200)),  # x^2 underflows, x^2 irrational
+        TaggedReal.approx(1e-200),
+        TaggedReal.exact(QSqrt2.from_ints(10**400, 10**400, 1)),  # x past the float range
+    ):
+        r = expr_module._h1_tagged(x)
+        assert r.value is None and r.tag == Tag.UNKNOWN
+    # at a tiny x with rational square, -1/x^2 is past the float range;
+    # the axiom table still certifies H1(x) = e^(-1/x^2) transcendental
+    for x in (QSqrt2.from_ints(1, 0, 10**200), QSqrt2.from_ints(0, 1, 10**200)):
+        r = expr_module._h1_tagged(TaggedReal.exact(x))
+        assert (r.value, r.tag, r.transcendental) == (None, Tag.IRRATIONAL, True)
+
+
 def test_compose():
     e = compose(parse_expr("x^2+1"), parse_expr("x-1"))
     assert eval_exact(e, Fraction(3)) == QSqrt2.coerce(5)
@@ -292,6 +312,10 @@ def _outcome(fn) -> str:
 @example(exprs=[Sum((_UNKNOWN_X, _SQRT_NEG)), _SQRT_NEG, X], x=TaggedReal.exact(1))
 @example(exprs=[Sum((_SQRT_NEG, _UNKNOWN_X)), Prod((_UNKNOWN_X, X)), X], x=TaggedReal.exact(1))
 def test_plan_matches_recursive_driver(exprs, x):
+    _assert_plan_matches_recursive_driver(exprs, x)
+
+
+def _assert_plan_matches_recursive_driver(exprs, x):
     want = _outcome(lambda: [eval_candidates(e, x) for e in exprs])
     plan = Plan(exprs)
     assert _outcome(lambda: plan(x)) == want
@@ -314,7 +338,7 @@ def test_candidate_sets_branch_and_collapse_in_both_drivers():
 def test_plan_runs_a_repeated_subtree_once_per_point(fm8, monkeypatch):
     calls = []
     h1 = expr_module._h1_tagged
-    monkeypatch.setattr(expr_module, "_h1_tagged", lambda t: calls.append(t) or h1(t))
+    monkeypatch.setattr(expr_module, "_h1_tagged", lambda t, **kw: calls.append(t) or h1(t, **kw))
     result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:20,negatives:5,quadratic:4")
     assert result["ok"] and result["checked"] == 30
     assert len(calls) == 30  # H1(x) occurs twice in the identity
@@ -422,6 +446,128 @@ def test_plan_exact_fast_path_falls_back_on_anything_else():
     for e, x in cases:
         assert repr(Plan([e])(x)) == repr([eval_candidates(e, x)])
     assert [c.value for c in Plan([cases[0][0]])(TaggedReal.opaque())[0]] == [QSqrt2(1), QSqrt2(2)]
+
+
+# ---------------------------------------------------------------------
+# Nodes only deltaQ reads: no float, the same outcomes
+# ---------------------------------------------------------------------
+
+_TAG_ONLY_NAMES = ("H1", "exp", "barGamma")
+
+
+def _chain(steps, base):
+    for name, ref in steps:
+        base = App(name, base, ref if name == "barGamma" else None)
+    return base
+
+
+def _apps(e) -> list:
+    """The function nodes of ``e``, children first."""
+    return [a for c in expr_module._children(e) for a in _apps(c)] + ([e] if isinstance(e, App) else [])
+
+
+_chain_bases = st.one_of(
+    _trees,
+    st.sampled_from([
+        X,
+        _DELTA_X,  # a candidate set at an undecided point
+        Sum((_DELTA_X, Prod((Const(QSqrt2.coerce(2)), _DELTA_X)))),  # four candidates
+        _COLLAPSING,
+        Prod((Const(QSqrt2.coerce(1000)), X)),  # e^(1000x) is past the float range
+        Sum((X, App("sqrt", Sum((X, Const(QSqrt2.coerce(-5))))))),  # raises at x < 5
+        _SQRT_NEG,
+        _UNKNOWN_X,
+    ]),
+)
+_chains = st.builds(
+    _chain,
+    st.lists(st.tuples(st.sampled_from(_TAG_ONLY_NAMES), st.sampled_from(_MAPS)), min_size=1, max_size=3),
+    _chain_bases,
+)
+
+
+@st.composite
+def _delta_readers(draw):
+    """Trees where deltaQ reads chains of H1, exp and barGamma, some of
+    whose nodes are roots as well, so their floats are read."""
+    chains = draw(st.lists(_chains, min_size=1, max_size=3))
+    readers = [
+        draw(st.sampled_from([App("deltaQ", c), Prod((X, App("deltaQ", c))), Sum((App("deltaQ", c), X))]))
+        for c in chains
+    ]
+    inner = [a for c in chains for a in _apps(c)]
+    roots = draw(st.lists(st.sampled_from(inner), max_size=2))
+    return draw(st.permutations(readers + roots))
+
+
+_far_points = st.sampled_from([
+    TaggedReal.exact(1),
+    TaggedReal.exact(Fraction(3, 7)),
+    TaggedReal.exact(QSqrt2(0, Fraction(2, 3))),
+    TaggedReal.exact(QSqrt2.from_ints(1, 1, 10**200)),
+    TaggedReal.exact(QSqrt2.from_ints(1, 0, 10**200)),
+    TaggedReal.exact(QSqrt2.from_ints(10**400, 0, 1)),
+    TaggedReal.approx(1e-200),
+    TaggedReal.approx(800.0, Tag.RATIONAL),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs=_delta_readers(), x=st.one_of(_points, _far_points))
+# H1(x) read by deltaQ and barGamma, barGamma by deltaQ: the identity's shape
+@example(
+    exprs=[App("deltaQ", App("H1", X)), App("deltaQ", App("barGamma", App("H1", X), _MAPS[2]))],
+    x=TaggedReal.exact(Fraction(3, 7)),
+)
+# the same nodes as roots: their floats are there, and equal
+@example(exprs=[App("deltaQ", App("H1", X)), App("H1", X)], x=TaggedReal.exact(Fraction(3, 7)))
+@example(
+    exprs=[App("deltaQ", App("barGamma", App("exp", X), _MAPS[1])), App("barGamma", App("exp", X), _MAPS[1])],
+    x=TaggedReal.exact(2),
+)
+# a candidate set goes through the full step
+@example(exprs=[App("deltaQ", App("exp", _COLLAPSING))], x=TaggedReal.opaque())
+@example(exprs=[App("deltaQ", App("exp", Sum((_DELTA_X, X))))], x=TaggedReal.approx(0.5))
+# raising below a floatless node, and past the float range
+@example(exprs=[App("deltaQ", App("H1", _SQRT_NEG)), App("deltaQ", App("exp", _UNKNOWN_X))], x=TaggedReal.exact(1))
+@example(exprs=[App("deltaQ", App("exp", Prod((Const(QSqrt2.coerce(1000)), X))))], x=TaggedReal.exact(1))
+def test_plan_without_floats_under_deltaQ_matches_eval_candidates(exprs, x):
+    _assert_plan_matches_recursive_driver(exprs, x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        TaggedReal.exact(0),
+        TaggedReal.exact(Fraction(-2, 3)),
+        TaggedReal.exact(Fraction(2, 3)),
+        TaggedReal.exact(QSqrt2(0, Fraction(1, 3))),
+        TaggedReal.exact(QSqrt2(1, 1)),
+        TaggedReal.approx(0.5),
+        TaggedReal.approx(-0.5, Tag.IRRATIONAL),
+        TaggedReal(0.5, Tag.IRRATIONAL, transcendental=True),
+        TaggedReal.opaque(),
+    ],
+)
+def test_h1_and_barGamma_without_their_float(x, fm8):
+    for fn in (expr_module._h1_tagged, lambda t, **kw: expr_module._bar_gamma_tagged(t, fm8, **kw)):
+        full, tag_only = fn(x), fn(x, approx=False)
+        assert (tag_only.tag, tag_only.transcendental) == (full.tag, full.transcendental)
+        assert tag_only == full if full.is_exact else tag_only.value is None
+
+
+def test_plan_computes_no_float_only_deltaQ_reads(fm8, monkeypatch):
+    h1_calls, float_calls = [], []
+    h1, eval_float = expr_module._h1_tagged, FranklinMap.eval_float
+    monkeypatch.setattr(expr_module, "_h1_tagged", lambda t, **kw: h1_calls.append(t) or h1(t, **kw))
+    monkeypatch.setattr(FranklinMap, "eval_float", lambda m, t: float_calls.append(t) or eval_float(m, t))
+    result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:20,negatives:5,quadratic:4")
+    assert result["ok"] and result["checked"] == 30
+    assert len(h1_calls) == 30 and float_calls == []
+    # barGamma(H1(x)) read by value: its float is computed
+    e = App("barGamma", App("H1", X), fm8)
+    (got,) = Plan([e, App("deltaQ", e)])(TaggedReal.exact(Fraction(1, 2)))[0]
+    assert isinstance(got.value, float) and len(float_calls) == 1
 
 
 # ---------------------------------------------------------------------

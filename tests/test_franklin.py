@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smoothsum.expr import W_SLOPE, App, X, differentiate, eval_exact
+from smoothsum.decompose import DEFAULT_GRID
 from smoothsum.franklin import (
     FIX_BITS,
+    IDENTITY_GRID,
     FranklinMap,
     RationalityLink,
     _CollapsedPoly,
@@ -463,6 +465,34 @@ def test_parse_grid_deterministic():
     assert any(not x.is_rational for x in g1)
     with pytest.raises(ValueError):
         parse_grid("bogus:3")
+
+
+def _fraction_grid(spec: str) -> list:
+    """The points of a well-formed grid spec built through Fraction, the
+    way parse_grid built them before it drew integers straight into
+    triples."""
+    rng = random.Random(0)
+    pts = []
+    for part in spec.split(","):
+        name, _, count = part.partition(":")
+        count = 1 if name == "zero" else int(count or 10)
+        for _ in range(count):
+            if name == "rationals":
+                pts.append(QSqrt2.coerce(Fraction(rng.randint(1, 1000), rng.randint(1, 1000))))
+            elif name == "negatives":
+                pts.append(QSqrt2.coerce(Fraction(-rng.randint(1, 1000), rng.randint(1, 1000))))
+            elif name == "quadratic":
+                pts.append(QSqrt2(0, Fraction(rng.randint(1, 30), rng.randint(1, 30))))
+            else:
+                pts.append(QSqrt2.coerce(Fraction(0)))
+    return pts
+
+
+@pytest.mark.parametrize("spec", [IDENTITY_GRID, DEFAULT_GRID, "quadratic:40,zero,negatives"])
+def test_grid_points_are_the_fraction_construction(spec):
+    got, want = parse_grid(spec), _fraction_grid(spec)
+    assert len(got) == len(want) > 0
+    assert [(x.p, x.q, x.d) for x in got] == [(x.p, x.q, x.d) for x in want]
 
 
 @pytest.mark.parametrize(

@@ -143,7 +143,7 @@ def test_cor_2_5_evaluates_H1_once_per_grid_point(monkeypatch):
     franklin_map(16)  # built outside the count
     calls = []
     h1 = expr_module._h1_tagged
-    monkeypatch.setattr(expr_module, "_h1_tagged", lambda t: calls.append(t) or h1(t))
+    monkeypatch.setattr(expr_module, "_h1_tagged", lambda t, **kw: calls.append(t) or h1(t, **kw))
     assert run_scenario("cor-2.5")["all_nonsmooth"]
     # 20 directions share one plan: 106 calls, where one plan per direction made 2 120
     assert 0 < len(calls) <= len(parse_grid(DEFAULT_GRID)) == 106

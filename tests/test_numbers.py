@@ -248,14 +248,73 @@ def test_exp_tagging():
 
 def test_axiom_table_is_the_lookup(monkeypatch):
     third = TaggedReal.exact(Fraction(1, 3))
-    assert transcendence_axiom_lookup("exp", TaggedReal.exact(0)) == Tag.RATIONAL
-    assert transcendence_axiom_lookup("exp", third) == Tag.IRRATIONAL
+    assert transcendence_axiom_lookup("exp", TaggedReal.exact(0)) is Tag.RATIONAL
+    assert transcendence_axiom_lookup("exp", third) is Tag.IRRATIONAL
     assert transcendence_axiom_lookup("sin", third) == Tag.UNKNOWN
     assert transcendence_axiom_lookup("exp", TaggedReal.approx(0.5)) == Tag.UNKNOWN
     rows = [r for r in numbers.AXIOM_TABLE if r["argument"] != "nonzero rational"]
     monkeypatch.setattr(numbers, "AXIOM_TABLE", rows)
     assert transcendence_axiom_lookup("exp", third) == Tag.UNKNOWN
     assert not exp_tagged(third).transcendental
+
+
+_HUGE = QSqrt2.from_ints(10**400, 0, 1)  # past the float range
+
+
+def test_float_out_of_range_is_none_and_the_tag_stays():
+    with pytest.raises(OverflowError):
+        float(_HUGE)
+    for v in (_HUGE, -_HUGE, QSqrt2.from_ints(0, 10**400, 3)):
+        t = TaggedReal.exact(v)
+        assert t.float_value() is None and t.is_exact
+    # sqrt of 3 * 10^400 and of 10^400 * sqrt2: irrational, no float
+    for v in (QSqrt2.from_ints(3 * 10**400, 0, 1), QSqrt2.from_ints(0, 10**400, 1)):
+        r = sqrt_tagged(TaggedReal.exact(v))
+        assert (r.value, r.tag, r.transcendental) == (None, Tag.IRRATIONAL, False)
+    # the sum of two such values keeps its decided tag
+    s = add_tagged(TaggedReal.exact(1), sqrt_tagged(TaggedReal.exact(QSqrt2.from_ints(3 * 10**400, 0, 1))))
+    assert (s.value, s.tag) == (None, Tag.IRRATIONAL)
+
+
+@pytest.mark.parametrize(
+    "x, tag",
+    [
+        (TaggedReal.exact(1000), Tag.IRRATIONAL),  # e^1000 overflows a float
+        (TaggedReal.exact(_HUGE), Tag.IRRATIONAL),  # so does the argument
+        (TaggedReal.approx(1000.0), Tag.UNKNOWN),
+    ],
+    ids=["exact", "huge-argument", "approx"],
+)
+def test_exp_past_the_float_range(x, tag):
+    r = exp_tagged(x)
+    assert r.value is None and r.tag == tag and r.transcendental == (tag == Tag.IRRATIONAL)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        TaggedReal.exact(0),
+        TaggedReal.exact(Fraction(-1, 3)),
+        TaggedReal.exact(QSqrt2.sqrt2()),
+        TaggedReal.approx(0.5, Tag.RATIONAL),
+        TaggedReal(0.5, Tag.IRRATIONAL, transcendental=True),
+        TaggedReal.opaque(),
+    ],
+)
+def test_exp_without_its_float_keeps_value_tag_and_flag(x):
+    full, tag_only = exp_tagged(x), exp_tagged(x, approx=False)
+    assert (tag_only.tag, tag_only.transcendental) == (full.tag, full.transcendental)
+    if full.is_exact:
+        assert tag_only == full
+    else:
+        assert tag_only.value is None
+
+
+def test_certified_transcendental_is_the_validated_value():
+    for approx in (None, 0.25):
+        t = TaggedReal.certified_transcendental(approx)
+        assert t == TaggedReal(approx, Tag.IRRATIONAL, transcendental=True)
+        assert repr(t) == repr(TaggedReal(approx, Tag.IRRATIONAL, transcendental=True))
 
 
 def test_tagged_real_consistency_checks():

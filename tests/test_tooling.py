@@ -8,7 +8,8 @@ third keeps every top-level function and class of the package called
 from the package itself, so code only the tests reach lives in the tests.
 The fourth keeps the linear-algebra layer on one scalar, ``QSqrt2``:
 ``Fraction`` stays in parsing, the matching construction and ``numbers``.
-The last installs the tracer on a fresh import of the package and finds
+The fifth keeps every import of the package at module level, where it
+runs once, not at each call of a function.  The last installs the tracer on a fresh import of the package and finds
 no reference to an unwrapped original, which would fail the traced run.
 """
 
@@ -141,6 +142,52 @@ def test_fractions_import_check_sees_what_it_should(tmp_path):
         "    return fr\n"
     )
     assert _fractions_imports(sample) == [1, 2, 6]
+
+
+def _function_level_imports(package: Path, root: Path = ROOT) -> list:
+    """Import statements inside a function or lambda of ``package``, as
+    "file:line", each once however deeply it is nested."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                lines.update(n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom)))
+        found.extend(f"{path.relative_to(root)}:{line}" for line in sorted(lines))
+    return found
+
+
+def test_no_import_inside_a_function():
+    assert _function_level_imports(ROOT / "src" / "smoothsum") == []
+
+
+def test_function_level_import_check_sees_what_it_should(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "import math\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import os\n"
+        "def f():\n"
+        "    import json\n"
+        "    return json\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from . import b\n"
+        "        def inner():\n"
+        "            import re\n"
+        "            return re\n"
+        "        return b, inner\n"
+    )
+    (package / "b.py").write_text(
+        "async def g():\n"
+        "    import asyncio\n"
+        "    return asyncio\n"
+    )
+    found = _function_level_imports(package, tmp_path)
+    assert found == ["pkg/a.py:6", "pkg/a.py:10", "pkg/a.py:12", "pkg/b.py:2"]
 
 
 def _names_read(node: ast.AST):
