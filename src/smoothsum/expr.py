@@ -742,10 +742,10 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
 # function of the plan's values by slot and of the point, which returns
 # the node's candidates.  An App step resolves its function once, when
 # the step is built.  An App step of a name in ``_TAG_ONLY`` whose float
-# no reader needs evaluates a single candidate without its float: the
-# same exact value, tag and transcendental flag, and value None where the
-# full step holds a float.  Sum and Prod steps have an exact fast path: when
-# every child they read holds one exact value, ``numbers.sum_exact`` or
+# no reader needs evaluates without its float: the same exact value, tag
+# and transcendental flag, and value None where the full step holds a
+# float.  Sum and Prod steps have an exact fast path: when every child
+# they read holds one exact value, ``numbers.sum_exact`` or
 # ``prod_exact`` combines them over one denominator and reduces once.
 # Anything else (a candidate set, an approximate or opaque value) falls
 # back to ``_apply`` on all children in their order, so the plan and
@@ -763,23 +763,11 @@ def _generic_step(e: Expr, kids: tuple):
 
 def _app_step(e: App, kids: tuple, floats: bool):
     try:
-        fn = _app_fn(e)
+        fn = _app_fn(e, approx=floats)
     except ExprError:
         return _generic_step(e, kids)  # raises at each call, as _apply does
     (arg,) = kids
-    if floats or e.name not in _TAG_ONLY:
-        return lambda values, x: _app_candidates(fn, values[arg])
-    tag_fn = _app_fn(e, approx=False)
-
-    def run(values: list, x: TaggedReal) -> Candidates:
-        c = values[arg]
-        if len(c) == 1:
-            return (tag_fn(c[0]),)
-        # a candidate set keeps its floats, so _dedupe merges and collapses
-        # exactly the candidates eval_candidates does
-        return _map(c, fn)
-
-    return run
+    return lambda values, x: _app_candidates(fn, values[arg])
 
 
 def _exact_step(e: Expr, kids: tuple, start: QSqrt2, rest: tuple, combine):
@@ -838,16 +826,17 @@ class Plan:
 
     Floats are computed only where they are read (the demand rule).  A
     slot's float is needed when the slot is a root, or a child of a node
-    that reads floats.  deltaQ reads only its argument's tag.  An H1, exp or barGamma
-    node whose own float no reader needs is compiled without it, and then
-    reads only its argument's exact value, tag and transcendental flag.
-    At a single candidate such a step gives the full step's exact value,
+    that reads floats.  deltaQ reads only its argument's tag.  An H1, exp
+    or barGamma node whose own float no reader needs is compiled without
+    it, and then reads only its argument's exact value, tag and
+    transcendental flag.  Such a step gives the full step's exact value,
     tag and transcendental flag, with value None where the full step has
-    a float; at a candidate set it runs the full step, so ``_dedupe`` and
-    the collapse to opaque see what they see in ``eval_candidates``.  None
-    of the three decides a tag from a float, and a float that cannot be
-    formed is None in both steps, so both raise the same errors and every
-    root's outcome is unchanged.
+    a float.  Over a candidate set it may merge candidates that differed
+    only in their floats, but such a node is never a root, its readers
+    read only what it keeps, and a map never grows a set, so nothing
+    collapses to opaque.  None of the three decides a tag from a float,
+    and a float that cannot be formed is None in both steps, so both
+    raise the same errors and every root's outcome is unchanged.
 
     Errors are kept per node and per call.  A node whose evaluation raises
     records the exception; a node above it is not evaluated and records

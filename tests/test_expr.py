@@ -525,7 +525,7 @@ _far_points = st.sampled_from([
     exprs=[App("deltaQ", App("barGamma", App("exp", X), _MAPS[1])), App("barGamma", App("exp", X), _MAPS[1])],
     x=TaggedReal.exact(2),
 )
-# a candidate set goes through the full step
+# a candidate set under a floatless node
 @example(exprs=[App("deltaQ", App("exp", _COLLAPSING))], x=TaggedReal.opaque())
 @example(exprs=[App("deltaQ", App("exp", Sum((_DELTA_X, X))))], x=TaggedReal.approx(0.5))
 # raising below a floatless node, and past the float range

@@ -9,8 +9,9 @@ from the package itself, so code only the tests reach lives in the tests.
 The fourth keeps the linear-algebra layer on one scalar, ``QSqrt2``:
 ``Fraction`` stays in parsing, the matching construction and ``numbers``.
 The fifth keeps every import of the package at module level, where it
-runs once, not at each call of a function.  The last installs the tracer on a fresh import of the package and finds
-no reference to an unwrapped original, which would fail the traced run.
+runs once, not at each call of a function.  The last installs the
+tracer on a fresh import of the package and finds no reference to an
+unwrapped original, which would fail the traced run.
 """
 
 import ast
