@@ -15,15 +15,18 @@ subtrees are shared, so each distinct subexpression is evaluated once
 per point, and subtrees without x are hoisted out and evaluated once per
 plan.  Each remaining node is compiled once into a step, with a function
 node's function resolved when the plan is built.  Sums and products of
-single exact values go to ``numbers.sum_exact`` and ``prod_exact``,
-which reduce once; any other value falls back to the shared node
-semantics.  A float is computed only where a reader needs it: under
-deltaQ, which reads only a tag, H1, exp and barGamma skip theirs.
+single exact values go to ``numbers.combination_exact`` and
+``prod_exact``, which reduce once, and a product that only one sum
+reads is evaluated inside that sum's step; any other value falls back
+to the shared node semantics.  A float is computed only where a reader
+needs it: under deltaQ, which reads only a tag, H1, exp and barGamma
+skip theirs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -38,12 +41,12 @@ from .numbers import (
     Tag,
     TaggedReal,
     add_tagged,
+    combination_exact,
     exp_tagged,
     mul_tagged,
     parse_qsqrt2,
     prod_exact,
     sqrt_tagged,
-    sum_exact,
 )
 
 # The affine map w(t) = ((sqrt2-1)/sqrt2) t + 1/sqrt2 used throughout the
@@ -744,12 +747,18 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
 # the step is built.  An App step of a name in ``_TAG_ONLY`` whose float
 # no reader needs evaluates without its float: the same exact value, tag
 # and transcendental flag, and value None where the full step holds a
-# float.  Sum and Prod steps have an exact fast path: when every child
-# they read holds one exact value, ``numbers.sum_exact`` or
-# ``prod_exact`` combines them over one denominator and reduces once.
-# Anything else (a candidate set, an approximate or opaque value) falls
-# back to ``_apply`` on all children in their order, so the plan and
-# ``eval_candidates`` keep one node semantics.
+# float.  A Sum step computes a linear combination: a product that
+# varies with x and that only this sum reads, once, is fused into it as
+# a term (no root, so no outcome misses its slot), and any other child
+# is a term of one factor with coefficient 1.  When every factor holds
+# one exact value, ``numbers.combination_exact`` (for a Prod step,
+# ``prod_exact``) computes the node over one denominator and reduces
+# once.  Anything else (a candidate set, an approximate or opaque value)
+# falls back to ``_apply``, on each fused product and then on the node,
+# with the children's values in their order: the recursive driver's work,
+# so the plan and ``eval_candidates`` keep one node semantics.  A fused
+# product's children stand in its place among the slots whose failure
+# the sum inherits, so the first error stays the recursive driver's.
 
 
 # Functions that never read their argument's float, nor decide a tag
@@ -770,36 +779,78 @@ def _app_step(e: App, kids: tuple, floats: bool):
     return lambda values, x: _app_candidates(fn, values[arg])
 
 
-def _exact_step(e: Expr, kids: tuple, start: QSqrt2, rest: tuple, combine):
-    """``start`` is the sum or product of the Const children, ``rest`` the
-    slots of the others, ``combine`` ``sum_exact`` or ``prod_exact``."""
+def _exact_values(values: list, slots: tuple):
+    """The single exact value of each slot in ``slots``, or None when some
+    slot holds anything else."""
+    out = []
+    for k in slots:
+        c = values[k]
+        v = c[0].value
+        if len(c) != 1 or type(v) is not QSqrt2:
+            return None
+        out.append(v)
+    return out
+
+
+def _split_consts(kids: tuple, nodes: list) -> tuple:
+    """The values of the Const children among ``kids``, and the slots of
+    the others."""
+    consts = [nodes[k][0].value for k in kids if isinstance(nodes[k][0], Const)]
+    return consts, tuple(k for k in kids if not isinstance(nodes[k][0], Const))
+
+
+def _prod_step(e: Prod, kids: tuple, nodes: list):
+    consts, rest = _split_consts(kids, nodes)
+    start = prod_exact(consts)
 
     def run(values: list, x: TaggedReal) -> Candidates:
-        vals = []
-        for k in rest:
-            c = values[k]
-            v = c[0].value
-            if len(c) != 1 or type(v) is not QSqrt2:
-                return _apply(e, [values[j] for j in kids], x)
-            vals.append(v)
-        return (TaggedReal.exact(combine(vals, start)),)
+        vals = _exact_values(values, rest)
+        if vals is None:
+            return _apply(e, [values[k] for k in kids], x)
+        return (TaggedReal.exact(prod_exact(vals, start)),)
 
     return run
 
 
-def _compile_step(e: Expr, kids: tuple, nodes: list, floats: bool):
+def _sum_step(e: Sum, kids: tuple, nodes: list, fused: set):
+    consts, rest = _split_consts(kids, nodes)
+    start = combination_exact((c, ()) for c in consts)
+    terms = []  # (coefficient, the slots of its factors)
+    for k in rest:
+        coefficient, factors = _split_consts(nodes[k][1], nodes) if k in fused else ((), (k,))
+        terms.append((prod_exact(coefficient), factors))
+    # per child, in order: its fused product and that product's children,
+    # or None and the child itself
+    parts = [(nodes[k][0], nodes[k][1]) if k in fused else (None, (k,)) for k in kids]
+
+    def run(values: list, x: TaggedReal) -> Candidates:
+        rows = []
+        for c, slots in terms:
+            vals = _exact_values(values, slots)
+            if vals is None:
+                kid_values = [
+                    values[read[0]] if term is None else _apply(term, [values[j] for j in read], x)
+                    for term, read in parts
+                ]
+                return _apply(e, kid_values, x)
+            rows.append((c, vals))
+        return (TaggedReal.exact(combination_exact(rows, start)),)
+
+    return run
+
+
+def _compile_step(e: Expr, kids: tuple, nodes: list, floats: bool, fused: set):
     """The step evaluating plan node ``e``, whose children sit in slots
     ``kids`` of ``nodes``; ``floats`` is false when no reader needs the
-    node's float.  Const children of a Sum or Prod fold into the step's
-    start value here, once."""
+    node's float, and ``fused`` holds the slots of the fused products.
+    Const children of a Sum or Prod fold into the step here, once."""
     if isinstance(e, App):
         return _app_step(e, kids, floats)
-    if not isinstance(e, (Sum, Prod)):
-        return _generic_step(e, kids)
-    combine = sum_exact if isinstance(e, Sum) else prod_exact
-    consts = [nodes[k][0].value for k in kids if isinstance(nodes[k][0], Const)]
-    rest = tuple(k for k in kids if not isinstance(nodes[k][0], Const))
-    return _exact_step(e, kids, combine(consts), rest, combine)
+    if isinstance(e, Sum):
+        return _sum_step(e, kids, nodes, fused)
+    if isinstance(e, Prod):
+        return _prod_step(e, kids, nodes)
+    return _generic_step(e, kids)
 
 
 class Plan:
@@ -818,11 +869,18 @@ class Plan:
     A function node's function is resolved once, read from the module
     globals when the plan is built: a plan built after a wrapper is
     installed on this module calls the wrapper.  Const children of a sum
-    or product fold into the step's start value.  When every other child
-    holds one exact value at a point, the step combines them with
-    ``numbers.sum_exact`` or ``prod_exact``, which reduce once; otherwise
-    it applies ``_apply`` to all children in their order.  So the result
-    is ``eval_candidates``'s, value for value.
+    or product fold into the step's start value.
+
+    A sum evaluates a linear combination in one step (the fusion rule).
+    Once the nodes free of x are evaluated, the plan counts each slot's
+    readers: the roots, and the nodes evaluated per point.  A product
+    that varies with x and is read once, by a sum that varies with x,
+    gets no step; it is a term of that sum, its Const factors folded into
+    the term's coefficient.  When every factor holds one exact value at a
+    point, ``numbers.combination_exact`` computes the sum and reduces
+    once.  Otherwise the step applies ``_apply`` to each fused product
+    and then to the sum, on the same values the recursive driver would
+    pass, so every result is ``eval_candidates``'s, value for value.
 
     Floats are computed only where they are read (the demand rule).  A
     slot's float is needed when the slot is a root, or a child of a node
@@ -841,10 +899,13 @@ class Plan:
     Errors are kept per node and per call.  A node whose evaluation raises
     records the exception; a node above it is not evaluated and records
     the exception of its first child that raised, which is the one the
-    recursive driver meets first.  A failed node hands no value on, not
-    even one from an earlier point.  So each tree's outcome at a point is
-    what ``eval_candidates`` gives for that tree alone, its candidates or
-    the exception it raises, whatever the other trees of the plan do.
+    recursive driver meets first.  A fused product's children stand in
+    its place, in their order: a product of values never raises, so the
+    first of them that raised is the error it would have recorded.  A
+    failed node hands no value on, not even one from an earlier point.
+    So each tree's outcome at a point is what ``eval_candidates`` gives
+    for that tree alone, its candidates or the exception it raises,
+    whatever the other trees of the plan do.
     """
 
     def __init__(self, exprs: Sequence[Expr]):
@@ -883,8 +944,7 @@ class Plan:
             for k in kids:
                 floats[k] = True
         values: list = []  # per slot: candidates if evaluated once here, else None
-        steps = []  # (slot, step, children's slots) to run at each point
-        for slot, (node, kids, varies) in enumerate(nodes):
+        for node, kids, varies in nodes:
             value = None
             if not varies and all(values[k] is not None for k in kids):
                 try:
@@ -892,8 +952,24 @@ class Plan:
                 except Exception:  # raised again by each call that reaches it
                     pass
             values.append(value)
-            if value is None:
-                steps.append((slot, _compile_step(node, kids, nodes, floats[slot]), kids))
+        # the fusion rule: a varying product read once, by a varying sum
+        reads = Counter(self._roots)
+        for slot, (_, kids, _) in enumerate(nodes):
+            if values[slot] is None:
+                reads.update(kids)
+        fused = {
+            k
+            for node, kids, varies in nodes
+            if varies and isinstance(node, Sum)
+            for k in kids
+            if reads[k] == 1 and isinstance(nodes[k][0], Prod) and nodes[k][2]
+        }
+        steps = []  # (slot, step, the slots whose failure it inherits) to run at each point
+        for slot, (node, kids, _) in enumerate(nodes):
+            if values[slot] is None and slot not in fused:
+                step = _compile_step(node, kids, nodes, floats[slot], fused)
+                inherits = tuple(j for k in kids for j in (nodes[k][1] if k in fused else (k,)))
+                steps.append((slot, step, inherits))
         self._values = values
         self._steps = steps
 

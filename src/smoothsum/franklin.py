@@ -659,9 +659,9 @@ def abs_identity_expr(link: RationalityLink) -> Expr:
 
 # The most points a grid may have; a larger spec exits 2.  At the bound,
 # `verify-identity --n 32 --grid zero,rationals:90000,negatives:9000,quadratic:999`
-# takes 3.0-3.4 s wall (interpreter start-up included) on a 2-vCPU VM,
-# Python 3.11; 6.4-7.0 s before deltaQ's arguments stopped computing
-# their floats.
+# takes 2.4-2.9 s wall (interpreter start-up included, 3 runs) on a
+# 2-vCPU VM, Python 3.11; 3.1-3.5 s in the same runs before a sum's scaled
+# products were evaluated inside its step.
 MAX_GRID_POINTS = 100_000
 
 
@@ -726,13 +726,17 @@ def verify_abs_identity(link: RationalityLink, grid: str = IDENTITY_GRID) -> dic
 
     Every grid point has a decided rationality pattern, so each side
     evaluates to a single exact value and the comparison is equality in
-    Q(sqrt2), not a tolerance.
+    Q(sqrt2), not a tolerance.  A grid without points raises ValueError:
+    an identity checked nowhere is not certified.
     """
+    points = parse_grid(grid)
+    if not points:
+        raise ValueError(f"grid {grid!r} has no points to check the identity on")
     expr = abs_identity_expr(link)
     plan = Plan([expr])  # H1(x) occurs twice in expr and is evaluated once
     failures = []
     checked = 0
-    for x in parse_grid(grid):
+    for x in points:
         (cands,) = plan(TaggedReal.exact(x))
         lhs = cands[0]
         if len(cands) != 1 or not lhs.is_exact:

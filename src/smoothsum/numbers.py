@@ -309,20 +309,31 @@ ONE = QSqrt2.from_rational(1)
 
 
 # -- many values at once ---------------------------------------------------
-# Sums and products of a list of values on the integer triples, over one
-# denominator, reduced once at the end.
+# Products and linear combinations of a list of values on the integer
+# triples, over one denominator, reduced once at the end.
 
 
-def sum_exact(values: Iterable[QSqrt2], start: QSqrt2 = ZERO) -> QSqrt2:
-    """start + the sum of ``values``."""
+def combination_exact(terms: Iterable[tuple[QSqrt2, Iterable[QSqrt2]]], start: QSqrt2 = ZERO) -> QSqrt2:
+    """start + the sum of c times the product of ``factors`` over the
+    ``terms`` (c, factors); a term without factors is c."""
     p, q, d = start.p, start.q, start.d
-    for v in values:
-        vd = v.d
-        if vd == d:
-            p += v.p
-            q += v.q
+    for c, factors in terms:
+        tp, tq, td = c.p, c.q, c.d
+        for v in factors:
+            vp, vq = v.p, v.q
+            if vq:
+                tp, tq = tp * vp + 2 * tq * vq, tp * vq + tq * vp
+            else:
+                tp *= vp
+                tq *= vp
+            td *= v.d
+        if not (tp or tq):
+            continue  # a zero term leaves the denominator as it is
+        if td == d:
+            p += tp
+            q += tq
         else:
-            p, q, d = p * vd + v.p * d, q * vd + v.q * d, d * vd
+            p, q, d = p * td + tp * d, q * td + tq * d, d * td
     return _reduced(p, q, d)
 
 
@@ -588,15 +599,13 @@ def sqrt_tagged(x: TaggedReal) -> TaggedReal:
         if _is_perfect_square(half.numerator) and _is_perfect_square(half.denominator):
             root = Fraction(math.isqrt(half.numerator), math.isqrt(half.denominator))
             return TaggedReal.exact(QSqrt2(Fraction(0), root))
-    if x.is_exact or x.tag == Tag.IRRATIONAL:
-        # the square root of an irrational number is irrational, and so is
-        # that of a rational that is neither a square nor twice one
-        value = x.float_value()
-        return TaggedReal(None if value is None else math.sqrt(value), Tag.IRRATIONAL)
     value = x.float_value()
     if value is not None and value < 0:
         raise DomainError("sqrt of a negative number")
-    return TaggedReal.approx(math.sqrt(value), Tag.UNKNOWN) if value is not None else TaggedReal.opaque()
+    # the square root of an irrational number is irrational, and so is
+    # that of a rational that is neither a square nor twice one
+    tag = Tag.IRRATIONAL if x.is_exact or x.tag == Tag.IRRATIONAL else Tag.UNKNOWN
+    return TaggedReal(None if value is None else math.sqrt(value), tag)
 
 
 # ---------------------------------------------------------------------

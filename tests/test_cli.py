@@ -168,6 +168,13 @@ def test_grid_bounds_exit_2(capsys):
     assert code == 2 and "100000" in err
 
 
+@pytest.mark.parametrize("grid", ["", "rationals:0"])
+def test_identity_on_a_grid_without_points_exits_2(capsys, grid):
+    code, out, err = _run(capsys, "verify-identity", "--grid", grid, "--n", "8")
+    assert code == 2 and out == ""
+    assert err == f"error: grid {grid!r} has no points to check the identity on\n"
+
+
 def test_malformed_grid_counts_exit_2(capsys):
     code, out, err = _run(capsys, "verify-identity", "--grid", "zero:5,rationals:2", "--n", "8")
     assert code == 2 and out == ""
@@ -302,6 +309,28 @@ def test_witness_domain_error_is_unknown(tmp_path, capsys):
     assert verdict["status"] == "Unknown"
     assert verdict["reason"].startswith("witness replay failed for generator 0 part 0: domain error at ")
     assert ", component 0: sqrt of a negative number" in verdict["reason"]
+
+
+def test_sqrt_of_a_negative_irrational_in_a_replay_is_unknown(tmp_path, capsys):
+    # x - sqrt(3) is an Irrational float, negative at the grid's small x:
+    # a domain error like sqrt(-x), not an input error
+    space = tmp_path / "space.txt"
+    space.write_text("space s dim 2\ngen sqrt(x-sqrt(3)), sqrt(x-sqrt(3))\n")
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps([
+        {"generator": 0, "part": 0, "terms": [{"scalar": "1", "generator": 0, "inner": "x"}],
+         "tail": ["0", "0"]}
+    ]))
+    code, out, err = _run(
+        capsys, "check-sum", str(space), "--w0", "1,0", "--w1", "0,1", "--witness", str(witness),
+        "--json", "--n", "8",
+    )
+    assert code == 0 and err == ""
+    verdict = json.loads(out)["report"]["verdict"]
+    assert verdict["status"] == "Unknown"
+    assert verdict["reason"] == (
+        "witness replay failed for generator 0 part 0: domain error at 0, component 0: sqrt of a negative number"
+    )
 
 
 def test_float_past_the_range_in_a_replay_is_not_a_crash(tmp_path, capsys):

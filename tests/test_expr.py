@@ -294,6 +294,10 @@ _COLLAPSING = Sum(
 _UNKNOWN_X = App("nope", X)  # evaluating it raises ExprError
 _SQRT_NEG = App("sqrt", Const(QSqrt2.coerce(-1)))  # and this DomainError
 
+_TWO, _THREE = Const(QSqrt2.coerce(2)), Const(QSqrt2.coerce(3))
+_SCALED_DELTA = Prod((_TWO, X, _DELTA_X))
+_FUSED = Sum((_SCALED_DELTA, X))  # 2*x*deltaQ(x) + x: one step
+
 
 def _outcome(fn) -> str:
     """The repr of what ``fn`` returns, or the error it raises."""
@@ -311,6 +315,18 @@ def _outcome(fn) -> str:
 # sharing a failed node fails with it
 @example(exprs=[Sum((_UNKNOWN_X, _SQRT_NEG)), _SQRT_NEG, X], x=TaggedReal.exact(1))
 @example(exprs=[Sum((_SQRT_NEG, _UNKNOWN_X)), Prod((_UNKNOWN_X, X)), X], x=TaggedReal.exact(1))
+# a product fused into its sum, over a candidate set: the fallback
+@example(exprs=[_FUSED], x=TaggedReal.opaque())
+@example(exprs=[_FUSED], x=TaggedReal.approx(0.5))
+# the first error wins whether a failing term is fused or not (the second
+# product is free of x, so it keeps a step of its own), and in either order
+@example(exprs=[Sum((Prod((_TWO, _UNKNOWN_X)), Prod((_THREE, _SQRT_NEG))))], x=TaggedReal.exact(1))
+@example(exprs=[Sum((Prod((_THREE, _SQRT_NEG)), Prod((_TWO, _UNKNOWN_X))))], x=TaggedReal.exact(1))
+@example(exprs=[Sum((Prod((_TWO, _UNKNOWN_X)), Prod((_THREE, X, _SQRT_NEG))))], x=TaggedReal.exact(1))
+@example(exprs=[Sum((Prod((_THREE, X, _SQRT_NEG)), Prod((_TWO, _UNKNOWN_X))))], x=TaggedReal.exact(1))
+# a product two sums read, and a product that is also a root: not fused
+@example(exprs=[_FUSED, Sum((_SCALED_DELTA, _THREE))], x=TaggedReal.opaque())
+@example(exprs=[_FUSED, _SCALED_DELTA], x=TaggedReal.exact(Fraction(1, 3)))
 def test_plan_matches_recursive_driver(exprs, x):
     _assert_plan_matches_recursive_driver(exprs, x)
 
@@ -342,6 +358,29 @@ def test_plan_runs_a_repeated_subtree_once_per_point(fm8, monkeypatch):
     result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:20,negatives:5,quadratic:4")
     assert result["ok"] and result["checked"] == 30
     assert len(calls) == 30  # H1(x) occurs twice in the identity
+
+
+def test_plan_fuses_a_product_only_its_sum_reads():
+    # steps: x, deltaQ(x), and the sum with the product in it
+    assert len(Plan([_FUSED])._steps) == 3
+    # the product read by a second sum, or as a root, keeps its own step
+    assert len(Plan([_FUSED, Sum((_SCALED_DELTA, _THREE))])._steps) == 5
+    assert len(Plan([_FUSED, _SCALED_DELTA])._steps) == 4
+    # and so does one the same sum reads twice
+    assert len(Plan([Sum((_SCALED_DELTA, _SCALED_DELTA))])._steps) == 4
+
+
+def test_plan_evaluates_the_identity_in_one_combination_per_point(fm8, monkeypatch):
+    combinations, products = [], []
+    combine, multiply = expr_module.combination_exact, expr_module.prod_exact
+    monkeypatch.setattr(expr_module, "combination_exact", lambda *a: combinations.append(a) or combine(*a))
+    monkeypatch.setattr(expr_module, "prod_exact", lambda *a: products.append(a) or multiply(*a))
+    result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:20,negatives:5,quadratic:4")
+    assert result["ok"] and result["checked"] == 30
+    # one combination per point, and one for the sum's start when the plan
+    # is built; the products 2*x*deltaQ(...) are fused into the sum, so no
+    # point calls prod_exact: it only folds the three terms' coefficients
+    assert len(combinations) == 31 and len(products) == 3
 
 
 def test_plan_keeps_barGamma_over_different_maps_apart(fm8, fm16):

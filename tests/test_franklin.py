@@ -513,6 +513,12 @@ def test_parse_grid_rejects_malformed_counts(spec, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("grid", ["", "rationals:0", " , negatives:0"])
+def test_abs_identity_on_no_point_is_refused(fm8, grid):
+    with pytest.raises(ValueError, match=f"grid {grid!r} has no points"):
+        verify_abs_identity(RationalityLink(fm8), grid=grid)
+
+
 def test_abs_identity_exact(fm8):
     link = RationalityLink(fm8)
     result = verify_abs_identity(link, grid="zero,rationals:100,negatives:50,quadratic:20")

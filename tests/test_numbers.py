@@ -19,6 +19,7 @@ from smoothsum.numbers import (
     Tag,
     TaggedReal,
     add_tagged,
+    combination_exact,
     dot_is_zero,
     exp_tagged,
     floor_qsqrt2,
@@ -26,7 +27,6 @@ from smoothsum.numbers import (
     parse_qsqrt2,
     prod_exact,
     sqrt_tagged,
-    sum_exact,
     transcendence_axiom_lookup,
 )
 
@@ -71,10 +71,11 @@ def test_sum_and_product_of_many(values, start):
     total, product = start, start
     for v in values:
         total, product = total + v, product * v
-    assert sum_exact(values, start) == total
+    ones = [(ONE, (v,)) for v in values]
+    assert combination_exact(ones, start) == total
     assert prod_exact(values, start) == product
-    assert sum_exact(values) == total - start
-    assert sum_exact(values + [-v for v in values]) == ZERO
+    assert combination_exact([(v, ()) for v in values]) == total - start
+    assert combination_exact(ones + [(-ONE, (v,)) for v in values]) == ZERO
     assert prod_exact([]) == ONE
 
 
@@ -234,6 +235,16 @@ def test_sqrt_tagging():
     irr = sqrt_tagged(TaggedReal.exact(QSqrt2(Fraction(0), Fraction(1))))
     assert irr.tag == Tag.IRRATIONAL
     assert irr.float_value() == pytest.approx(math.sqrt(math.sqrt(2)))
+
+
+def test_sqrt_of_a_negative_float_is_a_domain_error():
+    # 1 - sqrt(3): an Irrational float below 0, as in sqrt(x-sqrt(3)) at x = 1
+    x = add_tagged(TaggedReal.exact(1), mul_tagged(TaggedReal.exact(-1), sqrt_tagged(TaggedReal.exact(3))))
+    assert x.tag == Tag.IRRATIONAL and x.value < 0
+    for arg in (x, TaggedReal.approx(-0.5), TaggedReal.approx(-0.5, Tag.RATIONAL)):
+        with pytest.raises(DomainError, match="sqrt of a negative number"):
+            sqrt_tagged(arg)
+    assert sqrt_tagged(TaggedReal.approx(0.25, Tag.IRRATIONAL)) == TaggedReal(0.5, Tag.IRRATIONAL)
 
 
 def test_exp_tagging():
@@ -443,6 +454,25 @@ def test_arithmetic_matches_the_pair_model(x, y):
     else:
         assert _model(v.inverse()) == _ref_inverse(y)
         assert _model(u / v) == _ref_mul(x, _ref_inverse(y))
+
+
+# coefficients and factors are sometimes zero, so some terms vanish
+_pair_terms = st.lists(
+    st.tuples(st.one_of(st.just((Fraction(0), Fraction(0))), pairs), st.lists(pairs, max_size=3)),
+    max_size=5,
+)
+
+
+@given(_pair_terms, pairs)
+def test_combination_matches_the_pair_model(terms, start):
+    want = start
+    for c, factors in terms:
+        term = c
+        for f in factors:
+            term = _ref_mul(term, f)
+        want = _ref_add(want, term)
+    got = combination_exact([(QSqrt2(*c), [QSqrt2(*f) for f in fs]) for c, fs in terms], QSqrt2(*start))
+    assert _model(got) == want
 
 
 @given(pairs, pairs)

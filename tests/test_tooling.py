@@ -9,9 +9,11 @@ from the package itself, so code only the tests reach lives in the tests.
 The fourth keeps the linear-algebra layer on one scalar, ``QSqrt2``:
 ``Fraction`` stays in parsing, the matching construction and ``numbers``.
 The fifth keeps every import of the package at module level, where it
-runs once, not at each call of a function.  The last installs the
-tracer on a fresh import of the package and finds no reference to an
-unwrapped original, which would fail the traced run.
+runs once, not at each call of a function.  The sixth keeps the
+integer arithmetic of ``QSqrt2`` triples out of ``expr``'s plans, in
+``numbers``.  The last installs the tracer on a fresh import of the
+package and finds no reference to an unwrapped original, which would
+fail the traced run.
 """
 
 import ast
@@ -189,6 +191,46 @@ def test_function_level_import_check_sees_what_it_should(tmp_path):
     )
     found = _function_level_imports(package, tmp_path)
     assert found == ["pkg/a.py:6", "pkg/a.py:10", "pkg/a.py:12", "pkg/b.py:2"]
+
+
+TRIPLE_FIELDS = ("p", "q", "d")
+
+
+def _triple_field_arithmetic(path: Path) -> list:
+    """Line numbers of the binary operations and augmented assignments in
+    ``path`` with an operand that is an attribute named p, q or d: the
+    fields of a ``QSqrt2`` triple."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign):
+            operands = (node.target, node.value)
+        else:
+            continue
+        if any(isinstance(o, ast.Attribute) and o.attr in TRIPLE_FIELDS for o in operands):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_plans_do_no_arithmetic_on_triple_fields():
+    assert _triple_field_arithmetic(ROOT / "src" / "smoothsum" / "expr.py") == []
+
+
+def test_triple_field_arithmetic_check_sees_what_it_should(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def f(v, w, total):\n"
+        "    a = v.p * w.q\n"
+        "    b = 2 + w.d\n"
+        "    total += v.q\n"
+        "    c = v.p\n"
+        "    ok = max(abs(v.p), v.d) >= 10 and v.d.bit_length() - 1 > 0\n"
+        "    e = v.pq + v.value * 2\n"
+        "    return (a, b, c, ok, e, -v.p)\n"
+    )
+    assert _triple_field_arithmetic(sample) == [2, 3, 4]
 
 
 def _names_read(node: ast.AST):
