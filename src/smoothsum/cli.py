@@ -51,10 +51,12 @@ class InputError(Exception):
 
 
 # Largest accepted matching-construction order: `franklin --n 32` runs in
-# 0.43-0.56 s wall on a 2-vCPU machine, interpreter start-up included
-# (1.1 s with exact bisection signs, about 10 s before the exact dyadic
-# brackets), but the coefficient size grows quadratically in n (12 577
-# bits at n=32) and the cost faster still, so larger orders are refused.
+# 0.35-0.45 s wall on a 2-vCPU machine, Python 3.11, interpreter start-up
+# included, 5 runs (0.46-0.56 s in the same runs before the backward
+# bisection was steered by a certified preimage bracket; 1.1 s with exact
+# bisection signs, about 10 s before the exact dyadic brackets), but the
+# coefficient size grows quadratically in n (12 577 bits at n=32) and the
+# cost faster still, so larger orders are refused.
 MAX_N = 32
 
 
@@ -179,7 +181,7 @@ def cmd_analyze(args) -> int:
     split = None
     if sp.name == "V2-delta":
         split = (Subspace.from_vectors(2, [[1, 0]]), Subspace.from_vectors(2, [[0, 1]]))
-    dec = decomposability_report(sp, witnesses=witnesses, witness_split=split)
+    dec = decomposability_report(sp, witnesses=witnesses, witness_split=split, characteristic=ch)
     report = {
         "space": sp.to_dict(),
         "dual": iso.dual.to_dict(),

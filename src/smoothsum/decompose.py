@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .constraints import (
+    CharacteristicResult,
     all_lines_standard,
     atom_table,
     maximal_isotropic,
@@ -172,7 +173,10 @@ def _check_point(x: QSqrt2, outcomes: list, first: int, count: int, ann: list) -
         if len(lhs) != 1 or len(rhs) != 1:
             return f"indeterminate value at {x}, component {j}"
         (lhs,), (rhs,) = lhs, rhs
-        if not (lhs.is_exact and rhs.is_exact and lhs.value == rhs.value):
+        # a float or opaque side decides no equality either way
+        if not (lhs.is_exact and rhs.is_exact):
+            return f"indeterminate value at {x}, component {j}"
+        if lhs.value != rhs.value:
             return f"mismatch at {x}, component {j}"
         vals.append(lhs.value)
     for phi in ann:
@@ -408,15 +412,18 @@ def complementedness_report(space: DVSpace, w: Subspace) -> SplittingReport:
 
 
 def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
-                           witness_split: Optional[tuple] = None) -> SplittingReport:
+                           witness_split: Optional[tuple] = None,
+                           characteristic: Optional[CharacteristicResult] = None) -> SplittingReport:
     """Does the space admit a nontrivial smooth direct-sum decomposition?
 
     Two readings of the corollary about spaces with proper isotropic part
     are surfaced together: such spaces are Decomposable via the
     characteristic splitting, while all other splittings of the same
-    space are non-smooth.
+    space are non-smooth.  A caller that holds the space's
+    ``characteristic_decomposition`` passes it, so it is not computed
+    again.
     """
-    ch = characteristic_decomposition(space)
+    ch = characteristic if characteristic is not None else characteristic_decomposition(space)
     iso = ch.analysis
     if iso.status != "exact":
         return SplittingReport("Unknown", (), {"reason": "isotropic subspace undecided"})

@@ -16,15 +16,22 @@ on plain integers.  Targets are chosen by ``simplest_in_interval``,
 which brackets an irrational window between dyadic rationals (an exact
 integer floor), runs the Stern-Brocot descent on integer pairs and
 confirms the answer by one exact comparison.  The products over the
-rational roots are integer numerator/denominator pairs.  The backward
-bisection keeps its window as integers over one dyadic denominator,
-reuses a rejected candidate's verdict while that candidate stays inside
-the halved window, and reads each sign and each admissibility test off
-a fixed-point enclosure of f: a proven integer interval, not a float
+rational roots, the candidates and the matched points are integer
+numerator/denominator pairs.  The backward bisection keeps its window as
+integers over one dyadic denominator, and reuses a rejected candidate's
+verdict while that candidate stays inside the halved window.  It is
+steered by a preimage bracket l < t* < h: integer Newton steps on f's
+floored coefficients estimate the preimage t* of the target, and two
+exact sign tests, f(l) < b < f(h), certify the bracket.  As f is
+certified increasing, a midpoint at or below l lies below t* and one at
+or above h lies above it, so only a midpoint inside (l, h) is tested; a
+bracket that fails its tests is replaced by [0, 1], which tests every
+midpoint.  Each sign and each admissibility test is read off a
+fixed-point enclosure of f: a proven integer interval, not a float
 estimate.  Whenever that interval cannot settle a question (an exact
 tie, a point outside [0,1], a margin below its width) the question is
-answered by exact evaluation, so the enclosure changes what is computed,
-never what is decided.
+answered by exact evaluation.  So Newton and the enclosure change what
+is computed, never what is decided.
 
     f_n = f_{n-1} + c_n * p_n,   p_n(t) = t (t-1) prod (t - a_k)
 
@@ -122,26 +129,28 @@ def simplest_in_interval(lo: QSqrt2, hi: QSqrt2) -> Fraction:
     if not lo < hi:
         raise ValueError("empty open interval")
     if lo.is_rational and hi.is_rational:
-        return _simplest_rational(lo.p, lo.d, hi.p, hi.d)
+        return Fraction(*_simplest_rational(lo.p, lo.d, hi.p, hi.d))
     k = 64
     while True:
         scale = 1 << k
         lo_n, lo_d = (lo.p, lo.d) if lo.is_rational else (floor_qsqrt2(lo * scale), scale)
         hi_n, hi_d = (hi.p, hi.d) if hi.is_rational else (floor_qsqrt2(hi * scale) + 1, scale)
-        s = _simplest_rational(lo_n, lo_d, hi_n, hi_d)
+        s = Fraction(*_simplest_rational(lo_n, lo_d, hi_n, hi_d))
         if lo < s < hi:
             return s
         k *= 2
 
 
-def _simplest_rational(ln: int, ld: int, hn: int, hd: int) -> Fraction:
-    """simplest_in_interval for rational ln/ld < hn/hd with ld, hd > 0:
-    the Stern-Brocot descent x = fl + 1/y, one continued-fraction term
-    per pass, on integer pairs."""
+def _simplest_rational(ln: int, ld: int, hn: int, hd: int) -> tuple:
+    """simplest_in_interval for rational ln/ld < hn/hd with ld, hd > 0,
+    as a pair (num, den) in lowest terms with den > 0: the Stern-Brocot
+    descent x = fl + 1/y, one continued-fraction term per pass, on
+    integer pairs."""
     if ln < 0 < hn:
-        return Fraction(0)
+        return 0, 1
     if hn <= 0:
-        return -_simplest_rational(-hn, hd, -ln, ld)
+        num, den = _simplest_rational(-hn, hd, -ln, ld)
+        return -num, den
     terms = []
     while True:
         fl, r = divmod(ln, ld)  # lo = fl + r/ld
@@ -157,7 +166,7 @@ def _simplest_rational(ln: int, ld: int, hn: int, hd: int) -> Fraction:
         ln, ld, hn, hd = hd, top, ld, r  # (1/(hi - fl), 1/(lo - fl))
     for fl in reversed(terms):
         num, den = fl * num + den, num
-    return Fraction(num, den)
+    return num, den
 
 
 # ---------------------------------------------------------------------
@@ -267,28 +276,88 @@ class _CollapsedPoly:
         hp, hq, den = self._horner(u, v)
         return sign_of_parts(hp * b.d - b.p * den, hq * b.d - b.q * den)
 
-    def within(self, u: int, v: int, b: QSqrt2, x: QSqrt2) -> bool:
-        """|f(u/v) - b| <= x for integers u and v > 0 and x >= 0: from the
+    def within(self, u: int, v: int, b: QSqrt2, xp: int, xq: int, xd: int) -> bool:
+        """|f(u/v) - b| <= x for integers u and v > 0 and x = (xp + xq
+        sqrt2)/xd >= 0 with xd > 0, in lowest terms or not: from the
         fixed-point enclosure when it settles the comparison, else
-        exactly."""
+        exactly from the unreduced Horner integers."""
         g = self._gap(u, v, b)
         if g is not None:
-            xw = floor_parts(x.p << FIX_BITS, x.q << FIX_BITS, x.d)
+            xw = floor_parts(xp << FIX_BITS, xq << FIX_BITS, xd)
             if -xw <= g - 1 and g + 2 * len(self.p) <= xw:
                 return True
             if g - 1 > xw or g + 2 * len(self.p) <= -xw - 1:
                 return False
-        return abs(QSqrt2.from_ints(*self._horner(u, v)) - b) <= x
+        hp, hq, den = self._horner(u, v)
+        # f(u/v) - b = (dp + dq sqrt2) / (den b.d), and den b.d > 0
+        dp, dq = hp * b.d - b.p * den, hq * b.d - b.q * den
+        if sign_of_parts(dp, dq) < 0:
+            dp, dq = -dp, -dq
+        scale = den * b.d
+        return sign_of_parts(xp * scale - dp * xd, xq * scale - dq * xd) >= 0
+
+    def _newton(self, target: int) -> Optional[int]:
+        """An estimate of 2^FIX_BITS t for the root t of 2^FIX_BITS f(t) =
+        target: Newton steps on the floored coefficients ``_fixed`` and
+        on i * c_i for f', in integers, from t = target (f is close to
+        the identity).  Nothing is certified here; None when a step
+        leaves [0, 1] or meets f' <= 0."""
+        one = 1 << FIX_BITS
+        fixed = self._fixed
+        top = len(fixed) - 1
+        slopes = [c * (top - i) for i, c in enumerate(fixed[:-1])]
+        t = target
+        for _ in range(NEWTON_STEPS):
+            if not 0 <= t <= one:
+                return None
+            h = fixed[0]
+            for c in fixed[1:]:
+                h = (h * t >> FIX_BITS) + c
+            dh = slopes[0]
+            for c in slopes[1:]:
+                dh = (dh * t >> FIX_BITS) + c
+            if dh <= 0:
+                return None
+            step = ((h - target) << FIX_BITS) // dh
+            t -= step
+            if abs(step) < 1 << (BRACKET_BITS // 2):
+                break
+        return t
+
+    def bracket(self, b: QSqrt2) -> tuple:
+        """(l, h) with f(l / 2^FIX_BITS) < b < f(h / 2^FIX_BITS) and 0 <= l
+        < h <= 2^FIX_BITS, for 0 < b < 1 and f increasing on [0, 1]: two
+        exact sign tests certify the window of half-width
+        2^-(FIX_BITS - BRACKET_BITS) around the Newton estimate of the
+        preimage.  When Newton fails or a sign test does not hold, (0,
+        2^FIX_BITS), which f(0) = 0 and f(1) = 1 certify."""
+        one = 1 << FIX_BITS
+        t = self._newton(floor_parts(b.p << FIX_BITS, b.q << FIX_BITS, b.d))
+        if t is not None:
+            lo, hi = t - (1 << BRACKET_BITS), t + (1 << BRACKET_BITS)
+            if 0 <= lo and hi <= one and self.sign_minus(lo, one, b) < 0 < self.sign_minus(hi, one, b):
+                return lo, hi
+        return 0, one
 
 
 _IDENTITY = _CollapsedPoly((0, 1), (0, 0), 1)
 
-# Fractional bits of the fixed-point enclosure in _CollapsedPoly._gap.
-# Only speed depends on it: a sign or comparison the enclosure cannot
-# settle is decided exactly.  At 320 bits no sign or admissibility test
-# of build_franklin(n) for n <= 32 needs the exact path; the smallest
-# |f(t) - b| met there is about 2^-112, at n = 32.
+# Fractional bits of the fixed-point enclosure in _CollapsedPoly._gap and
+# of the Newton estimate behind _CollapsedPoly.bracket.  Only speed
+# depends on them: a sign or comparison the enclosure cannot settle is
+# decided exactly, and a bracket that its two sign tests do not certify
+# is dropped.  At 320 bits no sign or admissibility test of
+# build_franklin(n) for n <= 32 needs the exact path (the smallest
+# |f(t) - b| met there is about 2^-112, at n = 32), and the certified
+# brackets, 2^-255 wide, are narrower than every bisection window, so
+# each backward step makes just their two sign tests.
 FIX_BITS = 320
+# The bracket's half-width is 2^BRACKET_BITS units of 2^-FIX_BITS, far
+# above Newton's error of a few units.  Newton stops after NEWTON_STEPS
+# steps, or once a step moves the estimate by less than
+# 2^(BRACKET_BITS/2) units: the next error is about that step squared.
+BRACKET_BITS = 64
+NEWTON_STEPS = 40
 
 
 @dataclass(eq=False)
@@ -303,8 +372,9 @@ class FranklinMap:
     floored to 2^-FIX_BITS, a certified integer enclosure of f, and fall
     back to exact evaluation when it is too coarse.  The float evaluator
     keeps the product form, and so does the derivative enclosure: over a
-    rational box each leave-one-out product runs in integers, and only
-    the scale by c_n is in Q(sqrt2).
+    rational box each leave-one-out product runs in integers at its
+    roots' own scale, and the ends of sum c_n p_n' are summed over one
+    denominator, that of the corrections c_n times that of the ends.
     """
 
     steps: tuple = ()
@@ -340,11 +410,35 @@ class FranklinMap:
             out += c * p
         return out
 
+    @cached_property
+    def _corrections(self) -> tuple:
+        """(D, ((sign c_n, k_n p_n, k_n q_n), ...)): every correction c_n =
+        (p_n + q_n sqrt2)/d_n put over D = lcm d_n, with k_n = D/d_n."""
+        den = math.lcm(*(s.c.d for s in self.steps))
+        return den, tuple((s.c.sign(), s.c.p * (den // s.c.d), s.c.q * (den // s.c.d)) for s in self.steps)
+
+    def _one_plus(self, values) -> QSqrt2:
+        """1 + sum c_n * values[n], over one denominator, reduced once."""
+        den, cs = self._corrections
+        scale = math.lcm(*(x.d for x in values))
+        p, q = den * scale, 0
+        for (_, cp, cq), x in zip(cs, values):
+            k = scale // x.d
+            xp, xq = x.p * k, x.q * k
+            p += cp * xp + 2 * cq * xq
+            q += cp * xq + cq * xp
+        return QSqrt2.from_ints(p, q, den * scale)
+
     def derivative_interval(self, iv: Interval) -> Interval:
-        out = Interval.point(1)
-        for s in self.steps:
-            out = out + poly_product_derivative(s.roots, iv).scale(s.c)
-        return out
+        """Enclosure of f' = 1 + sum c_n p_n' over ``iv``: c_n takes one
+        end of the enclosure of p_n' to the low end of its product and
+        the other to the high end."""
+        lows, highs = [], []
+        for s, (sign, _, _) in zip(self.steps, self._corrections[1]):
+            box = poly_product_derivative(s.roots, iv)
+            lows.append(box.lo if sign >= 0 else box.hi)
+            highs.append(box.hi if sign >= 0 else box.lo)
+        return Interval(self._one_plus(lows), self._one_plus(highs))
 
     def derivative_expr(self, arg: Expr) -> Expr:
         """f'(arg) as an expression tree (for chain-rule use)."""
@@ -386,21 +480,21 @@ class FranklinMap:
                 return False
         return True
 
+    @cached_property
     def derivative_budget(self) -> QSqrt2:
         """Exact lower bound for f' on [0,1]: 1 - sum |c_n| * deg(p_n).
 
         On [0,1] every factor |t - r| is at most 1, so |p_n'| is at most
         the number of roots of p_n.
         """
-        out = QSqrt2.coerce(1)
-        for s in self.steps:
-            out = out - abs(s.c) * QSqrt2.coerce(len(s.roots))
-        return out
+        return self._one_plus([
+            QSqrt2.coerce(-sign * len(s.roots)) for s, (sign, _, _) in zip(self.steps, self._corrections[1])
+        ])
 
     def certify_monotonic(self) -> bool:
         """Strict monotonicity on [0,1], certified twice over: by the
         exact derivative budget and by adaptive interval bisection."""
-        if self.derivative_budget().sign() <= 0:
+        if self.derivative_budget.sign() <= 0:
             return False
         iv = Interval(QSqrt2.coerce(0), QSqrt2.coerce(1))
         return certify_positive(self.derivative_interval, iv)
@@ -425,7 +519,7 @@ class FranklinMap:
                 }
                 for s in self.steps
             ],
-            "derivative_lower_bound": str(self.derivative_budget()),
+            "derivative_lower_bound": str(self.derivative_budget),
         }
 
 
@@ -440,12 +534,12 @@ def _current_roots(steps) -> list:
 
 
 def _root_product(u: int, v: int, roots) -> tuple:
-    """(N, M) with prod (u/v - r) = N/M over rational roots r, M > 0:
-    prod (u m - n v) / (v^deg prod m) for r = n/m, in integers."""
+    """(N, M) with prod (u/v - n/m) = N/M over the roots (n, m), m > 0,
+    for v > 0: prod (u m - n v) / (v^deg prod m), in integers, not
+    reduced; M > 0."""
     num, den = 1, 1
-    for r in roots:
-        m = r.denominator
-        num *= u * m - r.numerator * v
+    for n, m in roots:
+        num *= u * m - n * v
         den *= m
     return num, den * v ** len(roots)
 
@@ -477,17 +571,18 @@ def build_franklin(n_steps: int) -> FranklinMap:
     for n in range(1, n_steps + 1):
         steps = fm.steps
         roots = _current_roots(steps)
+        root_pairs = [(r.numerator, r.denominator) for r in roots]
         deg = len(roots)
-        matched_a = set(fm.matched_rationals())
+        matched_a = set(root_pairs[2:])  # the roots after 0 and 1
         matched_q = set(fm.matched_targets())
         cap = QSqrt2.coerce(Fraction(1, 2 ** n))
         spend = budget * (two * QSqrt2.coerce(deg)).inverse()
         bound = cap if cap < spend else spend
 
         if n % 2 == 1:
-            a = next(x for x in a_stream if x not in matched_a)
+            a = next(x for x in a_stream if (x.numerator, x.denominator) not in matched_a)
             v = fm.eval_exact(a)
-            pa = Fraction(*_root_product(a.numerator, a.denominator, roots))
+            pa = Fraction(*_root_product(a.numerator, a.denominator, root_pairs))
             delta = bound * abs(pa)
             (aL, bL), (aR, bR) = _neighbors(steps, a)
             lo = max(bL, v - delta)
@@ -518,25 +613,32 @@ def build_franklin(n_steps: int) -> FranklinMap:
                     break
             if lo_a is None:
                 raise ConstructionError(f"step {n}: target {q} outside the matched range")
+            poly = fm._poly
+            # f' >= budget > 0 on [0, 1], so f(t) < b at every t <=
+            # low / 2^FIX_BITS and f(t) > b at every t >= high / 2^FIX_BITS:
+            # a midpoint outside (low, high) needs no sign test
+            low, high = poly.bracket(b)
             # the window (lo, hi) / den, halved by exact dyadic steps
             den = lo_a.denominator * hi_a.denominator
             lo, hi = lo_a.numerator * hi_a.denominator, hi_a.numerator * lo_a.denominator
             a = None
             cn, cd = 0, 1  # no candidate yet: 0 lies outside every window
+            # |f(a) - b| <= bound * |p(a)| is the admissibility test
+            xp, xq, xd = bound.p, bound.q, bound.d
             for _ in range(200):
                 # a rejected candidate still inside the halved window is
                 # still its simplest rational, and still rejected
                 if not lo * cd < cn * den < hi * cd:
-                    cand = _simplest_rational(lo, den, hi, den)
-                    cn, cd = cand.numerator, cand.denominator
-                    if cand not in matched_a:
-                        pn, pd = _root_product(cn, cd, roots)
-                        if fm._poly.within(cn, cd, b, bound * Fraction(abs(pn), pd)):
-                            a = cand
+                    cn, cd = _simplest_rational(lo, den, hi, den)
+                    if (cn, cd) not in matched_a:
+                        pn, pd = _root_product(cn, cd, root_pairs)
+                        if poly.within(cn, cd, b, xp * abs(pn), xq * abs(pn), xd * pd):
+                            a = Fraction(cn, cd)
                             break
                 mid = lo + hi
                 den *= 2
-                if fm._poly.sign_minus(mid, den, b) < 0:
+                scaled = mid << FIX_BITS
+                if scaled <= low * den or (scaled < high * den and poly.sign_minus(mid, den, b) < 0):
                     lo, hi = mid, 2 * hi
                 else:
                     lo, hi = 2 * lo, mid

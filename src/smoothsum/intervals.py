@@ -45,12 +45,6 @@ class Interval:
     def __mul__(self, other: "Interval") -> "Interval":
         return Interval(*_hull_product((self.lo, self.hi), (other.lo, other.hi)))
 
-    def scale(self, c) -> "Interval":
-        c = QSqrt2.coerce(c)
-        if c.sign() >= 0:
-            return Interval(c * self.lo, c * self.hi)
-        return Interval(c * self.hi, c * self.lo)
-
     def contains(self, x) -> bool:
         x = QSqrt2.coerce(x)
         return self.lo <= x <= self.hi
@@ -80,20 +74,33 @@ def poly_product_derivative(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
     product with the k-th factor removed.
 
     Each leave-one-out product is a prefix product times a suffix
-    product.  Exact interval multiplication is associative, so this is
-    the same interval as multiplying the other factors in order.  When
-    the box and the roots are rational, as under ``certify_positive``'s
-    rational bisection, all of them are scaled by the common denominator
-    D to integers, and each (k-1)-fold product is divided by D^(k-1) at
-    the end; an irrational one keeps the arithmetic in Q(sqrt2).
+    product.  Exact interval multiplication is associative and commutes
+    with scaling by positive numbers, so this is the same interval as
+    multiplying the other factors in order.  When the box and the roots
+    are rational, as under ``certify_positive``'s rational bisection, the
+    box is put over one denominator B and each factor t - n/m over
+    its own scale m B, as the integer interval m t - n; the product
+    without factor k, weighted by m_k, is then over the one scale
+    prod m * B^(K-1), and the sum is reduced once.  An irrational box or
+    root keeps the arithmetic in Q(sqrt2).
     """
     points = [QSqrt2.coerce(x) for x in (iv.lo, iv.hi, *roots)]
-    den = 1
-    if all(x.is_rational for x in points):
-        den = math.lcm(*(x.d for x in points))
-        points = [x.p * (den // x.d) for x in points]
     lo, hi, *rs = points
-    factors = [(lo - a, hi - a) for a in rs]
+    if not all(x.is_rational for x in points):
+        return Interval(*_leave_one_out_sum([(lo - a, hi - a) for a in rs], [1] * len(rs)))
+    box_d = math.lcm(lo.d, hi.d)
+    lo_n, hi_n = lo.p * (box_d // lo.d), hi.p * (box_d // hi.d)
+    weights = [r.d for r in rs]
+    out_lo, out_hi = _leave_one_out_sum(
+        [(r.d * lo_n - r.p * box_d, r.d * hi_n - r.p * box_d) for r in rs], weights
+    )
+    scale = math.prod(weights) * box_d ** max(len(rs) - 1, 0)
+    return Interval(QSqrt2.from_ints(out_lo, 0, scale), QSqrt2.from_ints(out_hi, 0, scale))
+
+
+def _leave_one_out_sum(factors: list, weights: list) -> tuple:
+    """(lo, hi) of the sum over k of weights[k] > 0 times the hull product
+    of every factor (lo, hi) but the k-th."""
     prefix = [(1, 1)]
     for f in factors:
         prefix.append(_hull_product(prefix[-1], f))
@@ -102,11 +109,12 @@ def poly_product_derivative(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
         suffix.append(_hull_product(suffix[-1], f))
     suffix.reverse()
     out_lo = out_hi = 0
-    for k in range(len(factors)):
-        term = _hull_product(prefix[k], suffix[k + 1])
-        out_lo, out_hi = out_lo + term[0], out_hi + term[1]
-    scale = Fraction(1, den ** max(len(factors) - 1, 0))
-    return Interval(out_lo * scale, out_hi * scale)
+    for k, m in enumerate(weights):
+        term_lo, term_hi = _hull_product(prefix[k], suffix[k + 1])
+        if m != 1:
+            term_lo, term_hi = m * term_lo, m * term_hi
+        out_lo, out_hi = out_lo + term_lo, out_hi + term_hi
+    return out_lo, out_hi
 
 
 def certify_positive(fn, iv: Interval, max_depth: int = 40) -> bool:

@@ -586,6 +586,10 @@ def sqrt_tagged(x: TaggedReal) -> TaggedReal:
     the square root of a rational is rational iff numerator and denominator
     are both perfect squares, and lands in Q(sqrt2) exactly when p/q is
     twice a rational square.
+
+    Only an exact negative value is a domain error.  A float below 0 may
+    be a rounded 0 or a rounded positive number (sqrt(3)*sqrt(3) - 3 is
+    0), so it gives an indeterminate value, not an error.
     """
     s = x.sign()
     if s is not None and s < 0:
@@ -601,7 +605,7 @@ def sqrt_tagged(x: TaggedReal) -> TaggedReal:
             return TaggedReal.exact(QSqrt2(Fraction(0), root))
     value = x.float_value()
     if value is not None and value < 0:
-        raise DomainError("sqrt of a negative number")
+        return TaggedReal.opaque()
     # the square root of an irrational number is irrational, and so is
     # that of a rational that is neither a square nor twice one
     tag = Tag.IRRATIONAL if x.is_exact or x.tag == Tag.IRRATIONAL else Tag.UNKNOWN

@@ -312,8 +312,9 @@ def test_witness_domain_error_is_unknown(tmp_path, capsys):
 
 
 def test_sqrt_of_a_negative_irrational_in_a_replay_is_unknown(tmp_path, capsys):
-    # x - sqrt(3) is an Irrational float, negative at the grid's small x:
-    # a domain error like sqrt(-x), not an input error
+    # x - sqrt(3) is an Irrational float, negative at the grid's small x;
+    # a float's sign proves nothing, so its root is indeterminate, not a
+    # domain error like sqrt(-x), and not an input error
     space = tmp_path / "space.txt"
     space.write_text("space s dim 2\ngen sqrt(x-sqrt(3)), sqrt(x-sqrt(3))\n")
     witness = tmp_path / "witness.json"
@@ -329,7 +330,7 @@ def test_sqrt_of_a_negative_irrational_in_a_replay_is_unknown(tmp_path, capsys):
     verdict = json.loads(out)["report"]["verdict"]
     assert verdict["status"] == "Unknown"
     assert verdict["reason"] == (
-        "witness replay failed for generator 0 part 0: domain error at 0, component 0: sqrt of a negative number"
+        "witness replay failed for generator 0 part 0: indeterminate value at 0, component 0"
     )
 
 
@@ -394,13 +395,13 @@ def _count_dual_basis(monkeypatch) -> list:
         "space t dim 2\ngen x, x^2\n",  # full dual
     ],
 )
-def test_analyze_computes_the_dual_twice(tmp_path, capsys, monkeypatch, decl):
-    # once for the report, once inside decomposability_report
+def test_analyze_computes_the_dual_once(tmp_path, capsys, monkeypatch, decl):
+    # for the report; decomposability_report reuses it
     f = tmp_path / "space.txt"
     f.write_text(decl)
     calls = _count_dual_basis(monkeypatch)
     assert _run(capsys, "analyze", str(f), "--json", "--n", "8")[0] == 0
-    assert calls == ["t", "t"]
+    assert calls == ["t"]
 
 
 def test_scenario_computes_the_dual_once(capsys, monkeypatch):

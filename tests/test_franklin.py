@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from smoothsum.expr import W_SLOPE, App, X, differentiate, eval_exact
 from smoothsum.decompose import DEFAULT_GRID
 from smoothsum.franklin import (
+    BRACKET_BITS,
     FIX_BITS,
     IDENTITY_GRID,
     FranklinMap,
@@ -103,7 +104,9 @@ def test_simplest_rational_on_integers_matches_fraction_descent(window, k, m):
     # negative windows, windows across 0, integer ends, windows down to
     # 2^-400 wide; the pairs need not be in lowest terms
     lo, hi = window
-    got = _simplest_rational(lo.numerator * k, lo.denominator * k, hi.numerator * m, hi.denominator * m)
+    num, den = _simplest_rational(lo.numerator * k, lo.denominator * k, hi.numerator * m, hi.denominator * m)
+    assert den > 0 and math.gcd(num, den) == 1
+    got = Fraction(num, den)
     assert got == _simplest_rational_fraction(lo, hi)
     assert lo < got < hi
 
@@ -113,7 +116,7 @@ def test_simplest_rational_on_integers_matches_fraction_descent(window, k, m):
     st.lists(st.fractions(min_value=0, max_value=1, max_denominator=200), max_size=12),
 )
 def test_root_product_is_the_fraction_product(t, roots):
-    num, den = _root_product(t.numerator, t.denominator, roots)
+    num, den = _root_product(t.numerator, t.denominator, [(r.numerator, r.denominator) for r in roots])
     assert den > 0
     assert Fraction(num, den) == math.prod((t - r for r in roots), start=Fraction(1))
 
@@ -306,7 +309,7 @@ def test_within_is_the_exact_comparison(fm24):
         gap = abs(fm24.eval_exact(t) - b)
         for x in (gap, gap + tiny, gap - tiny, gap * 2, gap / 2, QSqrt2()):
             if x.sign() >= 0:
-                assert poly.within(t.numerator, t.denominator, b, x) == (gap <= x)
+                assert poly.within(t.numerator, t.denominator, b, x.p, x.q, x.d) == (gap <= x)
 
 
 def _count_horner(monkeypatch) -> list:
@@ -327,11 +330,11 @@ def test_enclosure_falls_back_to_exact_horner(fm16, monkeypatch):
     s = fm16.steps[3]
     # far from a tie the enclosure decides alone
     assert poly.sign_minus(s.a.numerator, s.a.denominator, s.b + Fraction(1, 2**40)) == -1
-    assert poly.within(s.a.numerator, s.a.denominator, s.b, QSqrt2.coerce(Fraction(1, 2**40)))
+    assert poly.within(s.a.numerator, s.a.denominator, s.b, 1, 0, 2**40)
     assert calls == []
     # an exact tie: f(a) - b = 0 lies inside every enclosure
     assert poly.sign_minus(s.a.numerator, s.a.denominator, s.b) == 0
-    assert not poly.within(s.a.numerator, s.a.denominator, s.b + Fraction(1, 2**400), QSqrt2())
+    assert not poly.within(s.a.numerator, s.a.denominator, s.b + Fraction(1, 2**400), 0, 0, 1)
     assert len(calls) == 2
     # t = 3/2 and -1/2 lie outside [0, 1], where the enclosure's error
     # bound fails
@@ -339,7 +342,7 @@ def test_enclosure_falls_back_to_exact_horner(fm16, monkeypatch):
     gap_at = abs(fm16.eval_exact(Fraction(-1, 2)))
     del calls[:]
     assert poly.sign_minus(3, 2, QSqrt2.coerce(1)) == sign_at
-    assert poly.within(-1, 2, QSqrt2(), gap_at)
+    assert poly.within(-1, 2, QSqrt2(), gap_at.p, gap_at.q, gap_at.d)
     assert calls == [(3, 2), (-1, 2)]
 
 
@@ -381,10 +384,19 @@ def test_endpoints_fixed(fm16):
 
 
 def test_monotonicity_certificates(fm16):
-    assert fm16.derivative_budget().sign() > 0
+    assert fm16.derivative_budget.sign() > 0
     assert fm16.certify_monotonic()
     inner = Interval(QSqrt2.coerce(Fraction(1, 100)), QSqrt2.coerce(Fraction(99, 100)))
     assert certify_positive(fm16.derivative_interval, inner)
+
+
+def test_derivative_budget_is_the_stepwise_sum(fm8, fm24):
+    # 1 - sum |c_n| deg(p_n), one Q(sqrt2) operation at a time
+    for fm in (FranklinMap(), fm8, fm24):
+        budget = QSqrt2.coerce(1)
+        for s in fm.steps:
+            budget = budget - abs(s.c) * QSqrt2.coerce(len(s.roots))
+        assert fm.derivative_budget == budget
 
 
 def _interval_product_derivative(roots, iv: Interval) -> Interval:
@@ -424,6 +436,116 @@ def test_rational_derivative_enclosure_matches_qsqrt2_path(fm16):
     for iv in boxes:
         for s in fm16.steps:
             assert poly_product_derivative(s.roots, iv) == _interval_product_derivative(s.roots, iv)
+
+
+_box_ends = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+
+
+@given(
+    _box_ends,
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=2, max_denominator=60)),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=300), max_size=10),
+)
+def test_poly_product_derivative_matches_qsqrt2_reference(lo, width, roots):
+    # rational boxes, zero-width ones among them, and roots inside and
+    # outside them with denominators that differ from the box's and
+    # from each other
+    iv = Interval(QSqrt2.coerce(lo), QSqrt2.coerce(lo + width))
+    assert poly_product_derivative(roots, iv) == _interval_product_derivative(roots, iv)
+
+
+def _derivative_by_intervals(fm, iv: Interval) -> Interval:
+    """f' over iv as 1 + sum c_n p_n'(iv) by Interval arithmetic, one
+    step at a time: the sum derivative_interval computed before it put
+    the ends over one denominator."""
+    out = Interval.point(1)
+    for s in fm.steps:
+        out = out + Interval.point(s.c) * _interval_product_derivative(s.roots, iv)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fm16", "fm24"])
+def test_derivative_interval_is_the_interval_sum(name, request):
+    fm = request.getfixturevalue(name)
+    boxes = []
+
+    def record(iv):
+        boxes.append(iv)
+        return fm.derivative_interval(iv)
+
+    # every box certify_positive visits from [0,1] and from two inner
+    # boxes, and the depth-3 bisection tree of [0,1]
+    for lo, hi in ((0, 1), (Fraction(1, 100), Fraction(99, 100)), (Fraction(3, 8), Fraction(1, 2))):
+        assert certify_positive(record, Interval(QSqrt2.coerce(lo), QSqrt2.coerce(hi)))
+    level = [Interval(QSqrt2.coerce(0), QSqrt2.coerce(1))]
+    for _ in range(3):
+        level = [half for iv in level for half in iv.split()]
+        boxes.extend(level)
+    # and a box with an irrational end, through the Q(sqrt2) path
+    boxes.append(Interval(QSqrt2.coerce(Fraction(1, 3)), parse_qsqrt2("1/4*sqrt2")))
+    for iv in boxes:
+        assert fm.derivative_interval(iv) == _derivative_by_intervals(fm, iv)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the results of every call of _CollapsedPoly.<name>."""
+    results = []
+    method = getattr(_CollapsedPoly, name)
+
+    def counted(self, *args):
+        results.append(method(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(_CollapsedPoly, name, counted)
+    return results
+
+
+def test_backward_steps_make_two_sign_tests(monkeypatch):
+    # each backward step certifies its bracket with two sign tests, and
+    # at n = 24 no midpoint of its bisection falls inside the bracket;
+    # the bisection without a bracket made 474 sign tests
+    signs = _count_calls(monkeypatch, "sign_minus")
+    brackets = _count_calls(monkeypatch, "bracket")
+    fm = build_franklin(24)
+    backward = sum(s.direction == "backward" for s in fm.steps)
+    assert len(brackets) == backward == 12
+    fallbacks = sum(b == (0, 1 << FIX_BITS) for b in brackets)
+    assert fallbacks == 0
+    assert len(signs) <= 2 * backward
+
+
+@pytest.mark.parametrize(
+    "shift", [1 << (FIX_BITS - 12), -(1 << (FIX_BITS - 12)), 1 << FIX_BITS, None],
+    ids=["past", "short", "outside", "none"],
+)
+def test_forged_newton_estimate_changes_nothing(fm24, monkeypatch, shift):
+    # an estimate moved 2^-12 past the preimage (either way) fails its
+    # sign tests, one moved out of [0, 1] fails its range check, and a
+    # failed Newton run gives no estimate; the bisection then runs
+    # without a bracket and finds the same map
+    newton = _CollapsedPoly._newton
+
+    def forged(self, target):
+        t = newton(self, target)
+        return None if shift is None else t + shift
+
+    monkeypatch.setattr(_CollapsedPoly, "_newton", forged)
+    brackets = _count_calls(monkeypatch, "bracket")
+    assert build_franklin(24).steps == fm24.steps
+    assert brackets == [(0, 1 << FIX_BITS)] * 12
+
+
+def test_certified_bracket_holds_the_preimage(fm24):
+    # replay each backward step's bracket on the map before that step:
+    # f(l / 2^FIX_BITS) < b < f(h / 2^FIX_BITS), exactly
+    one = Fraction(1, 1 << FIX_BITS)
+    for k, s in enumerate(fm24.steps):
+        if s.direction != "backward":
+            continue
+        before = FranklinMap(fm24.steps[:k])
+        lo, hi = before._poly.bracket(s.b)
+        assert 0 < hi - lo <= 2 << BRACKET_BITS
+        assert before.eval_exact(lo * one) < s.b < before.eval_exact(hi * one)
 
 
 def test_targets_in_range(fm16):

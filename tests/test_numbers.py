@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothsum import numbers
+from smoothsum.expr import eval_tagged, parse_expr
 from smoothsum.numbers import (
     ONE,
     ZERO,
@@ -237,14 +238,31 @@ def test_sqrt_tagging():
     assert irr.float_value() == pytest.approx(math.sqrt(math.sqrt(2)))
 
 
-def test_sqrt_of_a_negative_float_is_a_domain_error():
-    # 1 - sqrt(3): an Irrational float below 0, as in sqrt(x-sqrt(3)) at x = 1
+def test_sqrt_of_a_negative_float_is_indeterminate():
+    # 1 - sqrt(3): an Irrational float below 0, as in sqrt(x-sqrt(3)) at x = 1;
+    # a float's sign is not proved, so no domain error is decided from it
     x = add_tagged(TaggedReal.exact(1), mul_tagged(TaggedReal.exact(-1), sqrt_tagged(TaggedReal.exact(3))))
     assert x.tag == Tag.IRRATIONAL and x.value < 0
     for arg in (x, TaggedReal.approx(-0.5), TaggedReal.approx(-0.5, Tag.RATIONAL)):
-        with pytest.raises(DomainError, match="sqrt of a negative number"):
-            sqrt_tagged(arg)
+        assert sqrt_tagged(arg) == TaggedReal.opaque()
     assert sqrt_tagged(TaggedReal.approx(0.25, Tag.IRRATIONAL)) == TaggedReal(0.5, Tag.IRRATIONAL)
+    # an exact negative value is a proved domain error
+    for value in (Fraction(-1, 2), -3, QSqrt2(Fraction(1), Fraction(-1))):
+        with pytest.raises(DomainError, match="sqrt of a negative number"):
+            sqrt_tagged(TaggedReal.exact(value))
+
+
+@pytest.mark.parametrize("text", ["sqrt(sqrt(3)*sqrt(3)-3)", "sqrt(x*sqrt(3)*sqrt(3)-3*x)"])
+def test_sqrt_of_a_zero_rounded_below_zero_is_not_a_domain_error(text):
+    # the argument is exactly 0 at x = 1, but its float reads below 0
+    arg = parse_expr(text).arg
+    assert eval_tagged(arg, TaggedReal.exact(1)).float_value() < 0
+    assert eval_tagged(parse_expr(text), TaggedReal.exact(1)) == TaggedReal.opaque()
+
+
+def test_sqrt_at_an_exact_negative_point_is_a_domain_error():
+    with pytest.raises(DomainError, match="sqrt of a negative number"):
+        eval_tagged(parse_expr("sqrt(x)"), TaggedReal.exact(Fraction(-1, 2)))
 
 
 def test_exp_tagging():

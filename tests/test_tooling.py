@@ -11,17 +11,24 @@ The fourth keeps the linear-algebra layer on one scalar, ``QSqrt2``:
 The fifth keeps every import of the package at module level, where it
 runs once, not at each call of a function.  The sixth keeps the
 integer arithmetic of ``QSqrt2`` triples out of ``expr``'s plans, in
-``numbers``.  The last installs the tracer on a fresh import of the
+``numbers``.  The seventh installs the tracer on a fresh import of the
 package and finds no reference to an unwrapped original, which would
-fail the traced run.
+fail the traced run.  The last runs the traced ``franklin-build``
+benchmark pass, which fails when a function it predicts to be called
+(``intervals.poly_product_derivative``, say) no longer is.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import smoothsum
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -319,3 +326,19 @@ def test_tracer_leaves_no_unwrapped_original():
         for name in _package_modules():
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def test_traced_franklin_build_run_is_correct():
+    # PYTHONPATH points at the package this test run imports, as for the
+    # CLI children of test_acceptance
+    src = str(Path(smoothsum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "franklin-build",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
