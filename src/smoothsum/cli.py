@@ -177,11 +177,7 @@ def cmd_analyze(args) -> int:
     sp = _load_space(args.space, args.axiom)
     ch = characteristic_decomposition(sp)
     iso = ch.analysis
-    witnesses = gallery_witnesses(sp, args.n)
-    split = None
-    if sp.name == "V2-delta":
-        split = (Subspace.from_vectors(2, [[1, 0]]), Subspace.from_vectors(2, [[0, 1]]))
-    dec = decomposability_report(sp, witnesses=witnesses, witness_split=split, characteristic=ch)
+    dec = decomposability_report(sp, witnesses=gallery_witnesses(sp, args.n), characteristic=ch)
     report = {
         "space": sp.to_dict(),
         "dual": iso.dual.to_dict(),

@@ -273,10 +273,13 @@ def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> De
         )
     axioms = set(s0.axioms_used) | set(s1.axioms_used)
     unreplayed = []
+    undecided = []
     for k, g in enumerate(space.generators):
         for j, comp in enumerate(g):
             verdict = classify_smoothness(comp, axioms=space.axioms)
-            if verdict.status == Smoothness.NONSMOOTH:
+            if verdict.status == Smoothness.UNKNOWN:
+                undecided.append(f"generator {k} component {j}")
+            elif verdict.status == Smoothness.NONSMOOTH:
                 # a NonSmooth verdict counts only once its witness replays
                 if not verify_nonsmooth_witness(comp, verdict, space.axioms):
                     unreplayed.append(f"generator {k} component {j}")
@@ -296,9 +299,12 @@ def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> De
                         "standard diffeology, whose plots are all smooth"
                     ),
                 )
-    reason = "all generators smooth"
+    reasons = []
     if unreplayed:
-        reason = "NonSmooth witness failed replay for " + ", ".join(unreplayed)
+        reasons.append("NonSmooth witness failed replay for " + ", ".join(unreplayed))
+    if undecided:
+        reasons.append("smoothness undecided for " + ", ".join(undecided))
+    reason = "; ".join(reasons) or "all generators smooth"
     return DecompositionVerdict("Unknown", [], [], tuple(sorted(axioms)), reason=reason)
 
 
@@ -313,14 +319,13 @@ def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plot
     non-standard subset diffeology.
 
     ``axis_plots[j]`` is a Plot of the space equal to |x| * e_j (for
-    V2-delta, ``gallery.v2_delta_axis_plots`` builds them from the
-    matched-map witnesses); only the axes where a direction is nonzero
-    are read.  Every plot is replayed on the grid against its target, all
-    in one batch, and each target's NonSmooth witness is replayed too.
-    Returns one (the plot's component trees, as replayed; NonSmooth
-    verdict; the line) per direction, or raises the ValueError of the
-    first direction, in the given order, that fails, as one direction at
-    a time would.
+    V2-delta, the witness (0, j) of ``gallery.gallery_witnesses``); only
+    the axes where a direction is nonzero are read.  Every plot is
+    replayed on the grid against its target, all in one batch, and each
+    target's NonSmooth witness is replayed too.  Returns one (the plot's
+    component trees, as replayed; NonSmooth verdict; the line) per
+    direction, or raises the ValueError of the first direction, in the
+    given order, that fails, as one direction at a time would.
     """
     directions = [[QSqrt2.coerce(d) for d in direction] for direction in directions]
     # the directions before the first zero one are replayed; a zero
@@ -412,14 +417,15 @@ def complementedness_report(space: DVSpace, w: Subspace) -> SplittingReport:
 
 
 def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
-                           witness_split: Optional[tuple] = None,
                            characteristic: Optional[CharacteristicResult] = None) -> SplittingReport:
     """Does the space admit a nontrivial smooth direct-sum decomposition?
 
     Two readings of the corollary about spaces with proper isotropic part
     are surfaced together: such spaces are Decomposable via the
     characteristic splitting, while all other splittings of the same
-    space are non-smooth.  A caller that holds the space's
+    space are non-smooth.  A space isotropic everywhere is Decomposable
+    when its coordinate split Span(e1) (+) Span(e2, ..., en) certifies
+    with ``witnesses``.  A caller that holds the space's
     ``characteristic_decomposition`` passes it, so it is not computed
     again.
     """
@@ -451,9 +457,11 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
             },
         )
     # isotropic = whole space
-    if witness_split is not None:
-        w0, w1 = witness_split
-        verdict = certify_smooth_sum(space, w0, w1, witnesses=witnesses)
+    if n >= 2:
+        axes = [[int(i == j) for j in range(n)] for i in range(n)]
+        verdict = certify_smooth_sum(
+            space, Subspace.from_vectors(n, axes[:1]), Subspace.from_vectors(n, axes[1:]), witnesses=witnesses
+        )
         if verdict.status == "SmoothCertified":
             return SplittingReport(
                 "Decomposable",

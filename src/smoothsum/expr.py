@@ -1397,8 +1397,14 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
 
     # pure abs obstruction: one-sided derivative mismatch at the kink
     c = d.coefficient(ABS_KIND)
-    left = one_sided_derivative(e, QSqrt2(), -1)
-    right = one_sided_derivative(e, QSqrt2(), +1)
+    try:
+        left = one_sided_derivative(e, QSqrt2(), -1)
+        right = one_sided_derivative(e, QSqrt2(), +1)
+    except NotDifferentiableError as exc:
+        return SmoothnessVerdict(
+            Smoothness.UNKNOWN,
+            derivation=(f"one-sided derivatives of {to_text(e)} at 0 undecided: {exc}",),
+        )
     return SmoothnessVerdict(
         Smoothness.NONSMOOTH,
         witness={

@@ -458,12 +458,6 @@ class FranklinMap:
     def matched(self) -> list:
         return [(s.a, s.q, s.b) for s in self.steps]
 
-    def matched_rationals(self) -> list:
-        return [s.a for s in self.steps]
-
-    def matched_targets(self) -> list:
-        return [s.q for s in self.steps]
-
     def check_matches(self) -> bool:
         """Replay every match as a field identity: f(a) = w^{-1}(q)."""
         for s in self.steps:
@@ -574,7 +568,7 @@ def build_franklin(n_steps: int) -> FranklinMap:
         root_pairs = [(r.numerator, r.denominator) for r in roots]
         deg = len(roots)
         matched_a = set(root_pairs[2:])  # the roots after 0 and 1
-        matched_q = set(fm.matched_targets())
+        matched_q = {s.q for s in steps}
         cap = QSqrt2.coerce(Fraction(1, 2 ** n))
         spend = budget * (two * QSqrt2.coerce(deg)).inverse()
         bound = cap if cap < spend else spend
@@ -664,14 +658,6 @@ def build_franklin(n_steps: int) -> FranklinMap:
 AXIOM_EXP_TRANSCENDENCE = "exp-transcendence"
 
 
-def h1_expr() -> Expr:
-    return App("H1", X)
-
-
-def h2_expr(fm: FranklinMap) -> Expr:
-    return App("barGamma", App("H1", X), fm)
-
-
 @dataclass(eq=False)
 class RationalityLink:
     """Certificate that deltaQ(H1(x)) = deltaQ(H2(x)) for x > 0, with
@@ -685,8 +671,8 @@ class RationalityLink:
     axioms_used: tuple = (AXIOM_EXP_TRANSCENDENCE,)
 
     def __post_init__(self):
-        self.expr_a = h1_expr()
-        self.expr_b = h2_expr(self.franklin)
+        self.expr_a = App("H1", X)
+        self.expr_b = App("barGamma", App("H1", X), self.franklin)
 
     @property
     def constant_branch(self) -> dict:
@@ -751,12 +737,18 @@ def certify_rationality_link(link: RationalityLink) -> dict:
     }
 
 
+def abs_identity_terms(link: RationalityLink) -> tuple:
+    """The |x| identity |x| = 2x deltaQ(H1(x)) - 2x deltaQ(H2(x)) + x, as
+    its (scalar, inner map) pairs and its tail: |x| is the sum of
+    scalar * deltaQ(inner map) over the pairs, plus the tail."""
+    two_x = make_prod([Const(QSqrt2.coerce(2)), X])
+    return ((two_x, link.expr_a), (make_neg(two_x), link.expr_b)), X
+
+
 def abs_identity_expr(link: RationalityLink) -> Expr:
     """2x deltaQ(H1(x)) - 2x deltaQ(H2(x)) + x, pointwise equal to |x|."""
-    da = App("deltaQ", link.expr_a)
-    db = App("deltaQ", link.expr_b)
-    two_x = make_prod([Const(QSqrt2.coerce(2)), X])
-    return make_sum([make_prod([two_x, da]), make_neg(make_prod([two_x, db])), X])
+    terms, tail = abs_identity_terms(link)
+    return make_sum([make_prod([h, App("deltaQ", inner)]) for h, inner in terms] + [tail])
 
 
 # The most points a grid may have; a larger spec exits 2.  At the bound,

@@ -12,6 +12,7 @@ from functools import lru_cache
 from .constraints import (
     AXIOM_A,
     AXIOM_SQRT_IMPLICATION,
+    IsotropicResult,
     characteristic_decomposition,
     maximal_isotropic,
     subset_standard,
@@ -24,16 +25,15 @@ from .decompose import (
     nonstandard_subspace_witness,
     refute_smooth_sum_standard,
 )
-from .diffeology import DVSpace, LinearMap, Plot, Subspace, parse_space
-from .expr import Const, X, make_neg, make_prod, parse_expr, to_text
+from .diffeology import DVSpace, LinearMap, Plot, Subspace, parse_space, plot_add, plot_scale
+from .expr import ONE_E, ZERO_E, X, make_neg, to_text
 from .franklin import (
     AXIOM_EXP_TRANSCENDENCE,
     FranklinMap,
     RationalityLink,
+    abs_identity_terms,
     build_franklin,
     certify_rationality_link,
-    h1_expr,
-    h2_expr,
     verify_abs_identity,
 )
 from .numbers import ONE, QSqrt2
@@ -88,36 +88,29 @@ def franklin_map(n: int = 16) -> FranklinMap:
 def v2_delta_witnesses(space: DVSpace, fm: FranklinMap) -> dict:
     """Witness plots realizing (|x|, 0) and (0, |x|) as plots of V2-delta.
 
-    Both rest on the identity |x| = 2x dQ(H1) - 2x dQ(H2) + x: the first
-    cancels the second component of the abs generator, the second builds
-    |x| in the second slot from the indicator generator alone.
+    Both rest on the |x| identity of ``franklin.abs_identity_terms``: put
+    on the indicator generator (0, deltaQ(x)) it builds |x| in the second
+    slot, and the abs generator (|x|, |x|) minus that plot is |x| in the
+    first.
     """
-    h1 = h1_expr()
-    h2 = h2_expr(fm)
-    two_x = make_prod([Const(QSqrt2.coerce(2)), X])
-    neg_two_x = make_neg(two_x)
-    d1 = Plot(
-        space,
-        ((Const(ONE), 0, X), (neg_two_x, 1, h1), (two_x, 1, h2)),
-        (parse_expr("0"), make_neg(X)),
-    )
-    d2 = Plot(
-        space,
-        ((two_x, 1, h1), (neg_two_x, 1, h2)),
-        (parse_expr("0"), X),
-    )
+    terms, tail = abs_identity_terms(RationalityLink(fm))
+    d2 = Plot(space, tuple((h, 1, inner) for h, inner in terms), (ZERO_E, tail))
+    abs_gen = Plot(space, ((ONE_E, 0, X),), (ZERO_E, ZERO_E))
+    d1 = plot_add(abs_gen, plot_scale(d2, make_neg(ONE_E)))
     return {(0, 0): d1, (0, 1): d2}
 
 
-def v2_delta_axis_plots(space: DVSpace, fm: FranklinMap) -> tuple:
-    """The plots |x| * e_0 and |x| * e_1 of V2-delta: the witnesses for
-    the abs generator's two projections."""
-    ws = v2_delta_witnesses(space, fm)
-    return ws[(0, 0)], ws[(0, 1)]
+_V2_DELTA = parse_space(_SPACE_DECLS["V2-delta"])
 
 
 def gallery_witnesses(space: DVSpace, n: int = 16):
-    if space.name == "V2-delta":
+    """The builtin witness bundle for ``space``, or None.
+
+    A space with V2-delta's dimension and generators, in the gallery's
+    order, gets ``v2_delta_witnesses`` built on the order-n matched map,
+    whatever it is called and whatever axioms it assumes.
+    """
+    if space.dim == _V2_DELTA.dim and space.generators == _V2_DELTA.generators:
         return v2_delta_witnesses(space, franklin_map(n))
     return None
 
@@ -138,8 +131,8 @@ SCENARIOS = (
 )
 
 
-def _analysis(space: DVSpace) -> dict:
-    iso = maximal_isotropic(space)
+def _analysis(space: DVSpace, iso: IsotropicResult) -> dict:
+    """The space, its dual and its isotropic subspace, as ``iso`` holds them."""
     return {
         "space": space.to_dict(),
         "dual": iso.dual.to_dict(),
@@ -151,7 +144,7 @@ def run_scenario(name: str, n: int = 16) -> dict:
     """Reproduce one of the recorded claims; deterministic output."""
     if name == "lemma-2.2":
         sp = gallery_space("V2-delta")
-        out = _analysis(sp)
+        out = _analysis(sp, maximal_isotropic(sp))
         out["claim"] = "the diffeological dual is zero and the isotropic subspace is everything"
         out["axioms_used"] = []
         return {"scenario": name, **out}
@@ -165,7 +158,7 @@ def run_scenario(name: str, n: int = 16) -> dict:
             sp,
             Subspace.from_vectors(2, [[1, 0]]),
             Subspace.from_vectors(2, [[0, 1]]),
-            witnesses=v2_delta_witnesses(sp, fm),
+            witnesses=gallery_witnesses(sp, n),
         )
         identity = verify_abs_identity(link)
         return {
@@ -180,8 +173,8 @@ def run_scenario(name: str, n: int = 16) -> dict:
 
     if name == "cor-2.5":
         sp = gallery_space("V2-delta")
-        fm = franklin_map(n)
-        axis_plots = v2_delta_axis_plots(sp, fm)
+        witnesses = gallery_witnesses(sp, n)
+        axis_plots = (witnesses[(0, 0)], witnesses[(0, 1)])
         rng = random.Random(0)
         directions = []
         for _ in range(20):
@@ -211,6 +204,7 @@ def run_scenario(name: str, n: int = 16) -> dict:
 
     if name == "nonsmooth-R3":
         sp = gallery_space("R3-abs")
+        ch = characteristic_decomposition(sp)
         refut = refute_smooth_sum_standard(
             sp,
             Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]]),
@@ -219,9 +213,9 @@ def run_scenario(name: str, n: int = 16) -> dict:
         return {
             "scenario": name,
             "claim": "Span(e1,e2) and Span(e3) are standard but do not give a smooth sum",
-            **_analysis(sp),
+            **_analysis(sp, ch.analysis),
             "refutation": refut.to_dict(),
-            "characteristic": characteristic_decomposition(sp).to_dict(),
+            "characteristic": ch.to_dict(),
             "axioms_used": [],
         }
 
@@ -236,7 +230,7 @@ def run_scenario(name: str, n: int = 16) -> dict:
         return {
             "scenario": name,
             "claim": "Span(e1) is not complemented although an obvious smooth sum exists",
-            **_analysis(sp),
+            **_analysis(sp, maximal_isotropic(sp)),
             "complementedness_e1": comp.to_dict(),
             "smooth_sum_diag": sum_cert.to_dict(),
             "axioms_used": [AXIOM_A],
@@ -244,18 +238,19 @@ def run_scenario(name: str, n: int = 16) -> dict:
 
     if name == "w-nondecomposable":
         sp = gallery_space("W-nondecomposable", frozenset({AXIOM_A}))
-        dec = decomposability_report(sp)
+        ch = characteristic_decomposition(sp)
+        dec = decomposability_report(sp, characteristic=ch)
         return {
             "scenario": name,
             "claim": "the (|x|, gamma) space admits no nontrivial smooth splitting",
-            **_analysis(sp),
+            **_analysis(sp, ch.analysis),
             "decomposability": dec.to_dict(),
             "axioms_used": [AXIOM_A],
         }
 
     if name == "sqrt-delta":
         sp = gallery_space("sqrt-delta")
-        base = _analysis(sp)
+        base = _analysis(sp, maximal_isotropic(sp))
         sp_cond = gallery_space("sqrt-delta", frozenset({AXIOM_SQRT_IMPLICATION}))
         standard_e1 = subset_standard(sp_cond, Subspace.from_vectors(2, [[1, 0]]))
         comp = complementedness_report(sp_cond, Subspace.from_vectors(2, [[1, 0]]))

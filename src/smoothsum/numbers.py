@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Union
-
-#: Exact rational numbers; stdlib fractions are stored coprime with a
-#: positive denominator, which is exactly the canonical form we need.
-Rational = Fraction
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
 
@@ -96,10 +93,6 @@ class QSqrt2:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rational(cls, r) -> "QSqrt2":
-        return cls.coerce(Fraction(r))
-
-    @classmethod
     def sqrt2(cls) -> "QSqrt2":
         return _triple(0, 1, 1)
 
@@ -146,7 +139,15 @@ class QSqrt2:
         return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # hash((a, b)), without building the Fractions: a numeric hash
+        # depends on the value alone, so p/d and q/d hash as Fraction's
+        # __hash__ would hash them reduced, with d's inverse shared
+        try:
+            dinv = pow(self.d, -1, sys.hash_info.modulus)
+        except ValueError:  # d is a multiple of the modulus
+            return hash((self.a, self.b))
+        parts = (hash(hash(abs(n)) * dinv) * (1 if n >= 0 else -1) for n in (self.p, self.q))
+        return hash(tuple(-2 if h == -1 else h for h in parts))
 
     # -- field arithmetic ----------------------------------------------
 
@@ -199,7 +200,7 @@ class QSqrt2:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QSqrt2.from_rational(1)
+        out = QSqrt2.coerce(1)
         base = self
         while n:
             if n & 1:
@@ -305,7 +306,7 @@ def _reduced(p: int, q: int, d: int) -> QSqrt2:
 
 
 ZERO = QSqrt2()
-ONE = QSqrt2.from_rational(1)
+ONE = QSqrt2.coerce(1)
 
 
 # -- many values at once ---------------------------------------------------

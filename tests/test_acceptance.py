@@ -38,7 +38,6 @@ from smoothsum.gallery import (
     SCENARIOS,
     gallery_space,
     gallery_witnesses,
-    v2_delta_axis_plots,
 )
 from smoothsum.intervals import Interval, certify_positive
 from smoothsum.numbers import QSqrt2, Tag, TaggedReal, add_tagged, mul_tagged, sqrt_tagged
@@ -178,7 +177,8 @@ def test_criterion_4_r3_nonsmooth_and_analysis():
 
 def test_criterion_5_twenty_random_directions(fm16):
     sp = gallery_space("V2-delta")
-    provider = v2_delta_axis_plots(sp, fm16)
+    witnesses = gallery_witnesses(sp, 16)
+    provider = (witnesses[(0, 0)], witnesses[(0, 1)])
     rng = random.Random(0)
     directions = []
     for _ in range(20):

@@ -408,3 +408,84 @@ def test_scenario_computes_the_dual_once(capsys, monkeypatch):
     calls = _count_dual_basis(monkeypatch)
     assert _run(capsys, "scenario", "lemma-2.2", "--json", "--n", "8")[0] == 0
     assert calls == ["V2-delta"]
+
+
+@pytest.mark.parametrize(
+    "scenario, spaces",
+    [
+        ("nonsmooth-R3", ["R3-abs"]),
+        ("w-nondecomposable", ["W-nondecomposable"]),
+    ],
+)
+def test_scenario_reuses_its_characteristic_decomposition(capsys, monkeypatch, scenario, spaces):
+    # the report's dual is the one the characteristic decomposition holds
+    calls = _count_dual_basis(monkeypatch)
+    assert _run(capsys, "scenario", scenario, "--json", "--n", "8")[0] == 0
+    assert calls == spaces
+
+
+_V2_DELTA_GENERATORS = "gen abs(x), abs(x)\ngen 0, deltaQ(x)\n"
+
+
+def _space_file(tmp_path, decl: str) -> str:
+    f = tmp_path / "space.txt"
+    f.write_text(decl)
+    return str(f)
+
+
+def _verdicts(capsys, space: str) -> tuple:
+    """The check-sum verdict on e1 against e2 and the analyze verdict."""
+    code, out, _ = _run(capsys, "check-sum", space, "--w0", "1,0", "--w1", "0,1", "--json", "--n", "8")
+    assert code == 0
+    check = json.loads(out)["report"]["verdict"]
+    code, out, _ = _run(capsys, "analyze", space, "--json", "--n", "8")
+    assert code == 0
+    return check, json.loads(out)["report"]["decomposability"]
+
+
+def test_renamed_v2_delta_gets_the_gallery_verdicts(tmp_path, capsys):
+    renamed = _verdicts(capsys, _space_file(tmp_path, "space mine dim 2\n" + _V2_DELTA_GENERATORS))
+    gallery = _verdicts(capsys, "V2-delta")
+    assert renamed[0]["status"] == gallery[0]["status"] == "SmoothCertified"
+    assert renamed[1]["status"] == gallery[1]["status"] == "Decomposable"
+    # the same certificate, with the plots on the renamed space
+    mine = json.dumps(renamed).replace('"space": "mine"', '"space": "V2-delta"')
+    assert json.loads(mine) == list(gallery)
+
+
+@pytest.mark.parametrize(
+    "decl",
+    [
+        "space V2-delta dim 2\ngen abs(x), abs(x)\n",
+        "space V2-delta dim 3\ngen abs(x), abs(x), 0\ngen 0, deltaQ(x), 0\n",
+    ],
+)
+def test_a_file_named_v2_delta_gets_a_verdict(tmp_path, capsys, decl):
+    space = _space_file(tmp_path, decl)
+    dim = int(decl.split()[3])
+    basis = ";".join(",".join(str(int(i == j)) for j in range(dim)) for i in range(1, dim))
+    for argv in (
+        ("analyze", space),
+        ("check-sum", space, "--w0", "1" + ",0" * (dim - 1), "--w1", basis),
+    ):
+        code, _, err = _run(capsys, *argv, "--json", "--n", "8")
+        assert code == 0, err
+
+
+def test_analyze_certifies_the_coordinate_split(tmp_path, capsys):
+    space = _space_file(tmp_path, "space axes dim 2\ngen abs(x), 0\ngen 0, abs(x)\n")
+    check, dec = _verdicts(capsys, space)
+    assert check["status"] == "SmoothCertified"
+    assert dec["status"] == "Decomposable"
+    assert dec["detail"]["decomposition"] == check
+
+
+def test_check_sum_with_an_undecided_derivative(tmp_path, capsys):
+    # the first component has no one-sided derivative to compare at 0;
+    # the refutation rests on the second, which is NonSmooth
+    space = _space_file(tmp_path, "space s dim 2\ngen abs(x)+barGamma(x), abs(x)\n")
+    code, out, err = _run(capsys, "check-sum", space, "--w0", "1,0", "--w1", "0,1", "--json", "--n", "8")
+    assert code == 0, err
+    verdict = json.loads(out)["report"]["verdict"]
+    assert verdict["status"] == "NonSmooth"
+    assert verdict["reason"].startswith("generator 0 component 1 (abs(x)) is NonSmooth")

@@ -20,14 +20,9 @@ from smoothsum.decompose import (
     refute_smooth_sum_standard,
     verify_kernel_image_witness,
 )
-from smoothsum.diffeology import DVSpace, LinearMap, Subspace
+from smoothsum.diffeology import DVSpace, LinearMap, Subspace, parse_space
 from smoothsum.expr import AXIOM_A, Smoothness, SmoothnessVerdict, parse_expr, to_text
-from smoothsum.gallery import (
-    franklin_map,
-    gallery_space,
-    gallery_witnesses,
-    v2_delta_axis_plots,
-)
+from smoothsum.gallery import gallery_space, gallery_witnesses
 from smoothsum.numbers import QSqrt2
 
 E1 = Subspace.from_vectors(2, [[1, 0]])
@@ -144,7 +139,8 @@ def test_refute_r3_abs():
 
 def test_nonstandard_witness_twenty_directions():
     sp = gallery_space("V2-delta")
-    provider = v2_delta_axis_plots(sp, franklin_map(8))
+    witnesses = gallery_witnesses(sp, 8)
+    provider = (witnesses[(0, 0)], witnesses[(0, 1)])
     rng = random.Random(0)
     directions = []
     for _ in range(20):
@@ -160,6 +156,15 @@ def test_nonstandard_witness_twenty_directions():
         # the witness plot really is the curve x -> (a|x|, b|x|)
         assert to_text(trees[0]) is not None
         assert w.contains([a, b])
+
+
+def test_refutation_names_the_undecided_components():
+    # both lines are standard, and no component classifies NonSmooth: the
+    # reason names the components left Unknown, not "all generators smooth"
+    sp = parse_space("space s dim 2\ngen abs(x)+barGamma(x), abs(x)+barGamma(x)\ngen x, 0\n")
+    verdict = refute_smooth_sum_standard(sp, E1, E2)
+    assert verdict.status == "Unknown"
+    assert verdict.reason == "smoothness undecided for generator 0 component 0, generator 0 component 1"
 
 
 def _forged_classifier(e, **kwargs):
@@ -182,7 +187,8 @@ def test_forged_nonsmooth_verdict_is_not_reported(monkeypatch):
     assert "failed replay" in verdict.reason
 
     sp = gallery_space("V2-delta")
-    provider = v2_delta_axis_plots(sp, franklin_map(8))
+    witnesses = gallery_witnesses(sp, 8)
+    provider = (witnesses[(0, 0)], witnesses[(0, 1)])
     with pytest.raises(ValueError, match="witness replay failed"):
         nonstandard_subspace_witness(sp, [[1, 2]], provider)
 
@@ -219,8 +225,25 @@ def test_decomposability_w_space():
 
 def test_decomposability_v2_delta_with_witness():
     sp = gallery_space("V2-delta")
-    rep = decomposability_report(sp, witnesses=gallery_witnesses(sp, 8), witness_split=(E1, E2))
+    rep = decomposability_report(sp, witnesses=gallery_witnesses(sp, 8))
     assert rep.status == "Decomposable"
+
+
+def test_decomposability_tries_the_coordinate_split():
+    # isotropic everywhere, and Span(e1) (+) Span(e2, e3) settles by rules
+    sp = parse_space("space s dim 3\ngen abs(x), 0, 0\ngen 0, abs(x), deltaQ(x)\n")
+    rep = decomposability_report(sp)
+    assert rep.status == "Decomposable"
+    decomposition = rep.detail["decomposition"]
+    assert decomposition["status"] == "SmoothCertified"
+    assert [w["rule"] for w in decomposition["forward_witnesses"]] == [
+        "generator-in-subspace", "zero-projection", "zero-projection", "generator-in-subspace",
+    ]
+    # without its witnesses V2-delta's split does not certify, and no
+    # rule decides the dimension-2 question either way
+    assert decomposability_report(gallery_space("V2-delta")).status == "Unknown"
+    # in dimension 1 the split would be the trivial one
+    assert decomposability_report(parse_space("space s dim 1\ngen abs(x)\n")).status == "Unknown"
 
 
 def test_kernel_image_space():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -332,13 +333,21 @@ def test_plan_matches_recursive_driver(exprs, x):
 
 
 def _assert_plan_matches_recursive_driver(exprs, x):
-    want = _outcome(lambda: [eval_candidates(e, x) for e in exprs])
-    plan = Plan(exprs)
-    assert _outcome(lambda: plan(x)) == want
-    # each tree's own outcome, whatever the trees beside it raise
-    for e, got in zip(exprs, plan.outcomes(x)):
-        shown = f"{type(got).__name__}: {got}" if isinstance(got, Exception) else repr(got)
-        assert shown == _outcome(lambda: eval_candidates(e, x))
+    # a chain of barGamma at a point with a 200-digit denominator has
+    # values past the default 4300-digit limit of int-to-str conversion;
+    # they are compared in full
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = _outcome(lambda: [eval_candidates(e, x) for e in exprs])
+        plan = Plan(exprs)
+        assert _outcome(lambda: plan(x)) == want
+        # each tree's own outcome, whatever the trees beside it raise
+        for e, got in zip(exprs, plan.outcomes(x)):
+            shown = f"{type(got).__name__}: {got}" if isinstance(got, Exception) else repr(got)
+            assert shown == _outcome(lambda: eval_candidates(e, x))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_candidate_sets_branch_and_collapse_in_both_drivers():
@@ -570,6 +579,11 @@ _far_points = st.sampled_from([
 # raising below a floatless node, and past the float range
 @example(exprs=[App("deltaQ", App("H1", _SQRT_NEG)), App("deltaQ", App("exp", _UNKNOWN_X))], x=TaggedReal.exact(1))
 @example(exprs=[App("deltaQ", App("exp", Prod((Const(QSqrt2.coerce(1000)), X))))], x=TaggedReal.exact(1))
+# a root whose value has more than 4300 digits
+@example(
+    exprs=[_chain([("barGamma", _MAPS[1])] * 2 + [("barGamma", _MAPS[2])], Pow(X, 2))],
+    x=TaggedReal.exact(QSqrt2.from_ints(1, 1, 10**200)),
+)
 def test_plan_without_floats_under_deltaQ_matches_eval_candidates(exprs, x):
     _assert_plan_matches_recursive_driver(exprs, x)
 
@@ -739,6 +753,18 @@ def test_axiom_witness_needs_the_callers_axiom():
     v = classify_smoothness(e, axioms=frozenset({AXIOM_A}))
     assert not verify_nonsmooth_witness(e, v)
     assert not verify_nonsmooth_witness(e, v, axioms=frozenset())
+
+
+def test_classifier_undecided_derivative_is_unknown():
+    # barGamma(x) without a constructed map passes as a smooth remainder
+    # of the abs part, but has no one-sided derivative to compare
+    e = parse_expr("abs(x)+barGamma(x)")
+    v = classify_smoothness(e)
+    assert v.status == Smoothness.UNKNOWN
+    assert v.derivation == (
+        "one-sided derivatives of abs(x)+barGamma(x) at 0 undecided: "
+        "one-sided derivative unsupported for barGamma(x)",
+    )
 
 
 def test_classifier_never_calls_undecidable_smooth():

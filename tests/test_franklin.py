@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothsum.expr import W_SLOPE, App, X, differentiate, eval_exact
+from smoothsum.expr import W_SLOPE, App, Const, X, differentiate, eval_exact, make_neg, make_prod, make_sum
 from smoothsum.decompose import DEFAULT_GRID
 from smoothsum.franklin import (
     BRACKET_BITS,
@@ -562,6 +562,17 @@ def test_rationality_link(fm8):
     assert cert["ok"] and cert["monotone"] and cert["decay"] and cert["order_isomorphism"]
     assert cert["failures"] == []
     assert cert["axioms_used"] == ["exp-transcendence"]
+
+
+def test_abs_identity_expr_is_the_hand_built_tree(fm8):
+    link = RationalityLink(fm8)
+    two_x = make_prod([Const(QSqrt2.coerce(2)), X])
+    hand_built = make_sum([
+        make_prod([two_x, App("deltaQ", App("H1", X))]),
+        make_neg(make_prod([two_x, App("deltaQ", App("barGamma", App("H1", X), fm8))])),
+        X,
+    ])
+    assert abs_identity_expr(link) == hand_built
 
 
 def test_bar_gamma_derivative_matches_collapsed_polynomial(fm8):

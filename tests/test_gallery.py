@@ -12,14 +12,14 @@ from smoothsum.gallery import (
     gallery_space,
     gallery_witnesses,
     run_scenario,
-    v2_delta_axis_plots,
     v2_delta_witnesses,
 )
 from smoothsum.gallery import franklin_map
 from smoothsum.decompose import DEFAULT_GRID, _replay_witness, nonstandard_subspace_witness
 from smoothsum.diffeology import Plot, Subspace, parse_space
-from smoothsum.expr import parse_expr
+from smoothsum.expr import App, Const, X, make_neg, make_prod, parse_expr
 from smoothsum.franklin import parse_grid
+from smoothsum.numbers import QSqrt2
 
 
 def test_space_names():
@@ -60,6 +60,29 @@ def test_v2_delta_witnesses_realize_targets():
         assert key in wit
         w = Subspace.from_vectors(2, [axis])
         assert _replay_witness([(wit[key].components(), comps, w)], DEFAULT_GRID) == [None]
+
+
+def _hand_built_v2_delta_witnesses(space, fm) -> dict:
+    """The V2-delta witnesses written out term by term: the reference the
+    plots derived from the |x| identity must equal."""
+    h1 = App("H1", X)
+    h2 = App("barGamma", App("H1", X), fm)
+    two_x = make_prod([Const(QSqrt2.coerce(2)), X])
+    neg_two_x = make_neg(two_x)
+    d1 = Plot(
+        space,
+        ((Const(QSqrt2.coerce(1)), 0, X), (neg_two_x, 1, h1), (two_x, 1, h2)),
+        (parse_expr("0"), make_neg(X)),
+    )
+    d2 = Plot(space, ((two_x, 1, h1), (neg_two_x, 1, h2)), (parse_expr("0"), X))
+    return {(0, 0): d1, (0, 1): d2}
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_v2_delta_witnesses_are_the_hand_built_plots(n):
+    sp = gallery_space("V2-delta")
+    fm = franklin_map(n)
+    assert v2_delta_witnesses(sp, fm) == _hand_built_v2_delta_witnesses(sp, fm)
 
 
 def test_replay_witness_reports_values_outside_the_subspace():
@@ -120,7 +143,8 @@ def test_batch_replay_gives_each_witness_its_own_result():
 
 def test_nonstandard_witness_raises_for_the_first_failing_direction():
     sp = gallery_space("V2-delta")
-    good = v2_delta_axis_plots(sp, franklin_map(8))
+    witnesses = gallery_witnesses(sp, 8)
+    good = (witnesses[(0, 0)], witnesses[(0, 1)])
     # axis 1 wrongly realized by the axis-0 plot: only directions along e1 replay
     wrong = [good[0], good[0]]
 
@@ -205,6 +229,23 @@ def test_scenario_verdicts():
 
     s = run_scenario("ker-im-R3", 8)
     assert s["verdict"]["status"] == "Diffeomorphic"
+
+
+def test_builtin_witnesses_follow_the_generators_not_the_name():
+    gallery = gallery_space("V2-delta")
+    renamed = parse_space("space mine dim 2\ngen abs(x), abs(x)\ngen 0, deltaQ(x)\naxiom A\n")
+    witnesses = gallery_witnesses(renamed, 8)
+    assert witnesses is not None
+    assert all(plot.space is renamed for plot in witnesses.values())
+    assert witnesses == {key: Plot(renamed, plot.terms, plot.tail)
+                         for key, plot in gallery_witnesses(gallery, 8).items()}
+    # the name alone, or the generators in another order, get none
+    for decl in (
+        "space V2-delta dim 2\ngen abs(x), abs(x)\n",
+        "space V2-delta dim 3\ngen abs(x), abs(x), 0\ngen 0, deltaQ(x), 0\n",
+        "space V2-delta dim 2\ngen 0, deltaQ(x)\ngen abs(x), abs(x)\n",
+    ):
+        assert gallery_witnesses(parse_space(decl), 8) is None
 
 
 def test_witness_provider_dispatch():

@@ -493,6 +493,17 @@ def test_combination_matches_the_pair_model(terms, start):
     assert _model(got) == want
 
 
+@given(pairs)
+def test_equal_values_from_every_constructor_hash_equal(x):
+    a, b = x
+    made = [QSqrt2(a, b), QSqrt2.from_ints(a.numerator * b.denominator, b.numerator * a.denominator,
+                                           a.denominator * b.denominator)]
+    if b == 0:
+        made += [QSqrt2.coerce(a), QSqrt2.coerce(a.numerator) / a.denominator]
+    assert all(v == made[0] for v in made)
+    assert len({hash(v) for v in made}) == 1
+
+
 @given(pairs, pairs)
 def test_equality_hash_and_order_match_the_pair_model(x, y):
     u, v = QSqrt2(*x), QSqrt2(*y)

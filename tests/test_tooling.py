@@ -13,8 +13,9 @@ runs once, not at each call of a function.  The sixth keeps the
 integer arithmetic of ``QSqrt2`` triples out of ``expr``'s plans, in
 ``numbers``.  The seventh installs the tracer on a fresh import of the
 package and finds no reference to an unwrapped original, which would
-fail the traced run.  The last runs the traced ``franklin-build``
-benchmark pass, which fails when a function it predicts to be called
+fail the traced run.  The last two run the traced ``franklin-build``
+and ``verdict-mix`` benchmark passes, which fail when a command's report
+is wrong or a function they predict to be called
 (``intervals.poly_product_derivative``, say) no longer is.
 """
 
@@ -328,17 +329,28 @@ def test_tracer_leaves_no_unwrapped_original():
         sys.modules.update(saved)
 
 
-def test_traced_franklin_build_run_is_correct():
+def _traced_run(workload: str) -> None:
+    """One second of the traced benchmark run of ``workload``, seed 1,
+    judged correct with every predicted counter non-zero."""
     # PYTHONPATH points at the package this test run imports, as for the
     # CLI children of test_acceptance
     src = str(Path(smoothsum.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "franklin-build",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stdout
+
+
+def test_traced_franklin_build_run_is_correct():
+    _traced_run("franklin-build")
+
+
+def test_traced_verdict_mix_run_is_correct():
+    # the 17 gallery commands, through every traced decision procedure
+    _traced_run("verdict-mix")
