@@ -208,6 +208,8 @@ def cmd_check_sum(args) -> int:
         refutation = refute_smooth_sum_standard(sp, w0, w1)
         if refutation.status == "NonSmooth":
             verdict = refutation
+        else:
+            verdict.reason = f"{verdict.reason}; refutation: {refutation.reason}"
     report = {
         "space": sp.to_dict(),
         "w0": w0.to_dict(),
@@ -353,10 +355,7 @@ def main(argv=None) -> int:
         if not 1 <= args.n <= MAX_N:
             raise InputError(f"--n must be between 1 and {MAX_N}, got {args.n}")
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ExprError, ValueError) as exc:
+    except (InputError, ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

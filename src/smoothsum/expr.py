@@ -14,13 +14,14 @@ compiled once from a list of trees and then called at many points: equal
 subtrees are shared, so each distinct subexpression is evaluated once
 per point, and subtrees without x are hoisted out and evaluated once per
 plan.  Each remaining node is compiled once into a step, with a function
-node's function resolved when the plan is built.  Sums and products of
-single exact values go to ``numbers.combination_exact`` and
-``prod_exact``, which reduce once, and a product that only one sum
-reads is evaluated inside that sum's step; any other value falls back
-to the shared node semantics.  A float is computed only where a reader
-needs it: under deltaQ, which reads only a tag, H1, exp and barGamma
-skip theirs.
+node's function resolved when the plan is built.  Sums, products and
+powers share one arithmetic step, a linear combination that
+``numbers.combination_exact`` computes over one denominator and reduces
+once when every value it reads is a single exact value; a product that
+only one sum reads is a term of that sum's step.  Any other value falls
+back to the shared node semantics.  A float is computed only where a
+reader needs it: under deltaQ, which reads only a tag, H1, exp and
+barGamma skip theirs.
 """
 
 from __future__ import annotations
@@ -36,16 +37,17 @@ from typing import Iterable, Optional, Sequence
 
 from .numbers import (
     INV_SQRT2,
+    ONE,
     QSqrt2,
     SQRT2,
     Tag,
     TaggedReal,
+    ZERO,
     add_tagged,
     combination_exact,
     exp_tagged,
     mul_tagged,
     parse_qsqrt2,
-    prod_exact,
     sqrt_tagged,
 )
 
@@ -747,16 +749,15 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
 # the step is built.  An App step of a name in ``_TAG_ONLY`` whose float
 # no reader needs evaluates without its float: the same exact value, tag
 # and transcendental flag, and value None where the full step holds a
-# float.  A Sum step computes a linear combination: a product that
-# varies with x and that only this sum reads, once, is fused into it as
-# a term (no root, so no outcome misses its slot), and any other child
-# is a term of one factor with coefficient 1.  When every factor holds
-# one exact value, ``numbers.combination_exact`` (for a Prod step,
-# ``prod_exact``) computes the node over one denominator and reduces
-# once.  Anything else (a candidate set, an approximate or opaque value)
-# falls back to ``_apply``, on each fused product and then on the node,
-# with the children's values in their order: the recursive driver's work,
-# so the plan and ``eval_candidates`` keep one node semantics.  A fused
+# float.  Sum, Prod and Pow nodes share one arithmetic step: start plus
+# terms, each a coefficient times a product of slots (see ``Plan``); a
+# fused product has no root, so no outcome misses its slot.  When every
+# factor holds one exact value, ``numbers.combination_exact`` computes
+# the node over one denominator and reduces once.  Anything else (a
+# candidate set, an approximate or opaque value) falls back to
+# ``_apply``, on each fused product and then on the node, with the
+# children's values in their order: the recursive driver's work, so the
+# plan and ``eval_candidates`` keep one node semantics.  A fused
 # product's children stand in its place among the slots whose failure
 # the sum inherits, so the first error stays the recursive driver's.
 
@@ -799,26 +800,24 @@ def _split_consts(kids: tuple, nodes: list) -> tuple:
     return consts, tuple(k for k in kids if not isinstance(nodes[k][0], Const))
 
 
-def _prod_step(e: Prod, kids: tuple, nodes: list):
+def _term(kids: tuple, nodes: list) -> tuple:
+    """The product of the children in slots ``kids`` as a term: its Const
+    factors folded into a coefficient, and the slots of the others."""
     consts, rest = _split_consts(kids, nodes)
-    start = prod_exact(consts)
-
-    def run(values: list, x: TaggedReal) -> Candidates:
-        vals = _exact_values(values, rest)
-        if vals is None:
-            return _apply(e, [values[k] for k in kids], x)
-        return (TaggedReal.exact(prod_exact(vals, start)),)
-
-    return run
+    return combination_exact([(ONE, consts)]), rest
 
 
-def _sum_step(e: Sum, kids: tuple, nodes: list, fused: set):
-    consts, rest = _split_consts(kids, nodes)
-    start = combination_exact((c, ()) for c in consts)
-    terms = []  # (coefficient, the slots of its factors)
-    for k in rest:
-        coefficient, factors = _split_consts(nodes[k][1], nodes) if k in fused else ((), (k,))
-        terms.append((prod_exact(coefficient), factors))
+def _combination_step(e: Expr, kids: tuple, nodes: list, fused: set):
+    """The arithmetic step of a Sum, Prod or Pow node (see above)."""
+    start = ZERO
+    if isinstance(e, Sum):
+        consts, rest = _split_consts(kids, nodes)
+        start = combination_exact((c, ()) for c in consts)
+        terms = [_term(nodes[k][1], nodes) if k in fused else (ONE, (k,)) for k in rest]
+    elif isinstance(e, Prod):
+        terms = [_term(kids, nodes)]
+    else:
+        terms = [(ONE, kids * e.exponent)]
     # per child, in order: its fused product and that product's children,
     # or None and the child itself
     parts = [(nodes[k][0], nodes[k][1]) if k in fused else (None, (k,)) for k in kids]
@@ -842,14 +841,11 @@ def _sum_step(e: Sum, kids: tuple, nodes: list, fused: set):
 def _compile_step(e: Expr, kids: tuple, nodes: list, floats: bool, fused: set):
     """The step evaluating plan node ``e``, whose children sit in slots
     ``kids`` of ``nodes``; ``floats`` is false when no reader needs the
-    node's float, and ``fused`` holds the slots of the fused products.
-    Const children of a Sum or Prod fold into the step here, once."""
+    node's float, and ``fused`` holds the slots of the fused products."""
     if isinstance(e, App):
         return _app_step(e, kids, floats)
-    if isinstance(e, Sum):
-        return _sum_step(e, kids, nodes, fused)
-    if isinstance(e, Prod):
-        return _prod_step(e, kids, nodes)
+    if isinstance(e, (Sum, Prod, Pow)):
+        return _combination_step(e, kids, nodes, fused)
     return _generic_step(e, kids)
 
 
@@ -868,18 +864,20 @@ class Plan:
     Each remaining node is compiled here into a step (``_compile_step``).
     A function node's function is resolved once, read from the module
     globals when the plan is built: a plan built after a wrapper is
-    installed on this module calls the wrapper.  Const children of a sum
-    or product fold into the step's start value.
+    installed on this module calls the wrapper.
 
-    A sum evaluates a linear combination in one step (the fusion rule).
-    Once the nodes free of x are evaluated, the plan counts each slot's
-    readers: the roots, and the nodes evaluated per point.  A product
-    that varies with x and is read once, by a sum that varies with x,
-    gets no step; it is a term of that sum, its Const factors folded into
-    the term's coefficient.  When every factor holds one exact value at a
-    point, ``numbers.combination_exact`` computes the sum and reduces
+    A sum, a product or a power evaluates a linear combination in one
+    step, its Const children folded in once: a sum's into its start
+    value, and each other child a term of coefficient 1; a product is one
+    term with its Const factors as coefficient, and a power one term
+    holding its base ``exponent`` times.  Once the nodes free of x are
+    evaluated, the plan counts each slot's readers: the roots, and the
+    nodes evaluated per point.  A product that varies with x and is read
+    once, by a sum that varies with x, gets no step; it is a term of that
+    sum (the fusion rule).  When every factor holds one exact value at a
+    point, ``numbers.combination_exact`` computes the node and reduces
     once.  Otherwise the step applies ``_apply`` to each fused product
-    and then to the sum, on the same values the recursive driver would
+    and then to the node, on the same values the recursive driver would
     pass, so every result is ``eval_candidates``'s, value for value.
 
     Floats are computed only where they are read (the demand rule).  A

@@ -59,6 +59,7 @@ from .expr import (
     W_SLOPE,
     X,
     eval_tagged,
+    make_pow,
     make_prod,
     make_sum,
     make_neg,
@@ -119,17 +120,16 @@ def simplest_in_interval(lo: QSqrt2, hi: QSqrt2) -> Fraction:
     numerator) in the open interval (lo, hi) with exact endpoints.
 
     An irrational endpoint is rounded outward to a multiple of 2^-k, so
-    the rational window (lo', hi') contains (lo, hi).  Its simplest
-    rational, once it lies in (lo, hi), is the simplest one there too;
-    otherwise k doubles.  Only finitely many simpler rationals lie near
+    the rational window (lo', hi') contains (lo, hi); a rational one is
+    kept, so two rational endpoints end the loop on its first pass.  Its
+    simplest rational, once it lies in (lo, hi), is the simplest one there
+    too; otherwise k doubles.  Only finitely many simpler rationals lie near
     the window, each at a positive distance from it, so the loop ends.
     """
     lo = QSqrt2.coerce(lo)
     hi = QSqrt2.coerce(hi)
     if not lo < hi:
         raise ValueError("empty open interval")
-    if lo.is_rational and hi.is_rational:
-        return Fraction(*_simplest_rational(lo.p, lo.d, hi.p, hi.d))
     k = 64
     while True:
         scale = 1 << k
@@ -370,11 +370,13 @@ class FranklinMap:
     updates one correction at a time.  The construction's sign and
     distance tests on [0,1] first try that polynomial's coefficients
     floored to 2^-FIX_BITS, a certified integer enclosure of f, and fall
-    back to exact evaluation when it is too coarse.  The float evaluator
-    keeps the product form, and so does the derivative enclosure: over a
-    rational box each leave-one-out product runs in integers at its
-    roots' own scale, and the ends of sum c_n p_n' are summed over one
-    denominator, that of the corrections c_n times that of the ends.
+    back to exact evaluation when it is too coarse.  The derivative tree
+    ``derivative_expr`` reads the collapsed coefficients too.  The float
+    evaluator keeps the product form, and so does the derivative
+    enclosure: over a rational box each leave-one-out product runs in
+    integers at its roots' own scale, and the ends of sum c_n p_n' are
+    summed over one denominator, that of the corrections c_n times that
+    of the ends.
     """
 
     steps: tuple = ()
@@ -441,16 +443,15 @@ class FranklinMap:
         return Interval(self._one_plus(lows), self._one_plus(highs))
 
     def derivative_expr(self, arg: Expr) -> Expr:
-        """f'(arg) as an expression tree (for chain-rule use)."""
-        terms = [ONE_E]
-        for s in self.steps:
-            for k in range(len(s.roots)):
-                factors = [Const(s.c)]
-                for j, r in enumerate(s.roots):
-                    if j != k:
-                        factors.append(make_sum([arg, Const(-QSqrt2.coerce(r))]))
-                terms.append(make_prod(factors))
-        return make_sum(terms)
+        """f'(arg) as an expression tree (for chain-rule use): the sum of
+        i c_i arg^(i-1) over the collapsed coefficients c_i of f."""
+        poly = self._poly
+        return make_sum(
+            make_prod([Const(QSqrt2.from_ints(i * cp, i * cq, poly.d)),
+                       make_pow(arg, i - 1) if i > 1 else ONE_E])
+            for i, (cp, cq) in enumerate(zip(poly.p, poly.q))
+            if i and (cp or cq)
+        )
 
     # -- certified properties -------------------------------------------
 
@@ -538,13 +539,14 @@ def _root_product(u: int, v: int, roots) -> tuple:
     return num, den * v ** len(roots)
 
 
-def _neighbors(steps, a: Fraction) -> tuple:
-    """The matched/anchor points bracketing a, with their exact images."""
-    pts = [(Fraction(0), QSqrt2.coerce(0)), (Fraction(1), QSqrt2.coerce(1))]
-    pts.extend((s.a, s.b) for s in steps)
-    left = max((p for p in pts if p[0] < a), key=lambda p: p[0])
-    right = min((p for p in pts if p[0] > a), key=lambda p: p[0])
-    return left, right
+def _neighbors(steps, side: int, value) -> Optional[tuple]:
+    """The consecutive matched or anchor points (a, f(a)) whose coordinate
+    ``side`` (0 for a, 1 for f(a)) brackets ``value`` strictly, or None.
+    f is certified increasing, so the points sorted by a are sorted by
+    f(a) too."""
+    pts = sorted([(Fraction(0), QSqrt2.coerce(0)), (Fraction(1), QSqrt2.coerce(1))]
+                 + [(s.a, s.b) for s in steps])
+    return next(((u, v) for u, v in zip(pts, pts[1:]) if u[side] < value < v[side]), None)
 
 
 def build_franklin(n_steps: int) -> FranklinMap:
@@ -578,7 +580,7 @@ def build_franklin(n_steps: int) -> FranklinMap:
             v = fm.eval_exact(a)
             pa = Fraction(*_root_product(a.numerator, a.denominator, root_pairs))
             delta = bound * abs(pa)
-            (aL, bL), (aR, bR) = _neighbors(steps, a)
+            (_, bL), (_, bR) = _neighbors(steps, 0, a)
             lo = max(bL, v - delta)
             hi = min(bR, v + delta)
             q_lo = max(w_value(lo), INV_SQRT2)
@@ -595,18 +597,10 @@ def build_franklin(n_steps: int) -> FranklinMap:
             q = next(x for x in q_stream if x not in matched_q)
             b = w_inverse(q)
             # locate the bracket of the preimage among matched points
-            pts = sorted(
-                [(Fraction(0), QSqrt2.coerce(0)), (Fraction(1), QSqrt2.coerce(1))]
-                + [(s.a, s.b) for s in steps],
-                key=lambda p: p[0],
-            )
-            lo_a = hi_a = None
-            for (u, fu), (v_, fv) in zip(pts, pts[1:]):
-                if fu < b < fv:
-                    lo_a, hi_a = u, v_
-                    break
-            if lo_a is None:
+            around = _neighbors(steps, 1, b)
+            if around is None:
                 raise ConstructionError(f"step {n}: target {q} outside the matched range")
+            (lo_a, _), (hi_a, _) = around
             poly = fm._poly
             # f' >= budget > 0 on [0, 1], so f(t) < b at every t <=
             # low / 2^FIX_BITS and f(t) > b at every t >= high / 2^FIX_BITS:
@@ -706,14 +700,10 @@ def certify_rationality_link(link: RationalityLink) -> dict:
         if not (vb.is_exact and vb.value == INV_SQRT2):
             failures.append(f"H2-composite({x}) != 1/sqrt2")
 
-    # (ii) matched points: exact field identities
-    matched_ok = fm.check_matches()
-    if not matched_ok:
+    # (ii) matched points: f(a) = b and w(b) = q, exact field identities,
+    # so w(f(a)) = q
+    if not fm.check_matches():
         failures.append("matched-pair replay failed")
-    for a, q, b in fm.matched:
-        g = eval_tagged(App("barGamma", Const(QSqrt2.coerce(a)), fm), TaggedReal.exact(0))
-        if not (g.is_exact and g.value == QSqrt2.coerce(q)):
-            failures.append(f"w(f({a})) != {q}")
 
     # (iii) transcendence clause on rational x > 0
     rng = random.Random(0)

@@ -310,8 +310,9 @@ ONE = QSqrt2.coerce(1)
 
 
 # -- many values at once ---------------------------------------------------
-# Products and linear combinations of a list of values on the integer
-# triples, over one denominator, reduced once at the end.
+# Linear combinations of products of values (a product is a combination
+# of one term) on the integer triples, over one denominator, reduced
+# once at the end.
 
 
 def combination_exact(terms: Iterable[tuple[QSqrt2, Iterable[QSqrt2]]], start: QSqrt2 = ZERO) -> QSqrt2:
@@ -335,20 +336,6 @@ def combination_exact(terms: Iterable[tuple[QSqrt2, Iterable[QSqrt2]]], start: Q
             q += tq
         else:
             p, q, d = p * td + tp * d, q * td + tq * d, d * td
-    return _reduced(p, q, d)
-
-
-def prod_exact(values: Iterable[QSqrt2], start: QSqrt2 = ONE) -> QSqrt2:
-    """start times the product of ``values``."""
-    p, q, d = start.p, start.q, start.d
-    for v in values:
-        vp, vq = v.p, v.q
-        if vq:
-            p, q = p * vp + 2 * q * vq, p * vq + q * vp
-        else:
-            p *= vp
-            q *= vp
-        d *= v.d
     return _reduced(p, q, d)
 
 

@@ -330,7 +330,8 @@ def test_sqrt_of_a_negative_irrational_in_a_replay_is_unknown(tmp_path, capsys):
     verdict = json.loads(out)["report"]["verdict"]
     assert verdict["status"] == "Unknown"
     assert verdict["reason"] == (
-        "witness replay failed for generator 0 part 0: indeterminate value at 0, component 0"
+        "witness replay failed for generator 0 part 0: indeterminate value at 0, component 0; "
+        "refutation: standardness certificates unavailable for one of the subspaces"
     )
 
 
@@ -489,3 +490,17 @@ def test_check_sum_with_an_undecided_derivative(tmp_path, capsys):
     verdict = json.loads(out)["report"]["verdict"]
     assert verdict["status"] == "NonSmooth"
     assert verdict["reason"].startswith("generator 0 component 1 (abs(x)) is NonSmooth")
+
+
+def test_check_sum_reports_why_the_refutation_is_unknown(tmp_path, capsys):
+    # no witness certifies the sum, and the refutation cannot decide
+    # generator 0: the verdict names both reasons
+    space = _space_file(tmp_path, "space s dim 2\ngen abs(x)+barGamma(x), abs(x)+barGamma(x)\ngen x, 0\n")
+    code, out, err = _run(capsys, "check-sum", space, "--w0", "1,0", "--w1", "0,1", "--json", "--n", "8")
+    assert code == 0, err
+    verdict = json.loads(out)["report"]["verdict"]
+    assert verdict["status"] == "Unknown"
+    assert verdict["reason"] == (
+        "no rule or witness for generator 0 part 0; refutation: smoothness undecided for "
+        "generator 0 component 0, generator 0 component 1"
+    )

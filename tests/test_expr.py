@@ -380,16 +380,15 @@ def test_plan_fuses_a_product_only_its_sum_reads():
 
 
 def test_plan_evaluates_the_identity_in_one_combination_per_point(fm8, monkeypatch):
-    combinations, products = [], []
-    combine, multiply = expr_module.combination_exact, expr_module.prod_exact
+    combinations = []
+    combine = expr_module.combination_exact
     monkeypatch.setattr(expr_module, "combination_exact", lambda *a: combinations.append(a) or combine(*a))
-    monkeypatch.setattr(expr_module, "prod_exact", lambda *a: products.append(a) or multiply(*a))
     result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:20,negatives:5,quadratic:4")
     assert result["ok"] and result["checked"] == 30
-    # one combination per point, and one for the sum's start when the plan
-    # is built; the products 2*x*deltaQ(...) are fused into the sum, so no
-    # point calls prod_exact: it only folds the three terms' coefficients
-    assert len(combinations) == 31 and len(products) == 3
+    # one combination per point, and three when the plan is built: the
+    # sum's start and the coefficients of the products 2*x*deltaQ(...),
+    # which are fused into the sum, so no point runs a step of their own
+    assert len(combinations) == 30 + 3
 
 
 def test_plan_keeps_barGamma_over_different_maps_apart(fm8, fm16):
@@ -469,6 +468,8 @@ _HALF, _THIRD, _ROOT = QSqrt2(Fraction(1, 2)), QSqrt2(Fraction(1, 3)), QSqrt2.sq
 @example(exprs=[Prod((Const(QSqrt2(3)), Const(_THIRD), X))], x=_HALF)  # 3 * (1/3) * x
 @example(exprs=[Sum((X, make_neg(X)))], x=_THIRD)  # x - x
 @example(exprs=[Sum((Const(_HALF), X)), Prod((Const(QSqrt2(3)), X))], x=QSqrt2(1))
+@example(exprs=[Pow(X, 3)], x=QSqrt2(Fraction(1, 2), Fraction(1, 3)))  # an irrational base, cubed
+@example(exprs=[Pow(Sum((Const(_HALF), X)), 2)], x=_ROOT)  # (1/2 + sqrt2)^2
 def test_plan_exact_fast_path_matches_eval_candidates(exprs, x):
     point = TaggedReal.exact(x)
     got = Plan(exprs).outcomes(point)

@@ -1,5 +1,6 @@
 """The rational-matching construction and the |x| identity."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -16,8 +17,10 @@ from smoothsum.franklin import (
     FIX_BITS,
     IDENTITY_GRID,
     FranklinMap,
+    MatchStep,
     RationalityLink,
     _CollapsedPoly,
+    _neighbors,
     _root_product,
     _simplest_rational,
     abs_identity_expr,
@@ -556,12 +559,38 @@ def test_targets_in_range(fm16):
         assert QSqrt2.coerce(0) < s.b < one
 
 
+def test_neighbors_bracket_by_a_or_by_f_of_a():
+    # one matched point a = 1/2 with f(a) = 3/5: 11/20 lies right of a
+    # but below f(a), so the two keys pick different intervals
+    step = MatchStep(1, Fraction(1, 2), Fraction(3, 4), QSqrt2(Fraction(3, 5)), QSqrt2(), (), "forward")
+    half = (step.a, step.b)
+    zero, one = (Fraction(0), QSqrt2()), (Fraction(1), QSqrt2(1))
+    assert _neighbors((step,), 0, Fraction(11, 20)) == (half, one)
+    assert _neighbors((step,), 1, QSqrt2(Fraction(11, 20))) == (zero, half)
+    # no strict bracket on a matched value or outside [0, 1]
+    assert _neighbors((step,), 1, half[1]) is None
+    assert _neighbors((step,), 0, Fraction(3, 2)) is None
+
+
 def test_rationality_link(fm8):
     link = RationalityLink(fm8)
     cert = certify_rationality_link(link)
     assert cert["ok"] and cert["monotone"] and cert["decay"] and cert["order_isomorphism"]
     assert cert["failures"] == []
     assert cert["axioms_used"] == ["exp-transcendence"]
+
+
+@pytest.mark.parametrize("name", ["b", "q", "c"])
+def test_rationality_link_rejects_a_forged_step(fm8, name):
+    # clause (ii) replays f(a) = b and w(b) = q at every matched point;
+    # a step whose b, q or c (which moves f) is changed breaks one of them
+    k = 3
+    step = fm8.steps[k]
+    forged = dataclasses.replace(step, **{name: getattr(step, name) + Fraction(1, 1000)})
+    fm = FranklinMap(fm8.steps[:k] + (forged,) + fm8.steps[k + 1:])
+    cert = certify_rationality_link(RationalityLink(fm))
+    assert not cert["ok"]
+    assert cert["failures"] == ["matched-pair replay failed"]
 
 
 def test_abs_identity_expr_is_the_hand_built_tree(fm8):

@@ -26,7 +26,6 @@ from smoothsum.numbers import (
     floor_qsqrt2,
     mul_tagged,
     parse_qsqrt2,
-    prod_exact,
     sqrt_tagged,
     transcendence_axiom_lookup,
 )
@@ -74,10 +73,10 @@ def test_sum_and_product_of_many(values, start):
         total, product = total + v, product * v
     ones = [(ONE, (v,)) for v in values]
     assert combination_exact(ones, start) == total
-    assert prod_exact(values, start) == product
+    assert combination_exact([(start, values)]) == product
     assert combination_exact([(v, ()) for v in values]) == total - start
     assert combination_exact(ones + [(-ONE, (v,)) for v in values]) == ZERO
-    assert prod_exact([]) == ONE
+    assert combination_exact([(ONE, [])]) == ONE
 
 
 @given(st.lists(st.tuples(qsqrt2s, qsqrt2s), max_size=5))
