@@ -51,12 +51,15 @@ class InputError(Exception):
 
 
 # Largest accepted matching-construction order: `franklin --n 32` runs in
-# 0.35-0.45 s wall on a 2-vCPU machine, Python 3.11, interpreter start-up
-# included, 5 runs (0.46-0.56 s in the same runs before the backward
-# bisection was steered by a certified preimage bracket; 1.1 s with exact
-# bisection signs, about 10 s before the exact dyadic brackets), but the
-# coefficient size grows quadratically in n (12 577 bits at n=32) and the
-# cost faster still, so larger orders are refused.
+# 0.22-0.29 s wall on a 2-vCPU machine, Python 3.11, interpreter start-up
+# included, 5 runs (0.26-0.33 s in the same runs with coefficients floored
+# at full width, the collapsed polynomial reduced at every step and the
+# correction basis rebuilt from its roots, which read 0.35-0.45 s when
+# first measured; 0.46-0.56 s before the backward bisection was steered by
+# a certified preimage bracket; 1.1 s with exact bisection signs, about
+# 10 s before the exact dyadic brackets), but the coefficient size grows
+# quadratically in n (12 577 bits at n=32) and the cost faster still, so
+# larger orders are refused.
 MAX_N = 32
 
 
@@ -259,7 +262,7 @@ def cmd_franklin(args) -> int:
     report = {"franklin": fm.to_dict(), "rationality_link": cert}
     rep = _make_report("franklin", {"n": args.n}, report, link.axioms_used, time.perf_counter() - t0)
     _emit(rep, args.json)
-    return 0 if cert["ok"] and cert["monotone"] and cert["decay"] else 1
+    return 0 if all(cert[k] for k in ("ok", "monotone", "decay", "order_isomorphism")) else 1
 
 
 def cmd_verify_identity(args) -> int:

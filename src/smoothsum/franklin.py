@@ -17,21 +17,27 @@ which brackets an irrational window between dyadic rationals (an exact
 integer floor), runs the Stern-Brocot descent on integer pairs and
 confirms the answer by one exact comparison.  The products over the
 rational roots, the candidates and the matched points are integer
-numerator/denominator pairs.  The backward bisection keeps its window as
-integers over one dyadic denominator, and reuses a rejected candidate's
-verdict while that candidate stays inside the halved window.  It is
-steered by a preimage bracket l < t* < h: integer Newton steps on f's
-floored coefficients estimate the preimage t* of the target, and two
-exact sign tests, f(l) < b < f(h), certify the bracket.  As f is
-certified increasing, a midpoint at or below l lies below t* and one at
-or above h lies above it, so only a midpoint inside (l, h) is tested; a
-bracket that fails its tests is replaced by [0, 1], which tests every
-midpoint.  Each sign and each admissibility test is read off a
-fixed-point enclosure of f: a proven integer interval, not a float
-estimate.  Whenever that interval cannot settle a question (an exact
-tie, a point outside [0,1], a margin below its width) the question is
-answered by exact evaluation.  So Newton and the enclosure change what
-is computed, never what is decided.
+numerator/denominator pairs.  What one step leaves is carried into the
+next: the integer basis prod (m t - n) over the roots n/m gains one
+factor, the matched points (a, f(a)) stay sorted so that a bisection
+finds the neighbours of a new point, and the collapsed polynomial of f
+gains one correction over a common denominator without being reduced.
+The backward bisection keeps its window as integers over one dyadic
+denominator, and reuses a rejected candidate's verdict while that
+candidate stays inside the halved window.  It is steered by a preimage
+bracket l < t* < h: integer Newton steps on f's floored coefficients
+estimate the preimage t* of the target, and two exact sign tests,
+f(l) < b < f(h), certify the bracket.  As f is certified increasing, a
+midpoint at or below l lies below t* and one at or above h lies above
+it, so only a midpoint inside (l, h) is tested; a bracket that fails its
+tests is replaced by [0, 1], which tests every midpoint.  Each sign and
+each admissibility test is read off a fixed-point enclosure of f: a
+proven integer interval, not a float estimate, whose floored
+coefficients ``numbers.floor_parts`` brackets from their top bits.
+Whenever that interval cannot settle a question (an exact tie, a point
+outside [0,1], a margin below its width) the question is answered by
+exact evaluation.  So Newton and the enclosure change what is computed,
+never what is decided.
 
     f_n = f_{n-1} + c_n * p_n,   p_n(t) = t (t-1) prod (t - a_k)
 
@@ -41,12 +47,14 @@ earlier matches are never disturbed.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import zip_longest
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .expr import (
@@ -185,37 +193,58 @@ class MatchStep:
     direction: str  # "forward" (a chosen first) or "backward" (q chosen first)
 
 
+def _times_root(basis: tuple, r) -> tuple:
+    """A correction basis times one more factor (t - r) for a rational r.
+
+    The basis of rational roots r_k is the pair (B, M) with prod (t -
+    r_k) = B(t) / M: B the integer coefficients of prod (m_k t - n_k),
+    lowest degree first, and M = prod m_k, for r_k = n_k / m_k.  The
+    empty product is ((1,), 1).
+    """
+    n, m = r.numerator, r.denominator
+    vec, scale = basis
+    out = [0] + [m * x for x in vec]
+    for i, x in enumerate(vec):
+        out[i] -= n * x
+    return tuple(out), scale * m
+
+
+def _root_basis(roots) -> tuple:
+    """The correction basis of ``roots``, one factor at a time."""
+    return reduce(_times_root, roots, ((1,), 1))
+
+
 @dataclass(frozen=True)
 class _CollapsedPoly:
     """(sum p[i] t^i + sqrt2 * sum q[i] t^i) / d with integer coefficient
-    vectors of equal length and d > 0, in lowest terms."""
+    vectors of equal length and d > 0, not reduced.
+
+    A factor common to d and every coefficient changes no value, and no
+    reader needs it gone: ``at`` and ``FranklinMap.derivative_expr``
+    reduce what they return, and the Horner integers, the floored
+    coefficients and the sign and distance tests hold over any common
+    denominator.  So ``plus`` puts each correction over the lcm of the
+    denominators and divides nothing out: d is the lcm of the
+    denominators M c.d of the corrections added (5 586 bits at n = 24,
+    138 more than the reduced form).
+    """
 
     p: tuple
     q: tuple
     d: int
 
-    def plus(self, c: QSqrt2, roots) -> "_CollapsedPoly":
-        """This polynomial plus c * prod (t - r) over rational roots r."""
-        # prod (t - n/m) = prod (m t - n) / prod m, in integers
-        prod = [1]
-        scale = 1
-        for r in roots:
-            r = Fraction(r)
-            n, m = r.numerator, r.denominator
-            shifted = [0] + [m * x for x in prod]
-            for i, x in enumerate(prod):
-                shifted[i] -= n * x
-            prod = shifted
-            scale *= m
-        # c * prod (t - r) = (c.p + c.q sqrt2) * prod / (c.d * scale), put
-        # over the common denominator d
+    def plus(self, c: QSqrt2, basis: tuple) -> "_CollapsedPoly":
+        """This polynomial plus c * B(t) / M for the correction basis
+        (B, M) of ``_times_root``."""
+        prod, scale = basis
+        # c * B / M = (c.p + c.q sqrt2) * B / (c.d * M), put over the
+        # common denominator d
         d = math.lcm(self.d, scale * c.d)
         us, ue = d // self.d, d // (scale * c.d)
         ka, kb = c.p * ue, c.q * ue
-        p = [x * us + ka * y for x, y in zip_longest(self.p, prod, fillvalue=0)]
-        q = [x * us + kb * y for x, y in zip_longest(self.q, prod, fillvalue=0)]
-        g = math.gcd(d, *p, *q)
-        return _CollapsedPoly(tuple(x // g for x in p), tuple(x // g for x in q), d // g)
+        p = tuple(x * us + ka * y for x, y in zip_longest(self.p, prod, fillvalue=0))
+        q = tuple(x * us + kb * y for x, y in zip_longest(self.q, prod, fillvalue=0))
+        return _CollapsedPoly(p, q, d)
 
     def _horner(self, u: int, v: int) -> tuple:
         """(hp, hq, den) with f(u/v) = (hp + hq sqrt2) / den, den > 0, by
@@ -366,8 +395,12 @@ class FranklinMap:
 
     ``steps`` is the construction record.  Exact evaluation reads the
     same f collapsed into one polynomial with integer coefficient vectors,
-    f(t) = (sum P_i t^i + sqrt2 * sum Q_i t^i) / D, which ``extended``
-    updates one correction at a time.  The construction's sign and
+    f(t) = (sum P_i t^i + sqrt2 * sum Q_i t^i) / D, not reduced, which
+    ``extended`` updates one correction at a time from the correction
+    basis that ``build_franklin`` carries forward; a map made from its
+    steps alone rebuilds each basis from the step's roots, through the
+    same ``_times_root``.  ``check_matches`` compares the unreduced
+    Horner integers of f(a) with b.  The construction's sign and
     distance tests on [0,1] first try that polynomial's coefficients
     floored to 2^-FIX_BITS, a certified integer enclosure of f, and fall
     back to exact evaluation when it is too coarse.  The derivative tree
@@ -387,12 +420,13 @@ class FranklinMap:
         if self._poly is None:
             poly = _IDENTITY
             for s in self.steps:
-                poly = poly.plus(s.c, s.roots)
+                poly = poly.plus(s.c, _root_basis(s.roots))
             self._poly = poly
 
-    def extended(self, step: MatchStep) -> "FranklinMap":
-        """The map with one more correction step."""
-        return FranklinMap(self.steps + (step,), _poly=self._poly.plus(step.c, step.roots))
+    def extended(self, step: MatchStep, basis: tuple) -> "FranklinMap":
+        """The map with one more correction step, whose roots have the
+        correction basis ``basis``."""
+        return FranklinMap(self.steps + (step,), _poly=self._poly.plus(step.c, basis))
 
     # -- evaluation ----------------------------------------------------
 
@@ -460,11 +494,15 @@ class FranklinMap:
         return [(s.a, s.q, s.b) for s in self.steps]
 
     def check_matches(self) -> bool:
-        """Replay every match as a field identity: f(a) = w^{-1}(q)."""
+        """Replay every match as a field identity: f(a) = w^{-1}(q).  f(a)
+        = (hp + hq sqrt2) / den, unreduced, equals b = (b.p + b.q sqrt2) /
+        b.d iff both parts agree cross-multiplied."""
         for s in self.steps:
-            if self.eval_exact(s.a) != s.b:
+            hp, hq, den = self._poly._horner(s.a.numerator, s.a.denominator)
+            b = s.b
+            if hp * b.d != b.p * den or hq * b.d != b.q * den:
                 return False
-            if w_value(s.b) != QSqrt2.coerce(s.q):
+            if w_value(b) != QSqrt2.coerce(s.q):
                 return False
         return True
 
@@ -522,12 +560,6 @@ class ConstructionError(RuntimeError):
     pass
 
 
-def _current_roots(steps) -> list:
-    roots = [Fraction(0), Fraction(1)]
-    roots.extend(s.a for s in steps)
-    return roots
-
-
 def _root_product(u: int, v: int, roots) -> tuple:
     """(N, M) with prod (u/v - n/m) = N/M over the roots (n, m), m > 0,
     for v > 0: prod (u m - n v) / (v^deg prod m), in integers, not
@@ -539,14 +571,15 @@ def _root_product(u: int, v: int, roots) -> tuple:
     return num, den * v ** len(roots)
 
 
-def _neighbors(steps, side: int, value) -> Optional[tuple]:
-    """The consecutive matched or anchor points (a, f(a)) whose coordinate
-    ``side`` (0 for a, 1 for f(a)) brackets ``value`` strictly, or None.
-    f is certified increasing, so the points sorted by a are sorted by
-    f(a) too."""
-    pts = sorted([(Fraction(0), QSqrt2.coerce(0)), (Fraction(1), QSqrt2.coerce(1))]
-                 + [(s.a, s.b) for s in steps])
-    return next(((u, v) for u, v in zip(pts, pts[1:]) if u[side] < value < v[side]), None)
+def _neighbors(points: list, side: int, value) -> Optional[tuple]:
+    """The consecutive points (a, f(a)) of ``points``, sorted by a, whose
+    coordinate ``side`` (0 for a, 1 for f(a)) brackets ``value``
+    strictly, or None.  f is certified increasing, so the points sorted
+    by a are sorted by f(a) too, and one bisection finds them."""
+    i = bisect.bisect_left(points, value, key=itemgetter(side))
+    if 0 < i < len(points) and value != points[i][side]:
+        return points[i - 1], points[i]
+    return None
 
 
 def build_franklin(n_steps: int) -> FranklinMap:
@@ -563,14 +596,17 @@ def build_franklin(n_steps: int) -> FranklinMap:
     a_stream = enumerate_unit_rationals()
     q_stream = target_rationals()
     two = QSqrt2.coerce(2)
+    # the roots 0, 1 and the matched a's, their correction basis, and the
+    # points (a, f(a)) sorted by a, all carried from step to step
+    roots = [Fraction(0), Fraction(1)]
+    basis = _root_basis(roots)
+    points = [(Fraction(0), QSqrt2.coerce(0)), (Fraction(1), QSqrt2.coerce(1))]
 
     for n in range(1, n_steps + 1):
-        steps = fm.steps
-        roots = _current_roots(steps)
         root_pairs = [(r.numerator, r.denominator) for r in roots]
         deg = len(roots)
         matched_a = set(root_pairs[2:])  # the roots after 0 and 1
-        matched_q = {s.q for s in steps}
+        matched_q = {s.q for s in fm.steps}
         cap = QSqrt2.coerce(Fraction(1, 2 ** n))
         spend = budget * (two * QSqrt2.coerce(deg)).inverse()
         bound = cap if cap < spend else spend
@@ -580,7 +616,7 @@ def build_franklin(n_steps: int) -> FranklinMap:
             v = fm.eval_exact(a)
             pa = Fraction(*_root_product(a.numerator, a.denominator, root_pairs))
             delta = bound * abs(pa)
-            (_, bL), (_, bR) = _neighbors(steps, 0, a)
+            (_, bL), (_, bR) = _neighbors(points, 0, a)
             lo = max(bL, v - delta)
             hi = min(bR, v + delta)
             q_lo = max(w_value(lo), INV_SQRT2)
@@ -597,7 +633,7 @@ def build_franklin(n_steps: int) -> FranklinMap:
             q = next(x for x in q_stream if x not in matched_q)
             b = w_inverse(q)
             # locate the bracket of the preimage among matched points
-            around = _neighbors(steps, 1, b)
+            around = _neighbors(points, 1, b)
             if around is None:
                 raise ConstructionError(f"step {n}: target {q} outside the matched range")
             (lo_a, _), (hi_a, _) = around
@@ -640,7 +676,10 @@ def build_franklin(n_steps: int) -> FranklinMap:
         budget = budget - abs(c) * QSqrt2.coerce(deg)
         if budget.sign() <= 0:
             raise ConstructionError(f"step {n}: derivative budget exhausted")
-        fm = fm.extended(MatchStep(n, a, q, b, c, tuple(roots), direction))
+        fm = fm.extended(MatchStep(n, a, q, b, c, tuple(roots), direction), basis)
+        roots.append(a)
+        basis = _times_root(basis, a)
+        bisect.insort(points, (a, b), key=itemgetter(0))
 
     return fm
 

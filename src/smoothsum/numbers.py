@@ -386,14 +386,48 @@ def floor_qsqrt2(v: QSqrt2) -> int:
     return floor_parts(v.p, v.q, v.d)
 
 
+# floor_parts keeps this many bits of d above the bits of q it drops, so
+# that its bracket of q*sqrt2 is narrow enough to settle all but near ties.
+FLOOR_GUARD_BITS = 64
+
+
 def floor_parts(p: int, q: int, d: int) -> int:
     """Exact floor of (p + q*sqrt2)/d for integers p, q and d > 0, in
     lowest terms or not.
 
-    F = floor(q*sqrt2) comes from ``math.isqrt(2 q^2)``, which is never
-    exact unless q = 0.  As 0 <= q*sqrt2 - F < 1, the floor is
-    (p + F) // d.
+    When d has more than FLOOR_GUARD_BITS bits and q != 0, |q| sqrt2 is
+    first bracketed from the top bits of q: with s = bitlen(d) -
+    FLOOR_GUARD_BITS, qt = |q| >> s and r0 = isqrt(2 qt^2),
+
+        r0 2^s <= |q| sqrt2 < (r0 + 3) 2^s,
+
+    since qt 2^s <= |q| < (qt + 1) 2^s and qt sqrt2 < r0 + 1.  Add p to
+    both ends, with the sign of q, and floor each by d: the floor sought
+    lies between the two, so when they agree it is their common value.
+    They differ only when a multiple of d lies inside the bracket, which
+    is below 3 / 2^63 of d wide.  Such a near tie, and a d of at most
+    FLOOR_GUARD_BITS bits, is settled by ``_floor_exact``, one isqrt at
+    full width.
     """
+    if not q:
+        return p // d
+    s = d.bit_length() - FLOOR_GUARD_BITS
+    if s > 0:
+        r0 = math.isqrt(2 * (abs(q) >> s) ** 2)
+        if q > 0:
+            lo, hi = p + (r0 << s), p + ((r0 + 3) << s)
+        else:
+            lo, hi = p - ((r0 + 3) << s), p - (r0 << s)
+        lo //= d
+        if lo == hi // d:
+            return lo
+    return _floor_exact(p, q, d)
+
+
+def _floor_exact(p: int, q: int, d: int) -> int:
+    """floor_parts at full width: F = floor(q*sqrt2) comes from
+    ``math.isqrt(2 q^2)``, which is never exact unless q = 0.  As 0 <=
+    q*sqrt2 - F < 1, the floor is (p + F) // d."""
     root = math.isqrt(2 * q * q)  # floor(|q| sqrt2)
     f = root if q >= 0 else -root - 1
     return (p + f) // d

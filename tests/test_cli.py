@@ -13,6 +13,7 @@ import pytest
 from smoothsum import constraints
 from smoothsum.cli import main
 from smoothsum.diffeology import MAX_DIM, MAX_GENERATORS
+from smoothsum.franklin import FranklinMap
 from smoothsum.gallery import SPACE_NAMES, gallery_space
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -100,6 +101,24 @@ def test_franklin_command(capsys, schema):
     report = json.loads(out)
     jsonschema.validate(report, schema)
     assert len(report["report"]["franklin"]["steps"]) == 8
+
+
+def test_franklin_exits_1_without_order_isomorphism(capsys, monkeypatch):
+    # the report states order_isomorphism beside ok, monotone and decay,
+    # and the exit status requires all four
+    def strip(out):
+        report = json.loads(out)
+        del report["timing_seconds"]
+        return report
+
+    code, out, _ = _run(capsys, "franklin", "--n", "8", "--json")
+    assert code == 0
+    expected = strip(out)
+    expected["report"]["rationality_link"]["order_isomorphism"] = False
+    monkeypatch.setattr(FranklinMap, "check_order_isomorphism", lambda self: False)
+    code, out, _ = _run(capsys, "franklin", "--n", "8", "--json")
+    assert code == 1
+    assert strip(out) == expected
 
 
 def test_scenario_list(capsys):

@@ -1,6 +1,7 @@
 """The rational-matching construction and the |x| identity."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -17,10 +18,10 @@ from smoothsum.franklin import (
     FIX_BITS,
     IDENTITY_GRID,
     FranklinMap,
-    MatchStep,
     RationalityLink,
     _CollapsedPoly,
     _neighbors,
+    _root_basis,
     _root_product,
     _simplest_rational,
     abs_identity_expr,
@@ -35,7 +36,8 @@ from smoothsum.franklin import (
     w_value,
 )
 from smoothsum.intervals import Interval, certify_positive, poly_product_derivative
-from smoothsum.numbers import INV_SQRT2, SQRT2, QSqrt2, floor_qsqrt2, parse_qsqrt2
+from smoothsum import numbers
+from smoothsum.numbers import FLOOR_GUARD_BITS, INV_SQRT2, SQRT2, QSqrt2, floor_qsqrt2, parse_qsqrt2
 
 
 def test_enumerations():
@@ -562,14 +564,111 @@ def test_targets_in_range(fm16):
 def test_neighbors_bracket_by_a_or_by_f_of_a():
     # one matched point a = 1/2 with f(a) = 3/5: 11/20 lies right of a
     # but below f(a), so the two keys pick different intervals
-    step = MatchStep(1, Fraction(1, 2), Fraction(3, 4), QSqrt2(Fraction(3, 5)), QSqrt2(), (), "forward")
-    half = (step.a, step.b)
+    half = (Fraction(1, 2), QSqrt2(Fraction(3, 5)))
     zero, one = (Fraction(0), QSqrt2()), (Fraction(1), QSqrt2(1))
-    assert _neighbors((step,), 0, Fraction(11, 20)) == (half, one)
-    assert _neighbors((step,), 1, QSqrt2(Fraction(11, 20))) == (zero, half)
+    points = [zero, half, one]
+    assert _neighbors(points, 0, Fraction(11, 20)) == (half, one)
+    assert _neighbors(points, 1, QSqrt2(Fraction(11, 20))) == (zero, half)
     # no strict bracket on a matched value or outside [0, 1]
-    assert _neighbors((step,), 1, half[1]) is None
-    assert _neighbors((step,), 0, Fraction(3, 2)) is None
+    assert _neighbors(points, 1, half[1]) is None
+    assert _neighbors(points, 0, Fraction(3, 2)) is None
+    assert _neighbors(points, 0, Fraction(-1, 2)) is None
+    assert _neighbors(points, 0, Fraction(0)) is None
+
+
+def test_neighbors_is_the_scan_over_sorted_points(fm24):
+    # bisection on the sorted points finds the bracket a linear scan finds
+    points = sorted([(Fraction(0), QSqrt2()), (Fraction(1), QSqrt2(1))] + [(s.a, s.b) for s in fm24.steps])
+    rng = random.Random(24)
+    probes = [(0, s.a) for s in fm24.steps] + [(1, s.b) for s in fm24.steps]
+    probes += [(0, Fraction(rng.randint(-10, 1010), 1000)) for _ in range(100)]
+    probes += [(1, QSqrt2(Fraction(rng.randint(-10, 1010), 1000), Fraction(rng.randint(-9, 9), 1000)))
+               for _ in range(100)]
+    for side, value in probes:
+        scan = next(((u, v) for u, v in zip(points, points[1:]) if u[side] < value < v[side]), None)
+        assert _neighbors(points, side, value) == scan
+
+
+@pytest.mark.parametrize("name", ["fm8", "fm16", "fm24"])
+def test_rebuilt_map_has_the_built_polynomial(name, request):
+    # build_franklin carries the correction basis from step to step;
+    # FranklinMap(steps) rebuilds each basis from the step's roots
+    fm = request.getfixturevalue(name)
+    assert FranklinMap(fm.steps)._poly == fm._poly
+
+
+def test_carried_basis_is_the_root_product(monkeypatch):
+    # the basis each step of build_franklin(24) extends the map with is
+    # the one rebuilt from its roots, and its value at sample points is
+    # the product over the roots
+    seen = []
+    extended = FranklinMap.extended
+
+    def recorded(self, step, basis):
+        seen.append((step, basis))
+        return extended(self, step, basis)
+
+    monkeypatch.setattr(FranklinMap, "extended", recorded)
+    build_franklin(24)
+    assert len(seen) == 24
+    rng = random.Random(25)
+    for step, (vec, scale) in seen:
+        assert (vec, scale) == _root_basis(step.roots)
+        assert len(vec) == len(step.roots) + 1
+        pairs = [(r.numerator, r.denominator) for r in step.roots]
+        for _ in range(5):
+            u, v = rng.randint(-2000, 2000), rng.randint(1, 1000)
+            num, den = _root_product(u, v, pairs)
+            horner = sum(c * u**i * v ** (len(vec) - 1 - i) for i, c in enumerate(vec))
+            assert Fraction(horner, scale * v ** (len(vec) - 1)) == Fraction(num, den)
+
+
+def test_check_matches_sees_a_nudge_below_the_enclosure(fm16):
+    # moving q by 2^-(FIX_BITS + 66) moves b = w^-1(q) by less than
+    # 2^-(FIX_BITS + 64), and w(b) = q still holds, so only the exact
+    # comparison of f(a) with b can reject the step
+    tiny = Fraction(1, 2 ** (FIX_BITS + 66))
+    assert fm16.check_matches()
+    for k, step in enumerate(fm16.steps):
+        for sign in (1, -1):
+            q = step.q + sign * tiny
+            forged = dataclasses.replace(step, q=q, b=w_inverse(q))
+            assert w_value(forged.b) == QSqrt2.coerce(q)
+            assert 0 < abs(forged.b - step.b) < Fraction(1, 2 ** (FIX_BITS + 64))
+            fm = FranklinMap(fm16.steps[:k] + (forged,) + fm16.steps[k + 1:], _poly=fm16._poly)
+            assert not fm.check_matches()
+
+
+def test_fixed_floors_take_no_exact_path(monkeypatch):
+    # floor_parts settles every coefficient floor of build_franklin(24)
+    # whose denominator is past FLOOR_GUARD_BITS from its top-bit
+    # bracket; none falls back to the full-width isqrt
+    exact = []
+    floor_exact = numbers._floor_exact
+
+    def recorded(p, q, d):
+        exact.append(d)
+        return floor_exact(p, q, d)
+
+    monkeypatch.setattr(numbers, "_floor_exact", recorded)
+    fixed = _CollapsedPoly._fixed.func
+    per_poly = []
+
+    def counted(self):
+        before = len(exact)
+        out = fixed(self)
+        per_poly.append((self.d.bit_length() > FLOOR_GUARD_BITS, len(exact) - before))
+        return out
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(_CollapsedPoly, "_fixed")
+    monkeypatch.setattr(_CollapsedPoly, "_fixed", prop)
+    fm = build_franklin(24)
+    # one polynomial is floored per backward step; the first two have
+    # denominators of 3 and 19 bits, which go to the exact floor at once
+    assert len(per_poly) == sum(s.direction == "backward" for s in fm.steps) == 12
+    assert [wide for wide, _ in per_poly] == [False] * 2 + [True] * 10
+    assert [n for wide, n in per_poly if wide] == [0] * 10
 
 
 def test_rationality_link(fm8):

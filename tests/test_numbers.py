@@ -1,6 +1,7 @@
 """Exact Q(sqrt2) arithmetic and sound rationality tagging."""
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from smoothsum import numbers
 from smoothsum.expr import eval_tagged, parse_expr
 from smoothsum.numbers import (
+    FLOOR_GUARD_BITS,
     ONE,
     ZERO,
     DomainError,
@@ -23,6 +25,7 @@ from smoothsum.numbers import (
     combination_exact,
     dot_is_zero,
     exp_tagged,
+    floor_parts,
     floor_qsqrt2,
     mul_tagged,
     parse_qsqrt2,
@@ -142,6 +145,91 @@ def test_floor_regressions():
     # integers and exact halves
     assert floor_qsqrt2(QSqrt2(Fraction(-3))) == -3
     assert floor_qsqrt2(QSqrt2(Fraction(-7, 2))) == -4
+
+
+def _plain_floor(p: int, q: int, d: int) -> int:
+    """floor((p + q sqrt2) / d) from one isqrt of 2 q^2 at full width: the
+    oracle for floor_parts."""
+    root = math.isqrt(2 * q * q)
+    return (p + (root if q >= 0 else -root - 1)) // d
+
+
+@st.composite
+def floor_triples(draw):
+    """(p, q, d) with d of 1 to 6000 bits and q zero, far below, near or
+    far above d; p free, or a near tie p = k d - floor(q sqrt2) (minus 1),
+    where (p + q sqrt2) / d lies within 1/d of the integer k."""
+    dbits = draw(st.integers(min_value=1, max_value=6000))
+    d = draw(st.integers(min_value=1 << (dbits - 1), max_value=(1 << dbits) - 1))
+    qbits = draw(st.one_of(st.integers(min_value=0, max_value=dbits + 600), st.sampled_from([0, dbits])))
+    q = draw(st.integers(min_value=-(1 << qbits), max_value=1 << qbits))
+    kind = draw(st.sampled_from(["free", "tie", "below"]))
+    if kind == "free":
+        pbits = max(dbits, qbits) + 2
+        p = draw(st.integers(min_value=-(1 << pbits), max_value=1 << pbits))
+    else:
+        k = draw(st.integers(min_value=-(2**70), max_value=2**70))
+        p = k * d - _plain_floor(0, q, 1) - (kind == "below")
+    return p, q, d
+
+
+@settings(max_examples=300)
+@given(floor_triples())
+def test_floor_parts_is_the_full_width_floor(triple):
+    assert floor_parts(*triple) == _plain_floor(*triple)
+
+
+def _understated(s: int) -> int:
+    """A q > 0 whose top bits q >> s understate q sqrt2 by more than two
+    units of 2^s: its low s bits are all set and frac(qt sqrt2) > 0.9."""
+    qt = next(x for x in itertools.count(2**100) if math.isqrt(200 * x * x) % 100 >= 90)
+    return (qt << s) | ((1 << s) - 1)
+
+
+def test_floor_parts_near_ties_take_the_exact_path(monkeypatch):
+    # p = k d - floor(q sqrt2) puts (p + q sqrt2) / d within 1/d above k,
+    # and one less within 1/d below it; a multiple of d then lies in the
+    # top-bit bracket, whose ends floor to k - 1 and k, so only the exact
+    # floor can answer
+    calls = []
+    exact = numbers._floor_exact
+
+    def recorded(p, q, d):
+        calls.append(d)
+        return exact(p, q, d)
+
+    monkeypatch.setattr(numbers, "_floor_exact", recorded)
+    rng = random.Random(19)
+    cases = []
+    for dbits in (FLOOR_GUARD_BITS + 1, 200, 2000, 6000):
+        d = rng.getrandbits(dbits) | (1 << (dbits - 1))
+        s = dbits - FLOOR_GUARD_BITS
+        cases += [(rng.getrandbits(qbits) | 1, d) for qbits in (1, s // 2 + 1, dbits, dbits + 500)]
+        cases.append((_understated(s), d))
+    for q0, d in cases:
+        for q in (q0, -q0):
+            f = _plain_floor(0, q, 1)
+            for k in (-3, 0, 5):
+                for below in (0, 1):
+                    del calls[:]
+                    assert floor_parts(k * d - f - below, q, d) == k - below
+                    assert calls == [d]
+
+
+def test_floor_parts_brackets_without_the_exact_path(monkeypatch):
+    # away from a tie, a wide d takes no full-width isqrt; a d of at most
+    # FLOOR_GUARD_BITS bits always does, and q = 0 never
+    calls = []
+    monkeypatch.setattr(numbers, "_floor_exact", lambda p, q, d: calls.append(d) or _plain_floor(p, q, d))
+    rng = random.Random(20)
+    for _ in range(200):
+        d = rng.getrandbits(3000) | (1 << 2999)
+        p, q = rng.getrandbits(3100) - (1 << 3099), rng.getrandbits(3050) - (1 << 3049)
+        assert floor_parts(p, q, d) == _plain_floor(p, q, d)
+    assert floor_parts(7, 0, 1 << 3000) == 0 and floor_parts(-7, 0, 2) == -4
+    assert calls == []
+    assert floor_parts(5, 3, (1 << FLOOR_GUARD_BITS) - 1) == 0
+    assert calls == [(1 << FLOOR_GUARD_BITS) - 1]
 
 
 def _pell(k: int) -> tuple:
