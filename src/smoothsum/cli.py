@@ -51,12 +51,9 @@ class InputError(Exception):
 
 
 # Largest accepted matching-construction order: `franklin --n 32` runs in
-# 0.22-0.29 s wall on a 2-vCPU machine, Python 3.11, interpreter start-up
-# included, 5 runs (0.26-0.33 s in the same runs with coefficients floored
-# at full width, the collapsed polynomial reduced at every step and the
-# correction basis rebuilt from its roots, which read 0.35-0.45 s when
-# first measured; 0.46-0.56 s before the backward bisection was steered by
-# a certified preimage bracket; 1.1 s with exact bisection signs, about
+# 0.18-0.25 s wall on a 2-vCPU machine, Python 3.11, interpreter start-up
+# included, 5 runs (0.20-0.26 s in the same runs with the construction's
+# budget, bounds and target windows reduced after every operation; about
 # 10 s before the exact dyadic brackets), but the coefficient size grows
 # quadratically in n (12 577 bits at n=32) and the cost faster still, so
 # larger orders are refused.

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .constraints import (
     CharacteristicResult,
+    IsotropicResult,
     all_lines_standard,
     atom_table,
     maximal_isotropic,
@@ -381,8 +382,12 @@ class SplittingReport:
         return {"status": self.status, "axioms_used": list(self.axioms_used), "detail": self.detail}
 
 
-def complementedness_report(space: DVSpace, w: Subspace) -> SplittingReport:
-    """Does W split off as a smooth direct summand of the space?"""
+def complementedness_report(space: DVSpace, w: Subspace,
+                            isotropic: Optional[IsotropicResult] = None) -> SplittingReport:
+    """Does W split off as a smooth direct summand of the space?
+
+    A caller that holds the space's ``maximal_isotropic`` result passes
+    it, so the dual is not computed again."""
     if w.dim in (0, space.dim):
         return SplittingReport(
             "Complemented", (), {"rule": "trivial decomposition V = V (+) 0"}
@@ -394,7 +399,7 @@ def complementedness_report(space: DVSpace, w: Subspace) -> SplittingReport:
         return SplittingReport(
             "Complemented", verdict.axioms_used, {"decomposition": verdict.to_dict()}
         )
-    iso = maximal_isotropic(space)
+    iso = isotropic if isotropic is not None else maximal_isotropic(space)
     if iso.status == "exact" and iso.subspace.dim == space.dim:
         st = subset_standard(space, w)
         if st.status == "Standard":

@@ -22,12 +22,18 @@ next: the integer basis prod (m t - n) over the roots n/m gains one
 factor, the matched points (a, f(a)) stay sorted so that a bisection
 finds the neighbours of a new point, and the collapsed polynomial of f
 gains one correction over a common denominator without being reduced.
-The backward bisection keeps its window as integers over one dyadic
-denominator, and reuses a rejected candidate's verdict while that
-candidate stays inside the halved window.  It is steered by a preimage
-bracket l < t* < h: integer Newton steps on f's floored coefficients
-estimate the preimage t* of the target, and two exact sign tests,
-f(l) < b < f(h), certify the bracket.  As f is certified increasing, a
+The derivative budget 1 - sum |c_k| deg_k is carried over that same
+denominator, which every c_k's denominator divides; the step bound and
+the forward target window are integers over the products of the
+denominators they are made from.  None of this bookkeeping is reduced,
+and its comparisons cross-multiply: a step reduces only what leaves it,
+its correction c and the two ends of its target window.  The backward
+bisection keeps its window as integers over one dyadic denominator,
+floors its target b once, and reuses a rejected candidate's verdict
+while that candidate stays inside the halved window.  It is steered by
+a preimage bracket l < t* < h: integer Newton steps on f's floored
+coefficients estimate the preimage t* of the target, and two exact sign
+tests, f(l) < b < f(h), certify the bracket.  As f is certified increasing, a
 midpoint at or below l lies below t* and one at or above h lies above
 it, so only a midpoint inside (l, h) is tested; a bracket that fails its
 tests is replaced by [0, 1], which tests every midpoint.  Each sign and
@@ -141,8 +147,8 @@ def simplest_in_interval(lo: QSqrt2, hi: QSqrt2) -> Fraction:
     k = 64
     while True:
         scale = 1 << k
-        lo_n, lo_d = (lo.p, lo.d) if lo.is_rational else (floor_qsqrt2(lo * scale), scale)
-        hi_n, hi_d = (hi.p, hi.d) if hi.is_rational else (floor_qsqrt2(hi * scale) + 1, scale)
+        lo_n, lo_d = (lo.p, lo.d) if lo.is_rational else (floor_qsqrt2(lo, k), scale)
+        hi_n, hi_d = (hi.p, hi.d) if hi.is_rational else (floor_qsqrt2(hi, k) + 1, scale)
         s = Fraction(*_simplest_rational(lo_n, lo_d, hi_n, hi_d))
         if lo < s < hi:
             return s
@@ -274,15 +280,16 @@ class _CollapsedPoly:
             for cp, cq in zip(reversed(self.p), reversed(self.q))
         )
 
-    def _gap(self, u: int, v: int, b: QSqrt2) -> Optional[int]:
+    def _gap(self, u: int, v: int, bw: int) -> Optional[int]:
         """g with g - 1 < 2^FIX_BITS (f(u/v) - b) < g + 2 len(p), for
-        0 <= u/v <= 1 (v > 0); None elsewhere.
+        0 <= u/v <= 1 (v > 0) and bw = floor(2^FIX_BITS b); None
+        elsewhere.
 
         Horner on the floored coefficients, flooring each product by
         t = u/v, gives h <= 2^FIX_BITS f(t) < h + 2 deg + 1: each step
         adds below 1 for its coefficient and below 1 for its floor, and
         multiplying by t in [0, 1] does not grow what came before.  Then
-        g = h - floor(2^FIX_BITS b).
+        g = h - bw.
         """
         if not 0 <= u <= v:
             return None
@@ -290,13 +297,15 @@ class _CollapsedPoly:
         h = next(fixed)
         for c in fixed:
             h = h * u // v + c
-        return h - floor_parts(b.p << FIX_BITS, b.q << FIX_BITS, b.d)
+        return h - bw
 
-    def sign_minus(self, u: int, v: int, b: QSqrt2) -> int:
+    def sign_minus(self, u: int, v: int, b: QSqrt2, bw: Optional[int] = None) -> int:
         """The sign of f(u/v) - b for integers u and v > 0: from the
         fixed-point enclosure when it excludes 0, else exactly from the
-        unreduced Horner integers (both denominators are positive)."""
-        g = self._gap(u, v, b)
+        unreduced Horner integers (both denominators are positive).  A
+        caller that tests one b many times passes bw = ``_fixed_floor(b)``,
+        floored once."""
+        g = self._gap(u, v, _fixed_floor(b) if bw is None else bw)
         if g is not None:
             if g > 0:
                 return 1
@@ -305,12 +314,14 @@ class _CollapsedPoly:
         hp, hq, den = self._horner(u, v)
         return sign_of_parts(hp * b.d - b.p * den, hq * b.d - b.q * den)
 
-    def within(self, u: int, v: int, b: QSqrt2, xp: int, xq: int, xd: int) -> bool:
+    def within(self, u: int, v: int, b: QSqrt2, xp: int, xq: int, xd: int,
+               bw: Optional[int] = None) -> bool:
         """|f(u/v) - b| <= x for integers u and v > 0 and x = (xp + xq
         sqrt2)/xd >= 0 with xd > 0, in lowest terms or not: from the
         fixed-point enclosure when it settles the comparison, else
-        exactly from the unreduced Horner integers."""
-        g = self._gap(u, v, b)
+        exactly from the unreduced Horner integers.  bw is as for
+        ``sign_minus``."""
+        g = self._gap(u, v, _fixed_floor(b) if bw is None else bw)
         if g is not None:
             xw = floor_parts(xp << FIX_BITS, xq << FIX_BITS, xd)
             if -xw <= g - 1 and g + 2 * len(self.p) <= xw:
@@ -353,20 +364,29 @@ class _CollapsedPoly:
                 break
         return t
 
-    def bracket(self, b: QSqrt2) -> tuple:
+    def bracket(self, b: QSqrt2, bw: Optional[int] = None) -> tuple:
         """(l, h) with f(l / 2^FIX_BITS) < b < f(h / 2^FIX_BITS) and 0 <= l
         < h <= 2^FIX_BITS, for 0 < b < 1 and f increasing on [0, 1]: two
         exact sign tests certify the window of half-width
         2^-(FIX_BITS - BRACKET_BITS) around the Newton estimate of the
         preimage.  When Newton fails or a sign test does not hold, (0,
-        2^FIX_BITS), which f(0) = 0 and f(1) = 1 certify."""
+        2^FIX_BITS), which f(0) = 0 and f(1) = 1 certify.  bw is as for
+        ``sign_minus``."""
         one = 1 << FIX_BITS
-        t = self._newton(floor_parts(b.p << FIX_BITS, b.q << FIX_BITS, b.d))
+        if bw is None:
+            bw = _fixed_floor(b)
+        t = self._newton(bw)
         if t is not None:
             lo, hi = t - (1 << BRACKET_BITS), t + (1 << BRACKET_BITS)
-            if 0 <= lo and hi <= one and self.sign_minus(lo, one, b) < 0 < self.sign_minus(hi, one, b):
+            if 0 <= lo and hi <= one and (
+                    self.sign_minus(lo, one, b, bw) < 0 < self.sign_minus(hi, one, b, bw)):
                 return lo, hi
         return 0, one
+
+
+def _fixed_floor(b: QSqrt2) -> int:
+    """floor(2^FIX_BITS b), the fixed-point target of the enclosure tests."""
+    return floor_parts(b.p << FIX_BITS, b.q << FIX_BITS, b.d)
 
 
 _IDENTITY = _CollapsedPoly((0, 1), (0, 0), 1)
@@ -400,10 +420,13 @@ class FranklinMap:
     basis that ``build_franklin`` carries forward; a map made from its
     steps alone rebuilds each basis from the step's roots, through the
     same ``_times_root``.  ``check_matches`` compares the unreduced
-    Horner integers of f(a) with b.  The construction's sign and
-    distance tests on [0,1] first try that polynomial's coefficients
-    floored to 2^-FIX_BITS, a certified integer enclosure of f, and fall
-    back to exact evaluation when it is too coarse.  The derivative tree
+    Horner integers of f(a) with b.  ``build_franklin`` carries the
+    derivative budget as integers over D and reduces one correction per
+    step; ``derivative_budget`` recomputes the budget from the steps, for
+    the report.  The construction's sign and distance tests on [0,1]
+    first try that polynomial's coefficients floored to 2^-FIX_BITS, a
+    certified integer enclosure of f, and fall back to exact evaluation
+    when it is too coarse.  The derivative tree
     ``derivative_expr`` reads the collapsed coefficients too.  The float
     evaluator keeps the product form, and so does the derivative
     enclosure: over a rational box each leave-one-out product runs in
@@ -582,6 +605,44 @@ def _neighbors(points: list, side: int, value) -> Optional[tuple]:
     return None
 
 
+def _step_bound(budget: tuple, deg: int, n: int) -> tuple:
+    """The bound min(2^-n, budget / (2 deg)) on the correction of step n,
+    as integers (xp, xq, xd) standing for (xp + xq sqrt2) / xd with xd >
+    0, not reduced, for the budget (bp + bq sqrt2) / bd > 0 given as
+    (bp, bq, bd)."""
+    bp, bq, bd = budget
+    # 2^-n < budget / (2 deg) iff 2^n (bp + bq sqrt2) - 2 deg bd > 0
+    if sign_of_parts((bp << n) - 2 * deg * bd, bq << n) > 0:
+        return 1, 0, 1 << n
+    return bp, bq, 2 * deg * bd
+
+
+def _spent(budget: tuple, c_abs: QSqrt2, deg: int, d: int) -> tuple:
+    """The budget (bp, bq, bd) minus c_abs * deg, as integers over d, a
+    multiple of bd and of c_abs.d: rescaled, not reduced."""
+    bp, bq, bd = budget
+    k, m = d // bd, deg * (d // c_abs.d)
+    return bp * k - c_abs.p * m, bq * k - c_abs.q * m, d
+
+
+def _w_end(p: int, q: int, d: int, clip: QSqrt2, side: int) -> QSqrt2:
+    """w(t) for t = (p + q sqrt2) / d with d > 0, or w(clip) when t lies
+    past ``clip`` on ``side`` (-1 below, 1 above), reduced once.  With
+    w(t) = t - t / sqrt2 + 1 / sqrt2, w(t) = ((2p - 2q) + (2q - p + d)
+    sqrt2) / 2d."""
+    if sign_of_parts(p * clip.d - clip.p * d, q * clip.d - clip.q * d) == side:
+        p, q, d = clip.p, clip.q, clip.d
+    return QSqrt2.from_ints(2 * (p - q), 2 * q - p + d, 2 * d)
+
+
+def _correction(b: QSqrt2, v: QSqrt2, pn: int, pd: int) -> QSqrt2:
+    """(b - v) / p for p = pn / pd, pn != 0 and pd > 0: the value a step
+    reports, formed over one denominator and reduced once."""
+    if pn < 0:
+        pn, pd = -pn, -pd
+    return QSqrt2.from_ints((b.p * v.d - v.p * b.d) * pd, (b.q * v.d - v.q * b.d) * pd, b.d * v.d * pn)
+
+
 def build_franklin(n_steps: int) -> FranklinMap:
     """Run ``n_steps`` rounds of the back-and-forth construction.
 
@@ -592,46 +653,49 @@ def build_franklin(n_steps: int) -> FranklinMap:
     remaining derivative budget, so f stays certifiably increasing.
     """
     fm = FranklinMap()
-    budget = QSqrt2.coerce(1)  # certified lower bound for f' so far
+    # 1 - sum |c_k| deg_k, a certified lower bound for f' so far, as
+    # integers (bp, bq, d) over the denominator d of fm._poly
+    budget = (1, 0, 1)
     a_stream = enumerate_unit_rationals()
     q_stream = target_rationals()
-    two = QSqrt2.coerce(2)
-    # the roots 0, 1 and the matched a's, their correction basis, and the
-    # points (a, f(a)) sorted by a, all carried from step to step
+    # the roots 0, 1 and the matched a's (also as integer pairs), their
+    # correction basis, the matched a's and q's, and the points (a, f(a))
+    # sorted by a, all carried from step to step
     roots = [Fraction(0), Fraction(1)]
+    root_pairs = [(0, 1), (1, 1)]
     basis = _root_basis(roots)
+    matched_a, matched_q = set(), set()
     points = [(Fraction(0), QSqrt2.coerce(0)), (Fraction(1), QSqrt2.coerce(1))]
 
     for n in range(1, n_steps + 1):
-        root_pairs = [(r.numerator, r.denominator) for r in roots]
         deg = len(roots)
-        matched_a = set(root_pairs[2:])  # the roots after 0 and 1
-        matched_q = {s.q for s in fm.steps}
-        cap = QSqrt2.coerce(Fraction(1, 2 ** n))
-        spend = budget * (two * QSqrt2.coerce(deg)).inverse()
-        bound = cap if cap < spend else spend
+        xp, xq, xd = _step_bound(budget, deg, n)
 
         if n % 2 == 1:
             a = next(x for x in a_stream if (x.numerator, x.denominator) not in matched_a)
             v = fm.eval_exact(a)
-            pa = Fraction(*_root_product(a.numerator, a.denominator, root_pairs))
-            delta = bound * abs(pa)
-            (_, bL), (_, bR) = _neighbors(points, 0, a)
-            lo = max(bL, v - delta)
-            hi = min(bR, v + delta)
-            q_lo = max(w_value(lo), INV_SQRT2)
-            q_hi = min(w_value(hi), QSqrt2.coerce(1))
+            pn, pd = _root_product(a.numerator, a.denominator, root_pairs)
+            # v -/+ bound |p(a)| over the denominator v.d xd pd, clipped to
+            # the neighbours' f(a); those lie in [0, 1], where w runs from
+            # 1/sqrt2 to 1, so the window's image needs no clip of its own
+            (_, left), (_, right) = _neighbors(points, 0, a)
+            e = xd * pd
+            vp, vq, den = v.p * e, v.q * e, v.d * e
+            hp, hq = xp * abs(pn) * v.d, xq * abs(pn) * v.d
+            q_lo = _w_end(vp - hp, vq - hq, den, left, -1)
+            q_hi = _w_end(vp + hp, vq + hq, den, right, 1)
             if not q_lo < q_hi:
                 raise ConstructionError(f"step {n}: empty target window")
             q = simplest_in_interval(q_lo, q_hi)
             while q in matched_q:
                 q = simplest_in_interval(q_lo, QSqrt2.coerce(q))
             b = w_inverse(q)
-            c = (b - v) / pa
+            c = _correction(b, v, pn, pd)
             direction = "forward"
         else:
             q = next(x for x in q_stream if x not in matched_q)
             b = w_inverse(q)
+            bw = _fixed_floor(b)
             # locate the bracket of the preimage among matched points
             around = _neighbors(points, 1, b)
             if around is None:
@@ -641,44 +705,47 @@ def build_franklin(n_steps: int) -> FranklinMap:
             # f' >= budget > 0 on [0, 1], so f(t) < b at every t <=
             # low / 2^FIX_BITS and f(t) > b at every t >= high / 2^FIX_BITS:
             # a midpoint outside (low, high) needs no sign test
-            low, high = poly.bracket(b)
+            low, high = poly.bracket(b, bw)
             # the window (lo, hi) / den, halved by exact dyadic steps
             den = lo_a.denominator * hi_a.denominator
             lo, hi = lo_a.numerator * hi_a.denominator, hi_a.numerator * lo_a.denominator
             a = None
             cn, cd = 0, 1  # no candidate yet: 0 lies outside every window
-            # |f(a) - b| <= bound * |p(a)| is the admissibility test
-            xp, xq, xd = bound.p, bound.q, bound.d
             for _ in range(200):
                 # a rejected candidate still inside the halved window is
                 # still its simplest rational, and still rejected
                 if not lo * cd < cn * den < hi * cd:
                     cn, cd = _simplest_rational(lo, den, hi, den)
                     if (cn, cd) not in matched_a:
+                        # admissible when |f(a) - b| <= bound |p(a)|
                         pn, pd = _root_product(cn, cd, root_pairs)
-                        if poly.within(cn, cd, b, xp * abs(pn), xq * abs(pn), xd * pd):
+                        if poly.within(cn, cd, b, xp * abs(pn), xq * abs(pn), xd * pd, bw):
                             a = Fraction(cn, cd)
                             break
                 mid = lo + hi
                 den *= 2
                 scaled = mid << FIX_BITS
-                if scaled <= low * den or (scaled < high * den and poly.sign_minus(mid, den, b) < 0):
+                if scaled <= low * den or (scaled < high * den and poly.sign_minus(mid, den, b, bw) < 0):
                     lo, hi = mid, 2 * hi
                 else:
                     lo, hi = 2 * lo, mid
             if a is None:
                 raise ConstructionError(f"step {n}: no admissible preimage found")
-            c = (b - fm.eval_exact(a)) * Fraction(pd, pn)
+            c = _correction(b, fm.eval_exact(a), pn, pd)
             direction = "backward"
 
-        if abs(c) > bound:
+        c_abs = abs(c)
+        if sign_of_parts(c_abs.p * xd - xp * c_abs.d, c_abs.q * xd - xq * c_abs.d) > 0:
             raise ConstructionError(f"step {n}: correction exceeds its bound")
-        budget = budget - abs(c) * QSqrt2.coerce(deg)
-        if budget.sign() <= 0:
-            raise ConstructionError(f"step {n}: derivative budget exhausted")
         fm = fm.extended(MatchStep(n, a, q, b, c, tuple(roots), direction), basis)
+        budget = _spent(budget, c_abs, deg, fm._poly.d)
+        if sign_of_parts(budget[0], budget[1]) <= 0:
+            raise ConstructionError(f"step {n}: derivative budget exhausted")
         roots.append(a)
+        root_pairs.append((a.numerator, a.denominator))
         basis = _times_root(basis, a)
+        matched_a.add(root_pairs[-1])
+        matched_q.add(q)
         bisect.insort(points, (a, b), key=itemgetter(0))
 
     return fm

@@ -221,7 +221,8 @@ def run_scenario(name: str, n: int = 16) -> dict:
 
     if name == "gamma-pair":
         sp = gallery_space("gamma-pair", frozenset({AXIOM_A}))
-        comp = complementedness_report(sp, Subspace.from_vectors(2, [[1, 0]]))
+        iso = maximal_isotropic(sp)
+        comp = complementedness_report(sp, Subspace.from_vectors(2, [[1, 0]]), isotropic=iso)
         sum_cert = certify_smooth_sum(
             sp,
             Subspace.from_vectors(2, [[1, 1]]),
@@ -230,7 +231,7 @@ def run_scenario(name: str, n: int = 16) -> dict:
         return {
             "scenario": name,
             "claim": "Span(e1) is not complemented although an obvious smooth sum exists",
-            **_analysis(sp, maximal_isotropic(sp)),
+            **_analysis(sp, iso),
             "complementedness_e1": comp.to_dict(),
             "smooth_sum_diag": sum_cert.to_dict(),
             "axioms_used": [AXIOM_A],

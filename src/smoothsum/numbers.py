@@ -380,10 +380,11 @@ def parse_qsqrt2(text: str) -> QSqrt2:
     return QSqrt2(a, b)
 
 
-def floor_qsqrt2(v: QSqrt2) -> int:
-    """Exact floor of an element of Q(sqrt2), in integer arithmetic."""
+def floor_qsqrt2(v: QSqrt2, k: int = 0) -> int:
+    """Exact floor of v * 2^k for an element v of Q(sqrt2) and k >= 0, in
+    integer arithmetic: the parts are shifted, and nothing is reduced."""
     v = QSqrt2.coerce(v)
-    return floor_parts(v.p, v.q, v.d)
+    return floor_parts(v.p << k, v.q << k, v.d)
 
 
 # floor_parts keeps this many bits of d above the bits of q it drops, so

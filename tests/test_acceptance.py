@@ -315,6 +315,7 @@ def test_criterion_9_scenario_determinism(name):
 # change that alters a certificate report must update its digest here and
 # say why.
 CERTIFICATE_DIGESTS = {
+    ("franklin", "--n", "8"): "59193010b777042182f1d3da91c1cc64dca5d754d08e22c8ca2056537f514854",
     ("franklin", "--n", "16"): "2353cf06bf656038b9abf4cd75179d2bc3af181e46554027eea7b9d4d06ae2d2",
     ("franklin", "--n", "24"): "08671fa168d88dabc79f335310f1c9b14bbfb8ca9ba3f63962ab0bd21a99ea2b",
     ("franklin", "--n", "32"): "ec56a33020bfa7906802a9061d87a9b81b2d1bd8f3ba45cc311b41a338d250d6",

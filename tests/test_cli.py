@@ -430,6 +430,13 @@ def test_scenario_computes_the_dual_once(capsys, monkeypatch):
     assert calls == ["V2-delta"]
 
 
+def test_gamma_pair_scenario_computes_the_dual_once(capsys, monkeypatch):
+    # complementedness_report takes the scenario's isotropic result
+    calls = _count_dual_basis(monkeypatch)
+    assert _run(capsys, "scenario", "gamma-pair", "--json", "--n", "8")[0] == 0
+    assert calls == ["gamma-pair"]
+
+
 @pytest.mark.parametrize(
     "scenario, spaces",
     [

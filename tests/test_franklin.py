@@ -36,6 +36,7 @@ from smoothsum.franklin import (
     w_value,
 )
 from smoothsum.intervals import Interval, certify_positive, poly_product_derivative
+from smoothsum import franklin as franklin_module
 from smoothsum import numbers
 from smoothsum.numbers import FLOOR_GUARD_BITS, INV_SQRT2, SQRT2, QSqrt2, floor_qsqrt2, parse_qsqrt2
 
@@ -669,6 +670,142 @@ def test_fixed_floors_take_no_exact_path(monkeypatch):
     assert len(per_poly) == sum(s.direction == "backward" for s in fm.steps) == 12
     assert [wide for wide, _ in per_poly] == [False] * 2 + [True] * 10
     assert [n for wide, n in per_poly if wide] == [0] * 10
+
+
+def _is_canonical(x: QSqrt2) -> bool:
+    # == compares triples, and from_ints reduces
+    return x == QSqrt2.from_ints(x.p, x.q, x.d)
+
+
+def _recorded_build(monkeypatch, n: int) -> tuple:
+    """build_franklin(n), with the step bounds, the carried budgets and
+    the simplest_in_interval windows that it computes recorded."""
+    bounds, budgets, windows = [], [], []
+    step_bound, spent, simplest = (
+        franklin_module._step_bound, franklin_module._spent, franklin_module.simplest_in_interval)
+
+    def recorded_bound(*args):
+        bounds.append(step_bound(*args))
+        return bounds[-1]
+
+    def recorded_spent(*args):
+        budgets.append(spent(*args))
+        return budgets[-1]
+
+    def recorded_simplest(lo, hi):
+        windows.append((lo, hi))
+        return simplest(lo, hi)
+
+    monkeypatch.setattr(franklin_module, "_step_bound", recorded_bound)
+    monkeypatch.setattr(franklin_module, "_spent", recorded_spent)
+    monkeypatch.setattr(franklin_module, "simplest_in_interval", recorded_simplest)
+    return build_franklin(n), bounds, budgets, windows
+
+
+def _reference_bookkeeping(fm: FranklinMap) -> list:
+    """Per step of fm: (its bound, its target window or None, the budget
+    after it), one Q(sqrt2) operation at a time."""
+    budget = QSqrt2.coerce(1)
+    points = [(Fraction(0), QSqrt2()), (Fraction(1), QSqrt2.coerce(1))]
+    rows = []
+    for k, s in enumerate(fm.steps):
+        deg = len(s.roots)
+        bound = min(QSqrt2.coerce(Fraction(1, 2**s.index)), budget / (2 * deg))
+        window = None
+        if s.direction == "forward":
+            v = FranklinMap(fm.steps[:k]).eval_exact(s.a)
+            delta = bound * abs(math.prod((s.a - r for r in s.roots), start=Fraction(1)))
+            left = max(b for a, b in points if a < s.a)
+            right = min(b for a, b in points if a > s.a)
+            lo, hi = max(left, v - delta), min(right, v + delta)
+            window = (max(w_value(lo), INV_SQRT2), min(w_value(hi), QSqrt2.coerce(1)))
+        budget = budget - abs(s.c) * deg
+        rows.append((bound, window, budget))
+        points.append((s.a, s.b))
+    return rows
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_carried_budget_is_one_minus_the_spent_corrections(monkeypatch, n):
+    # after every step, over the collapsed polynomial's own denominator
+    fm, _, budgets, _ = _recorded_build(monkeypatch, n)
+    rows = _reference_bookkeeping(fm)
+    assert len(budgets) == len(rows) == n
+    for k, ((bp, bq, d), (_, _, budget)) in enumerate(zip(budgets, rows)):
+        assert d == FranklinMap(fm.steps[:k + 1])._poly.d
+        assert QSqrt2.from_ints(bp, bq, d) == budget
+    assert rows[-1][2] == fm.derivative_budget
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_step_bound_and_target_window_are_the_qsqrt2_formulas(monkeypatch, n):
+    fm, bounds, _, windows = _recorded_build(monkeypatch, n)
+    rows = _reference_bookkeeping(fm)
+    assert [QSqrt2.from_ints(*x) for x in bounds] == [bound for bound, _, _ in rows]
+    # steps 1 to 5 are bound by the budget, the later ones by 2^-n
+    assert [k for k, x in enumerate(bounds, 1) if x != (1, 0, 1 << k)] == [1, 2, 3, 4, 5]
+    # a forward step's first call gets its window; a call that skips a
+    # matched q keeps the low end
+    firsts = [w for i, w in enumerate(windows) if i == 0 or w[0] != windows[i - 1][0]]
+    assert firsts == [window for _, window, _ in rows if window is not None]
+    for lo, hi in windows:
+        assert _is_canonical(lo) and _is_canonical(hi)
+    for k, s in enumerate(fm.steps):
+        pa = math.prod((s.a - r for r in s.roots), start=Fraction(1))
+        assert _is_canonical(s.c) and s.c == (s.b - FranklinMap(fm.steps[:k]).eval_exact(s.a)) / pa
+        assert abs(s.c) <= rows[k][0]
+
+
+_parts = st.integers(min_value=-(10**30), max_value=10**30)
+_dens = st.integers(min_value=1, max_value=10**30)
+
+
+@given(_parts, _parts, _dens, st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=200))
+def test_step_bound_is_the_smaller_of_cap_and_spend(bp, bq, bd, deg, n):
+    budget = QSqrt2.from_ints(bp, bq, bd)
+    if budget.sign() <= 0:
+        return
+    got = QSqrt2.from_ints(*franklin_module._step_bound((bp, bq, bd), deg, n))
+    assert got == min(QSqrt2.coerce(Fraction(1, 2**n)), budget / (2 * deg))
+
+
+@given(_parts, _parts, _dens, _parts, _parts, _dens, st.integers(min_value=1, max_value=40), _dens)
+def test_spent_budget_is_the_qsqrt2_difference(bp, bq, bd, cp, cq, cd, deg, extra):
+    c_abs = abs(QSqrt2.from_ints(cp, cq, cd))
+    d = math.lcm(bd, c_abs.d) * extra
+    p, q, out_d = franklin_module._spent((bp, bq, bd), c_abs, deg, d)
+    assert out_d == d
+    assert QSqrt2.from_ints(p, q, d) == QSqrt2.from_ints(bp, bq, bd) - c_abs * deg
+
+
+@given(_parts, _parts, _dens, st.fractions(min_value=0, max_value=1), st.sampled_from([-1, 1]))
+def test_w_end_is_w_of_the_clipped_end(p, q, d, clip, side):
+    clip = QSqrt2.coerce(clip)
+    t = QSqrt2.from_ints(p, q, d)
+    end = (max if side < 0 else min)(t, clip)
+    got = franklin_module._w_end(p, q, d, clip, side)
+    assert _is_canonical(got) and got == w_value(end)
+
+
+def test_build_franklin_reduces_only_what_leaves_a_step(monkeypatch):
+    # per step of build_franklin(24) one reduction for f(a) from
+    # eval_exact and one for the correction c, and one for each end of
+    # the 12 forward target windows: 72.  No two Q(sqrt2) values are
+    # added, and each backward target b is floored once.
+    reduced, summed, floored = [], [], []
+    for module, name, calls in ((numbers, "_reduced", reduced), (numbers, "_sum", summed),
+                                (franklin_module, "_fixed_floor", floored)):
+        original = getattr(module, name)
+
+        def counted(*args, original=original, calls=calls):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    build_franklin(24)
+    assert len(reduced) == 72
+    assert summed == []
+    assert len(floored) == 12
 
 
 def test_rationality_link(fm8):

@@ -614,6 +614,16 @@ def test_sign_floor_and_abs_match_the_pair_model(x):
     assert _model(abs(v)) == (x if _pair_sign(*x) >= 0 else (-x[0], -x[1]))
 
 
+@given(
+    st.one_of(pairs, st.tuples(huge_rationals, huge_rationals)).map(lambda x: QSqrt2(*x)),
+    st.integers(min_value=0, max_value=400),
+)
+def test_floor_of_a_binary_multiple_is_the_floor_of_the_product(v, k):
+    # negative, rational and irrational v: shifting the parts is
+    # multiplying by 2^k
+    assert floor_qsqrt2(v, k) == floor_qsqrt2(v * 2**k)
+
+
 @given(pairs)
 def test_exact_tag_is_read_off_the_triple(x):
     v = QSqrt2(*x)
