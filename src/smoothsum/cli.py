@@ -9,6 +9,7 @@ none of them.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -293,6 +294,7 @@ def cmd_scenario(args) -> int:
     return 0
 
 
+@functools.cache  # each parse_args call fills a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothsum",
@@ -349,8 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes the -1,0 of `--w0 -1,0` for an option; `--w0=-1,0` it reads
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--w0", "--w1") and re.match(r"-[\d./]", argv[i + 1]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         if not 1 <= args.n <= MAX_N:
             raise InputError(f"--n must be between 1 and {MAX_N}, got {args.n}")

@@ -254,7 +254,8 @@ class IsotropicResult:
     dual: DualResult
 
     def to_dict(self) -> dict:
-        return {"status": self.status, "subspace": self.subspace.to_dict(), "dual": self.dual.to_dict()}
+        # the dual it was computed from is reported once, beside it
+        return {"status": self.status, "subspace": self.subspace.to_dict()}
 
 
 def maximal_isotropic(space: DVSpace) -> IsotropicResult:
@@ -290,13 +291,8 @@ class CharacteristicResult:
         return self.analysis.subspace
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.analysis.status,
-            "isotropic": self.isotropic.to_dict(),
-            "complement": self.complement.to_dict(),
-            "certificate": self.certificate,
-            "dual": self.analysis.dual.to_dict(),
-        }
+        # the dual and the isotropic subspace are reported once, beside it
+        return {"complement": self.complement.to_dict(), "certificate": self.certificate}
 
 
 def characteristic_decomposition(space: DVSpace) -> CharacteristicResult:

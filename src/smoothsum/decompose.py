@@ -18,7 +18,6 @@ standard, so one non-smooth generator component refutes it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -56,7 +55,7 @@ from .expr import (
     verify_nonsmooth_witness,
 )
 from .franklin import parse_grid
-from .numbers import ONE, ZERO, DomainError, QSqrt2, TaggedReal, dot_is_zero
+from .numbers import ONE, ZERO, DomainError, QSqrt2, TaggedReal, common_denominator, dot_is_zero
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -451,8 +450,8 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
         return SplittingReport(
             "Decomposable" if verdict.status == "SmoothCertified" else "Unknown",
             tuple(sorted(set(iso.dual.axioms_used) | set(verdict.axioms_used))),
+            # the split certified is ch's, which a report shows beside this one
             {
-                "characteristic": ch.to_dict(),
                 "certification": verdict.to_dict(),
                 "note": (
                     "the characteristic splitting is smooth; other algebraic "
@@ -646,8 +645,8 @@ def _admissible_matrices(src_atoms: list, dst_atoms: list, n: int, bound: int, m
     pivots = []
     for row, c in zip(reduced, pivot_cols):
         terms = [(nn - 1 - d, -x) for d, x in enumerate(row) if d != c and not x.is_zero]
-        den = math.lcm(*(x.d for _, x in terms))
-        pivots.append((nn - 1 - c, [(slot[e], x.p * (den // x.d)) for e, x in terms], den))
+        den, parts = common_denominator([x for _, x in terms])
+        pivots.append((nn - 1 - c, [(slot[e], p) for (e, _), (p, _) in zip(terms, parts)], den))
 
     values = range(-bound, bound + 1)
     for tup in itertools.islice(itertools.product(values, repeat=len(free)), max_tuples):

@@ -11,39 +11,27 @@ composite H2 = w(f(H1)) needs.
 Everything is exact: corrections live in Q(sqrt2), monotonicity is
 certified both by an a-priori derivative budget and by interval
 arithmetic, and every matched pair is replayable as a field identity.
-No decision is steered by floats; each is made cheap instead, and runs
-on plain integers.  Targets are chosen by ``simplest_in_interval``,
-which brackets an irrational window between dyadic rationals (an exact
-integer floor), runs the Stern-Brocot descent on integer pairs and
-confirms the answer by one exact comparison.  The products over the
-rational roots, the candidates and the matched points are integer
-numerator/denominator pairs.  What one step leaves is carried into the
-next: the integer basis prod (m t - n) over the roots n/m gains one
-factor, the matched points (a, f(a)) stay sorted so that a bisection
-finds the neighbours of a new point, and the collapsed polynomial of f
-gains one correction over a common denominator without being reduced.
-The derivative budget 1 - sum |c_k| deg_k is carried over that same
-denominator, which every c_k's denominator divides; the step bound and
-the forward target window are integers over the products of the
-denominators they are made from.  None of this bookkeeping is reduced,
-and its comparisons cross-multiply: a step reduces only what leaves it,
-its correction c and the two ends of its target window.  The backward
-bisection keeps its window as integers over one dyadic denominator,
-floors its target b once, and reuses a rejected candidate's verdict
-while that candidate stays inside the halved window.  It is steered by
-a preimage bracket l < t* < h: integer Newton steps on f's floored
-coefficients estimate the preimage t* of the target, and two exact sign
-tests, f(l) < b < f(h), certify the bracket.  As f is certified increasing, a
-midpoint at or below l lies below t* and one at or above h lies above
-it, so only a midpoint inside (l, h) is tested; a bracket that fails its
-tests is replaced by [0, 1], which tests every midpoint.  Each sign and
-each admissibility test is read off a fixed-point enclosure of f: a
-proven integer interval, not a float estimate, whose floored
-coefficients ``numbers.floor_parts`` brackets from their top bits.
-Whenever that interval cannot settle a question (an exact tie, a point
-outside [0,1], a margin below its width) the question is answered by
-exact evaluation.  So Newton and the enclosure change what is computed,
-never what is decided.
+No decision is steered by floats; each runs on plain integers.  Targets
+are chosen by ``simplest_in_interval``, which brackets an irrational
+window between dyadic rationals, runs the Stern-Brocot descent on
+integer pairs and confirms the answer by one exact comparison.  What one
+step leaves is carried into the next: the integer basis prod (m t - n)
+over the roots n/m, the matched points (a, f(a)) sorted by a, the
+collapsed polynomial of f, and the derivative budget 1 - sum |c_k|
+deg_k over that polynomial's denominator.  This bookkeeping stays in
+unreduced parts, with the arithmetic ``numbers`` provides for them: a
+step reduces only what leaves it, its correction c and the two ends of
+its target window.  The backward bisection keeps its window as integers
+over one dyadic denominator and is steered by a preimage bracket l < t*
+< h: integer Newton steps on f's floored coefficients estimate the
+preimage t* of the target, and two exact sign tests, f(l) < b < f(h),
+certify the bracket.  As f is certified increasing, only a midpoint
+inside (l, h) is tested; a bracket that fails its tests is replaced by
+[0, 1].  Each sign and admissibility test is read off a fixed-point
+enclosure of f, a proven integer interval, and is answered by exact
+evaluation whenever that interval cannot settle it (an exact tie, a
+point outside [0,1], a margin below its width).  So Newton and the
+enclosure change what is computed, never what is decided.
 
     f_n = f_{n-1} + c_n * p_n,   p_n(t) = t (t-1) prod (t - a_k)
 
@@ -59,7 +47,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import zip_longest
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -82,12 +69,18 @@ from .expr import (
 from .intervals import Interval, certify_positive, poly_product_derivative
 from .numbers import (
     INV_SQRT2,
+    ONE,
+    ZERO,
     QSqrt2,
+    QSqrt2Poly,
     Tag,
     TaggedReal,
-    floor_parts,
+    cmp_parts,
+    common_denominator,
+    dot_exact,
     floor_qsqrt2,
-    sign_of_parts,
+    mul_parts,
+    sub_parts,
 )
 
 # ---------------------------------------------------------------------
@@ -220,65 +213,18 @@ def _root_basis(roots) -> tuple:
     return reduce(_times_root, roots, ((1,), 1))
 
 
-@dataclass(frozen=True)
-class _CollapsedPoly:
-    """(sum p[i] t^i + sqrt2 * sum q[i] t^i) / d with integer coefficient
-    vectors of equal length and d > 0, not reduced.
-
-    A factor common to d and every coefficient changes no value, and no
-    reader needs it gone: ``at`` and ``FranklinMap.derivative_expr``
-    reduce what they return, and the Horner integers, the floored
-    coefficients and the sign and distance tests hold over any common
-    denominator.  So ``plus`` puts each correction over the lcm of the
-    denominators and divides nothing out: d is the lcm of the
-    denominators M c.d of the corrections added (5 586 bits at n = 24,
-    138 more than the reduced form).
-    """
-
-    p: tuple
-    q: tuple
-    d: int
-
-    def plus(self, c: QSqrt2, basis: tuple) -> "_CollapsedPoly":
-        """This polynomial plus c * B(t) / M for the correction basis
-        (B, M) of ``_times_root``."""
-        prod, scale = basis
-        # c * B / M = (c.p + c.q sqrt2) * B / (c.d * M), put over the
-        # common denominator d
-        d = math.lcm(self.d, scale * c.d)
-        us, ue = d // self.d, d // (scale * c.d)
-        ka, kb = c.p * ue, c.q * ue
-        p = tuple(x * us + ka * y for x, y in zip_longest(self.p, prod, fillvalue=0))
-        q = tuple(x * us + kb * y for x, y in zip_longest(self.q, prod, fillvalue=0))
-        return _CollapsedPoly(p, q, d)
-
-    def _horner(self, u: int, v: int) -> tuple:
-        """(hp, hq, den) with f(u/v) = (hp + hq sqrt2) / den, den > 0, by
-        homogenised Horner in integers, not reduced; v > 0."""
-        hp, hq = self.p[-1], self.q[-1]
-        vk = 1
-        for cp, cq in zip(reversed(self.p[:-1]), reversed(self.q[:-1])):
-            vk *= v
-            hp = hp * u + cp * vk
-            hq = hq * u + cq * vk
-        return hp, hq, self.d * vk
-
-    def at(self, t: QSqrt2) -> QSqrt2:
-        if t.is_rational:
-            return QSqrt2.from_ints(*self._horner(t.p, t.d))
-        out = QSqrt2()
-        for cp, cq in zip(reversed(self.p), reversed(self.q)):
-            out = out * t + QSqrt2(cp, cq)
-        return QSqrt2.from_ints(out.p, out.q, out.d * self.d)
+class _CollapsedPoly(QSqrt2Poly):
+    """A matching map f as one polynomial, not reduced (its d has 5 586
+    bits at n = 24, 138 more than reduced), with the construction's
+    tests: sign(f(t) - b), |f(t) - b| <= x and a bracket of f^-1(b), each
+    read off f's coefficients floored to 2^-FIX_BITS, a fixed-point
+    enclosure of f on [0, 1], or from exact Horner integers when it
+    cannot settle the test."""
 
     @cached_property
     def _fixed(self) -> tuple:
-        """floor(2^FIX_BITS * c_i) for each coefficient c_i = (p_i +
-        q_i sqrt2)/d, highest degree first."""
-        return tuple(
-            floor_parts(cp << FIX_BITS, cq << FIX_BITS, self.d)
-            for cp, cq in zip(reversed(self.p), reversed(self.q))
-        )
+        """floor(2^FIX_BITS c_i) per coefficient c_i, highest degree first."""
+        return self.floors(FIX_BITS)
 
     def _gap(self, u: int, v: int, bw: int) -> Optional[int]:
         """g with g - 1 < 2^FIX_BITS (f(u/v) - b) < g + 2 len(p), for
@@ -311,30 +257,22 @@ class _CollapsedPoly:
                 return 1
             if g + 2 * len(self.p) <= 0:
                 return -1
-        hp, hq, den = self._horner(u, v)
-        return sign_of_parts(hp * b.d - b.p * den, hq * b.d - b.q * den)
+        return cmp_parts(self.horner(u, v), b)
 
-    def within(self, u: int, v: int, b: QSqrt2, xp: int, xq: int, xd: int,
-               bw: Optional[int] = None) -> bool:
-        """|f(u/v) - b| <= x for integers u and v > 0 and x = (xp + xq
-        sqrt2)/xd >= 0 with xd > 0, in lowest terms or not: from the
-        fixed-point enclosure when it settles the comparison, else
-        exactly from the unreduced Horner integers.  bw is as for
-        ``sign_minus``."""
+    def within(self, u: int, v: int, b: QSqrt2, x, bw: Optional[int] = None) -> bool:
+        """|f(u/v) - b| <= x for integers u and v > 0 and x >= 0, a QSqrt2
+        or parts: from the fixed-point enclosure when it settles the
+        comparison, else exactly from the unreduced Horner integers.  bw
+        is as for ``sign_minus``."""
         g = self._gap(u, v, _fixed_floor(b) if bw is None else bw)
         if g is not None:
-            xw = floor_parts(xp << FIX_BITS, xq << FIX_BITS, xd)
+            xw = floor_qsqrt2(x, FIX_BITS)
             if -xw <= g - 1 and g + 2 * len(self.p) <= xw:
                 return True
             if g - 1 > xw or g + 2 * len(self.p) <= -xw - 1:
                 return False
-        hp, hq, den = self._horner(u, v)
-        # f(u/v) - b = (dp + dq sqrt2) / (den b.d), and den b.d > 0
-        dp, dq = hp * b.d - b.p * den, hq * b.d - b.q * den
-        if sign_of_parts(dp, dq) < 0:
-            dp, dq = -dp, -dq
-        scale = den * b.d
-        return sign_of_parts(xp * scale - dp * xd, xq * scale - dq * xd) >= 0
+        f = self.horner(u, v)
+        return cmp_parts(sub_parts(f, b), x) <= 0 and cmp_parts(sub_parts(b, f), x) <= 0
 
     def _newton(self, target: int) -> Optional[int]:
         """An estimate of 2^FIX_BITS t for the root t of 2^FIX_BITS f(t) =
@@ -386,7 +324,7 @@ class _CollapsedPoly:
 
 def _fixed_floor(b: QSqrt2) -> int:
     """floor(2^FIX_BITS b), the fixed-point target of the enclosure tests."""
-    return floor_parts(b.p << FIX_BITS, b.q << FIX_BITS, b.d)
+    return floor_qsqrt2(b, FIX_BITS)
 
 
 _IDENTITY = _CollapsedPoly((0, 1), (0, 0), 1)
@@ -414,25 +352,14 @@ class FranklinMap:
     """f(t) = t + sum_n c_n * prod_k (t - r_{n,k}), with exact data.
 
     ``steps`` is the construction record.  Exact evaluation reads the
-    same f collapsed into one polynomial with integer coefficient vectors,
-    f(t) = (sum P_i t^i + sqrt2 * sum Q_i t^i) / D, not reduced, which
-    ``extended`` updates one correction at a time from the correction
-    basis that ``build_franklin`` carries forward; a map made from its
-    steps alone rebuilds each basis from the step's roots, through the
-    same ``_times_root``.  ``check_matches`` compares the unreduced
-    Horner integers of f(a) with b.  ``build_franklin`` carries the
-    derivative budget as integers over D and reduces one correction per
-    step; ``derivative_budget`` recomputes the budget from the steps, for
-    the report.  The construction's sign and distance tests on [0,1]
-    first try that polynomial's coefficients floored to 2^-FIX_BITS, a
-    certified integer enclosure of f, and fall back to exact evaluation
-    when it is too coarse.  The derivative tree
-    ``derivative_expr`` reads the collapsed coefficients too.  The float
-    evaluator keeps the product form, and so does the derivative
-    enclosure: over a rational box each leave-one-out product runs in
-    integers at its roots' own scale, and the ends of sum c_n p_n' are
-    summed over one denominator, that of the corrections c_n times that
-    of the ends.
+    same f collapsed into one unreduced polynomial, which ``extended``
+    updates one correction at a time from the correction basis that
+    ``build_franklin`` carries forward; a map made from its steps alone
+    rebuilds each basis from the step's roots, through the same
+    ``_times_root``.  ``derivative_budget`` recomputes the budget that
+    ``build_franklin`` carries, for the report.  The float evaluator
+    keeps the product form, and so does the derivative enclosure, whose
+    ends are summed over one denominator.
     """
 
     steps: tuple = ()
@@ -469,45 +396,32 @@ class FranklinMap:
             out += c * p
         return out
 
-    @cached_property
-    def _corrections(self) -> tuple:
-        """(D, ((sign c_n, k_n p_n, k_n q_n), ...)): every correction c_n =
-        (p_n + q_n sqrt2)/d_n put over D = lcm d_n, with k_n = D/d_n."""
-        den = math.lcm(*(s.c.d for s in self.steps))
-        return den, tuple((s.c.sign(), s.c.p * (den // s.c.d), s.c.q * (den // s.c.d)) for s in self.steps)
-
     def _one_plus(self, values) -> QSqrt2:
         """1 + sum c_n * values[n], over one denominator, reduced once."""
-        den, cs = self._corrections
-        scale = math.lcm(*(x.d for x in values))
-        p, q = den * scale, 0
-        for (_, cp, cq), x in zip(cs, values):
-            k = scale // x.d
-            xp, xq = x.p * k, x.q * k
-            p += cp * xp + 2 * cq * xq
-            q += cp * xq + cq * xp
-        return QSqrt2.from_ints(p, q, den * scale)
+        return ONE + dot_exact(self._corrections, common_denominator(values))
+
+    @cached_property
+    def _corrections(self) -> tuple:
+        return common_denominator([s.c for s in self.steps])
 
     def derivative_interval(self, iv: Interval) -> Interval:
         """Enclosure of f' = 1 + sum c_n p_n' over ``iv``: c_n takes one
         end of the enclosure of p_n' to the low end of its product and
         the other to the high end."""
         lows, highs = [], []
-        for s, (sign, _, _) in zip(self.steps, self._corrections[1]):
+        for s in self.steps:
             box = poly_product_derivative(s.roots, iv)
-            lows.append(box.lo if sign >= 0 else box.hi)
-            highs.append(box.hi if sign >= 0 else box.lo)
+            lows.append(box.lo if s.c.sign() >= 0 else box.hi)
+            highs.append(box.hi if s.c.sign() >= 0 else box.lo)
         return Interval(self._one_plus(lows), self._one_plus(highs))
 
     def derivative_expr(self, arg: Expr) -> Expr:
         """f'(arg) as an expression tree (for chain-rule use): the sum of
         i c_i arg^(i-1) over the collapsed coefficients c_i of f."""
-        poly = self._poly
         return make_sum(
-            make_prod([Const(QSqrt2.from_ints(i * cp, i * cq, poly.d)),
-                       make_pow(arg, i - 1) if i > 1 else ONE_E])
-            for i, (cp, cq) in enumerate(zip(poly.p, poly.q))
-            if i and (cp or cq)
+            make_prod([Const(c), make_pow(arg, i) if i else ONE_E])
+            for i, c in enumerate(self._poly.derivative())
+            if not c.is_zero
         )
 
     # -- certified properties -------------------------------------------
@@ -517,15 +431,13 @@ class FranklinMap:
         return [(s.a, s.q, s.b) for s in self.steps]
 
     def check_matches(self) -> bool:
-        """Replay every match as a field identity: f(a) = w^{-1}(q).  f(a)
-        = (hp + hq sqrt2) / den, unreduced, equals b = (b.p + b.q sqrt2) /
-        b.d iff both parts agree cross-multiplied."""
+        """Replay every match as a field identity: f(a) = w^{-1}(q), with
+        f(a) from the unreduced Horner integers, compared by
+        cross-multiplying."""
         for s in self.steps:
-            hp, hq, den = self._poly._horner(s.a.numerator, s.a.denominator)
-            b = s.b
-            if hp * b.d != b.p * den or hq * b.d != b.q * den:
+            if cmp_parts(self._poly.horner(s.a.numerator, s.a.denominator), s.b):
                 return False
-            if w_value(b) != QSqrt2.coerce(s.q):
+            if w_value(s.b) != QSqrt2.coerce(s.q):
                 return False
         return True
 
@@ -543,9 +455,7 @@ class FranklinMap:
         On [0,1] every factor |t - r| is at most 1, so |p_n'| is at most
         the number of roots of p_n.
         """
-        return self._one_plus([
-            QSqrt2.coerce(-sign * len(s.roots)) for s, (sign, _, _) in zip(self.steps, self._corrections[1])
-        ])
+        return self._one_plus([QSqrt2.coerce(-s.c.sign() * len(s.roots)) for s in self.steps])
 
     def certify_monotonic(self) -> bool:
         """Strict monotonicity on [0,1], certified twice over: by the
@@ -607,32 +517,23 @@ def _neighbors(points: list, side: int, value) -> Optional[tuple]:
 
 def _step_bound(budget: tuple, deg: int, n: int) -> tuple:
     """The bound min(2^-n, budget / (2 deg)) on the correction of step n,
-    as integers (xp, xq, xd) standing for (xp + xq sqrt2) / xd with xd >
-    0, not reduced, for the budget (bp + bq sqrt2) / bd > 0 given as
-    (bp, bq, bd)."""
-    bp, bq, bd = budget
-    # 2^-n < budget / (2 deg) iff 2^n (bp + bq sqrt2) - 2 deg bd > 0
-    if sign_of_parts((bp << n) - 2 * deg * bd, bq << n) > 0:
-        return 1, 0, 1 << n
-    return bp, bq, 2 * deg * bd
+    as parts, not reduced, for the budget > 0 given as parts."""
+    cap, share = (1, 0, 1 << n), mul_parts(budget, (1, 0, 2 * deg))
+    return cap if cmp_parts(share, cap) > 0 else share
 
 
 def _spent(budget: tuple, c_abs: QSqrt2, deg: int, d: int) -> tuple:
-    """The budget (bp, bq, bd) minus c_abs * deg, as integers over d, a
-    multiple of bd and of c_abs.d: rescaled, not reduced."""
-    bp, bq, bd = budget
-    k, m = d // bd, deg * (d // c_abs.d)
-    return bp * k - c_abs.p * m, bq * k - c_abs.q * m, d
+    """The budget, as parts, minus c_abs * deg, as parts over d, a
+    multiple of both denominators: rescaled, not reduced."""
+    return sub_parts(budget, mul_parts(c_abs, (deg, 0, 1)), d)
 
 
-def _w_end(p: int, q: int, d: int, clip: QSqrt2, side: int) -> QSqrt2:
-    """w(t) for t = (p + q sqrt2) / d with d > 0, or w(clip) when t lies
-    past ``clip`` on ``side`` (-1 below, 1 above), reduced once.  With
-    w(t) = t - t / sqrt2 + 1 / sqrt2, w(t) = ((2p - 2q) + (2q - p + d)
-    sqrt2) / 2d."""
-    if sign_of_parts(p * clip.d - clip.p * d, q * clip.d - clip.q * d) == side:
-        p, q, d = clip.p, clip.q, clip.d
-    return QSqrt2.from_ints(2 * (p - q), 2 * q - p + d, 2 * d)
+def _w_end(end: tuple, clip: QSqrt2, side: int) -> QSqrt2:
+    """w(t) for t given as parts, or w(clip) when t lies past ``clip`` on
+    ``side`` (-1 below, 1 above), reduced once."""
+    if cmp_parts(end, clip) == side:
+        end = clip
+    return QSqrt2.from_ints(*sub_parts(mul_parts(end, W_SLOPE), -W_OFFSET))
 
 
 def _correction(b: QSqrt2, v: QSqrt2, pn: int, pd: int) -> QSqrt2:
@@ -640,7 +541,7 @@ def _correction(b: QSqrt2, v: QSqrt2, pn: int, pd: int) -> QSqrt2:
     reports, formed over one denominator and reduced once."""
     if pn < 0:
         pn, pd = -pn, -pd
-    return QSqrt2.from_ints((b.p * v.d - v.p * b.d) * pd, (b.q * v.d - v.q * b.d) * pd, b.d * v.d * pn)
+    return QSqrt2.from_ints(*mul_parts(sub_parts(b, v), (pd, 0, pn)))
 
 
 def build_franklin(n_steps: int) -> FranklinMap:
@@ -654,36 +555,34 @@ def build_franklin(n_steps: int) -> FranklinMap:
     """
     fm = FranklinMap()
     # 1 - sum |c_k| deg_k, a certified lower bound for f' so far, as
-    # integers (bp, bq, d) over the denominator d of fm._poly
+    # parts over the denominator of fm._poly
     budget = (1, 0, 1)
     a_stream = enumerate_unit_rationals()
     q_stream = target_rationals()
-    # the roots 0, 1 and the matched a's (also as integer pairs), their
-    # correction basis, the matched a's and q's, and the points (a, f(a))
-    # sorted by a, all carried from step to step
+    # the roots 0, 1 and the matched a's, their correction basis, the
+    # matched q's, and the points (a, f(a)) sorted by a, all carried from
+    # step to step
     roots = [Fraction(0), Fraction(1)]
-    root_pairs = [(0, 1), (1, 1)]
     basis = _root_basis(roots)
-    matched_a, matched_q = set(), set()
+    matched_q = set()
     points = [(Fraction(0), QSqrt2.coerce(0)), (Fraction(1), QSqrt2.coerce(1))]
 
     for n in range(1, n_steps + 1):
         deg = len(roots)
-        xp, xq, xd = _step_bound(budget, deg, n)
+        bound = _step_bound(budget, deg, n)
+        # the roots as integer pairs (num, den), read once per step
+        pairs = [(r.numerator, r.denominator) for r in roots]
 
         if n % 2 == 1:
-            a = next(x for x in a_stream if (x.numerator, x.denominator) not in matched_a)
+            a = next(x for x in a_stream if (x.numerator, x.denominator) not in pairs)
             v = fm.eval_exact(a)
-            pn, pd = _root_product(a.numerator, a.denominator, root_pairs)
-            # v -/+ bound |p(a)| over the denominator v.d xd pd, clipped to
-            # the neighbours' f(a); those lie in [0, 1], where w runs from
-            # 1/sqrt2 to 1, so the window's image needs no clip of its own
+            pn, pd = _root_product(a.numerator, a.denominator, pairs)
+            # v -/+ bound |p(a)|, unreduced, clipped to the neighbours'
+            # f(a); those lie in [0, 1], where w runs from 1/sqrt2 to 1, so
+            # the window's image needs no clip of its own
             (_, left), (_, right) = _neighbors(points, 0, a)
-            e = xd * pd
-            vp, vq, den = v.p * e, v.q * e, v.d * e
-            hp, hq = xp * abs(pn) * v.d, xq * abs(pn) * v.d
-            q_lo = _w_end(vp - hp, vq - hq, den, left, -1)
-            q_hi = _w_end(vp + hp, vq + hq, den, right, 1)
+            q_lo = _w_end(sub_parts(v, mul_parts(bound, (abs(pn), 0, pd))), left, -1)
+            q_hi = _w_end(sub_parts(v, mul_parts(bound, (-abs(pn), 0, pd))), right, 1)
             if not q_lo < q_hi:
                 raise ConstructionError(f"step {n}: empty target window")
             q = simplest_in_interval(q_lo, q_hi)
@@ -713,15 +612,16 @@ def build_franklin(n_steps: int) -> FranklinMap:
             cn, cd = 0, 1  # no candidate yet: 0 lies outside every window
             for _ in range(200):
                 # a rejected candidate still inside the halved window is
-                # still its simplest rational, and still rejected
+                # still its simplest rational, and still rejected.  A
+                # candidate lies strictly between two consecutive matched
+                # points, so it is never one of them.
                 if not lo * cd < cn * den < hi * cd:
                     cn, cd = _simplest_rational(lo, den, hi, den)
-                    if (cn, cd) not in matched_a:
-                        # admissible when |f(a) - b| <= bound |p(a)|
-                        pn, pd = _root_product(cn, cd, root_pairs)
-                        if poly.within(cn, cd, b, xp * abs(pn), xq * abs(pn), xd * pd, bw):
-                            a = Fraction(cn, cd)
-                            break
+                    # admissible when |f(a) - b| <= bound |p(a)|
+                    pn, pd = _root_product(cn, cd, pairs)
+                    if poly.within(cn, cd, b, mul_parts(bound, (abs(pn), 0, pd)), bw):
+                        a = Fraction(cn, cd)
+                        break
                 mid = lo + hi
                 den *= 2
                 scaled = mid << FIX_BITS
@@ -735,16 +635,14 @@ def build_franklin(n_steps: int) -> FranklinMap:
             direction = "backward"
 
         c_abs = abs(c)
-        if sign_of_parts(c_abs.p * xd - xp * c_abs.d, c_abs.q * xd - xq * c_abs.d) > 0:
+        if cmp_parts(c_abs, bound) > 0:
             raise ConstructionError(f"step {n}: correction exceeds its bound")
         fm = fm.extended(MatchStep(n, a, q, b, c, tuple(roots), direction), basis)
         budget = _spent(budget, c_abs, deg, fm._poly.d)
-        if sign_of_parts(budget[0], budget[1]) <= 0:
+        if cmp_parts(budget, ZERO) <= 0:
             raise ConstructionError(f"step {n}: derivative budget exhausted")
         roots.append(a)
-        root_pairs.append((a.numerator, a.denominator))
         basis = _times_root(basis, a)
-        matched_a.add(root_pairs[-1])
         matched_q.add(q)
         bisect.insort(points, (a, b), key=itemgetter(0))
 

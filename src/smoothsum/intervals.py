@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numbers import QSqrt2
+from .numbers import QSqrt2, common_denominator
 
 
 @dataclass(frozen=True)
@@ -69,32 +69,31 @@ def _hull_product(p: tuple, q: tuple) -> tuple:
     return min(products), max(products)
 
 
-def poly_product_derivative(roots: Sequence[QSqrt2], iv: Interval) -> Interval:
+def poly_product_derivative(roots: Sequence, iv: Interval) -> Interval:
     """Interval enclosure of d/dt prod (t - a_k): sum over k of the
     product with the k-th factor removed.
 
     Each leave-one-out product is a prefix product times a suffix
     product.  Exact interval multiplication is associative and commutes
     with scaling by positive numbers, so this is the same interval as
-    multiplying the other factors in order.  When the box and the roots
-    are rational, as under ``certify_positive``'s rational bisection, the
-    box is put over one denominator B and each factor t - n/m over
-    its own scale m B, as the integer interval m t - n; the product
-    without factor k, weighted by m_k, is then over the one scale
-    prod m * B^(K-1), and the sum is reduced once.  An irrational box or
-    root keeps the arithmetic in Q(sqrt2).
+    multiplying the other factors in order.  When the box is rational and
+    the roots are Fractions, as under ``certify_positive``'s rational
+    bisection of a matching map, the box is put over one denominator B
+    and each factor t - n/m over its own scale m B, as the integer
+    interval m t - n; the product without factor k, weighted by m_k, is
+    then over the one scale prod m * B^(K-1), and the sum is reduced
+    once.  Otherwise the arithmetic stays in Q(sqrt2).
     """
-    points = [QSqrt2.coerce(x) for x in (iv.lo, iv.hi, *roots)]
-    lo, hi, *rs = points
-    if not all(x.is_rational for x in points):
+    lo, hi = iv.lo, iv.hi
+    if not (lo.is_rational and hi.is_rational and all(type(r) is Fraction for r in roots)):
+        rs = [QSqrt2.coerce(r) for r in roots]
         return Interval(*_leave_one_out_sum([(lo - a, hi - a) for a in rs], [1] * len(rs)))
-    box_d = math.lcm(lo.d, hi.d)
-    lo_n, hi_n = lo.p * (box_d // lo.d), hi.p * (box_d // hi.d)
-    weights = [r.d for r in rs]
+    box_d, ((lo_n, _), (hi_n, _)) = common_denominator((lo, hi))
+    weights = [r.denominator for r in roots]
     out_lo, out_hi = _leave_one_out_sum(
-        [(r.d * lo_n - r.p * box_d, r.d * hi_n - r.p * box_d) for r in rs], weights
+        [(m * lo_n - r.numerator * box_d, m * hi_n - r.numerator * box_d) for r, m in zip(roots, weights)], weights
     )
-    scale = math.prod(weights) * box_d ** max(len(rs) - 1, 0)
+    scale = math.prod(weights) * box_d ** max(len(roots) - 1, 0)
     return Interval(QSqrt2.from_ints(out_lo, 0, scale), QSqrt2.from_ints(out_hi, 0, scale))
 
 

@@ -2,7 +2,8 @@
 
 Nothing on a certificate path ever goes through floating point: every
 certified value is an element of Q(sqrt2) held exactly as an integer
-triple (p, q, d) standing for (p + q*sqrt2)/d.  A :class:`TaggedReal`
+triple (p, q, d) standing for (p + q*sqrt2)/d, and this module alone
+computes on that form, reduced or not.  A :class:`TaggedReal`
 carries, in addition to its value, a rationality tag (Rational /
 Irrational / Unknown) that makes the indicator of the irrationals
 evaluable wherever the tag is decided.  Tag propagation is sound but
@@ -17,6 +18,7 @@ import sys
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
@@ -168,13 +170,7 @@ class QSqrt2:
         return QSqrt2.coerce(other) - self
 
     def __mul__(self, other):
-        o = other if type(other) is QSqrt2 else QSqrt2.coerce(other)
-        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
-        if q2 == 0:
-            return _reduced(p1 * p2, q1 * p2, self.d * o.d)
-        if q1 == 0:
-            return _reduced(p1 * p2, p1 * q2, self.d * o.d)
-        return _reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self.d * o.d)
+        return _reduced(*mul_parts(self, other if type(other) is QSqrt2 else QSqrt2.coerce(other)))
 
     __rmul__ = __mul__
 
@@ -217,9 +213,7 @@ class QSqrt2:
 
     def _cmp(self, other) -> int:
         """Sign of self - other, from the cross-multiplied triples."""
-        o = other if type(other) is QSqrt2 else QSqrt2.coerce(other)
-        d1, d2 = self.d, o.d
-        return sign_of_parts(self.p * d2 - o.p * d1, self.q * d2 - o.q * d1)
+        return cmp_parts(self, other if type(other) is QSqrt2 else QSqrt2.coerce(other))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -380,11 +374,13 @@ def parse_qsqrt2(text: str) -> QSqrt2:
     return QSqrt2(a, b)
 
 
-def floor_qsqrt2(v: QSqrt2, k: int = 0) -> int:
-    """Exact floor of v * 2^k for an element v of Q(sqrt2) and k >= 0, in
-    integer arithmetic: the parts are shifted, and nothing is reduced."""
-    v = QSqrt2.coerce(v)
-    return floor_parts(v.p << k, v.q << k, v.d)
+def floor_qsqrt2(v, k: int = 0) -> int:
+    """Exact floor of v * 2^k for an element v of Q(sqrt2), given as a
+    number or as parts, and k >= 0, in integer arithmetic: the parts are
+    shifted, and nothing is reduced."""
+    v = v if type(v) in (tuple, QSqrt2) else QSqrt2.coerce(v)
+    p, q, d = v if type(v) is tuple else (v.p, v.q, v.d)
+    return floor_parts(p << k, q << k, d)
 
 
 # floor_parts keeps this many bits of d above the bits of q it drops, so
@@ -432,6 +428,112 @@ def _floor_exact(p: int, q: int, d: int) -> int:
     root = math.isqrt(2 * q * q)  # floor(|q| sqrt2)
     f = root if q >= 0 else -root - 1
     return (p + f) // d
+
+
+# -- values as parts: a QSqrt2, or a tuple (p, q, d) of integers with
+# d > 0 standing for (p + q*sqrt2)/d, in lowest terms or not, for a
+# caller that reduces once at the end.  Only what returns a QSqrt2
+# reduces.
+
+
+def cmp_parts(x, y) -> int:
+    """The sign of x - y, from the cross-multiplied parts."""
+    p1, q1, d1 = x if type(x) is tuple else (x.p, x.q, x.d)
+    p2, q2, d2 = y if type(y) is tuple else (y.p, y.q, y.d)
+    return sign_of_parts(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1)
+
+
+def sub_parts(x, y, d: Optional[int] = None) -> tuple:
+    """x - y as parts over d, a common multiple of the denominators of x
+    and y, by default their product."""
+    p1, q1, d1 = x if type(x) is tuple else (x.p, x.q, x.d)
+    p2, q2, d2 = y if type(y) is tuple else (y.p, y.q, y.d)
+    if d is None:
+        return p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2
+    k1, k2 = d // d1, d // d2
+    return p1 * k1 - p2 * k2, q1 * k1 - q2 * k2, d
+
+
+def mul_parts(x, y) -> tuple:
+    """x * y as parts over the product of the denominators."""
+    p1, q1, d1 = x if type(x) is tuple else (x.p, x.q, x.d)
+    p2, q2, d2 = y if type(y) is tuple else (y.p, y.q, y.d)
+    if not q2:
+        return p1 * p2, q1 * p2, d1 * d2
+    if not q1:
+        return p1 * p2, p1 * q2, d1 * d2
+    return p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2
+
+
+def common_denominator(values) -> tuple:
+    """(D, [(p_1, q_1), ...]) with values[i] = (p_i + q_i sqrt2) / D for
+    QSqrt2 values, D the lcm of their denominators."""
+    den = math.lcm(*[v.d for v in values])
+    return den, [(v.p * (den // v.d), v.q * (den // v.d)) for v in values]
+
+
+def dot_exact(xs: tuple, ys: tuple) -> QSqrt2:
+    """sum x_i y_i for two lists of values, each put over one denominator
+    by ``common_denominator`` (once, by a caller that reuses it), reduced
+    once."""
+    (dx, xs), (dy, ys) = xs, ys
+    p = q = 0
+    for (xp, xq), (yp, yq) in zip(xs, ys):
+        p += xp * yp + 2 * xq * yq
+        q += xp * yq + xq * yp
+    return _reduced(p, q, dx * dy)
+
+
+@dataclass(frozen=True)
+class QSqrt2Poly:
+    """(sum p[i] t^i + sqrt2 * sum q[i] t^i) / d with integer coefficient
+    vectors of equal length, lowest degree first, and d > 0, not reduced:
+    ``plus`` puts a new term over the lcm of the denominators, and only
+    what returns a QSqrt2 reduces."""
+
+    p: tuple
+    q: tuple
+    d: int
+
+    def plus(self, c: QSqrt2, basis: tuple) -> "QSqrt2Poly":
+        """This polynomial plus c * B(t) / M for integer coefficients B,
+        lowest degree first, and M > 0, given as basis = (B, M)."""
+        prod, scale = basis
+        # c * B / M = (c.p + c.q sqrt2) * B / (c.d * M), put over the
+        # common denominator d
+        d = math.lcm(self.d, scale * c.d)
+        us, ue = d // self.d, d // (scale * c.d)
+        ka, kb = c.p * ue, c.q * ue
+        p = tuple(x * us + ka * y for x, y in zip_longest(self.p, prod, fillvalue=0))
+        q = tuple(x * us + kb * y for x, y in zip_longest(self.q, prod, fillvalue=0))
+        return type(self)(p, q, d)
+
+    def horner(self, u: int, v: int) -> tuple:
+        """The value at u/v, v > 0, as parts (hp, hq, den), by homogenised
+        Horner in integers, not reduced."""
+        hp, hq = self.p[-1], self.q[-1]
+        vk = 1
+        for cp, cq in zip(reversed(self.p[:-1]), reversed(self.q[:-1])):
+            vk *= v
+            hp = hp * u + cp * vk
+            hq = hq * u + cq * vk
+        return hp, hq, self.d * vk
+
+    def at(self, t: QSqrt2) -> QSqrt2:
+        if t.is_rational:
+            return _reduced(*self.horner(t.p, t.d))
+        out = ZERO
+        for cp, cq in zip(reversed(self.p), reversed(self.q)):
+            out = out * t + QSqrt2(cp, cq)
+        return _reduced(out.p, out.q, out.d * self.d)
+
+    def floors(self, k: int) -> tuple:
+        """floor(2^k c_i) for each coefficient c_i, highest degree first."""
+        return tuple(floor_parts(cp << k, cq << k, self.d) for cp, cq in zip(self.p[::-1], self.q[::-1]))
+
+    def derivative(self) -> list:
+        """The coefficients of the derivative, lowest degree first, reduced."""
+        return [_reduced(i * cp, i * cq, self.d) for i, (cp, cq) in enumerate(zip(self.p, self.q)) if i]
 
 
 # ---------------------------------------------------------------------

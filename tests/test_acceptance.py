@@ -273,14 +273,18 @@ def test_criterion_8_tag_soundness_ten_thousand_dags():
 
 # SHA-256 of `smoothsum scenario <name> --json --n 8`.  A change that
 # alters a scenario report must update its digest here and say why.
+# lemma-2.2, nonsmooth-R3, gamma-pair, w-nondecomposable and sqrt-delta
+# changed when each report came to hold one copy of the dual and of the
+# isotropic subspace: `isotropic` and `characteristic` no longer repeat
+# them.
 SCENARIO_DIGESTS = {
-    "lemma-2.2": "f0943385e4b2d2d79c08c7872ed723586f066c18dda0f1cf8e493815cc6c78bf",
+    "lemma-2.2": "1c15f6db082fd0c1fcabcf4d5715c41b51beb60a6f8476db1590e493a92158c4",
     "thm-2.3": "a1dae40dea3f115029c3ac517f69c562bfa64eec0a5118b937d275fc884fdaa7",
     "cor-2.5": "2124a419928106d4b04d5b29790c28444591a83b85fac81444f6454a4608c345",
-    "nonsmooth-R3": "3ac6d5f692d55e9bf3215d2c462eca09725defb78f2fabb31c3ecb04a2ddc4b6",
-    "gamma-pair": "3c1cf4a1af88190bf0b3e8e6e096f3486773aed168ccc2328af152c79856d8f4",
-    "w-nondecomposable": "855e6c2499f72d313bc04edd826389c29bed9497c55b4264f66d7173b4c560b1",
-    "sqrt-delta": "102e3a151b3c357825d912fa2a2564c1ab54a76cefaebd47a925c1ef51e4e916",
+    "nonsmooth-R3": "d38224fc48cac8dd584ce68ec0c46d29ed2c5c83a6a8d3e015d53c4f1557e626",
+    "gamma-pair": "53a5dfcd7671d5132a193f7092f75ebdee4a6878a4ce63677b5e6fa6cd0633e1",
+    "w-nondecomposable": "07d738185cdf29c01347aecfd8adfac6c34374be8cfbac1195f3da8942e0be85",
+    "sqrt-delta": "7d21f8be5b94f307f023924883f2c66566bb421213f37e5b87b41fce6c24bd49",
     "ker-im-R3": "2ca4ced30f6b0a5dd973cfc83cba92d7dba761f0fa4824d785d8fbd127a01bbc",
 }
 
@@ -313,7 +317,9 @@ def test_criterion_9_scenario_determinism(name):
 # SHA-256 of the `--json` report of each command below with its
 # `timing_seconds` field (if any) removed, re-serialised as the CLI prints it.  A
 # change that alters a certificate report must update its digest here and
-# say why.
+# say why.  The seven `analyze` digests changed when the report came to
+# hold one copy of the dual and of the isotropic subspace: `isotropic`,
+# `characteristic` and the decomposability detail no longer repeat them.
 CERTIFICATE_DIGESTS = {
     ("franklin", "--n", "8"): "59193010b777042182f1d3da91c1cc64dca5d754d08e22c8ca2056537f514854",
     ("franklin", "--n", "16"): "2353cf06bf656038b9abf4cd75179d2bc3af181e46554027eea7b9d4d06ae2d2",
@@ -324,18 +330,18 @@ CERTIFICATE_DIGESTS = {
     ("scenario", "thm-2.3"): "4ea900dbb13aa60df50bf64efbc8a0eb916eaaff930e783d353487e1a67c6b72",
     ("scenario", "cor-2.5"): "44bd8e38e40be1793aad6e3af6ca11d52f8f69ea6a87a68ca3dd794ee990fcc4",
     ("check-sum", "V2-delta", "--w0", "1,0", "--w1", "0,1"): "a39706e1ca543da1d47b07afad4b0ea2c3aa6dcd6c268845371601d576b2ea9d",
-    ("analyze", "V2-delta"): "93b107392abc30fed929bce211e8eca12432baebe882c0622c5641fcf186645d",
+    ("analyze", "V2-delta"): "d96169815d1708f87e3bec8a854016b90053ce527074979e59cfa29d45476494",
     # the rest of the verdict-mix commands
-    ("analyze", "R3-abs"): "e3d8043df89924f17c4f481acdda8124da9d006bf846523192492dc43ef86129",
-    ("analyze", "gamma-pair"): "f7f0c4e78399b2c15a15a731a03a69b19205a3418208340af9e396ebeb745e7f",
-    ("analyze", "sqrt-delta"): "34cc1db956d313bc93e9bb34732b674d2856e95df7fa5ef5e4210e3e5e2f0334",
-    ("analyze", "W-nondecomposable", "--axiom", "A"): "e5d3b9de9028bf9229262238a0d4e84985cd0c83cab9e81ccf8e5b45bf9f97d3",
+    ("analyze", "R3-abs"): "963df512c610fc049ab93528e4d40aef2fd131f9f37067ab3aaf535018878816",
+    ("analyze", "gamma-pair"): "4b5ba6a9461115ddb96f361f8e9a421dd8c9b10f3944dbf13134d2282a63a3a7",
+    ("analyze", "sqrt-delta"): "2fea17890ff4e6c884328f93514d12142d760a804c2a5cfee31b9da84ab28683",
+    ("analyze", "W-nondecomposable", "--axiom", "A"): "863ac9603fd555437cd243f70d9fe5266e055f3afa932884c97ceb8a7d0e3ff1",
     ("check-sum", "gamma-pair", "--w0", "1,1", "--w1", "0,1", "--axiom", "A"): "98608f98398864cc847029094de48e7d03a5c4e3d071a47d2b397b9e068302da",
     ("check-sum", "R3-abs", "--w0", "1,0,0;0,1,0", "--w1", "0,0,1"): "d6872e0d4c1394c992c916a8c853222dd437e48c037d9cc3cd20b9294d8f7da5",
     # declaration files from DECLARATION_FILES: no dual equations at all,
     # and an irrational equation whose dual basis is rational
-    ("analyze", "smooth-gens.space"): "ff1d94b0d1516444d694c7d07e3ef8bf66df4ef239dacc6e59725f029ebf024a",
-    ("analyze", "sqrt2-abs.space"): "f54f6d9db63eac42cfe3c3506dff2d32a5d40e8c72d35137d3f32acc231db846",
+    ("analyze", "smooth-gens.space"): "617b2277a567f1fcdd97ccd0b2c226bfd498fc48e3573759bb7ba2af6ad4dfbb",
+    ("analyze", "sqrt2-abs.space"): "e70d6909cb95af97929f70365157df13f54ba5551b0967b646351e77087e08ab",
     # an irrational dual, (-sqrt2, 1): the standardness derivation of W0
     # prints the irrational smooth combination ['sqrt2']
     ("check-sum", "irr.space", "--w0", "1,0", "--w1", "0,1"): "e57755d36a1568e9bead06c3397ed0d8fc478cbe713afdc008c63728326bd648",

@@ -85,6 +85,38 @@ def test_input_errors_exit_2(capsys):
     assert _run(capsys, "verify-identity", "--grid", "martians:5", "--n", "8")[0] == 2
 
 
+@pytest.mark.parametrize("w0", [["--w0", "-1,0"], ["--w0=-1,0"], ["--w0", "-1/2,1"]])
+def test_check_sum_takes_a_negative_basis_either_way(capsys, w0):
+    # a value after a space that starts with '-' is the basis, not an option
+    code, out, err = _run(capsys, "check-sum", "V2-delta", *w0, "--w1", "-0,1", "--json", "--n", "8")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["inputs"]["w0"] == w0[-1].removeprefix("--w0=")
+    assert report["inputs"]["w1"] == "-0,1"
+    assert report["report"]["w0"]["dim"] == 1
+
+
+def test_check_sum_without_a_basis_value_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check-sum", "V2-delta", "--w0", "--w1", "0,1"])
+    assert info.value.code == 2
+    assert "argument --w0: expected one argument" in capsys.readouterr().err
+
+
+def test_successive_calls_share_no_axioms(capsys):
+    # the parser is built once; each call reads only its own --axiom list
+    def axioms(*flags):
+        code, out, err = _run(capsys, "analyze", "gamma-pair", *flags, "--json", "--n", "8")
+        assert code == 0, err
+        return json.loads(out)["report"]["space"]["axioms"]
+
+    assert axioms() == []
+    assert axioms("--axiom", "A") == ["A"]
+    assert axioms("--axiom", "sqrt-implication") == ["sqrt-implication"]
+    assert axioms("--axiom", "A", "--axiom", "sqrt-implication") == ["A", "sqrt-implication"]
+    assert axioms() == []
+
+
 def test_verify_identity_exit_codes(capsys, schema):
     code, out, _ = _run(
         capsys, "verify-identity", "--n", "8", "--grid", "zero,rationals:20,negatives:10", "--json"

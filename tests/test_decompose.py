@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from smoothsum import decompose, linalg
-from smoothsum.constraints import maximal_isotropic
+from smoothsum.constraints import characteristic_decomposition, maximal_isotropic
 from smoothsum.decompose import (
     certify_smooth_sum,
     check_algebraic_sum,
@@ -207,11 +207,13 @@ def test_decomposability_characteristic_split():
     rep = decomposability_report(sp)
     assert rep.status == "Decomposable"
     # Certified characteristic decompositions have the isotropic subspace
-    # as one summand: replay that property
+    # as one summand: replay that property.  The report holds the
+    # certification of that split, not a copy of the decomposition.
     iso = maximal_isotropic(sp).subspace
-    split = rep.detail.get("characteristic")
-    assert split is not None
-    assert split["isotropic"]["basis"] == [[str(x) for x in r] for r in iso.basis]
+    split = characteristic_decomposition(sp)
+    assert "characteristic" not in rep.detail
+    assert rep.detail["certification"] == certify_smooth_sum(sp, split.complement, split.isotropic).to_dict()
+    assert split.isotropic.basis == iso.basis
 
 
 def test_decomposability_w_space():

@@ -315,18 +315,18 @@ def test_within_is_the_exact_comparison(fm24):
         gap = abs(fm24.eval_exact(t) - b)
         for x in (gap, gap + tiny, gap - tiny, gap * 2, gap / 2, QSqrt2()):
             if x.sign() >= 0:
-                assert poly.within(t.numerator, t.denominator, b, x.p, x.q, x.d) == (gap <= x)
+                assert poly.within(t.numerator, t.denominator, b, x) == (gap <= x)
 
 
 def _count_horner(monkeypatch) -> list:
     calls = []
-    exact = _CollapsedPoly._horner
+    exact = _CollapsedPoly.horner
 
     def counted(self, u, v):
         calls.append((u, v))
         return exact(self, u, v)
 
-    monkeypatch.setattr(_CollapsedPoly, "_horner", counted)
+    monkeypatch.setattr(_CollapsedPoly, "horner", counted)
     return calls
 
 
@@ -336,11 +336,11 @@ def test_enclosure_falls_back_to_exact_horner(fm16, monkeypatch):
     s = fm16.steps[3]
     # far from a tie the enclosure decides alone
     assert poly.sign_minus(s.a.numerator, s.a.denominator, s.b + Fraction(1, 2**40)) == -1
-    assert poly.within(s.a.numerator, s.a.denominator, s.b, 1, 0, 2**40)
+    assert poly.within(s.a.numerator, s.a.denominator, s.b, (1, 0, 2**40))
     assert calls == []
     # an exact tie: f(a) - b = 0 lies inside every enclosure
     assert poly.sign_minus(s.a.numerator, s.a.denominator, s.b) == 0
-    assert not poly.within(s.a.numerator, s.a.denominator, s.b + Fraction(1, 2**400), 0, 0, 1)
+    assert not poly.within(s.a.numerator, s.a.denominator, s.b + Fraction(1, 2**400), QSqrt2())
     assert len(calls) == 2
     # t = 3/2 and -1/2 lie outside [0, 1], where the enclosure's error
     # bound fails
@@ -348,7 +348,7 @@ def test_enclosure_falls_back_to_exact_horner(fm16, monkeypatch):
     gap_at = abs(fm16.eval_exact(Fraction(-1, 2)))
     del calls[:]
     assert poly.sign_minus(3, 2, QSqrt2.coerce(1)) == sign_at
-    assert poly.within(-1, 2, QSqrt2(), gap_at.p, gap_at.q, gap_at.d)
+    assert poly.within(-1, 2, QSqrt2(), gap_at)
     assert calls == [(3, 2), (-1, 2)]
 
 
@@ -783,7 +783,7 @@ def test_w_end_is_w_of_the_clipped_end(p, q, d, clip, side):
     clip = QSqrt2.coerce(clip)
     t = QSqrt2.from_ints(p, q, d)
     end = (max if side < 0 else min)(t, clip)
-    got = franklin_module._w_end(p, q, d, clip, side)
+    got = franklin_module._w_end((p, q, d), clip, side)
     assert _is_canonical(got) and got == w_value(end)
 
 

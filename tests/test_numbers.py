@@ -19,15 +19,21 @@ from smoothsum.numbers import (
     ZERO,
     DomainError,
     QSqrt2,
+    QSqrt2Poly,
     Tag,
     TaggedReal,
     add_tagged,
+    cmp_parts,
     combination_exact,
+    common_denominator,
+    dot_exact,
     dot_is_zero,
     exp_tagged,
     floor_parts,
     floor_qsqrt2,
+    mul_parts,
     mul_tagged,
+    sub_parts,
     parse_qsqrt2,
     sqrt_tagged,
     transcendence_axiom_lookup,
@@ -656,3 +662,100 @@ def test_value_is_immutable_and_copies():
     w = QSqrt2(Fraction(-1, 6), Fraction(3, 4))
     assert copy.deepcopy(w) == w
     assert pickle.loads(pickle.dumps(w)) == w
+
+
+# -- arithmetic on parts, against the pair model ------------------------
+# Parts (p, q, d) in lowest terms or not: zero parts, parts of opposite
+# sign, and a common factor that changes no value.
+
+_part_ints = st.one_of(
+    st.just(0), st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=-(2**200), max_value=2**200),
+)
+
+
+@st.composite
+def _unreduced(draw):
+    k = draw(st.integers(min_value=1, max_value=10**4))
+    d = draw(st.integers(min_value=1, max_value=10**12))
+    return draw(_part_ints) * k, draw(_part_ints) * k, d * k
+
+
+def _triple(x) -> tuple:
+    return x if type(x) is tuple else (x.p, x.q, x.d)
+
+
+def _parts_model(x) -> tuple:
+    p, q, d = _triple(x)
+    return Fraction(p, d), Fraction(q, d)
+
+
+# a value as parts, or as the QSqrt2 they reduce to
+_qsqrt2_values = _unreduced().map(lambda t: QSqrt2.from_ints(*t))
+_values = st.one_of(_unreduced(), _qsqrt2_values)
+
+
+@given(_values, _values)
+def test_cmp_sub_and_mul_parts_match_the_pair_model(x, y):
+    mx, my = _parts_model(x), _parts_model(y)
+    assert cmp_parts(x, y) == _pair_sign(*_ref_sub(mx, my))
+    assert cmp_parts(x, x) == 0
+    for out, want in ((sub_parts(x, y), _ref_sub(mx, my)), (mul_parts(x, y), _ref_mul(mx, my))):
+        assert out[2] == _triple(x)[2] * _triple(y)[2]
+        assert _parts_model(out) == want
+
+
+@given(_values, _values, st.integers(min_value=1, max_value=10**6))
+def test_sub_parts_over_a_given_denominator(x, y, m):
+    d = math.lcm(_triple(x)[2], _triple(y)[2]) * m
+    out = sub_parts(x, y, d)
+    assert out[2] == d
+    assert _parts_model(out) == _ref_sub(_parts_model(x), _parts_model(y))
+
+
+@given(st.lists(_qsqrt2_values, max_size=6), st.lists(_qsqrt2_values, max_size=6))
+def test_common_denominator_and_dot_match_the_pair_model(xs, ys):
+    den, parts = common_denominator(xs)
+    assert den == math.lcm(*(v.d for v in xs))
+    assert [(Fraction(p, den), Fraction(q, den)) for p, q in parts] == [_parts_model(v) for v in xs]
+    want = (Fraction(0), Fraction(0))
+    for x, y in zip(xs, ys):
+        want = _ref_add(want, _ref_mul(_parts_model(x), _parts_model(y)))
+    assert _model(dot_exact((den, parts), common_denominator(ys))) == want
+
+
+@given(_values, st.integers(min_value=0, max_value=400))
+def test_floor_of_parts_is_the_floor_of_their_value(x, k):
+    assert floor_qsqrt2(x, k) == floor_qsqrt2(QSqrt2(*_parts_model(x)), k)
+
+
+@given(
+    st.lists(st.tuples(_unreduced().map(lambda t: QSqrt2.from_ints(*t)),
+                       st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=4),
+                       st.integers(min_value=1, max_value=60)), max_size=4),
+    st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=60),
+)
+def test_poly_plus_horner_at_and_floors_match_the_pair_model(terms, u, v):
+    # t + sum c * B(t) / M, with the value at u/v, and at sqrt2 u/v,
+    # summed term by term as pairs
+    poly = QSqrt2Poly((0, 1), (0, 0), 1)
+    for c, vec, scale in terms:
+        poly = poly.plus(c, (tuple(vec), scale))
+
+    def value(t):  # t a pair
+        out = t
+        for c, vec, scale in terms:
+            b, power = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+            for x in vec:
+                b = _ref_add(b, (x * power[0], x * power[1]))
+                power = _ref_mul(power, t)
+            out = _ref_add(out, _ref_mul(_model(c), (b[0] / scale, b[1] / scale)))
+        return out
+
+    t = Fraction(u, v)
+    assert _parts_model(poly.horner(u, v)) == value((t, Fraction(0)))
+    assert _model(poly.at(QSqrt2(t))) == value((t, Fraction(0)))
+    assert _model(poly.at(QSqrt2(0, t))) == value((Fraction(0), t))
+    coefs = [(Fraction(p, poly.d), Fraction(q, poly.d)) for p, q in zip(poly.p, poly.q)]
+    assert list(poly.floors(7)) == [_ref_floor((a * 128, b * 128)) for a, b in reversed(coefs)]
+    assert [_model(c) for c in poly.derivative()] == [(i * a, i * b) for i, (a, b) in enumerate(coefs)][1:]

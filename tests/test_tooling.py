@@ -10,10 +10,10 @@ The fourth keeps the linear-algebra layer on one scalar, ``QSqrt2``:
 ``Fraction`` stays in parsing, the matching construction and ``numbers``.
 The fifth keeps every import of the package at module level, where it
 runs once, not at each call of a function.  The sixth keeps the
-integer arithmetic of ``QSqrt2`` triples out of ``expr``'s plans, in
-``numbers``.  The seventh installs the tracer on a fresh import of the
-package and finds no reference to an unwrapped original, which would
-fail the traced run.  The last two run the traced ``franklin-build``
+integer arithmetic of ``QSqrt2`` triples in ``numbers``, out of every
+other module of the package.  The seventh installs the tracer on a
+fresh import of the package and finds no reference to an unwrapped
+original, which would fail the traced run.  The last two run the traced ``franklin-build``
 and ``verdict-mix`` benchmark passes, which fail when a command's report
 is wrong or a function they predict to be called
 (``intervals.poly_product_derivative``, say) no longer is.
@@ -223,7 +223,12 @@ def _triple_field_arithmetic(path: Path) -> list:
 
 
 def test_plans_do_no_arithmetic_on_triple_fields():
-    assert _triple_field_arithmetic(ROOT / "src" / "smoothsum" / "expr.py") == []
+    # expr's plans, the matching construction and every other module
+    # leave the (p, q, d) form to numbers
+    modules = [path for path in sorted((ROOT / "src" / "smoothsum").glob("*.py")) if path.name != "numbers.py"]
+    assert len(modules) >= 10
+    found = {path.name: _triple_field_arithmetic(path) for path in modules}
+    assert found == {path.name: [] for path in modules}
 
 
 def test_triple_field_arithmetic_check_sees_what_it_should(tmp_path):
