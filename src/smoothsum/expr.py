@@ -45,6 +45,7 @@ from .numbers import (
     ZERO,
     add_tagged,
     combination_exact,
+    exp_of_nonzero_rational,
     exp_tagged,
     mul_tagged,
     parse_qsqrt2,
@@ -604,16 +605,26 @@ def _h1_float(fx: Optional[float]) -> Optional[float]:
 
 
 def _h1_tagged(x: TaggedReal, approx: bool = True) -> TaggedReal:
-    """H1(x) = exp(-1/x^2) for x > 0, and 0 for x <= 0.  With ``approx``
-    false an inexact result carries no float; its tag is the same."""
+    """H1(x) = exp(-1/x^2) for x > 0, and 0 for x <= 0.
+
+    With ``approx`` false an inexact result carries no float; its tag and
+    transcendental flag are the same.  At an exact x = (p + q sqrt2)/d > 0
+    that path forms no number: x^2 = (p^2 + 2q^2 + 2pq sqrt2)/d^2 is
+    rational iff pq = 0, and then -1/x^2 is a nonzero rational, whose exp
+    the axiom table tags (``numbers.exp_of_nonzero_rational``).  An
+    irrational x^2 leaves the tag Unknown on both paths.
+    """
     s = x.sign()
     if s is not None and s <= 0:
         return _ZERO_T
     if s is not None:  # exact positive
-        sq = x.value * x.value
+        v = x.value
+        if not approx:
+            return exp_of_nonzero_rational() if v.p == 0 or v.q == 0 else TaggedReal.opaque()
+        sq = v * v
         if sq.is_rational:
-            return exp_tagged(TaggedReal.exact(-sq.inverse()), approx)
-        return TaggedReal(_h1_float(x.float_value()) if approx else None, Tag.UNKNOWN)
+            return exp_tagged(TaggedReal.exact(-sq.inverse()))
+        return TaggedReal(_h1_float(x.float_value()), Tag.UNKNOWN)
     if x.value is None or not approx:
         return TaggedReal.opaque()
     fx = x.value
@@ -640,7 +651,7 @@ def _bar_gamma_tagged(x: TaggedReal, ref, approx: bool = True) -> TaggedReal:
         # transcendental number to a transcendental number, and the affine
         # map w preserves that.
         return TaggedReal.certified_transcendental(value)
-    return TaggedReal(value, Tag.UNKNOWN)
+    return TaggedReal.opaque() if value is None else TaggedReal(value, Tag.UNKNOWN)
 
 
 def _children(e: Expr) -> tuple:
@@ -885,12 +896,15 @@ class Plan:
     that reads floats.  deltaQ reads only its argument's tag.  An H1, exp
     or barGamma node whose own float no reader needs is compiled without
     it, and then reads only its argument's exact value, tag and
-    transcendental flag.  Such a step gives the full step's exact value,
-    tag and transcendental flag, with value None where the full step has
-    a float.  Over a candidate set it may merge candidates that differed
-    only in their floats, but such a node is never a root, its readers
-    read only what it keeps, and a map never grows a set, so nothing
-    collapses to opaque.  None of the three decides a tag from a float,
+    transcendental flag.  Such a step does only the work its tag needs:
+    at an exact x > 0, H1 reads the tag of exp(-1/x^2) off x's parts and
+    the axiom table, and forms neither x^2 nor -1/x^2; an exp or barGamma
+    result without a float is one shared value.  It gives the full step's
+    exact value, tag and transcendental flag, with value None where the
+    full step has a float.  Over a candidate set it may merge candidates
+    that differed only in their floats, but such a node is never a root,
+    its readers read only what it keeps, and a map never grows a set, so
+    nothing collapses to opaque.  None of the three decides a tag from a float,
     and a float that cannot be formed is None in both steps, so both
     raise the same errors and every root's outcome is unchanged.
 

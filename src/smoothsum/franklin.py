@@ -747,9 +747,9 @@ def abs_identity_expr(link: RationalityLink) -> Expr:
 
 # The most points a grid may have; a larger spec exits 2.  At the bound,
 # `verify-identity --n 32 --grid zero,rationals:90000,negatives:9000,quadratic:999`
-# takes 2.4-2.9 s wall (interpreter start-up included, 3 runs) on a
-# 2-vCPU VM, Python 3.11; 3.1-3.5 s in the same runs before a sum's scaled
-# products were evaluated inside its step.
+# takes 1.47 s wall, best of 3 (1.47-1.72 s; interpreter start-up
+# included), on a 2-vCPU VM, Python 3.11; 2.03 s best of 3 in the same
+# runs before H1 decided its tag from x's parts under deltaQ.
 MAX_GRID_POINTS = 100_000
 
 
@@ -758,7 +758,7 @@ def parse_grid(spec: str) -> list:
     exact sample points, from one fixed seed, so a spec always gives the
     same points.  A family given without a count has 10 points; ``zero`` is
     the one point 0 and takes no count."""
-    rng = random.Random(0)
+    bits = random.Random(0).getrandbits
     pts: list = []
     total = 0
     for part in spec.split(","):
@@ -786,22 +786,36 @@ def parse_grid(spec: str) -> list:
         total += count
         if total > MAX_GRID_POINTS:
             raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-        # each point is built from its integers; arguments are drawn left
-        # to right, the numerator first
-        ints = rng.randint
-        if name == "rationals":
-            for _ in range(count):
-                pts.append(QSqrt2.from_ints(ints(1, 1000), 0, ints(1, 1000)))
-        elif name == "negatives":
-            for _ in range(count):
-                pts.append(QSqrt2.from_ints(-ints(1, 1000), 0, ints(1, 1000)))
-        elif name == "quadratic":
-            for _ in range(count):
-                # sqrt2-multiples: x = m*sqrt2/k has rational square
-                pts.append(QSqrt2.from_ints(0, ints(1, 30), ints(1, 30)))
-        else:
+        if name == "zero":
             pts.append(QSqrt2.coerce(0))
+            continue
+        # each point is built from two integers m, k, drawn in that order
+        ints = _draws(bits, 30 if name == "quadratic" else 1000, 2 * count)
+        pairs = zip(ints[::2], ints[1::2])
+        if name == "rationals":
+            pts.extend(QSqrt2.from_ints(m, 0, k) for m, k in pairs)
+        elif name == "negatives":
+            pts.extend(QSqrt2.from_ints(-m, 0, k) for m, k in pairs)
+        else:
+            # sqrt2-multiples: x = m*sqrt2/k has rational square
+            pts.extend(QSqrt2.from_ints(0, m, k) for m, k in pairs)
     return pts
+
+
+def _draws(bits, n: int, count: int) -> list:
+    """``count`` integers drawn uniformly from 1..n with the random-bit
+    source ``bits``: k = bitlen(n) bits, drawn again while they reach n.
+    This is how ``random.Random.randint(1, n)`` draws on Python 3.11, so
+    the points are that method's, and they do not depend on how another
+    Python version implements ``randrange``."""
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(r + 1)
+    return out
 
 
 # The grid `verify-identity` and scenario thm-2.3 replay the identity on:

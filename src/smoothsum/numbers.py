@@ -595,7 +595,10 @@ class TaggedReal:
 
     @classmethod
     def certified_transcendental(cls, approx: Optional[float]) -> "TaggedReal":
-        # Irrational and transcendental, so there is nothing to validate
+        # Irrational and transcendental, so there is nothing to validate;
+        # without a float it is one shared value
+        if approx is None:
+            return _TRANSCENDENTAL_T
         t = _new(cls)
         _SET_VALUE(t, approx)
         _SET_TAG(t, _IRRATIONAL)
@@ -608,7 +611,7 @@ class TaggedReal:
 
     @classmethod
     def opaque(cls) -> "TaggedReal":
-        return cls(None, Tag.UNKNOWN)
+        return _OPAQUE_T
 
     @property
     def is_exact(self) -> bool:
@@ -640,6 +643,10 @@ _SET_TAG = TaggedReal.tag.__set__
 _SET_TRANSCENDENTAL = TaggedReal.transcendental.__set__
 _RATIONAL = Tag.RATIONAL
 _IRRATIONAL = Tag.IRRATIONAL
+# A TaggedReal is immutable, so the values without a float that tag-only
+# callers get most often are shared
+_OPAQUE_T = TaggedReal(None, Tag.UNKNOWN)
+_TRANSCENDENTAL_T = TaggedReal(None, Tag.IRRATIONAL, transcendental=True)
 
 
 def _approx_value(x: TaggedReal, y: TaggedReal, op) -> Optional[float]:
@@ -767,19 +774,36 @@ AXIOM_TABLE = [
 _TAG_BY_VALUE = {t.value: t for t in Tag}
 
 
-def transcendence_axiom_lookup(form: str, arg: TaggedReal) -> Tag:
-    """Look up the rationality tag of `form(arg)` in the axiom table.
+def axiom_tag(form: str, argument: str) -> Tag:
+    """The tag that the axiom table's row for `form` of an argument of
+    kind ``argument`` ("zero", "nonzero rational") gives; Unknown when no
+    row covers it.
 
-    Returns Unknown for every shape the table does not cover.  The table
-    is read on every call, so it is the rule that runs.
+    This is the one place that reads the table, and it reads it on every
+    call, so the table is the rule that runs.
     """
-    if not (arg.is_exact and arg.value.is_rational):
-        return Tag.UNKNOWN
-    argument = "zero" if arg.value.is_zero else "nonzero rational"
     for row in AXIOM_TABLE:
         if row["form"] == form and row["argument"] == argument:
             return _TAG_BY_VALUE[row["tag"]]
     return Tag.UNKNOWN
+
+
+def transcendence_axiom_lookup(form: str, arg: TaggedReal) -> Tag:
+    """Look up the rationality tag of `form(arg)` in the axiom table.
+
+    Returns Unknown for every shape the table does not cover.
+    """
+    if not (arg.is_exact and arg.value.is_rational):
+        return Tag.UNKNOWN
+    return axiom_tag(form, "zero" if arg.value.is_zero else "nonzero rational")
+
+
+def _exp_result(tag: Tag, value: Optional[float]) -> TaggedReal:
+    """exp of an argument that is not an exact 0, with the table's tag
+    for it and its float (or None)."""
+    if tag is Tag.IRRATIONAL:
+        return TaggedReal.certified_transcendental(value)
+    return _OPAQUE_T if value is None else TaggedReal(value, Tag.UNKNOWN)
 
 
 def exp_tagged(x: TaggedReal, approx: bool = True) -> TaggedReal:
@@ -789,7 +813,6 @@ def exp_tagged(x: TaggedReal, approx: bool = True) -> TaggedReal:
     result carries no float (value None), for a caller that reads only
     the tag; a float past the float range is None too.
     """
-    tag = transcendence_axiom_lookup("exp", x)
     if x.is_exact and x.value.is_zero:
         return TaggedReal.exact(1)
     value = x.float_value() if approx else None
@@ -798,6 +821,11 @@ def exp_tagged(x: TaggedReal, approx: bool = True) -> TaggedReal:
             value = math.exp(value)
         except OverflowError:
             value = None
-    if tag is Tag.IRRATIONAL:
-        return TaggedReal.certified_transcendental(value)
-    return TaggedReal(value, Tag.UNKNOWN)
+    return _exp_result(transcendence_axiom_lookup("exp", x), value)
+
+
+def exp_of_nonzero_rational() -> TaggedReal:
+    """exp(r) without its float, for a nonzero rational r that the caller
+    need not form: ``exp_tagged(r, approx=False)`` for every such r, with
+    the tag the axiom table gives the row (exp, nonzero rational)."""
+    return _exp_result(axiom_tag("exp", "nonzero rational"), None)

@@ -596,7 +596,10 @@ def test_plan_without_floats_under_deltaQ_matches_eval_candidates(exprs, x):
         TaggedReal.exact(Fraction(-2, 3)),
         TaggedReal.exact(Fraction(2, 3)),
         TaggedReal.exact(QSqrt2(0, Fraction(1, 3))),
+        TaggedReal.exact(QSqrt2(0, Fraction(7, 5))),
         TaggedReal.exact(QSqrt2(1, 1)),
+        TaggedReal.exact(10**400),  # past the float range
+        TaggedReal.exact(Fraction(1, 10**400)),  # its float square is 0.0
         TaggedReal.approx(0.5),
         TaggedReal.approx(-0.5, Tag.IRRATIONAL),
         TaggedReal(0.5, Tag.IRRATIONAL, transcendental=True),
@@ -608,6 +611,8 @@ def test_h1_and_barGamma_without_their_float(x, fm8):
         full, tag_only = fn(x), fn(x, approx=False)
         assert (tag_only.tag, tag_only.transcendental) == (full.tag, full.transcendental)
         assert tag_only == full if full.is_exact else tag_only.value is None
+        if tag_only.value is None:  # one shared value, not a fresh one per call
+            assert fn(x, approx=False) is tag_only
 
 
 def test_plan_computes_no_float_only_deltaQ_reads(fm8, monkeypatch):

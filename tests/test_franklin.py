@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -36,6 +37,7 @@ from smoothsum.franklin import (
     w_value,
 )
 from smoothsum.intervals import Interval, certify_positive, poly_product_derivative
+from smoothsum import expr as expr_module
 from smoothsum import franklin as franklin_module
 from smoothsum import numbers
 from smoothsum.numbers import FLOOR_GUARD_BITS, INV_SQRT2, SQRT2, QSqrt2, floor_qsqrt2, parse_qsqrt2
@@ -806,6 +808,48 @@ def test_build_franklin_reduces_only_what_leaves_a_step(monkeypatch):
     assert len(reduced) == 72
     assert summed == []
     assert len(floored) == 12
+
+
+def test_identity_replay_forms_no_square_in_h1(fm16, monkeypatch):
+    # H1 reads only a tag under deltaQ, so at each of the 1000 points
+    # x > 0 of IDENTITY_GRID it decides exp(-1/x^2) from x's parts,
+    # without x^2, its inverse or an exp call
+    link = RationalityLink(fm16)
+    calls = {"mul": 0, "inverse": 0, "exp_tagged": 0}
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    mul = counter("mul", QSqrt2.__mul__)
+    monkeypatch.setattr(QSqrt2, "__mul__", mul)
+    monkeypatch.setattr(QSqrt2, "__rmul__", mul)
+    monkeypatch.setattr(QSqrt2, "inverse", counter("inverse", QSqrt2.inverse))
+    exp = counter("exp_tagged", numbers.exp_tagged)
+    monkeypatch.setattr(numbers, "exp_tagged", exp)
+    monkeypatch.setattr(expr_module, "exp_tagged", exp)
+    result = verify_abs_identity(link, grid=IDENTITY_GRID)
+    assert result["ok"] and result["checked"] == 1101
+    assert calls["mul"] <= 8
+    assert calls["inverse"] == calls["exp_tagged"] == 0
+
+
+# sha256 of the points of each replay grid, one "p q d" line per point.
+# No report lists the points, so these digests are what catches a grid
+# whose points change.
+_GRID_SHA256 = {
+    IDENTITY_GRID: "f684fa1552b47be494ffae22ea0d279e8512788ed3d4c7b77dffe64f8eda32fb",
+    DEFAULT_GRID: "2be4cc051949a7de0c3a3631271a541e9cb4718904e9fd391e174ffe6688d814",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GRID_SHA256))
+def test_replay_grids_are_pinned(spec):
+    text = "\n".join(f"{x.p} {x.q} {x.d}" for x in parse_grid(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == _GRID_SHA256[spec]
 
 
 def test_rationality_link(fm8):

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothsum import numbers
-from smoothsum.expr import eval_tagged, parse_expr
+from smoothsum.expr import _h1_tagged, eval_tagged, parse_expr
+from smoothsum.franklin import RationalityLink, verify_abs_identity
 from smoothsum.numbers import (
     FLOOR_GUARD_BITS,
     ONE,
@@ -368,7 +369,7 @@ def test_exp_tagging():
     assert u.tag in (Tag.IRRATIONAL, Tag.UNKNOWN)
 
 
-def test_axiom_table_is_the_lookup(monkeypatch):
+def test_axiom_table_is_the_lookup(monkeypatch, fm8):
     third = TaggedReal.exact(Fraction(1, 3))
     assert transcendence_axiom_lookup("exp", TaggedReal.exact(0)) is Tag.RATIONAL
     assert transcendence_axiom_lookup("exp", third) is Tag.IRRATIONAL
@@ -378,6 +379,16 @@ def test_axiom_table_is_the_lookup(monkeypatch):
     monkeypatch.setattr(numbers, "AXIOM_TABLE", rows)
     assert transcendence_axiom_lookup("exp", third) == Tag.UNKNOWN
     assert not exp_tagged(third).transcendental
+    # H1's tag-only lane reads the same row: at 3/7 and at 2 sqrt2/3,
+    # -1/x^2 is a nonzero rational that it never forms
+    for x in (Fraction(3, 7), QSqrt2(0, Fraction(2, 3))):
+        h1 = _h1_tagged(TaggedReal.exact(x), approx=False)
+        assert (h1.tag, h1.transcendental) == (Tag.UNKNOWN, False)
+    # so the identity replay, which runs that lane, decides no point x > 0
+    result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:5,negatives:3,quadratic:2")
+    assert not result["ok"] and result["checked"] == 4
+    assert len(result["failures"]) == 7
+    assert all(f.startswith("indeterminate at ") for f in result["failures"])
 
 
 _HUGE = QSqrt2.from_ints(10**400, 0, 1)  # past the float range
