@@ -54,8 +54,8 @@ from .expr import (
     to_text,
     verify_nonsmooth_witness,
 )
-from .franklin import parse_grid
-from .numbers import ONE, ZERO, DomainError, QSqrt2, TaggedReal, common_denominator, dot_is_zero
+from .franklin import grid_blocks, parse_grid
+from .numbers import ONE, ZERO, DomainError, QSqrt2, common_denominator, dot_is_zero
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -128,13 +128,16 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
     parsed once, and one ``Plan`` over every component and target of the
     batch evaluates each grid point once, so the subtrees the witnesses
     share (H1(x), its barGamma, their deltaQ, |x|) run once per point.
+    The plan runs on blocks of ``GRID_BLOCK`` points; the checks then go
+    point by point, each over the witnesses still pending, in batch order.
     Returns one entry per witness: None when it replays, else the error
     its replay alone gives, at the first failing grid point and, there,
     the first failing component.  A witness that fails is not checked
     further; a domain error or an indeterminate value in one witness never
     stops the others.  An error other than ``DomainError`` is a fault in
-    the trees, not a replay verdict, and propagates.  An empty batch
-    parses no grid.
+    the trees, not a replay verdict, and propagates from the first point
+    and witness that meets it.  No block is evaluated once every witness
+    has failed, and an empty batch parses no grid.
     """
     if not witnesses:
         return []
@@ -149,22 +152,23 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
     plan = Plan(trees)
     results: list = [None] * len(checks)
     pending = range(len(checks))
-    for x in parse_grid(grid):
-        if not pending:
-            break
-        outcomes = plan.outcomes(TaggedReal.exact(x))
-        for i in pending:
-            results[i] = _check_point(x, outcomes, *checks[i])
-        pending = [i for i in pending if results[i] is None]
+    for block, tagged in grid_blocks(parse_grid(grid)):
+        columns = plan.columns(tagged)
+        for at, x in enumerate(block):
+            if not pending:
+                return results
+            for i in pending:
+                results[i] = _check_point(x, at, columns, *checks[i])
+            pending = [i for i in pending if results[i] is None]
     return results
 
 
-def _check_point(x: QSqrt2, outcomes: list, first: int, count: int, ann: list) -> Optional[str]:
-    """One witness at one grid point, from the plan's outcomes: the error
-    its replay reports there, or None."""
+def _check_point(x: QSqrt2, at: int, columns: list, first: int, count: int, ann: list) -> Optional[str]:
+    """One witness at grid point ``x``, index ``at`` of the plan's columns:
+    the error its replay reports there, or None."""
     vals = []
     for j in range(count):
-        lhs, rhs = outcomes[first + 2 * j], outcomes[first + 2 * j + 1]
+        lhs, rhs = columns[first + 2 * j][at], columns[first + 2 * j + 1][at]
         for side in (lhs, rhs):
             if isinstance(side, DomainError):
                 return f"domain error at {x}, component {j}: {side}"

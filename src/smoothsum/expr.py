@@ -10,18 +10,18 @@ printing and re-parsing is the identity on trees.
 
 Tagged evaluation has two drivers over one node semantics.
 ``eval_candidates`` recurses and suits one-off calls.  A ``Plan`` is
-compiled once from a list of trees and then called at many points: equal
-subtrees are shared, so each distinct subexpression is evaluated once
-per point, and subtrees without x are hoisted out and evaluated once per
-plan.  Each remaining node is compiled once into a step, with a function
-node's function resolved when the plan is built.  Sums, products and
-powers share one arithmetic step, a linear combination that
-``numbers.combination_exact`` computes over one denominator and reduces
-once when every value it reads is a single exact value; a product that
-only one sum reads is a term of that sum's step.  Any other value falls
-back to the shared node semantics.  A float is computed only where a
-reader needs it: under deltaQ, which reads only a tag, H1, exp and
-barGamma skip theirs.
+compiled once from a list of trees and then evaluated on blocks of
+points: equal subtrees are shared, so each distinct subexpression is
+evaluated once per point, and subtrees without x are hoisted out and
+evaluated once per plan.  Each remaining node is compiled once into a
+step that runs once per block, with a function node's function resolved
+when the plan is built.  Sums, products and powers share one arithmetic
+step, a linear combination that ``numbers.combination_column`` computes
+over one denominator and reduces once at each point where every value it
+reads is a single exact value; a product that only one sum reads is a
+term of that sum's step.  Any other value falls back to the shared node
+semantics.  A float is computed only where a reader needs it: under
+deltaQ, which reads only a tag, H1, exp and barGamma skip theirs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Optional, Sequence
 
 from .numbers import (
@@ -44,6 +44,7 @@ from .numbers import (
     TaggedReal,
     ZERO,
     add_tagged,
+    combination_column,
     combination_exact,
     exp_of_nonzero_rational,
     exp_tagged,
@@ -535,8 +536,8 @@ def to_text(e: Expr) -> str:
 # ``eval_candidates`` recurses over the tree and costs nothing to set up,
 # so one-off calls use it.  A ``Plan`` compiles a list of trees once, for
 # evaluation at many points: structurally equal subtrees become one node,
-# subtrees free of x are evaluated once per plan, and each call then
-# evaluates every remaining node once, children before parents.
+# subtrees free of x are evaluated once per plan, and each block of points
+# then runs every remaining node's step once, children before parents.
 
 _MAX_CANDIDATES = 4
 
@@ -754,21 +755,24 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
     return ("?", id(e))
 
 
-# A plan compiles each node it evaluates per point into a step: a
-# function of the plan's values by slot and of the point, which returns
-# the node's candidates.  An App step resolves its function once, when
-# the step is built.  An App step of a name in ``_TAG_ONLY`` whose float
-# no reader needs evaluates without its float: the same exact value, tag
-# and transcendental flag, and value None where the full step holds a
-# float.  Sum, Prod and Pow nodes share one arithmetic step: start plus
-# terms, each a coefficient times a product of slots (see ``Plan``); a
-# fused product has no root, so no outcome misses its slot.  When every
-# factor holds one exact value, ``numbers.combination_exact`` computes
-# the node over one denominator and reduces once.  Anything else (a
-# candidate set, an approximate or opaque value) falls back to
-# ``_apply``, on each fused product and then on the node, with the
-# children's values in their order: the recursive driver's work, so the
-# plan and ``eval_candidates`` keep one node semantics.  A fused
+# A plan compiles each node it evaluates per point into a step, run once
+# per block of points: a function of the plan's columns by slot (lists of
+# candidate tuples over the block) and of the block's points, which
+# returns the node's column, with None at each point where the node
+# raises and the exception in ``errors`` at that index.  An App step maps
+# its function, resolved when the step is built, down its argument's
+# column; one of a name in ``_TAG_ONLY`` whose float no reader needs
+# evaluates without its float: the same exact value, tag and
+# transcendental flag, and value None where the full step holds a float.
+# Sum, Prod and Pow nodes share one arithmetic step: start plus terms,
+# each a coefficient times a product of slots (see ``Plan``); a fused
+# product has no root, so no outcome misses its slot.
+# ``numbers.combination_column`` computes the node over one denominator
+# at each point where every factor holds one exact value.  At any other
+# point (a candidate set, an approximate or opaque value) the step falls
+# back to ``_apply``, on each fused product and then on the node, with
+# the children's values in their order: the recursive driver's work, so
+# the plan and ``eval_candidates`` keep one node semantics.  A fused
 # product's children stand in its place among the slots whose failure
 # the sum inherits, so the first error stays the recursive driver's.
 
@@ -778,30 +782,26 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
 _TAG_ONLY = ("H1", "exp", "barGamma")
 
 
-def _generic_step(e: Expr, kids: tuple):
-    return lambda values, x: _apply(e, [values[k] for k in kids], x)
-
-
-def _app_step(e: App, kids: tuple, floats: bool):
-    try:
-        fn = _app_fn(e, approx=floats)
-    except ExprError:
-        return _generic_step(e, kids)  # raises at each call, as _apply does
-    (arg,) = kids
-    return lambda values, x: _app_candidates(fn, values[arg])
-
-
-def _exact_values(values: list, slots: tuple):
-    """The single exact value of each slot in ``slots``, or None when some
-    slot holds anything else."""
-    out = []
-    for k in slots:
-        c = values[k]
-        v = c[0].value
-        if len(c) != 1 or type(v) is not QSqrt2:
-            return None
-        out.append(v)
+def _each(fn, items: Sequence, errors: dict) -> list:
+    """fn of each item, with None at each index where fn raises and that
+    exception in ``errors`` at the index."""
+    out: list = []
+    while len(out) < len(items):
+        try:
+            for item in islice(items, len(out), None):
+                out.append(fn(item))
+        except Exception as exc:  # whatever eval_candidates would raise at that point
+            errors[len(out)] = exc
+            out.append(None)
     return out
+
+
+def _generic_column(e: Expr, kids: tuple, cols, xs: Sequence, errors: dict) -> list:
+    return _each(lambda i: _apply(e, [cols[k][i] for k in kids], xs[i]), range(len(xs)), errors)
+
+
+def _app_column(fn, arg: int, cols, xs: Sequence, errors: dict) -> list:
+    return _each(partial(_app_candidates, fn), cols[arg], errors)
 
 
 def _split_consts(kids: tuple, nodes: list) -> tuple:
@@ -818,46 +818,49 @@ def _term(kids: tuple, nodes: list) -> tuple:
     return combination_exact([(ONE, consts)]), rest
 
 
-def _combination_step(e: Expr, kids: tuple, nodes: list, fused: set):
-    """The arithmetic step of a Sum, Prod or Pow node (see above)."""
-    start = ZERO
-    if isinstance(e, Sum):
-        consts, rest = _split_consts(kids, nodes)
-        start = combination_exact((c, ()) for c in consts)
-        terms = [_term(nodes[k][1], nodes) if k in fused else (ONE, (k,)) for k in rest]
-    elif isinstance(e, Prod):
-        terms = [_term(kids, nodes)]
-    else:
-        terms = [(ONE, kids * e.exponent)]
-    # per child, in order: its fused product and that product's children,
-    # or None and the child itself
-    parts = [(nodes[k][0], nodes[k][1]) if k in fused else (None, (k,)) for k in kids]
-
-    def run(values: list, x: TaggedReal) -> Candidates:
-        rows = []
-        for c, slots in terms:
-            vals = _exact_values(values, slots)
-            if vals is None:
-                kid_values = [
-                    values[read[0]] if term is None else _apply(term, [values[j] for j in read], x)
-                    for term, read in parts
-                ]
-                return _apply(e, kid_values, x)
-            rows.append((c, vals))
-        return (TaggedReal.exact(combination_exact(rows, start)),)
-
-    return run
+def _combination_column(e: Expr, start: QSqrt2, terms: list, parts: list, cols, xs: Sequence, errors: dict) -> list:
+    """The column of a Sum, Prod or Pow node (see above); ``parts`` holds,
+    per child in order, its fused product and that product's children, or
+    None and the child itself."""
+    values = combination_column([(c, [cols[k] for k in slots]) for c, slots in terms], start, len(xs))
+    out = [None if v is None else (TaggedReal.exact(v),) for v in values]
+    for i in [i for i, c in enumerate(out) if c is None]:
+        x = xs[i]
+        try:
+            kid_values = [
+                cols[read[0]][i] if term is None else _apply(term, [cols[j][i] for j in read], x)
+                for term, read in parts
+            ]
+            out[i] = _apply(e, kid_values, x)
+        except Exception as exc:  # as in _each
+            errors[i] = exc
+    return out
 
 
 def _compile_step(e: Expr, kids: tuple, nodes: list, floats: bool, fused: set):
     """The step evaluating plan node ``e``, whose children sit in slots
     ``kids`` of ``nodes``; ``floats`` is false when no reader needs the
     node's float, and ``fused`` holds the slots of the fused products."""
+    if isinstance(e, Var):
+        return lambda cols, xs, errors: [(x,) for x in xs]
     if isinstance(e, App):
-        return _app_step(e, kids, floats)
-    if isinstance(e, (Sum, Prod, Pow)):
-        return _combination_step(e, kids, nodes, fused)
-    return _generic_step(e, kids)
+        try:
+            return partial(_app_column, _app_fn(e, approx=floats), kids[0])
+        except ExprError:
+            pass  # the generic step raises at each point, as _apply does
+    elif isinstance(e, (Sum, Prod, Pow)):
+        start = ZERO
+        if isinstance(e, Sum):
+            consts, rest = _split_consts(kids, nodes)
+            start = combination_exact((c, ()) for c in consts)
+            terms = [_term(nodes[k][1], nodes) if k in fused else (ONE, (k,)) for k in rest]
+        elif isinstance(e, Prod):
+            terms = [_term(kids, nodes)]
+        else:
+            terms = [(ONE, kids * e.exponent)]
+        parts = [(nodes[k][0], nodes[k][1]) if k in fused else (None, (k,)) for k in kids]
+        return partial(_combination_column, e, start, terms, parts)
+    return partial(_generic_column, e, kids)
 
 
 class Plan:
@@ -866,11 +869,14 @@ class Plan:
     Construction numbers the distinct nodes of ``exprs`` children first,
     in the order the recursive driver first reaches them.  Structurally
     equal subtrees become one node, across trees as within one; hashing
-    happens here, once.  Nodes free of x are evaluated here too, once.  A
-    call evaluates each remaining node once per point, so any number of
-    trees that hold H1(x) run H1 once.  A node free of x whose evaluation
-    raises is kept for the calls instead, so a plan never called raises
-    nothing.  Nothing outlives the plan.
+    happens here, once.  Nodes free of x are evaluated here too, once.
+    Evaluation is step-major: ``columns`` takes a block of points and runs
+    each remaining node's step once over the whole block, children before
+    parents, which gives that node's column, its candidates at every
+    point.  So any number of trees that hold H1(x) run H1 once per point.
+    ``outcomes`` and a call are a block of one point.  A node free of x
+    whose evaluation raises is kept for the blocks instead, so a plan
+    never evaluated raises nothing.  Nothing outlives the evaluation.
 
     Each remaining node is compiled here into a step (``_compile_step``).
     A function node's function is resolved once, read from the module
@@ -885,11 +891,12 @@ class Plan:
     evaluated, the plan counts each slot's readers: the roots, and the
     nodes evaluated per point.  A product that varies with x and is read
     once, by a sum that varies with x, gets no step; it is a term of that
-    sum (the fusion rule).  When every factor holds one exact value at a
-    point, ``numbers.combination_exact`` computes the node and reduces
-    once.  Otherwise the step applies ``_apply`` to each fused product
-    and then to the node, on the same values the recursive driver would
-    pass, so every result is ``eval_candidates``'s, value for value.
+    sum (the fusion rule).  One call of ``numbers.combination_column``
+    computes the node over the block, at each point where every factor
+    holds one exact value, and reduces once per point.  At any other
+    point the step applies ``_apply`` to each fused product and then to
+    the node, on the same values the recursive driver would pass, so
+    every result is ``eval_candidates``'s, value for value.
 
     Floats are computed only where they are read (the demand rule).  A
     slot's float is needed when the slot is a root, or a child of a node
@@ -908,16 +915,18 @@ class Plan:
     and a float that cannot be formed is None in both steps, so both
     raise the same errors and every root's outcome is unchanged.
 
-    Errors are kept per node and per call.  A node whose evaluation raises
-    records the exception; a node above it is not evaluated and records
-    the exception of its first child that raised, which is the one the
-    recursive driver meets first.  A fused product's children stand in
-    its place, in their order: a product of values never raises, so the
-    first of them that raised is the error it would have recorded.  A
-    failed node hands no value on, not even one from an earlier point.
-    So each tree's outcome at a point is what ``eval_candidates`` gives
-    for that tree alone, its candidates or the exception it raises,
-    whatever the other trees of the plan do.
+    Errors are kept per node and per point.  A node whose evaluation
+    raises at a point records the exception there, and its step goes on
+    with the other points.  A node above it is not evaluated at that
+    point: it records the exception of its first child that raised there,
+    which is the one the recursive driver meets first, and its step runs
+    on the block's other points alone.  A fused product's children stand
+    in its place, in their order: a product of values never raises, so
+    the first of them that raised is the error it would have recorded.  A
+    failed node hands no value on, at its point or at any other.  So each
+    tree's outcome at a point is what ``eval_candidates`` gives for that
+    tree alone at that point, its candidates or the exception it raises,
+    whatever the other trees and the other points of the block do.
     """
 
     def __init__(self, exprs: Sequence[Expr]):
@@ -961,7 +970,7 @@ class Plan:
             if not varies and all(values[k] is not None for k in kids):
                 try:
                     value = _apply(node, [values[k] for k in kids], None)
-                except Exception:  # raised again by each call that reaches it
+                except Exception:  # raised again at each point that reaches it
                     pass
             values.append(value)
         # the fusion rule: a varying product read once, by a varying sum
@@ -976,31 +985,48 @@ class Plan:
             for k in kids
             if reads[k] == 1 and isinstance(nodes[k][0], Prod) and nodes[k][2]
         }
-        steps = []  # (slot, step, the slots whose failure it inherits) to run at each point
+        steps = []  # (slot, step, the slots whose failure it inherits) to run at each block
         for slot, (node, kids, _) in enumerate(nodes):
             if values[slot] is None and slot not in fused:
                 step = _compile_step(node, kids, nodes, floats[slot], fused)
                 inherits = tuple(j for k in kids for j in (nodes[k][1] if k in fused else (k,)))
                 steps.append((slot, step, inherits))
-        self._values = values
+        self._constants = [(slot, value) for slot, value in enumerate(values) if value is not None]
+        self._slots = len(nodes)
         self._steps = steps
+
+    def columns(self, xs: Sequence[TaggedReal]) -> list:
+        """Per tree, its outcome at each point of ``xs``: its candidates
+        there, or the exception evaluating it alone there raises."""
+        n = len(xs)
+        cols: list = [None] * self._slots
+        for slot, value in self._constants:
+            cols[slot] = [value] * n
+        raised: dict = {}  # slot -> {point index: the exception its node raises there}
+        for slot, step, inherits in self._steps:
+            # point index -> the exception of the first child that raised there
+            failed = {i: exc for k in reversed(inherits) for i, exc in raised.get(k, {}).items()}
+            errors: dict = {}
+            if not failed:
+                column = step(cols, xs, errors)
+            else:  # the step runs on the other points alone
+                live = [i for i in range(n) if i not in failed]
+                view = {k: [cols[k][i] for i in live] for k in inherits}
+                column = [None] * n
+                for i, c in zip(live, step(view, [xs[i] for i in live], errors)):
+                    column[i] = c
+                errors = {live[j]: exc for j, exc in errors.items()} | failed
+            for i, exc in errors.items():
+                column[i] = exc  # no step reads a point where its child failed
+            cols[slot] = column
+            if errors:
+                raised[slot] = errors
+        return [cols[root] for root in self._roots]
 
     def outcomes(self, x: TaggedReal) -> list:
         """Per tree, its candidates at ``x`` or the exception evaluating
         it alone raises."""
-        values = self._values[:]
-        raised: dict = {}  # slot -> the exception its node raises at x
-        for slot, step, kids in self._steps:
-            if raised:
-                failed = next((raised[k] for k in kids if k in raised), None)
-                if failed is not None:
-                    raised[slot] = failed
-                    continue
-            try:
-                values[slot] = step(values, x)
-            except Exception as exc:  # whatever eval_candidates would raise, kept for its trees
-                raised[slot] = exc
-        return [raised.get(root, values[root]) for root in self._roots]
+        return [column[0] for column in self.columns([x])]
 
     def __call__(self, x: TaggedReal) -> list:
         """The candidates of every tree at ``x``, as ``eval_candidates``

@@ -747,10 +747,16 @@ def abs_identity_expr(link: RationalityLink) -> Expr:
 
 # The most points a grid may have; a larger spec exits 2.  At the bound,
 # `verify-identity --n 32 --grid zero,rationals:90000,negatives:9000,quadratic:999`
-# takes 1.47 s wall, best of 3 (1.47-1.72 s; interpreter start-up
-# included), on a 2-vCPU VM, Python 3.11; 2.03 s best of 3 in the same
-# runs before H1 decided its tag from x's parts under deltaQ.
+# takes 0.95-1.28 s wall, best of 3 in each of 5 rounds (interpreter
+# start-up included), and peaks at 36.5 MB RSS, on a 2-vCPU VM, Python
+# 3.11.  Alternated with it, the plan that ran every step once per point
+# took 1.36-1.64 s and peaked at 36.0 MB.
 MAX_GRID_POINTS = 100_000
+
+# A grid replay evaluates its plan on this many points at a time, each
+# plan step once over the block (``expr.Plan.columns``), so the columns
+# it holds stay small whatever the grid's size.
+GRID_BLOCK = 256
 
 
 def parse_grid(spec: str) -> list:
@@ -802,6 +808,14 @@ def parse_grid(spec: str) -> list:
     return pts
 
 
+def grid_blocks(points: list):
+    """``points`` in consecutive blocks of at most ``GRID_BLOCK``, each
+    beside its points as exact tagged values."""
+    for start in range(0, len(points), GRID_BLOCK):
+        block = points[start : start + GRID_BLOCK]
+        yield block, [TaggedReal.exact(x) for x in block]
+
+
 def _draws(bits, n: int, count: int) -> list:
     """``count`` integers drawn uniformly from 1..n with the random-bit
     source ``bits``: k = bitlen(n) bits, drawn again while they reach n.
@@ -838,15 +852,18 @@ def verify_abs_identity(link: RationalityLink, grid: str = IDENTITY_GRID) -> dic
     plan = Plan([expr])  # H1(x) occurs twice in expr and is evaluated once
     failures = []
     checked = 0
-    for x in points:
-        (cands,) = plan(TaggedReal.exact(x))
-        lhs = cands[0]
-        if len(cands) != 1 or not lhs.is_exact:
-            failures.append(f"indeterminate at {x}")
-            continue
-        if lhs.value != abs(x):
-            failures.append(f"mismatch at {x}: {lhs.value} != {abs(x)}")
-        checked += 1
+    for block, tagged in grid_blocks(points):
+        (column,) = plan.columns(tagged)
+        for x, cands in zip(block, column):
+            if isinstance(cands, Exception):
+                raise cands
+            lhs = cands[0]
+            if len(cands) != 1 or not lhs.is_exact:
+                failures.append(f"indeterminate at {x}")
+                continue
+            if lhs.value != abs(x):
+                failures.append(f"mismatch at {x}: {lhs.value} != {abs(x)}")
+            checked += 1
     # symbolic check at matched points: if H1 took a matched value a at
     # some x > 0, both indicators would be 0 and the identity would read
     # x = |x|, which holds on the region.

@@ -312,25 +312,48 @@ ONE = QSqrt2.coerce(1)
 def combination_exact(terms: Iterable[tuple[QSqrt2, Iterable[QSqrt2]]], start: QSqrt2 = ZERO) -> QSqrt2:
     """start + the sum of c times the product of ``factors`` over the
     ``terms`` (c, factors); a term without factors is c."""
-    p, q, d = start.p, start.q, start.d
-    for c, factors in terms:
-        tp, tq, td = c.p, c.q, c.d
-        for v in factors:
-            vp, vq = v.p, v.q
-            if vq:
-                tp, tq = tp * vp + 2 * tq * vq, tp * vq + tq * vp
-            else:
-                tp *= vp
-                tq *= vp
-            td *= v.d
-        if not (tp or tq):
-            continue  # a zero term leaves the denominator as it is
-        if td == d:
-            p += tp
-            q += tq
+    columns = [(c, [[(TaggedReal.exact(v),)] for v in factors]) for c, factors in terms]
+    return combination_column(columns, start, 1)[0]
+
+
+def combination_column(terms: Iterable[tuple], start: QSqrt2, count: int) -> list:
+    """At each point i < ``count``, start + the sum over ``terms`` (c,
+    columns) of c times the product of the values in column[i] for its
+    columns, each a tuple of ``TaggedReal`` candidates: over one
+    denominator, reduced once.  None at a point where some factor is not a
+    single exact value."""
+    rows = [(c.p, c.q, c.d, columns) for c, columns in terms]
+    sp, sq, sd = start.p, start.q, start.d
+    out = []
+    for i in range(count):
+        p, q, d = sp, sq, sd
+        for tp, tq, td, columns in rows:
+            for column in columns:
+                cands = column[i]
+                v = cands[0].value
+                if len(cands) != 1 or type(v) is not QSqrt2:
+                    break
+                vp, vq = v.p, v.q
+                if vq:
+                    tp, tq = tp * vp + 2 * tq * vq, tp * vq + tq * vp
+                else:
+                    tp *= vp
+                    tq *= vp
+                td *= v.d
+            else:  # every factor is exact: add the term
+                if not (tp or tq):
+                    continue  # a zero term leaves the denominator as it is
+                if td == d:
+                    p += tp
+                    q += tq
+                else:
+                    p, q, d = p * td + tp * d, q * td + tq * d, d * td
+                continue
+            out.append(None)
+            break
         else:
-            p, q, d = p * td + tp * d, q * td + tq * d, d * td
-    return _reduced(p, q, d)
+            out.append(_reduced(p, q, d))
+    return out
 
 
 def dot_is_zero(phi: Iterable[QSqrt2], vals: Iterable[QSqrt2]) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from smoothsum import decompose, linalg
+from smoothsum import expr as expr_module
 from smoothsum.constraints import characteristic_decomposition, maximal_isotropic
 from smoothsum.decompose import (
     certify_smooth_sum,
@@ -21,7 +22,8 @@ from smoothsum.decompose import (
     verify_kernel_image_witness,
 )
 from smoothsum.diffeology import DVSpace, LinearMap, Subspace, parse_space
-from smoothsum.expr import AXIOM_A, Smoothness, SmoothnessVerdict, parse_expr, to_text
+from smoothsum.expr import AXIOM_A, App, Smoothness, SmoothnessVerdict, X, parse_expr, to_text
+from smoothsum.franklin import GRID_BLOCK, parse_grid
 from smoothsum.gallery import gallery_space, gallery_witnesses
 from smoothsum.numbers import QSqrt2
 
@@ -457,3 +459,52 @@ def test_kernel_image_check_irrational_atoms_unknown():
     verdict = kernel_image_check(sp, f)
     assert verdict.status == "Unknown"
     assert "irrational" in verdict.detail["reason"]
+
+
+class _FailsAt:
+    """A stand-in matching map for barGamma whose exact evaluation raises
+    ``error`` at the point ``at`` and is the identity elsewhere."""
+
+    def __init__(self, at: QSqrt2, error: Exception):
+        self.at, self.error = at, error
+
+    def eval_exact(self, v: QSqrt2) -> QSqrt2:
+        if v == self.at:
+            raise self.error
+        return v
+
+
+def _raising_witness(at: QSqrt2, error: Exception) -> tuple:
+    tree = App("barGamma", X, _FailsAt(at, error))
+    return [tree], [tree], Subspace.from_vectors(1, [[1]])
+
+
+def test_replay_raises_the_error_of_the_earliest_point():
+    grid = "zero,rationals:40"
+    points = parse_grid(grid)
+    early, late = points[3], points[7]
+    assert early not in points[:3] and late not in points[:7]
+    # both points lie in the first block, so one evaluation meets both errors
+    assert len(points) <= GRID_BLOCK
+    first = _raising_witness(late, RuntimeError("late"))
+    second = _raising_witness(early, LookupError("early"))
+    for batch in ([first, second], [second, first]):
+        with pytest.raises(LookupError, match="early"):
+            decompose._replay_witness(batch, grid)
+    # before the points they fail at, both witnesses replay
+    assert decompose._replay_witness([first, second], "zero,rationals:2") == [None, None]
+
+
+def test_replay_evaluates_no_block_after_every_witness_failed(monkeypatch):
+    calls = []
+    h1 = expr_module._h1_tagged
+    monkeypatch.setattr(expr_module, "_h1_tagged", lambda t, **kw: calls.append(t) or h1(t, **kw))
+    # H1(x) + deltaQ(gamma(x)) is 0 or 1 more than H1(x): indeterminate at every point
+    tree = parse_expr("H1(x) + deltaQ(gamma(x))")
+    w = Subspace.from_vectors(1, [[1]])
+    batch = [([tree], [parse_expr("H1(x)")], w), ([tree], [tree], w)]
+    grid = "zero,rationals:600"
+    assert len(parse_grid(grid)) > 2 * GRID_BLOCK
+    assert decompose._replay_witness(batch, grid) == ["indeterminate value at 0, component 0"] * 2
+    # H1 at points of the first block only
+    assert 0 < len(calls) <= GRID_BLOCK

@@ -50,6 +50,7 @@ from smoothsum.expr import (
     verify_nonsmooth_witness,
 )
 from smoothsum.franklin import (
+    GRID_BLOCK,
     FranklinMap,
     RationalityLink,
     abs_identity_expr,
@@ -298,6 +299,7 @@ _SQRT_NEG = App("sqrt", Const(QSqrt2.coerce(-1)))  # and this DomainError
 _TWO, _THREE = Const(QSqrt2.coerce(2)), Const(QSqrt2.coerce(3))
 _SCALED_DELTA = Prod((_TWO, X, _DELTA_X))
 _FUSED = Sum((_SCALED_DELTA, X))  # 2*x*deltaQ(x) + x: one step
+_FUSED_SQRT = Sum((Prod((_TWO, App("sqrt", X), _DELTA_X)), X))  # 2*sqrt(x)*deltaQ(x) + x
 
 
 def _outcome(fn) -> str:
@@ -309,43 +311,70 @@ def _outcome(fn) -> str:
 
 
 @settings(max_examples=400, deadline=None)
-@given(exprs=st.lists(_trees, min_size=1, max_size=3), x=_points)
-@example(exprs=[_COLLAPSING, _DELTA_X], x=TaggedReal.opaque())
-@example(exprs=[_DELTA_X, Prod((_DELTA_X, X))], x=TaggedReal.approx(0.5))
+@given(exprs=st.lists(_trees, min_size=1, max_size=3), xs=st.lists(_points, min_size=1, max_size=4))
+@example(exprs=[_COLLAPSING, _DELTA_X], xs=[TaggedReal.opaque()])
+@example(exprs=[_DELTA_X, Prod((_DELTA_X, X))], xs=[TaggedReal.approx(0.5)])
 # a node over two failing children fails with the first, and a tree
 # sharing a failed node fails with it
-@example(exprs=[Sum((_UNKNOWN_X, _SQRT_NEG)), _SQRT_NEG, X], x=TaggedReal.exact(1))
-@example(exprs=[Sum((_SQRT_NEG, _UNKNOWN_X)), Prod((_UNKNOWN_X, X)), X], x=TaggedReal.exact(1))
+@example(exprs=[Sum((_UNKNOWN_X, _SQRT_NEG)), _SQRT_NEG, X], xs=[TaggedReal.exact(1)])
+@example(exprs=[Sum((_SQRT_NEG, _UNKNOWN_X)), Prod((_UNKNOWN_X, X)), X], xs=[TaggedReal.exact(1)])
 # a product fused into its sum, over a candidate set: the fallback
-@example(exprs=[_FUSED], x=TaggedReal.opaque())
-@example(exprs=[_FUSED], x=TaggedReal.approx(0.5))
+@example(exprs=[_FUSED], xs=[TaggedReal.opaque()])
+@example(exprs=[_FUSED], xs=[TaggedReal.approx(0.5)])
 # the first error wins whether a failing term is fused or not (the second
 # product is free of x, so it keeps a step of its own), and in either order
-@example(exprs=[Sum((Prod((_TWO, _UNKNOWN_X)), Prod((_THREE, _SQRT_NEG))))], x=TaggedReal.exact(1))
-@example(exprs=[Sum((Prod((_THREE, _SQRT_NEG)), Prod((_TWO, _UNKNOWN_X))))], x=TaggedReal.exact(1))
-@example(exprs=[Sum((Prod((_TWO, _UNKNOWN_X)), Prod((_THREE, X, _SQRT_NEG))))], x=TaggedReal.exact(1))
-@example(exprs=[Sum((Prod((_THREE, X, _SQRT_NEG)), Prod((_TWO, _UNKNOWN_X))))], x=TaggedReal.exact(1))
+@example(exprs=[Sum((Prod((_TWO, _UNKNOWN_X)), Prod((_THREE, _SQRT_NEG))))], xs=[TaggedReal.exact(1)])
+@example(exprs=[Sum((Prod((_THREE, _SQRT_NEG)), Prod((_TWO, _UNKNOWN_X))))], xs=[TaggedReal.exact(1)])
+@example(exprs=[Sum((Prod((_TWO, _UNKNOWN_X)), Prod((_THREE, X, _SQRT_NEG))))], xs=[TaggedReal.exact(1)])
+@example(exprs=[Sum((Prod((_THREE, X, _SQRT_NEG)), Prod((_TWO, _UNKNOWN_X))))], xs=[TaggedReal.exact(1)])
 # a product two sums read, and a product that is also a root: not fused
-@example(exprs=[_FUSED, Sum((_SCALED_DELTA, _THREE))], x=TaggedReal.opaque())
-@example(exprs=[_FUSED, _SCALED_DELTA], x=TaggedReal.exact(Fraction(1, 3)))
-def test_plan_matches_recursive_driver(exprs, x):
-    _assert_plan_matches_recursive_driver(exprs, x)
+@example(exprs=[_FUSED, Sum((_SCALED_DELTA, _THREE))], xs=[TaggedReal.opaque()])
+@example(exprs=[_FUSED, _SCALED_DELTA], xs=[TaggedReal.exact(Fraction(1, 3))])
+# sqrt of a negative at the middle point only: its error stays there, and
+# the points on either side keep their values, fused or not
+@example(
+    exprs=[App("sqrt", X), _FUSED_SQRT, Sum((_SCALED_DELTA, App("sqrt", X))), X],
+    xs=[TaggedReal.exact(4), TaggedReal.exact(-1), TaggedReal.exact(Fraction(1, 4))],
+)
+# opaque and Unknown-tag points branch into candidate sets beside exact ones
+@example(
+    exprs=[_COLLAPSING, _FUSED, App("abs", make_neg(_DELTA_X)), Sum((_DELTA_X, _DELTA_X))],
+    xs=[TaggedReal.exact(Fraction(1, 2)), TaggedReal.opaque(), TaggedReal.approx(0.5), TaggedReal.exact(QSqrt2.sqrt2())],
+)
+def test_plan_matches_recursive_driver(exprs, xs):
+    _assert_plan_matches_recursive_driver(exprs, xs)
 
 
-def _assert_plan_matches_recursive_driver(exprs, x):
+def test_plan_matches_recursive_driver_on_a_grid_longer_than_a_block():
+    # exact points of both signs, every tenth opaque, so sqrt(x) fails at
+    # the negatives and deltaQ(x) branches at the opaque points
+    xs = [
+        TaggedReal.opaque() if i % 10 == 9 else TaggedReal.exact(QSqrt2(Fraction(i - 40, 7), Fraction(i % 3, 5)))
+        for i in range(GRID_BLOCK + 20)
+    ]
+    exprs = [_FUSED_SQRT, Sum((_SCALED_DELTA, App("sqrt", X))), App("H1", X), App("deltaQ", App("H1", X)), X]
+    _assert_plan_matches_recursive_driver(exprs, xs)
+
+
+def _assert_plan_matches_recursive_driver(exprs, xs):
     # a chain of barGamma at a point with a 200-digit denominator has
     # values past the default 4300-digit limit of int-to-str conversion;
     # they are compared in full
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        want = _outcome(lambda: [eval_candidates(e, x) for e in exprs])
         plan = Plan(exprs)
-        assert _outcome(lambda: plan(x)) == want
-        # each tree's own outcome, whatever the trees beside it raise
-        for e, got in zip(exprs, plan.outcomes(x)):
-            shown = f"{type(got).__name__}: {got}" if isinstance(got, Exception) else repr(got)
-            assert shown == _outcome(lambda: eval_candidates(e, x))
+        columns = plan.columns(xs)
+        assert [len(column) for column in columns] == [len(xs)] * len(exprs)
+        for i, x in enumerate(xs):
+            want = _outcome(lambda: [eval_candidates(e, x) for e in exprs])
+            assert _outcome(lambda: plan(x)) == want
+            # each tree's own outcome at this point alone, whatever the
+            # trees beside it and the other points of the block raise
+            for e, column in zip(exprs, columns):
+                got = column[i]
+                shown = f"{type(got).__name__}: {got}" if isinstance(got, Exception) else repr(got)
+                assert shown == _outcome(lambda: eval_candidates(e, x))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -381,8 +410,15 @@ def test_plan_fuses_a_product_only_its_sum_reads():
 
 def test_plan_evaluates_the_identity_in_one_combination_per_point(fm8, monkeypatch):
     combinations = []
-    combine = expr_module.combination_exact
+    combine, column = expr_module.combination_exact, expr_module.combination_column
+
+    def per_point(*args):
+        values = column(*args)
+        combinations.extend(v for v in values if v is not None)
+        return values
+
     monkeypatch.setattr(expr_module, "combination_exact", lambda *a: combinations.append(a) or combine(*a))
+    monkeypatch.setattr(expr_module, "combination_column", per_point)
     result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:20,negatives:5,quadratic:4")
     assert result["ok"] and result["checked"] == 30
     # one combination per point, and three when the plan is built: the
@@ -562,31 +598,31 @@ _far_points = st.sampled_from([
 
 
 @settings(max_examples=300, deadline=None)
-@given(exprs=_delta_readers(), x=st.one_of(_points, _far_points))
+@given(exprs=_delta_readers(), xs=st.lists(st.one_of(_points, _far_points), min_size=1, max_size=3))
 # H1(x) read by deltaQ and barGamma, barGamma by deltaQ: the identity's shape
 @example(
     exprs=[App("deltaQ", App("H1", X)), App("deltaQ", App("barGamma", App("H1", X), _MAPS[2]))],
-    x=TaggedReal.exact(Fraction(3, 7)),
+    xs=[TaggedReal.exact(Fraction(3, 7))],
 )
 # the same nodes as roots: their floats are there, and equal
-@example(exprs=[App("deltaQ", App("H1", X)), App("H1", X)], x=TaggedReal.exact(Fraction(3, 7)))
+@example(exprs=[App("deltaQ", App("H1", X)), App("H1", X)], xs=[TaggedReal.exact(Fraction(3, 7))])
 @example(
     exprs=[App("deltaQ", App("barGamma", App("exp", X), _MAPS[1])), App("barGamma", App("exp", X), _MAPS[1])],
-    x=TaggedReal.exact(2),
+    xs=[TaggedReal.exact(2)],
 )
 # a candidate set under a floatless node
-@example(exprs=[App("deltaQ", App("exp", _COLLAPSING))], x=TaggedReal.opaque())
-@example(exprs=[App("deltaQ", App("exp", Sum((_DELTA_X, X))))], x=TaggedReal.approx(0.5))
+@example(exprs=[App("deltaQ", App("exp", _COLLAPSING))], xs=[TaggedReal.opaque()])
+@example(exprs=[App("deltaQ", App("exp", Sum((_DELTA_X, X))))], xs=[TaggedReal.approx(0.5)])
 # raising below a floatless node, and past the float range
-@example(exprs=[App("deltaQ", App("H1", _SQRT_NEG)), App("deltaQ", App("exp", _UNKNOWN_X))], x=TaggedReal.exact(1))
-@example(exprs=[App("deltaQ", App("exp", Prod((Const(QSqrt2.coerce(1000)), X))))], x=TaggedReal.exact(1))
+@example(exprs=[App("deltaQ", App("H1", _SQRT_NEG)), App("deltaQ", App("exp", _UNKNOWN_X))], xs=[TaggedReal.exact(1)])
+@example(exprs=[App("deltaQ", App("exp", Prod((Const(QSqrt2.coerce(1000)), X))))], xs=[TaggedReal.exact(1)])
 # a root whose value has more than 4300 digits
 @example(
     exprs=[_chain([("barGamma", _MAPS[1])] * 2 + [("barGamma", _MAPS[2])], Pow(X, 2))],
-    x=TaggedReal.exact(QSqrt2.from_ints(1, 1, 10**200)),
+    xs=[TaggedReal.exact(QSqrt2.from_ints(1, 1, 10**200))],
 )
-def test_plan_without_floats_under_deltaQ_matches_eval_candidates(exprs, x):
-    _assert_plan_matches_recursive_driver(exprs, x)
+def test_plan_without_floats_under_deltaQ_matches_eval_candidates(exprs, xs):
+    _assert_plan_matches_recursive_driver(exprs, xs)
 
 
 @pytest.mark.parametrize(

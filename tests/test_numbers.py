@@ -597,6 +597,39 @@ def test_combination_matches_the_pair_model(terms, start):
     assert _model(got) == want
 
 
+# a column entry: one exact value, most of the time, else what the plan's
+# fast path must leave alone (a candidate set, a float, an opaque value)
+_column_entries = st.one_of(
+    st.builds(lambda v: (TaggedReal.exact(v),), qsqrt2s),
+    st.builds(lambda v: (TaggedReal.exact(v),), qsqrt2s),
+    st.builds(lambda v: (TaggedReal.exact(v), TaggedReal.exact(v + 1)), qsqrt2s),
+    st.just((TaggedReal.approx(0.5),)),
+    st.just((TaggedReal.opaque(),)),
+)
+
+
+@given(
+    st.lists(st.tuples(qsqrt2s, st.lists(st.integers(0, 2), max_size=3)), max_size=4),
+    qsqrt2s,
+    st.lists(st.lists(_column_entries, min_size=3, max_size=3), min_size=3, max_size=3),
+)
+def test_combination_column_matches_the_pair_model_at_each_point(terms, start, columns):
+    got = numbers.combination_column([(c, [columns[k] for k in slots]) for c, slots in terms], start, 3)
+    assert len(got) == 3
+    for i, value in enumerate(got):
+        factors = [[columns[k][i] for k in slots] for _, slots in terms]
+        if not all(len(c) == 1 and c[0].is_exact for fs in factors for c in fs):
+            assert value is None
+            continue
+        want = _model(start)
+        for (c, _), fs in zip(terms, factors):
+            term = _model(c)
+            for f in fs:
+                term = _ref_mul(term, _model(f[0].value))
+            want = _ref_add(want, term)
+        assert _model(value) == want
+
+
 @given(pairs)
 def test_equal_values_from_every_constructor_hash_equal(x):
     a, b = x
