@@ -55,7 +55,7 @@ from .expr import (
     verify_nonsmooth_witness,
 )
 from .franklin import grid_blocks, parse_grid
-from .numbers import ONE, ZERO, DomainError, QSqrt2, common_denominator, dot_is_zero
+from .numbers import ONE, ZERO, DomainError, QSqrt2, combination_column, common_denominator, dot_is_zero
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -128,11 +128,15 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
     parsed once, and one ``Plan`` over every component and target of the
     batch evaluates each grid point once, so the subtrees the witnesses
     share (H1(x), its barGamma, their deltaQ, |x|) run once per point.
-    The plan runs on blocks of ``GRID_BLOCK`` points; the checks then go
-    point by point, each over the witnesses still pending, in batch order.
-    Returns one entry per witness: None when it replays, else the error
-    its replay alone gives, at the first failing grid point and, there,
-    the first failing component.  A witness that fails is not checked
+    The plan runs on blocks of ``GRID_BLOCK`` points, and the checks go
+    column by column: each pending witness's columns are scanned once per
+    block for the first point where it fails or raises
+    (``_first_failure``), and ``_check_point`` then runs only at those
+    points, in grid order and, at one point, in batch order, so it alone
+    words every error.  Returns one entry per witness: None when it
+    replays, else the error its replay alone gives, at the first failing
+    grid point and, there, the first failing component (a component
+    error before the subspace).  A witness that fails is not checked
     further; a domain error or an indeterminate value in one witness never
     stops the others.  An error other than ``DomainError`` is a fault in
     the trees, not a replay verdict, and propagates from the first point
@@ -154,13 +158,47 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
     pending = range(len(checks))
     for block, tagged in grid_blocks(parse_grid(grid)):
         columns = plan.columns(tagged)
-        for at, x in enumerate(block):
-            if not pending:
-                return results
-            for i in pending:
-                results[i] = _check_point(x, at, columns, *checks[i])
-            pending = [i for i in pending if results[i] is None]
+        failing = []  # (the first point where it fails, witness)
+        for i in pending:
+            at = _first_failure(columns, *checks[i], len(block))
+            if at < len(block):
+                failing.append((at, i))
+        for at, i in sorted(failing):
+            results[i] = _check_point(block[at], at, columns, *checks[i])
+        pending = [i for i in pending if results[i] is None]
+        if not pending:
+            break
     return results
+
+
+def _first_failure(columns: list, first: int, count: int, ann: list, n: int) -> int:
+    """The index of the first of the ``n`` points of the plan's columns at
+    which ``_check_point`` reports an error for this witness or raises;
+    ``n`` when there is none.  Each component's two columns are scanned
+    up to the first point where a side failed, is not one exact value, or
+    the sides differ; before that point every value is exact, and each
+    functional of W's annihilator is summed over the points in one
+    ``combination_column`` call."""
+    stop = n
+    for j in range(first, first + 2 * count, 2):
+        for at, (lhs, rhs) in enumerate(zip(columns[j][:stop], columns[j + 1][:stop])):
+            # an exception or candidate set fails, and so does a float or
+            # opaque side: an exact lhs equals only an exact rhs
+            if type(lhs) is not tuple or len(lhs) != 1 or type(rhs) is not tuple or len(rhs) != 1:
+                stop = at
+                break
+            value = lhs[0].value
+            if type(value) is not QSqrt2 or value != rhs[0].value:
+                stop = at
+                break
+    values = [columns[j] for j in range(first, first + 2 * count, 2)]
+    for phi in ann:
+        terms = [(c, [column]) for c, column in zip(phi, values) if not c.is_zero]
+        for at, v in enumerate(combination_column(terms, ZERO, stop)):
+            if not v.is_zero:
+                stop = at
+                break
+    return stop
 
 
 def _check_point(x: QSqrt2, at: int, columns: list, first: int, count: int, ann: list) -> Optional[str]:

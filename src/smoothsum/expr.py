@@ -50,6 +50,7 @@ from .numbers import (
     exp_tagged,
     mul_tagged,
     parse_qsqrt2,
+    sign_of_parts,
     sqrt_tagged,
 )
 
@@ -615,13 +616,15 @@ def _h1_tagged(x: TaggedReal, approx: bool = True) -> TaggedReal:
     the axiom table tags (``numbers.exp_of_nonzero_rational``).  An
     irrational x^2 leaves the tag Unknown on both paths.
     """
+    v = x.value
+    if not approx and type(v) is QSqrt2:
+        if sign_of_parts(v.p, v.q) <= 0:
+            return _ZERO_T
+        return exp_of_nonzero_rational() if v.p == 0 or v.q == 0 else TaggedReal.opaque()
     s = x.sign()
     if s is not None and s <= 0:
         return _ZERO_T
     if s is not None:  # exact positive
-        v = x.value
-        if not approx:
-            return exp_of_nonzero_rational() if v.p == 0 or v.q == 0 else TaggedReal.opaque()
         sq = v * v
         if sq.is_rational:
             return exp_tagged(TaggedReal.exact(-sq.inverse()))
@@ -761,9 +764,12 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
 # returns the node's column, with None at each point where the node
 # raises and the exception in ``errors`` at that index.  An App step maps
 # its function, resolved when the step is built, down its argument's
-# column; one of a name in ``_TAG_ONLY`` whose float no reader needs
-# evaluates without its float: the same exact value, tag and
-# transcendental flag, and value None where the full step holds a float.
+# column, once per distinct argument: points that hold the same single
+# candidate object share its result, and a point where the function
+# raises calls it again itself.  One of a name in ``_TAG_ONLY`` whose
+# float no reader needs evaluates without its float: the same exact
+# value, tag and transcendental flag, and value None where the full step
+# holds a float.
 # Sum, Prod and Pow nodes share one arithmetic step: start plus terms,
 # each a coefficient times a product of slots (see ``Plan``); a fused
 # product has no root, so no outcome misses its slot.
@@ -801,7 +807,26 @@ def _generic_column(e: Expr, kids: tuple, cols, xs: Sequence, errors: dict) -> l
 
 
 def _app_column(fn, arg: int, cols, xs: Sequence, errors: dict) -> list:
-    return _each(partial(_app_candidates, fn), cols[arg], errors)
+    """fn down the argument's column, once per distinct single candidate:
+    points that hold the same candidate object share one result.  The
+    column keeps every candidate alive, so no id is reused within the
+    step.  Where fn raises, nothing is kept, and each point that holds
+    that candidate calls fn again and records its own exception."""
+    done: dict = {}  # id of a single candidate -> fn's result, as candidates
+    out: list = []
+    for i, arg_cands in enumerate(cols[arg]):
+        key = id(arg_cands[0]) if len(arg_cands) == 1 else None
+        r = done.get(key)
+        if r is None:
+            try:
+                r = _app_candidates(fn, arg_cands)
+            except Exception as exc:  # as in _each
+                errors[i] = exc
+            else:
+                if key is not None:
+                    done[key] = r
+        out.append(r)
+    return out
 
 
 def _split_consts(kids: tuple, nodes: list) -> tuple:
@@ -874,6 +899,11 @@ class Plan:
     each remaining node's step once over the whole block, children before
     parents, which gives that node's column, its candidates at every
     point.  So any number of trees that hold H1(x) run H1 once per point.
+    A function node's step evaluates its function once per distinct
+    argument in the block: points whose argument is one and the same
+    candidate object share the result, as under deltaQ, where H1 without
+    its float gives a few shared values and deltaQ(H1(x)) runs about
+    twice per block.
     ``outcomes`` and a call are a block of one point.  A node free of x
     whose evaluation raises is kept for the blocks instead, so a plan
     never evaluated raises nothing.  Nothing outlives the evaluation.

@@ -78,6 +78,7 @@ from .numbers import (
     cmp_parts,
     common_denominator,
     dot_exact,
+    equals_abs,
     floor_qsqrt2,
     mul_parts,
     sub_parts,
@@ -747,10 +748,12 @@ def abs_identity_expr(link: RationalityLink) -> Expr:
 
 # The most points a grid may have; a larger spec exits 2.  At the bound,
 # `verify-identity --n 32 --grid zero,rationals:90000,negatives:9000,quadratic:999`
-# takes 0.95-1.28 s wall, best of 3 in each of 5 rounds (interpreter
-# start-up included), and peaks at 36.5 MB RSS, on a 2-vCPU VM, Python
-# 3.11.  Alternated with it, the plan that ran every step once per point
-# took 1.36-1.64 s and peaked at 36.0 MB.
+# takes 0.77-1.15 s wall, best of 3 in each of 5 rounds (interpreter
+# start-up included), and peaks at 36.5-36.6 MB RSS, on a 2-vCPU VM,
+# Python 3.11.  Alternated with it, the replay that called each function
+# step at every point took 0.93-1.37 s and peaked at 36.4-36.5 MB.  Most
+# of the peak above a one-point grid (23 MB) is the list of all the
+# points that `parse_grid` returns before the first block.
 MAX_GRID_POINTS = 100_000
 
 # A grid replay evaluates its plan on this many points at a time, each
@@ -861,7 +864,7 @@ def verify_abs_identity(link: RationalityLink, grid: str = IDENTITY_GRID) -> dic
             if len(cands) != 1 or not lhs.is_exact:
                 failures.append(f"indeterminate at {x}")
                 continue
-            if lhs.value != abs(x):
+            if not equals_abs(lhs.value, x):
                 failures.append(f"mismatch at {x}: {lhs.value} != {abs(x)}")
             checked += 1
     # symbolic check at matched points: if H1 took a matched value a at

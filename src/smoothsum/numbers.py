@@ -356,6 +356,15 @@ def combination_column(terms: Iterable[tuple], start: QSqrt2, count: int) -> lis
     return out
 
 
+def equals_abs(v: QSqrt2, x: QSqrt2) -> bool:
+    """Whether v = |x|, from the canonical triples, without forming |x|."""
+    if v.d != x.d:
+        return False
+    if sign_of_parts(x.p, x.q) < 0:
+        return v.p == -x.p and v.q == -x.q
+    return v.p == x.p and v.q == x.q
+
+
 def dot_is_zero(phi: Iterable[QSqrt2], vals: Iterable[QSqrt2]) -> bool:
     """Whether the sum of phi[i] * vals[i] is 0.  Over one denominator it
     is zero iff both parts of its numerator are, so nothing is reduced."""
@@ -664,6 +673,8 @@ class TaggedReal:
 _SET_VALUE = TaggedReal.value.__set__
 _SET_TAG = TaggedReal.tag.__set__
 _SET_TRANSCENDENTAL = TaggedReal.transcendental.__set__
+# read per value on hot paths: a member read off the Enum class costs a
+# descriptor call (about 0.1 us on Python 3.11)
 _RATIONAL = Tag.RATIONAL
 _IRRATIONAL = Tag.IRRATIONAL
 # A TaggedReal is immutable, so the values without a float that tag-only
@@ -824,7 +835,7 @@ def transcendence_axiom_lookup(form: str, arg: TaggedReal) -> Tag:
 def _exp_result(tag: Tag, value: Optional[float]) -> TaggedReal:
     """exp of an argument that is not an exact 0, with the table's tag
     for it and its float (or None)."""
-    if tag is Tag.IRRATIONAL:
+    if tag is _IRRATIONAL:
         return TaggedReal.certified_transcendental(value)
     return _OPAQUE_T if value is None else TaggedReal(value, Tag.UNKNOWN)
 

@@ -22,10 +22,10 @@ from smoothsum.decompose import (
     verify_kernel_image_witness,
 )
 from smoothsum.diffeology import DVSpace, LinearMap, Subspace, parse_space
-from smoothsum.expr import AXIOM_A, App, Smoothness, SmoothnessVerdict, X, parse_expr, to_text
+from smoothsum.expr import AXIOM_A, App, Smoothness, SmoothnessVerdict, X, const, make_sum, parse_expr, to_text
 from smoothsum.franklin import GRID_BLOCK, parse_grid
 from smoothsum.gallery import gallery_space, gallery_witnesses
-from smoothsum.numbers import QSqrt2
+from smoothsum.numbers import INV_SQRT2, QSqrt2
 
 E1 = Subspace.from_vectors(2, [[1, 0]])
 E2 = Subspace.from_vectors(2, [[0, 1]])
@@ -508,3 +508,53 @@ def test_replay_evaluates_no_block_after_every_witness_failed(monkeypatch):
     assert decompose._replay_witness(batch, grid) == ["indeterminate value at 0, component 0"] * 2
     # H1 at points of the first block only
     assert 0 < len(calls) <= GRID_BLOCK
+
+
+class _BumpsAt:
+    """A stand-in matching map for barGamma that is 1 at the points of
+    ``at`` and 0 elsewhere."""
+
+    def __init__(self, *at: QSqrt2):
+        self.at = at
+
+    def eval_exact(self, v: QSqrt2) -> QSqrt2:
+        return QSqrt2.coerce(1 if v in self.at else 0)
+
+
+def _bumps(*at: QSqrt2):
+    """A tree that is 0 at every point but those of ``at``, where it is
+    barGamma's slope (w(1) - w(0))."""
+    return make_sum([App("barGamma", X, _BumpsAt(*at)), const(-INV_SQRT2)])
+
+
+def _second_block_points(grid: str, count: int) -> list:
+    """``count`` points that the grid holds first in its second block."""
+    points = parse_grid(grid)
+    firsts = [x for at, x in enumerate(points) if at >= GRID_BLOCK and points.index(x) == at]
+    assert points.index(firsts[count - 1]) < 2 * GRID_BLOCK
+    return firsts[:count]
+
+
+def test_replay_finds_the_first_point_outside_the_subspace():
+    # both components replay exactly everywhere, but the second one, which
+    # E1 requires to be 0, is not at two points of the second block
+    grid = "zero,rationals:600"
+    first, later = _second_block_points(grid, 2)
+    bumps = _bumps(later, first)
+    leaves = ([X, bumps], [X, bumps], E1)
+    stays = ([X, X], [X, X], Subspace.from_vectors(2, [[1, 1]]))
+    assert decompose._replay_witness([stays, leaves, stays], grid) == [
+        None,
+        f"value at {first} lies outside the subspace",
+        None,
+    ]
+
+
+def test_replay_reports_a_mismatch_before_the_subspace_at_one_point():
+    # at the first bump, component 0 differs from its target 0, and the
+    # component 1 that E1 requires to be 0 is not
+    grid = "zero,rationals:600"
+    first, later = _second_block_points(grid, 2)
+    bumps = _bumps(first, later)
+    witness = ([bumps, bumps], [const(0), bumps], E1)
+    assert decompose._replay_witness([witness], grid) == [f"mismatch at {first}, component 0"]

@@ -356,6 +356,52 @@ def test_plan_matches_recursive_driver_on_a_grid_longer_than_a_block():
     _assert_plan_matches_recursive_driver(exprs, xs)
 
 
+def _counting(monkeypatch, name: str) -> list:
+    """Install on ``expr`` a wrapper of its function ``name`` that records
+    each argument; plans built afterwards call the wrapper."""
+    calls = []
+    fn = getattr(expr_module, name)
+    monkeypatch.setattr(expr_module, name, lambda t, **kw: calls.append(t) or fn(t, **kw))
+    return calls
+
+
+def test_plan_evaluates_a_step_once_per_shared_argument(fm8, monkeypatch):
+    h1_calls = _counting(monkeypatch, "_h1_tagged")
+    a, b = TaggedReal.exact(Fraction(1, 3)), TaggedReal.exact(QSqrt2(0, Fraction(2, 5)))
+    # a and b held by several points each, beside an equal but distinct
+    # value, an opaque point and a candidate set under deltaQ
+    xs = [a, b, a, TaggedReal.exact(Fraction(1, 3)), a, TaggedReal.opaque(), b, TaggedReal.exact(-1)]
+    h1 = App("H1", X)
+    exprs = [
+        h1,
+        App("deltaQ", h1),
+        App("barGamma", h1, fm8),
+        App("deltaQ", App("barGamma", h1, fm8)),
+        App("abs", App("deltaQ", X)),
+        Sum((App("deltaQ", h1), X)),
+    ]
+    _assert_plan_matches_recursive_driver(exprs, xs)
+    h1_calls.clear()
+    Plan(exprs).columns(xs)
+    # a, b, the other 1/3, the opaque value and -1
+    assert len(h1_calls) == 5
+
+
+def test_plan_calls_again_where_a_shared_argument_raises(monkeypatch):
+    sqrt_calls = _counting(monkeypatch, "sqrt_tagged")
+    neg, pos = TaggedReal.exact(-2), TaggedReal.exact(Fraction(9, 4))
+    xs = [neg, pos, neg, pos, neg]
+    exprs = [App("sqrt", X), Sum((App("sqrt", X), X)), _FUSED_SQRT]
+    _assert_plan_matches_recursive_driver(exprs, xs)
+    sqrt_calls.clear()
+    (column, _, _) = Plan(exprs).columns(xs)
+    # each point at -2 records its own exception; 9/4 shares one result
+    assert [isinstance(c, DomainError) for c in column] == [True, False, True, False, True]
+    assert column[0] is not column[2] and column[2] is not column[4]
+    assert column[1] is column[3]
+    assert sqrt_calls == [neg, pos, neg, neg]
+
+
 def _assert_plan_matches_recursive_driver(exprs, xs):
     # a chain of barGamma at a point with a 200-digit denominator has
     # values past the default 4300-digit limit of int-to-str conversion;

@@ -837,6 +837,20 @@ def test_identity_replay_forms_no_square_in_h1(fm16, monkeypatch):
     assert calls["inverse"] == calls["exp_tagged"] == 0
 
 
+def test_identity_replay_runs_deltaQ_once_per_distinct_argument_in_a_block(fm16, monkeypatch):
+    # H1 without its float gives shared values (0, and exp of a nonzero
+    # rational), and barGamma one value per distinct argument, so each
+    # deltaQ step of a block sees two argument objects, not one per point
+    calls = []
+    delta = expr_module._delta_tagged
+    monkeypatch.setattr(expr_module, "_delta_tagged", lambda t: calls.append(t) or delta(t))
+    result = verify_abs_identity(RationalityLink(fm16), grid=IDENTITY_GRID)
+    assert result["ok"] and result["checked"] == 1101
+    blocks = -(-1101 // franklin_module.GRID_BLOCK)
+    # and the symbolic check evaluates deltaQ twice per matched pair
+    assert len(calls) <= 2 * 2 * blocks + 2 * len(fm16.matched)
+
+
 # sha256 of the points of each replay grid, one "p q d" line per point.
 # No report lists the points, so these digests are what catches a grid
 # whose points change.

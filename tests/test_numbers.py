@@ -630,6 +630,12 @@ def test_combination_column_matches_the_pair_model_at_each_point(terms, start, c
         assert _model(value) == want
 
 
+@given(qsqrt2s, qsqrt2s)
+def test_equals_abs_is_equality_with_the_absolute_value(v, x):
+    for w in (v, x, -x, abs(x)):
+        assert numbers.equals_abs(w, x) == (w == abs(x))
+
+
 @given(pairs)
 def test_equal_values_from_every_constructor_hash_equal(x):
     a, b = x
