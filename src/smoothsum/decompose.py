@@ -55,7 +55,7 @@ from .expr import (
     verify_nonsmooth_witness,
 )
 from .franklin import grid_blocks, parse_grid
-from .numbers import ONE, ZERO, DomainError, QSqrt2, combination_column, common_denominator, dot_is_zero
+from .numbers import ONE, ZERO, DomainError, QSqrt2, common_denominator, dot_is_zero, zero_prefix
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -176,28 +176,34 @@ def _first_failure(columns: list, first: int, count: int, ann: list, n: int) -> 
     which ``_check_point`` reports an error for this witness or raises;
     ``n`` when there is none.  Each component's two columns are scanned
     up to the first point where a side failed, is not one exact value, or
-    the sides differ; before that point every value is exact, and each
-    functional of W's annihilator is summed over the points in one
-    ``combination_column`` call."""
+    the sides differ, compared on their canonical triples.  A component
+    that is its own target has one column for both sides, equal wherever
+    it is exact, so only its exactness is scanned.  Before that point
+    every value is exact, and each functional of W's annihilator is tested
+    for zero over the points in one ``zero_prefix`` call, on the integer
+    parts."""
     stop = n
     for j in range(first, first + 2 * count, 2):
-        for at, (lhs, rhs) in enumerate(zip(columns[j][:stop], columns[j + 1][:stop])):
+        lhs_column, rhs_column = columns[j], columns[j + 1]
+        if lhs_column is rhs_column:
+            for at, cands in enumerate(lhs_column[:stop]):
+                if type(cands) is not tuple or len(cands) != 1 or type(cands[0].value) is not QSqrt2:
+                    stop = at
+                    break
+            continue
+        for at, (lhs, rhs) in enumerate(zip(lhs_column[:stop], rhs_column[:stop])):
             # an exception or candidate set fails, and so does a float or
             # opaque side: an exact lhs equals only an exact rhs
             if type(lhs) is not tuple or len(lhs) != 1 or type(rhs) is not tuple or len(rhs) != 1:
                 stop = at
                 break
-            value = lhs[0].value
-            if type(value) is not QSqrt2 or value != rhs[0].value:
+            u, v = lhs[0].value, rhs[0].value
+            if type(u) is not QSqrt2 or type(v) is not QSqrt2 or u.p != v.p or u.q != v.q or u.d != v.d:
                 stop = at
                 break
     values = [columns[j] for j in range(first, first + 2 * count, 2)]
     for phi in ann:
-        terms = [(c, [column]) for c, column in zip(phi, values) if not c.is_zero]
-        for at, v in enumerate(combination_column(terms, ZERO, stop)):
-            if not v.is_zero:
-                stop = at
-                break
+        stop = zero_prefix(zip(phi, values), stop)
     return stop
 
 
@@ -363,8 +369,9 @@ def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plot
     ``axis_plots[j]`` is a Plot of the space equal to |x| * e_j (for
     V2-delta, the witness (0, j) of ``gallery.gallery_witnesses``); only
     the axes where a direction is nonzero are read.  Every plot is
-    replayed on the grid against its target, all in one batch, and each
-    target's NonSmooth witness is replayed too.  Returns one (the plot's
+    replayed on the grid against its target, all in one batch.  Its
+    targets are classified in order up to the first NonSmooth one, whose
+    witness is replayed too.  Returns one (the plot's
     component trees, as replayed; NonSmooth verdict; the line) per
     direction, or raises the ValueError of the first direction, in the
     given order, that fails, as one direction at a time would.
@@ -390,11 +397,13 @@ def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plot
     for (trees, targets, w), err in zip(batch, _replay_witness(batch, DEFAULT_GRID)):
         if err is not None:
             raise ValueError(f"witness replay failed: {err}")
-        classified = [(t, classify_smoothness(t, axioms=space.axioms)) for t in targets]
-        found = next(((t, v) for t, v in classified if v.status == Smoothness.NONSMOOTH), None)
-        if found is None:
+        # the first target that classifies NonSmooth; none after it is classified
+        for target in targets:
+            nonsmooth = classify_smoothness(target, axioms=space.axioms)
+            if nonsmooth.status == Smoothness.NONSMOOTH:
+                break
+        else:
             raise ValueError("witness did not classify NonSmooth")
-        target, nonsmooth = found
         if not verify_nonsmooth_witness(target, nonsmooth, space.axioms):
             raise ValueError(f"witness replay failed: NonSmooth witness for {to_text(target)} does not replay")
         out.append((trees, nonsmooth, w))

@@ -119,8 +119,9 @@ class App(Expr):
 FUNCTION_NAMES = ("abs", "exp", "sqrt", "deltaQ", "H1", "w", "barGamma", "gamma")
 
 X = Var()
-ZERO_E = Const(QSqrt2())
-ONE_E = Const(QSqrt2.coerce(1))
+ZERO_E = Const(ZERO)
+ONE_E = Const(ONE)
+_MINUS_ONE = -ONE
 
 
 def const(v) -> Const:
@@ -134,7 +135,7 @@ def const(v) -> Const:
 
 def make_sum(terms: Iterable[Expr]) -> Expr:
     flat: list[Expr] = []
-    acc = QSqrt2()
+    acc = ZERO
     for t in terms:
         if isinstance(t, Sum):
             inner = list(t.terms)
@@ -165,7 +166,7 @@ def make_sum(terms: Iterable[Expr]) -> Expr:
 
 def make_prod(factors: Iterable[Expr]) -> Expr:
     flat: list[Expr] = []
-    coef = QSqrt2.coerce(1)
+    coef = ONE
     for f in factors:
         if isinstance(f, Prod):
             inner = list(f.factors)
@@ -180,13 +181,13 @@ def make_prod(factors: Iterable[Expr]) -> Expr:
         return ZERO_E
     if not flat:
         return Const(coef)
-    if coef == QSqrt2.coerce(1):
+    if coef == ONE:
         return flat[0] if len(flat) == 1 else Prod(tuple(flat))
     return Prod(tuple([Const(coef)] + flat))
 
 
 def make_neg(e: Expr) -> Expr:
-    return make_prod([Const(QSqrt2.coerce(-1)), e])
+    return make_prod([Const(_MINUS_ONE), e])
 
 
 def make_pow(base: Expr, k: int) -> Expr:
@@ -215,7 +216,7 @@ def _split_coefficient(e: Expr) -> tuple[QSqrt2, Expr]:
         rest = e.factors[1:]
         core = rest[0] if len(rest) == 1 else Prod(rest)
         return e.factors[0].value, core
-    return QSqrt2.coerce(1), e
+    return ONE, e
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
@@ -503,7 +504,7 @@ def _term_text(e: Expr) -> tuple[bool, str]:
     if core == ONE_E:
         # parenthesize mixed constants so a leading '-' binds to the whole
         return negative, _const_text(coef, atomic=True)
-    if coef != QSqrt2.coerce(1):
+    if coef != ONE:
         parts.append(_const_text(coef, atomic=True))
     if isinstance(core, Prod):
         parts.extend(_factor_text(f) for f in core.factors)
@@ -847,8 +848,7 @@ def _combination_column(e: Expr, start: QSqrt2, terms: list, parts: list, cols, 
     """The column of a Sum, Prod or Pow node (see above); ``parts`` holds,
     per child in order, its fused product and that product's children, or
     None and the child itself."""
-    values = combination_column([(c, [cols[k] for k in slots]) for c, slots in terms], start, len(xs))
-    out = [None if v is None else (TaggedReal.exact(v),) for v in values]
+    out = combination_column([(c, [cols[k] for k in slots]) for c, slots in terms], start, len(xs))
     for i in [i for i, c in enumerate(out) if c is None]:
         x = xs[i]
         try:
@@ -923,10 +923,10 @@ class Plan:
     once, by a sum that varies with x, gets no step; it is a term of that
     sum (the fusion rule).  One call of ``numbers.combination_column``
     computes the node over the block, at each point where every factor
-    holds one exact value, and reduces once per point.  At any other
-    point the step applies ``_apply`` to each fused product and then to
-    the node, on the same values the recursive driver would pass, so
-    every result is ``eval_candidates``'s, value for value.
+    holds one exact value, and reduces and builds its candidate once per
+    point.  At any other point the step applies ``_apply`` to each fused
+    product and then to the node, on the same values the recursive driver
+    would pass, so every result is ``eval_candidates``'s, value for value.
 
     Floats are computed only where they are read (the demand rule).  A
     slot's float is needed when the slot is a root, or a child of a node
@@ -1178,7 +1178,7 @@ def one_sided_derivative(e: Expr, x0, side: int) -> TaggedReal:
             total = add_tagged(total, one_sided_derivative(t, x0, side))
         return total
     coef, core = _split_coefficient(e)
-    if coef != QSqrt2.coerce(1):
+    if coef != ONE:
         return mul_tagged(TaggedReal.exact(coef), one_sided_derivative(core, x0, side))
     if isinstance(e, App) and e.name == "abs" and is_smooth_expr(e.arg):
         v = eval_exact(e.arg, x0)
@@ -1234,7 +1234,7 @@ class ExoticDecomposition:
         return not self.leftovers
 
     def coefficient(self, kind: str) -> QSqrt2:
-        return self.coeffs.get(kind, QSqrt2())
+        return self.coeffs.get(kind, ZERO)
 
     @property
     def kinds_present(self) -> frozenset:
@@ -1256,7 +1256,7 @@ def decompose_exotic(e: Expr) -> ExoticDecomposition:
         c, core = _split_coefficient(t)
         if core in _ATOM_BY_EXPR:
             kind = _ATOM_BY_EXPR[core]
-            coeffs[kind] = coeffs.get(kind, QSqrt2()) + c
+            coeffs[kind] = coeffs.get(kind, ZERO) + c
         elif core == ONE_E or is_smooth_expr(core):
             smooth_terms.append(t)
         else:
@@ -1466,8 +1466,8 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
     # pure abs obstruction: one-sided derivative mismatch at the kink
     c = d.coefficient(ABS_KIND)
     try:
-        left = one_sided_derivative(e, QSqrt2(), -1)
-        right = one_sided_derivative(e, QSqrt2(), +1)
+        left = one_sided_derivative(e, ZERO, -1)
+        right = one_sided_derivative(e, ZERO, +1)
     except NotDifferentiableError as exc:
         return SmoothnessVerdict(
             Smoothness.UNKNOWN,
@@ -1492,8 +1492,8 @@ def verify_nonsmooth_witness(e: Expr, verdict: SmoothnessVerdict, axioms: frozen
         return False
     w = verdict.witness
     if w["kind"] == "one-sided-derivative-mismatch":
-        left = one_sided_derivative(e, QSqrt2(), -1)
-        right = one_sided_derivative(e, QSqrt2(), +1)
+        left = one_sided_derivative(e, ZERO, -1)
+        right = one_sided_derivative(e, ZERO, +1)
         return (
             left.is_exact
             and right.is_exact

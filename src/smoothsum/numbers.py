@@ -305,23 +305,24 @@ ONE = QSqrt2.coerce(1)
 
 # -- many values at once ---------------------------------------------------
 # Linear combinations of products of values (a product is a combination
-# of one term) on the integer triples, over one denominator, reduced
-# once at the end.
+# of one term) on the integer triples, over one denominator: reduced once
+# at the end, or only tested for zero.
 
 
 def combination_exact(terms: Iterable[tuple[QSqrt2, Iterable[QSqrt2]]], start: QSqrt2 = ZERO) -> QSqrt2:
     """start + the sum of c times the product of ``factors`` over the
     ``terms`` (c, factors); a term without factors is c."""
     columns = [(c, [[(TaggedReal.exact(v),)] for v in factors]) for c, factors in terms]
-    return combination_column(columns, start, 1)[0]
+    return combination_column(columns, start, 1)[0][0].value
 
 
 def combination_column(terms: Iterable[tuple], start: QSqrt2, count: int) -> list:
     """At each point i < ``count``, start + the sum over ``terms`` (c,
     columns) of c times the product of the values in column[i] for its
     columns, each a tuple of ``TaggedReal`` candidates: over one
-    denominator, reduced once.  None at a point where some factor is not a
-    single exact value."""
+    denominator, reduced once, and built once as its own candidates, a
+    one-tuple of the exact value.  None at a point where some factor is
+    not a single exact value."""
     rows = [(c.p, c.q, c.d, columns) for c, columns in terms]
     sp, sq, sd = start.p, start.q, start.d
     out = []
@@ -352,8 +353,47 @@ def combination_column(terms: Iterable[tuple], start: QSqrt2, count: int) -> lis
             out.append(None)
             break
         else:
-            out.append(_reduced(p, q, d))
+            if d != 1:
+                g = math.gcd(p, q, d)
+                if g != 1:
+                    p //= g
+                    q //= g
+                    d //= g
+            v = _new(QSqrt2)
+            _SET_P(v, p)
+            _SET_Q(v, q)
+            _SET_D(v, d)
+            t = _new(TaggedReal)
+            _SET_VALUE(t, v)
+            _SET_TAG(t, _RATIONAL if q == 0 else _IRRATIONAL)
+            _SET_TRANSCENDENTAL(t, False)
+            out.append((t,))
     return out
+
+
+def zero_prefix(terms: Iterable[tuple], count: int) -> int:
+    """How many of the first ``count`` points give a zero sum of c times
+    column[i] over ``terms`` (c, column): the index of the first point
+    with a nonzero sum, or ``count``.  Each column[i] must hold one exact
+    ``TaggedReal``.  A sum over one denominator is zero iff both parts of
+    its numerator are, so nothing is reduced and no value is built; the
+    scan stops at the first nonzero point."""
+    rows = [(c.p, c.q, c.d, column) for c, column in terms if c.p or c.q]
+    for i in range(count):
+        p = q = 0
+        d = 1
+        for cp, cq, cd, column in rows:
+            v = column[i][0].value
+            vp, vq = v.p, v.q
+            tp, tq, td = cp * vp + 2 * cq * vq, cp * vq + cq * vp, cd * v.d
+            if td == d:
+                p += tp
+                q += tq
+            else:
+                p, q, d = p * td + tp * d, q * td + tq * d, d * td
+        if p or q:
+            return i
+    return count
 
 
 def equals_abs(v: QSqrt2, x: QSqrt2) -> bool:
@@ -366,21 +406,11 @@ def equals_abs(v: QSqrt2, x: QSqrt2) -> bool:
 
 
 def dot_is_zero(phi: Iterable[QSqrt2], vals: Iterable[QSqrt2]) -> bool:
-    """Whether the sum of phi[i] * vals[i] is 0.  Over one denominator it
-    is zero iff both parts of its numerator are, so nothing is reduced."""
-    p = q = 0
-    d = 1
-    for c, v in zip(phi, vals):
-        cp, cq = c.p, c.q
-        if not (cp or cq):
-            continue
-        tp, tq, td = cp * v.p + 2 * cq * v.q, cp * v.q + cq * v.p, c.d * v.d
-        if td == d:
-            p += tp
-            q += tq
-        else:
-            p, q, d = p * td + tp * d, q * td + tq * d, d * td
-    return p == 0 and q == 0
+    """Whether the sum of phi[i] * vals[i] is 0: ``zero_prefix`` at one
+    point."""
+    return zero_prefix([(c, [(TaggedReal.exact(v),)]) for c, v in zip(phi, vals)], 1) == 1
+
+
 SQRT2 = QSqrt2.sqrt2()
 INV_SQRT2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 

@@ -22,10 +22,10 @@ from smoothsum.decompose import (
     verify_kernel_image_witness,
 )
 from smoothsum.diffeology import DVSpace, LinearMap, Subspace, parse_space
-from smoothsum.expr import AXIOM_A, App, Smoothness, SmoothnessVerdict, X, const, make_sum, parse_expr, to_text
+from smoothsum.expr import AXIOM_A, App, Plan, Smoothness, SmoothnessVerdict, X, const, make_sum, parse_expr, to_text
 from smoothsum.franklin import GRID_BLOCK, parse_grid
 from smoothsum.gallery import gallery_space, gallery_witnesses
-from smoothsum.numbers import INV_SQRT2, QSqrt2
+from smoothsum.numbers import INV_SQRT2, QSqrt2, TaggedReal
 
 E1 = Subspace.from_vectors(2, [[1, 0]])
 E2 = Subspace.from_vectors(2, [[0, 1]])
@@ -558,3 +558,32 @@ def test_replay_reports_a_mismatch_before_the_subspace_at_one_point():
     bumps = _bumps(first, later)
     witness = ([bumps, bumps], [const(0), bumps], E1)
     assert decompose._replay_witness([witness], grid) == [f"mismatch at {first}, component 0"]
+
+
+def _own_target(text: str) -> tuple:
+    """A witness on the line x = y whose two components are the tree of
+    ``text``, each its own target, so one plan column holds both sides."""
+    tree = parse_expr(text)
+    return [tree, tree], [tree, tree], Subspace.from_vectors(2, [[1, 1]])
+
+
+def test_replay_of_a_component_that_is_its_own_target_stops_where_it_raises():
+    # sqrt(x) is exact at 0 and raises at every negative
+    grid = "zero,negatives:3"
+    points = parse_grid(grid)
+    witness = _own_target("sqrt(x)")
+    columns = Plan(witness[0] + witness[1]).columns([TaggedReal.exact(x) for x in points])
+    assert columns[0] is columns[2]
+    assert decompose._replay_witness([witness], grid) == [
+        f"domain error at {points[1]}, component 0: sqrt of a negative number"
+    ]
+
+
+def test_replay_of_a_component_that_is_its_own_target_stops_at_a_candidate_set():
+    # H1(x+1) is tagged at 0 and at the rationals but not at the points
+    # 1 + m*sqrt2/k, where deltaQ of it is the set {0, 1}
+    grid = "zero,rationals:3,quadratic:2"
+    points = parse_grid(grid)
+    assert decompose._replay_witness([_own_target("deltaQ(H1(x+1))")], grid) == [
+        f"indeterminate value at {points[4]}, component 0"
+    ]

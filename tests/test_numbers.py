@@ -627,7 +627,53 @@ def test_combination_column_matches_the_pair_model_at_each_point(terms, start, c
             for f in fs:
                 term = _ref_mul(term, _model(f[0].value))
             want = _ref_add(want, term)
-        assert _model(value) == want
+        # the value comes as its own candidates, tagged by its sqrt2 part
+        (t,) = value
+        assert t.tag == (Tag.RATIONAL if t.value.q == 0 else Tag.IRRATIONAL) and not t.transcendental
+        assert _model(t.value) == want
+
+
+@st.composite
+def _zero_prefix_cases(draw):
+    """Coefficients, some zero, beside all-exact columns of one length,
+    where most points are made to give a zero sum by solving for one
+    column's value there; and a count up to that length."""
+    phi = [QSqrt2(*c) for c in draw(st.lists(st.one_of(st.just((0, 0)), pairs), min_size=1, max_size=4))]
+    columns = [[] for _ in phi]
+    for _ in range(draw(st.integers(1, 6))):
+        vals = [QSqrt2(*draw(pairs)) for _ in phi]
+        solvable = [j for j, c in enumerate(phi) if not c.is_zero]
+        if solvable and draw(st.integers(0, 3)):
+            j = draw(st.sampled_from(solvable))
+            rest = sum((c * v for i, (c, v) in enumerate(zip(phi, vals)) if i != j), ZERO)
+            vals[j] = -rest / phi[j]
+        for column, v in zip(columns, vals):
+            column.append((TaggedReal.exact(v),))
+    return phi, columns, draw(st.integers(0, len(columns[0])))
+
+
+@given(_zero_prefix_cases())
+def test_zero_prefix_stops_at_the_first_nonzero_combination(case):
+    phi, columns, count = case
+    terms = list(zip(phi, columns))
+    sums = numbers.combination_column([(c, [column]) for c, column in terms], ZERO, count)
+    first = next((i for i, s in enumerate(sums) if not s[0].value.is_zero), count)
+    assert numbers.zero_prefix(terms, count) == first
+    # at one point it is dot_is_zero
+    for i in range(len(columns[0])):
+        vals = [column[i][0].value for column in columns]
+        assert numbers.zero_prefix([(c, column[i : i + 1]) for c, column in terms], 1) == dot_is_zero(phi, vals)
+
+
+def test_zero_prefix_cross_multiplies_unequal_denominators():
+    half, third = QSqrt2(Fraction(1, 2), Fraction(1, 2)), QSqrt2(Fraction(1, 3), Fraction(1, 3))
+    column = [(TaggedReal.exact(v),) for v in (half, third, half)]
+    # v - v is 0; (1 + sqrt2)/3 - (1 + sqrt2)/2 is not, though the
+    # numerators of its terms cancel
+    terms = [(ONE, column), (-ONE, [(TaggedReal.exact(half),)] * 3)]
+    assert numbers.zero_prefix(terms, 3) == 1
+    assert numbers.zero_prefix(terms, 1) == 1
+    assert numbers.zero_prefix(terms, 0) == 0
 
 
 @given(qsqrt2s, qsqrt2s)
