@@ -8,7 +8,12 @@ decomposition is certified smooth when each projected generator is
 exhibited as a plot with values in its subspace — either by a trivial
 rule (zero, the generator itself, a smooth vector function, a rational
 multiple of another generator) or by a stored witness plot that replays
-under exact tagged evaluation on a deterministic grid.
+under exact tagged evaluation on a deterministic grid.  A replay reads
+each check, the plot minus its target and each functional of the
+subspace's annihilator, as a linear form in the plot's non-linear
+subtrees, evaluates those subtrees once per point, and tests each form
+for zero on integer parts; only a point where the test cannot decide, or
+fails, is evaluated tree by tree to word the error.
 
 Refutations go the other way: when both subset diffeologies are
 certified standard, a smooth decomposition would force the whole space
@@ -18,8 +23,10 @@ standard, so one non-smooth generator component refutes it.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .constraints import (
@@ -46,8 +53,12 @@ from .expr import (
     ATOM_EXPRS,
     Const,
     Plan,
+    Prod,
     Smoothness,
+    Sum,
     ZERO_E,
+    _apply,
+    _children,
     classify_smoothness,
     is_smooth_expr,
     make_prod,
@@ -55,7 +66,7 @@ from .expr import (
     verify_nonsmooth_witness,
 )
 from .franklin import grid_blocks, parse_grid
-from .numbers import ONE, ZERO, DomainError, QSqrt2, common_denominator, dot_is_zero, zero_prefix
+from .numbers import ONE, ZERO, DomainError, QSqrt2, TaggedReal, common_denominator, dot_is_zero, zero_prefix
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -124,16 +135,28 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
     values lie in its W.
 
     ``witnesses`` holds (the plot's component trees, target components, W)
-    triples; the caller builds the trees once and keeps them.  The grid is
-    parsed once, and one ``Plan`` over every component and target of the
-    batch evaluates each grid point once, so the subtrees the witnesses
-    share (H1(x), its barGamma, their deltaQ, |x|) run once per point.
-    The plan runs on blocks of ``GRID_BLOCK`` points, and the checks go
-    column by column: each pending witness's columns are scanned once per
-    block for the first point where it fails or raises
-    (``_first_failure``), and ``_check_point`` then runs only at those
-    points, in grid order and, at one point, in batch order, so it alone
-    words every error.  Returns one entry per witness: None when it
+    triples; the caller builds the trees once and keeps them.  Nothing is
+    compared tree against tree.  Each check is a linear form that must be
+    zero: per component, the component minus its target (its difference
+    form), and per functional of W's annihilator, that functional of the
+    components.  Each form is read once, symbolically, as a linear
+    combination of products of factors, the subtrees that are neither
+    sums, products nor constants (x, |x|, deltaQ(H1(x)), ...; see
+    ``_read``), and forms equal up to a nonzero scalar are one form.  The
+    grid is parsed once, and one ``Plan`` over the batch's distinct
+    factors evaluates them on blocks of ``GRID_BLOCK`` points.  In each
+    block, each factor column is scanned once for the points where it is
+    not one exact value, and each form the pending witnesses hold gets one
+    integer zero test (``numbers.zero_prefix``) up to the first point
+    where a factor it reads is not exact.  A witness is suspect at the
+    first point where a factor of its components or targets is not
+    exact, before any term cancels, or where one of its forms is nonzero.
+    Before that point every tree is exact and every check holds.  There,
+    each tree's outcome is assembled from the factor columns with
+    ``expr._apply`` (no function is called again), and ``_check_point``
+    either words the error or clears the point, and the scan resumes
+    after it.  Suspect points are examined in grid order and, at one
+    point, in batch order.  Returns one entry per witness: None when it
     replays, else the error its replay alone gives, at the first failing
     grid point and, there, the first failing component (a component
     error before the subspace).  A witness that fails is not checked
@@ -145,74 +168,157 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
     """
     if not witnesses:
         return []
-    trees: list = []
-    checks = []  # per witness: (its first tree, its component count, W's annihilator)
+    factors: dict = {}  # factor subtree -> its index, in the order first read
+    forms: dict = {}  # normalised form -> its index
+    checks = []  # per witness: (its (component, target) pairs, W's annihilator, factors read, its forms)
     for exprs, components, w in witnesses:
         pairs = list(zip(exprs, components))
         ann = linalg.annihilator(w.basis, w.ambient_dim)
-        checks.append((len(trees), len(pairs), ann))
-        # each component beside its target, in the order they are checked
-        trees.extend(e for pair in pairs for e in pair)
-    plan = Plan(trees)
+        reads: set = set()
+        own: set = set()
+        for e, t in pairs:
+            form: dict = {}
+            _read(e, ONE, form, factors)
+            _read(t, -ONE, form, factors)
+            # a term that cancels still reads its factors
+            reads.update(k for monomial in form for k in monomial)
+            own.add(_form_index(form, forms))
+        for phi in ann:
+            form = {}
+            for c, (e, _) in zip(phi, pairs):
+                if not c.is_zero:
+                    _read(e, c, form, factors)
+            own.add(_form_index(form, forms))
+        own.discard(None)  # a form that is zero as written needs no test
+        checks.append((pairs, ann, tuple(sorted(reads)), sorted(own)))
+    form_terms = list(forms)
+    plan = Plan(list(factors))
     results: list = [None] * len(checks)
     pending = range(len(checks))
     for block, tagged in grid_blocks(parse_grid(grid)):
         columns = plan.columns(tagged)
-        failing = []  # (the first point where it fails, witness)
-        for i in pending:
-            at = _first_failure(columns, *checks[i], len(block))
-            if at < len(block):
-                failing.append((at, i))
-        for at, i in sorted(failing):
-            results[i] = _check_point(block[at], at, columns, *checks[i])
+        n = len(block)
+        # per factor, the points where it is not one exact value
+        inexact = [
+            [i for i, cands in enumerate(column)
+             if type(cands) is not tuple or len(cands) != 1 or type(cands[0].value) is not QSqrt2]
+            for column in columns
+        ]
+
+        # The scans below answer with a point from ``start``, or n.
+        def next_inexact(slots, start: int) -> int:
+            # the first point where a factor of ``slots`` is not exact
+            out = n
+            for k in slots:
+                points = inexact[k]
+                at = bisect_left(points, start)
+                if at < len(points) and points[at] < out:
+                    out = points[at]
+            return out
+
+        zeros: dict = {}  # form -> (a start, its first nonzero point from there)
+
+        def first_nonzero(f: int, start: int) -> int:
+            # the first point where form f is nonzero or a factor it reads
+            # is not exact; one zero test serves every witness that holds f
+            zero = zeros.get(f)
+            if zero is None or not zero[0] <= start <= zero[1]:
+                terms = form_terms[f]
+                stop = next_inexact({k for monomial, _ in terms for k in monomial}, start)
+                rows = [(c, *(columns[k] for k in monomial)) for monomial, c in terms]
+                zero = zeros[f] = (start, zero_prefix(rows, stop, start))
+            return zero[1]
+
+        def suspect(reads, own, start: int) -> int:
+            return min([next_inexact(reads, start)] + [first_nonzero(f, start) for f in own])
+
+        heap = [(suspect(*checks[i][2:], 0), i) for i in pending]
+        heapify(heap)
+        while heap and heap[0][0] < n:
+            at, i = heappop(heap)
+            pairs, ann, reads, own = checks[i]
+            outcomes = [_outcome(e, tagged[at], at, factors, columns) for pair in pairs for e in pair]
+            results[i] = _check_point(block[at], zip(outcomes[::2], outcomes[1::2]), ann)
+            if results[i] is None:  # cleared: scan on after it
+                heappush(heap, (suspect(reads, own, at + 1), i))
         pending = [i for i in pending if results[i] is None]
         if not pending:
             break
     return results
 
 
-def _first_failure(columns: list, first: int, count: int, ann: list, n: int) -> int:
-    """The index of the first of the ``n`` points of the plan's columns at
-    which ``_check_point`` reports an error for this witness or raises;
-    ``n`` when there is none.  Each component's two columns are scanned
-    up to the first point where a side failed, is not one exact value, or
-    the sides differ, compared on their canonical triples.  A component
-    that is its own target has one column for both sides, equal wherever
-    it is exact, so only its exactness is scanned.  Before that point
-    every value is exact, and each functional of W's annihilator is tested
-    for zero over the points in one ``zero_prefix`` call, on the integer
-    parts."""
-    stop = n
-    for j in range(first, first + 2 * count, 2):
-        lhs_column, rhs_column = columns[j], columns[j + 1]
-        if lhs_column is rhs_column:
-            for at, cands in enumerate(lhs_column[:stop]):
-                if type(cands) is not tuple or len(cands) != 1 or type(cands[0].value) is not QSqrt2:
-                    stop = at
-                    break
-            continue
-        for at, (lhs, rhs) in enumerate(zip(lhs_column[:stop], rhs_column[:stop])):
-            # an exception or candidate set fails, and so does a float or
-            # opaque side: an exact lhs equals only an exact rhs
-            if type(lhs) is not tuple or len(lhs) != 1 or type(rhs) is not tuple or len(rhs) != 1:
-                stop = at
-                break
-            u, v = lhs[0].value, rhs[0].value
-            if type(u) is not QSqrt2 or type(v) is not QSqrt2 or u.p != v.p or u.q != v.q or u.d != v.d:
-                stop = at
-                break
-    values = [columns[j] for j in range(first, first + 2 * count, 2)]
-    for phi in ann:
-        stop = zero_prefix(zip(phi, values), stop)
-    return stop
+def _read(e, scale: QSqrt2, form: dict, factors: dict) -> None:
+    """Add ``scale`` times tree ``e`` to ``form``, read as a linear
+    combination of products of factors.  A sum is read term by term, and
+    a product with one child that is not a constant as that child,
+    scaled.  Any other product is one monomial of its non-constant
+    children, and any other node a monomial of one factor.  ``form`` maps
+    each monomial, the sorted indices its factors have in ``factors``
+    (which gains each new factor), to its coefficient; a monomial whose
+    terms cancel stays, with coefficient 0."""
+    if isinstance(e, Sum):
+        for term in e.terms:
+            _read(term, scale, form, factors)
+        return
+    if isinstance(e, Const):
+        rest = ()
+        scale = scale * e.value
+    elif isinstance(e, Prod):
+        rest = []
+        for f in e.factors:
+            if isinstance(f, Const):
+                scale = scale * f.value
+            else:
+                rest.append(f)
+        if len(rest) == 1:
+            _read(rest[0], scale, form, factors)
+            return
+    else:
+        rest = (e,)
+    monomial = tuple(sorted(factors.setdefault(f, len(factors)) for f in rest))
+    form[monomial] = form.get(monomial, ZERO) + scale
 
 
-def _check_point(x: QSqrt2, at: int, columns: list, first: int, count: int, ann: list) -> Optional[str]:
-    """One witness at grid point ``x``, index ``at`` of the plan's columns:
-    the error its replay reports there, or None."""
+def _form_index(form: dict, forms: dict) -> Optional[int]:
+    """The index in ``forms`` of ``form`` divided by its leading
+    coefficient (that of its first monomial in sorted order), added if
+    new; None for a form whose every coefficient is 0."""
+    terms = sorted((monomial, c) for monomial, c in form.items() if not c.is_zero)
+    if not terms:
+        return None
+    lead = terms[0][1]
+    if lead != ONE:
+        inverse = lead.inverse()
+        terms = [(monomial, c * inverse) for monomial, c in terms]
+    return forms.setdefault(tuple(terms), len(forms))
+
+
+def _outcome(e, x: TaggedReal, at: int, factors: dict, columns: list):
+    """Tree ``e``'s outcome at ``x``, index ``at`` of the factor columns:
+    ``eval_candidates``'s candidates there, or the exception it raises.
+    Each factor's outcome is read from its column, and each node above it
+    is ``_apply``'d to its children's, so no function is called."""
+    try:
+        return _assemble(e, x, at, factors, columns)
+    except Exception as exc:  # what evaluating the tree alone raises
+        return exc
+
+
+def _assemble(e, x: TaggedReal, at: int, factors: dict, columns: list):
+    k = factors.get(e)
+    if k is None:
+        return _apply(e, [_assemble(c, x, at, factors, columns) for c in _children(e)], x)
+    outcome = columns[k][at]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _check_point(x: QSqrt2, sides: Iterable, ann: list) -> Optional[str]:
+    """One witness at grid point ``x``, given each component's outcome
+    beside its target's: the error its replay reports there, or None."""
     vals = []
-    for j in range(count):
-        lhs, rhs = columns[first + 2 * j][at], columns[first + 2 * j + 1][at]
+    for j, (lhs, rhs) in enumerate(sides):
         for side in (lhs, rhs):
             if isinstance(side, DomainError):
                 return f"domain error at {x}, component {j}: {side}"

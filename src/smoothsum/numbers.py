@@ -371,21 +371,29 @@ def combination_column(terms: Iterable[tuple], start: QSqrt2, count: int) -> lis
     return out
 
 
-def zero_prefix(terms: Iterable[tuple], count: int) -> int:
-    """How many of the first ``count`` points give a zero sum of c times
-    column[i] over ``terms`` (c, column): the index of the first point
-    with a nonzero sum, or ``count``.  Each column[i] must hold one exact
-    ``TaggedReal``.  A sum over one denominator is zero iff both parts of
-    its numerator are, so nothing is reduced and no value is built; the
-    scan stops at the first nonzero point."""
-    rows = [(c.p, c.q, c.d, column) for c, column in terms if c.p or c.q]
-    for i in range(count):
+def zero_prefix(terms: Iterable[tuple], count: int, start: int = 0) -> int:
+    """The first point i from ``start`` up to ``count`` where the sum
+    over ``terms`` of c times the product of column[i] over the term's
+    columns is nonzero, else ``count``.  A term is (c, column, ...), a
+    coefficient and the columns of its factors: (c, column) is c times
+    column[i], and (c,) the constant c.  Each column[i] read must hold
+    one exact ``TaggedReal``.  A sum over one denominator is zero iff both
+    parts of its numerator are, so nothing is reduced and no value is
+    built; the scan stops at the first nonzero point."""
+    rows = [(c.p, c.q, c.d, columns) for c, *columns in terms if c.p or c.q]
+    for i in range(start, count):
         p = q = 0
         d = 1
-        for cp, cq, cd, column in rows:
-            v = column[i][0].value
-            vp, vq = v.p, v.q
-            tp, tq, td = cp * vp + 2 * cq * vq, cp * vq + cq * vp, cd * v.d
+        for tp, tq, td, columns in rows:
+            for column in columns:
+                v = column[i][0].value
+                vp, vq = v.p, v.q
+                if vq:
+                    tp, tq = tp * vp + 2 * tq * vq, tp * vq + tq * vp
+                else:
+                    tp *= vp
+                    tq *= vp
+                td *= v.d
             if td == d:
                 p += tp
                 q += tq

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoothsum import decompose, linalg
+from smoothsum import decompose, gallery, linalg
 from smoothsum import expr as expr_module
 from smoothsum.constraints import characteristic_decomposition, maximal_isotropic
 from smoothsum.decompose import (
@@ -22,10 +24,23 @@ from smoothsum.decompose import (
     verify_kernel_image_witness,
 )
 from smoothsum.diffeology import DVSpace, LinearMap, Subspace, parse_space
-from smoothsum.expr import AXIOM_A, App, Plan, Smoothness, SmoothnessVerdict, X, const, make_sum, parse_expr, to_text
+from smoothsum.expr import (
+    AXIOM_A,
+    App,
+    Plan,
+    Smoothness,
+    SmoothnessVerdict,
+    X,
+    const,
+    eval_candidates,
+    make_prod,
+    make_sum,
+    parse_expr,
+    to_text,
+)
 from smoothsum.franklin import GRID_BLOCK, parse_grid
 from smoothsum.gallery import gallery_space, gallery_witnesses
-from smoothsum.numbers import INV_SQRT2, QSqrt2, TaggedReal
+from smoothsum.numbers import INV_SQRT2, DomainError, QSqrt2, TaggedReal, dot_is_zero
 
 E1 = Subspace.from_vectors(2, [[1, 0]])
 E2 = Subspace.from_vectors(2, [[0, 1]])
@@ -587,3 +602,181 @@ def test_replay_of_a_component_that_is_its_own_target_stops_at_a_candidate_set()
     assert decompose._replay_witness([_own_target("deltaQ(H1(x+1))")], grid) == [
         f"indeterminate value at {points[4]}, component 0"
     ]
+
+
+def test_replay_does_not_let_a_cancelled_factor_hide_an_indeterminate_value():
+    # component and target are one tree, so the difference form is 0, but
+    # deltaQ(H1(x+1)) is the set {0, 1} at the points 1 + m*sqrt2/k
+    grid = "zero,rationals:3,quadratic:2"
+    points = parse_grid(grid)
+    tree = parse_expr("3*deltaQ(H1(x+1))")
+    for target in (tree, parse_expr("3*deltaQ(H1(x+1))")):
+        witness = ([tree], [target], Subspace.from_vectors(1, [[1]]))
+        assert decompose._replay_witness([witness], grid) == [f"indeterminate value at {points[4]}, component 0"]
+
+
+def test_replay_scans_on_after_a_point_where_an_inexact_factor_is_annihilated():
+    # gamma(x) is opaque everywhere, but x*gamma(x) is exactly 0 at 0
+    grid = "zero,rationals:2"
+    points = parse_grid(grid)
+    tree = parse_expr("x*gamma(x) + abs(x)")
+    witness = ([tree], [parse_expr("abs(x) + x*gamma(x)")], Subspace.from_vectors(1, [[1]]))
+    assert decompose._replay_witness([witness], grid) == [f"indeterminate value at {points[1]}, component 0"]
+
+
+def test_replay_of_constant_trees_tests_their_forms_at_every_point():
+    # no tree reads a factor, so the plan has no root
+    grid = "zero,rationals:2"
+    line = Subspace.from_vectors(1, [[1]])
+    batch = [
+        ([const(2)], [const(2)], line),
+        ([const(1)], [const(0)], line),
+        ([const(1)], [const(1)], Subspace.from_vectors(1, [])),
+    ]
+    assert decompose._replay_witness(batch, grid) == [
+        None,
+        "mismatch at 0, component 0",
+        "value at 0 lies outside the subspace",
+    ]
+
+
+def test_replay_scans_proportional_forms_once_and_reports_each_witness(monkeypatch):
+    # deltaQ(x)^2 - deltaQ(x) + |x|^2 - x^2 is 0 everywhere; the third form
+    # doubles its first coefficient, which leaves deltaQ(x): 0 at the
+    # rationals and 1 at the first point m*sqrt2/k
+    grid = "zero,negatives:3,rationals:3,quadratic:3"
+    points = parse_grid(grid)
+    line = Subspace.from_vectors(1, [[1]])
+
+    def witness(component, target):
+        return [parse_expr(component)], [parse_expr(target)], line
+
+    batch = [
+        witness("deltaQ(x)*deltaQ(x) + abs(x)*abs(x)", "deltaQ(x) + x*x"),
+        witness("2*deltaQ(x)*deltaQ(x) + abs(x)*abs(x)", "deltaQ(x) + x*x"),
+        witness("-2/3*abs(x)*abs(x) - 2/3*deltaQ(x)*deltaQ(x)", "-2/3*x*x - 2/3*deltaQ(x)"),
+    ]
+    scans = []
+    zero_prefix = decompose.zero_prefix
+    monkeypatch.setattr(decompose, "zero_prefix", lambda *a: scans.append(a) or zero_prefix(*a))
+    assert decompose._replay_witness(batch, grid) == [None, f"mismatch at {points[7]}, component 0", None]
+    assert len(scans) == 2
+
+
+def test_replay_of_cor_2_5_scans_one_form_over_four_factors(monkeypatch):
+    batches, plans, scans = [], [], []
+    replay, zero_prefix = decompose._replay_witness, decompose.zero_prefix
+
+    class RecordedPlan(Plan):
+        def __init__(self, exprs):
+            super().__init__(exprs)
+            plans.append(self)
+
+    monkeypatch.setattr(decompose, "_replay_witness", lambda batch, grid: batches.append(batch) or replay(batch, grid))
+    monkeypatch.setattr(decompose, "Plan", RecordedPlan)
+    monkeypatch.setattr(decompose, "zero_prefix", lambda *a: scans.append(a) or zero_prefix(*a))
+    assert gallery.run_scenario("cor-2.5")["all_nonsmooth"]
+    # one batch of 20 witnesses: x, |x| and deltaQ of H1(x) and of its barGamma
+    assert [len(batch) for batch in batches] == [20]
+    assert [len(plan._roots) for plan in plans] == [4]
+    blocks = -(-len(parse_grid(decompose.DEFAULT_GRID)) // GRID_BLOCK)
+    assert len(scans) == blocks
+
+
+def _outcome(e, x: TaggedReal):
+    try:
+        return eval_candidates(e, x)
+    except Exception as exc:  # what evaluating the tree alone raises
+        return exc
+
+
+def _reference_check(x: QSqrt2, exprs, targets, w) -> str:
+    """The error a replay reports for one witness at grid point ``x``, or
+    None: each tree evaluated alone, side against side, then W."""
+    vals = []
+    for j, (e, target) in enumerate(zip(exprs, targets)):
+        lhs, rhs = _outcome(e, TaggedReal.exact(x)), _outcome(target, TaggedReal.exact(x))
+        for side in (lhs, rhs):
+            if isinstance(side, DomainError):
+                return f"domain error at {x}, component {j}: {side}"
+            if isinstance(side, Exception):
+                raise side
+        if len(lhs) != 1 or len(rhs) != 1 or not (lhs[0].is_exact and rhs[0].is_exact):
+            return f"indeterminate value at {x}, component {j}"
+        if lhs[0].value != rhs[0].value:
+            return f"mismatch at {x}, component {j}"
+        vals.append(lhs[0].value)
+    for phi in linalg.annihilator(w.basis, w.ambient_dim):
+        if not dot_is_zero(phi, vals):
+            return f"value at {x} lies outside the subspace"
+    return None
+
+
+def _reference_replay(batch, grid: str) -> list:
+    """Point by point in grid order and, at a point, witness by witness,
+    each witness up to its first failure."""
+    results = [None] * len(batch)
+    for x in parse_grid(grid):
+        for i, witness in enumerate(batch):
+            if results[i] is None:
+                results[i] = _reference_check(x, *witness)
+    return results
+
+
+def _result_or_raised(replay, batch, grid):
+    try:
+        return replay(batch, grid)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _replay_cases(draw):
+    """A batch of witnesses over products of the atoms below, some a
+    rational multiple of another, and a grid with negatives and quadratic
+    points; barGamma raises at one drawn point.  gamma(x) is opaque, but
+    x times it is exactly 0 at 0."""
+    counts = [draw(st.integers(0, 3)) for _ in range(3)]
+    grid = "zero,negatives:{},rationals:{},quadratic:{}".format(*counts)
+    points = parse_grid(grid)
+    error = draw(st.sampled_from([DomainError("bump"), LookupError("fault")]))
+    atoms = [parse_expr(text) for text in
+             ("x", "abs(x)", "deltaQ(H1(x))", "deltaQ(H1(x+1))", "sqrt(x)", "H1(x)", "x^2", "gamma(x)")]
+    atoms.append(App("barGamma", X, _FailsAt(draw(st.sampled_from(points)), error)))
+    coefficients = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    monomials = st.lists(st.sampled_from(range(len(atoms))), min_size=1, max_size=2)
+    term_lists = st.lists(st.tuples(coefficients, monomials), min_size=1, max_size=3)
+
+    def tree(terms):
+        return make_sum([make_prod([const(c)] + [atoms[k] for k in monomial]) for c, monomial in terms])
+
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        if batch and draw(st.booleans()):
+            # a multiple of an earlier witness
+            exprs, targets, w = draw(st.sampled_from(batch))
+            s = const(draw(coefficients.filter(bool)))
+            batch.append(([make_prod([s, e]) for e in exprs], [make_prod([s, t]) for t in targets], w))
+            continue
+        dim = draw(st.integers(1, 2))
+        exprs, targets = [], []
+        for _ in range(dim):
+            terms = draw(term_lists)
+            how = draw(st.sampled_from(["same", "reordered", "other"]))
+            target = tree(draw(term_lists)) if how == "other" else tree(terms[::-1] if how == "reordered" else terms)
+            exprs.append(tree(terms))
+            targets.append(target)
+        vectors = draw(st.sampled_from([[], [[1] * dim], [[draw(coefficients) for _ in range(dim)]]]))
+        w = Subspace.from_vectors(dim, [[int(i == j) for j in range(dim)] for i in range(dim)]) if draw(
+            st.booleans()) else Subspace.from_vectors(dim, vectors)
+        batch.append((exprs, targets, w))
+    return batch, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(_replay_cases())
+def test_replay_matches_a_point_by_point_reference(case):
+    batch, grid = case
+    assert _result_or_raised(decompose._replay_witness, batch, grid) == _result_or_raised(
+        _reference_replay, batch, grid
+    )

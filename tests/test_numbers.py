@@ -676,6 +676,57 @@ def test_zero_prefix_cross_multiplies_unequal_denominators():
     assert numbers.zero_prefix(terms, 0) == 0
 
 
+@st.composite
+def _product_zero_prefix_cases(draw):
+    """Product terms (c, column, ...) over up to three of four all-exact
+    columns, some coefficients zero, and a last term c * column 4 solved
+    at most points so that the sum there is zero; a start and a count."""
+    length = draw(st.integers(1, 6))
+    columns = [[QSqrt2(*draw(pairs)) for _ in range(length)] for _ in range(4)]
+    terms = draw(st.lists(st.tuples(st.one_of(st.just((0, 0)), pairs), st.lists(st.integers(0, 3), max_size=3)),
+                          max_size=3))
+    terms = [(QSqrt2(*c), slots) for c, slots in terms]
+    last = QSqrt2(*draw(pairs.filter(lambda c: c != (0, 0))))
+    for i in range(length):
+        if draw(st.integers(0, 3)):
+            rest = combination_exact([(c, [columns[k][i] for k in slots]) for c, slots in terms])
+            columns[3][i] = -rest / last
+    terms.append((last, [3]))
+    count = draw(st.integers(0, length))
+    return terms, columns, draw(st.integers(0, count)), count
+
+
+@given(_product_zero_prefix_cases())
+def test_zero_prefix_of_product_terms_matches_the_pair_model(case):
+    terms, columns, start, count = case
+    cells = [[(TaggedReal.exact(v),) for v in column] for column in columns]
+
+    def total(i):
+        out = (Fraction(0), Fraction(0))
+        for c, slots in terms:
+            term = _model(c)
+            for k in slots:
+                term = _ref_mul(term, _model(columns[k][i]))
+            out = _ref_add(out, term)
+        return out
+
+    want = next((i for i in range(start, count) if total(i) != (0, 0)), count)
+    assert numbers.zero_prefix([(c, *(cells[k] for k in slots)) for c, slots in terms], count, start) == want
+
+
+def test_zero_prefix_multiplies_the_columns_of_a_term():
+    half, third = QSqrt2(Fraction(1, 2), Fraction(1, 2)), QSqrt2(Fraction(1, 3), Fraction(-1, 3))
+    column = [(TaggedReal.exact(v),) for v in (half, third)]
+    thirds = [(TaggedReal.exact(third),)] * 2
+    # (1 + sqrt2)/2 * (1 - sqrt2)/3 is -1/6, over unequal denominators, but
+    # ((1 - sqrt2)/3)^2 is (3 - 2 sqrt2)/9; beside a zero term and 1/6
+    terms = [(ONE, column, thirds), (ZERO, column), (QSqrt2(Fraction(1, 6)),)]
+    assert numbers.zero_prefix(terms, 2) == 1
+    assert numbers.zero_prefix(terms, 1) == 1
+    assert numbers.zero_prefix(terms, 2, 1) == 1
+    assert numbers.zero_prefix(terms, 2, 2) == 2
+
+
 @given(qsqrt2s, qsqrt2s)
 def test_equals_abs_is_equality_with_the_absolute_value(v, x):
     for w in (v, x, -x, abs(x)):
