@@ -11,9 +11,9 @@ multiple of another generator) or by a stored witness plot that replays
 under exact tagged evaluation on a deterministic grid.  A replay reads
 each check, the plot minus its target and each functional of the
 subspace's annihilator, as a linear form in the plot's non-linear
-subtrees, evaluates those subtrees once per point, and tests each form
-for zero on integer parts; only a point where the test cannot decide, or
-fails, is evaluated tree by tree to word the error.
+subtrees; ``expr.replay_zero_forms`` evaluates those subtrees once per
+point and tests each form for zero on integer parts, and only at a point
+where the test cannot decide, or fails, does this module word the error.
 
 Refutations go the other way: when both subset diffeologies are
 certified standard, a smooth decomposition would force the whole space
@@ -23,9 +23,7 @@ standard, so one non-smooth generator component refutes it.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -47,26 +45,23 @@ from .diffeology import (
     plot_scale,
     product_space,
     pushforward,
+    same_space,
 )
 from .expr import (
     ABS_KIND,
     ATOM_EXPRS,
     Const,
-    Plan,
-    Prod,
     Smoothness,
-    Sum,
     ZERO_E,
-    _apply,
-    _children,
     classify_smoothness,
     is_smooth_expr,
     make_prod,
+    replay_zero_forms,
     to_text,
     verify_nonsmooth_witness,
 )
 from .franklin import grid_blocks, parse_grid
-from .numbers import ONE, ZERO, DomainError, QSqrt2, TaggedReal, common_denominator, dot_is_zero, zero_prefix
+from .numbers import ONE, ZERO, DomainError, QSqrt2, common_denominator, dot_is_zero
 
 DEFAULT_GRID = "zero,rationals:60,negatives:30,quadratic:15"
 
@@ -135,183 +130,37 @@ def _replay_witness(witnesses: Sequence, grid: str) -> list:
     values lie in its W.
 
     ``witnesses`` holds (the plot's component trees, target components, W)
-    triples; the caller builds the trees once and keeps them.  Nothing is
-    compared tree against tree.  Each check is a linear form that must be
-    zero: per component, the component minus its target (its difference
-    form), and per functional of W's annihilator, that functional of the
-    components.  Each form is read once, symbolically, as a linear
-    combination of products of factors, the subtrees that are neither
-    sums, products nor constants (x, |x|, deltaQ(H1(x)), ...; see
-    ``_read``), and forms equal up to a nonzero scalar are one form.  The
-    grid is parsed once, and one ``Plan`` over the batch's distinct
-    factors evaluates them on blocks of ``GRID_BLOCK`` points.  In each
-    block, each factor column is scanned once for the points where it is
-    not one exact value, and each form the pending witnesses hold gets one
-    integer zero test (``numbers.zero_prefix``) up to the first point
-    where a factor it reads is not exact.  A witness is suspect at the
-    first point where a factor of its components or targets is not
-    exact, before any term cancels, or where one of its forms is nonzero.
-    Before that point every tree is exact and every check holds.  There,
-    each tree's outcome is assembled from the factor columns with
-    ``expr._apply`` (no function is called again), and ``_check_point``
-    either words the error or clears the point, and the scan resumes
-    after it.  Suspect points are examined in grid order and, at one
-    point, in batch order.  Returns one entry per witness: None when it
-    replays, else the error its replay alone gives, at the first failing
-    grid point and, there, the first failing component (a component
-    error before the subspace).  A witness that fails is not checked
-    further; a domain error or an indeterminate value in one witness never
-    stops the others.  An error other than ``DomainError`` is a fault in
-    the trees, not a replay verdict, and propagates from the first point
-    and witness that meets it.  No block is evaluated once every witness
-    has failed, and an empty batch parses no grid.
+    triples; the caller builds the trees once and keeps them.  Each check
+    is a linear form that must be zero: per component, the component minus
+    its target, and per functional of W's annihilator, that functional of
+    the components.  ``expr.replay_zero_forms`` tests the forms of the
+    whole batch on the grid, parsed once, and ``_check_point`` words each
+    witness's error at a point where a test cannot decide or fails.
+    Returns one entry per witness: None when it replays, else the error
+    its replay alone gives, at the first failing grid point and, there,
+    the first failing component (a component error before the subspace).
+    A witness that fails is not checked further; a domain error or an
+    indeterminate value in one witness never stops the others.  An error
+    other than ``DomainError`` is a fault in the trees, not a replay
+    verdict, and propagates from the first point and witness that meets
+    it.  An empty batch parses no grid.
     """
     if not witnesses:
         return []
-    factors: dict = {}  # factor subtree -> its index, in the order first read
-    forms: dict = {}  # normalised form -> its index
-    checks = []  # per witness: (its (component, target) pairs, W's annihilator, factors read, its forms)
+    checks = []  # per witness: (its component and target trees, its forms)
+    anns = []
     for exprs, components, w in witnesses:
         pairs = list(zip(exprs, components))
         ann = linalg.annihilator(w.basis, w.ambient_dim)
-        reads: set = set()
-        own: set = set()
-        for e, t in pairs:
-            form: dict = {}
-            _read(e, ONE, form, factors)
-            _read(t, -ONE, form, factors)
-            # a term that cancels still reads its factors
-            reads.update(k for monomial in form for k in monomial)
-            own.add(_form_index(form, forms))
-        for phi in ann:
-            form = {}
-            for c, (e, _) in zip(phi, pairs):
-                if not c.is_zero:
-                    _read(e, c, form, factors)
-            own.add(_form_index(form, forms))
-        own.discard(None)  # a form that is zero as written needs no test
-        checks.append((pairs, ann, tuple(sorted(reads)), sorted(own)))
-    form_terms = list(forms)
-    plan = Plan(list(factors))
-    results: list = [None] * len(checks)
-    pending = range(len(checks))
-    for block, tagged in grid_blocks(parse_grid(grid)):
-        columns = plan.columns(tagged)
-        n = len(block)
-        # per factor, the points where it is not one exact value
-        inexact = [
-            [i for i, cands in enumerate(column)
-             if type(cands) is not tuple or len(cands) != 1 or type(cands[0].value) is not QSqrt2]
-            for column in columns
-        ]
+        forms = [[(e, ONE), (t, -ONE)] for e, t in pairs]
+        forms += [[(e, c) for c, (e, _) in zip(phi, pairs) if not c.is_zero] for phi in ann]
+        checks.append(([tree for pair in pairs for tree in pair], forms))
+        anns.append(ann)
 
-        # The scans below answer with a point from ``start``, or n.
-        def next_inexact(slots, start: int) -> int:
-            # the first point where a factor of ``slots`` is not exact
-            out = n
-            for k in slots:
-                points = inexact[k]
-                at = bisect_left(points, start)
-                if at < len(points) and points[at] < out:
-                    out = points[at]
-            return out
+    def judge(i: int, x: QSqrt2, outcomes: list) -> Optional[str]:
+        return _check_point(x, zip(outcomes[::2], outcomes[1::2]), anns[i])
 
-        zeros: dict = {}  # form -> (a start, its first nonzero point from there)
-
-        def first_nonzero(f: int, start: int) -> int:
-            # the first point where form f is nonzero or a factor it reads
-            # is not exact; one zero test serves every witness that holds f
-            zero = zeros.get(f)
-            if zero is None or not zero[0] <= start <= zero[1]:
-                terms = form_terms[f]
-                stop = next_inexact({k for monomial, _ in terms for k in monomial}, start)
-                rows = [(c, *(columns[k] for k in monomial)) for monomial, c in terms]
-                zero = zeros[f] = (start, zero_prefix(rows, stop, start))
-            return zero[1]
-
-        def suspect(reads, own, start: int) -> int:
-            return min([next_inexact(reads, start)] + [first_nonzero(f, start) for f in own])
-
-        heap = [(suspect(*checks[i][2:], 0), i) for i in pending]
-        heapify(heap)
-        while heap and heap[0][0] < n:
-            at, i = heappop(heap)
-            pairs, ann, reads, own = checks[i]
-            outcomes = [_outcome(e, tagged[at], at, factors, columns) for pair in pairs for e in pair]
-            results[i] = _check_point(block[at], zip(outcomes[::2], outcomes[1::2]), ann)
-            if results[i] is None:  # cleared: scan on after it
-                heappush(heap, (suspect(reads, own, at + 1), i))
-        pending = [i for i in pending if results[i] is None]
-        if not pending:
-            break
-    return results
-
-
-def _read(e, scale: QSqrt2, form: dict, factors: dict) -> None:
-    """Add ``scale`` times tree ``e`` to ``form``, read as a linear
-    combination of products of factors.  A sum is read term by term, and
-    a product with one child that is not a constant as that child,
-    scaled.  Any other product is one monomial of its non-constant
-    children, and any other node a monomial of one factor.  ``form`` maps
-    each monomial, the sorted indices its factors have in ``factors``
-    (which gains each new factor), to its coefficient; a monomial whose
-    terms cancel stays, with coefficient 0."""
-    if isinstance(e, Sum):
-        for term in e.terms:
-            _read(term, scale, form, factors)
-        return
-    if isinstance(e, Const):
-        rest = ()
-        scale = scale * e.value
-    elif isinstance(e, Prod):
-        rest = []
-        for f in e.factors:
-            if isinstance(f, Const):
-                scale = scale * f.value
-            else:
-                rest.append(f)
-        if len(rest) == 1:
-            _read(rest[0], scale, form, factors)
-            return
-    else:
-        rest = (e,)
-    monomial = tuple(sorted(factors.setdefault(f, len(factors)) for f in rest))
-    form[monomial] = form.get(monomial, ZERO) + scale
-
-
-def _form_index(form: dict, forms: dict) -> Optional[int]:
-    """The index in ``forms`` of ``form`` divided by its leading
-    coefficient (that of its first monomial in sorted order), added if
-    new; None for a form whose every coefficient is 0."""
-    terms = sorted((monomial, c) for monomial, c in form.items() if not c.is_zero)
-    if not terms:
-        return None
-    lead = terms[0][1]
-    if lead != ONE:
-        inverse = lead.inverse()
-        terms = [(monomial, c * inverse) for monomial, c in terms]
-    return forms.setdefault(tuple(terms), len(forms))
-
-
-def _outcome(e, x: TaggedReal, at: int, factors: dict, columns: list):
-    """Tree ``e``'s outcome at ``x``, index ``at`` of the factor columns:
-    ``eval_candidates``'s candidates there, or the exception it raises.
-    Each factor's outcome is read from its column, and each node above it
-    is ``_apply``'d to its children's, so no function is called."""
-    try:
-        return _assemble(e, x, at, factors, columns)
-    except Exception as exc:  # what evaluating the tree alone raises
-        return exc
-
-
-def _assemble(e, x: TaggedReal, at: int, factors: dict, columns: list):
-    k = factors.get(e)
-    if k is None:
-        return _apply(e, [_assemble(c, x, at, factors, columns) for c in _children(e)], x)
-    outcome = columns[k][at]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return replay_zero_forms(checks, grid_blocks(parse_grid(grid)), judge)
 
 
 def _check_point(x: QSqrt2, sides: Iterable, ann: list) -> Optional[str]:
@@ -344,9 +193,10 @@ def certify_smooth_sum(
 ) -> DecompositionVerdict:
     """Certify V = W0 (+) W1 as a smooth direct sum.
 
-    ``witnesses`` maps (generator index, part index 0/1) to a Plot that
-    realizes the projected generator inside the subset diffeology; every
-    witness is replayed before it is believed.  Rules are picked in
+    ``witnesses`` maps (generator index, part index 0/1) to a Plot of
+    ``space`` that realizes the projected generator inside the subset
+    diffeology; every witness is replayed before it is believed, and a
+    plot of another space settles nothing.  Rules are picked in
     generator/part order first, then every witness they call for is
     replayed in one batch.
     """
@@ -374,7 +224,11 @@ def certify_smooth_sum(
                 if scaled is not None and _values_in_subspace(comps, w):
                     entry["rule"] = f"rational-multiple-of-generator-{scaled}"
                 elif (k, part) in witnesses:
-                    batch.append((witnesses[(k, part)].components(), comps, w))
+                    plot = witnesses[(k, part)]
+                    if not same_space(plot.space, space):
+                        missing = f"witness for generator {k} part {part} is not a plot of this space"
+                        break
+                    batch.append((plot.components(), comps, w))
                 else:
                     missing = f"no rule or witness for generator {k} part {part}"
                     break
@@ -474,7 +328,8 @@ def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plot
 
     ``axis_plots[j]`` is a Plot of the space equal to |x| * e_j (for
     V2-delta, the witness (0, j) of ``gallery.gallery_witnesses``); only
-    the axes where a direction is nonzero are read.  Every plot is
+    the axes where a direction is nonzero are read, and one read that is
+    a plot of another space raises ValueError.  Every plot is
     replayed on the grid against its target, all in one batch.  Its
     targets are classified in order up to the first NonSmooth one, whose
     witness is replayed too.  Returns one (the plot's
@@ -492,6 +347,8 @@ def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plot
         for j, d in enumerate(direction):
             if d.is_zero:
                 continue
+            if not same_space(axis_plots[j].space, space):
+                raise ValueError(f"axis plot {j} is not a plot of this space")
             piece = plot_scale(axis_plots[j], Const(d))
             plot = piece if plot is None else plot_add(plot, piece)
         # the plot realizes x -> |x| * direction; replay that on the grid,

@@ -184,8 +184,13 @@ class Plot:
         }
 
 
+def same_space(a: DVSpace, b: DVSpace) -> bool:
+    """Whether plots of ``a`` and of ``b`` are plots of one space."""
+    return a is b or a == b
+
+
 def plot_add(p: Plot, q: Plot) -> Plot:
-    if p.space is not q.space and p.space != q.space:
+    if not same_space(p.space, q.space):
         raise ValueError("plots live in different spaces")
     tail = tuple(make_sum([a, b]) for a, b in zip(p.tail, q.tail))
     return Plot(p.space, p.terms + q.terms, tail)

@@ -8,31 +8,25 @@ function gamma.  Trees are canonical: constants fold, sums and products
 flatten, and negation is absorbed into rational coefficients, so that
 printing and re-parsing is the identity on trees.
 
-Tagged evaluation has two drivers over one node semantics.
-``eval_candidates`` recurses and suits one-off calls.  A ``Plan`` is
-compiled once from a list of trees and then evaluated on blocks of
-points: equal subtrees are shared, so each distinct subexpression is
-evaluated once per point, and subtrees without x are hoisted out and
-evaluated once per plan.  Each remaining node is compiled once into a
-step that runs once per block, with a function node's function resolved
-when the plan is built.  Sums, products and powers share one arithmetic
-step, a linear combination that ``numbers.combination_column`` computes
-over one denominator and reduces once at each point where every value it
-reads is a single exact value; a product that only one sum reads is a
-term of that sum's step.  Any other value falls back to the shared node
-semantics.  A float is computed only where a reader needs it: under
-deltaQ, which reads only a tag, H1, exp and barGamma skip theirs.
+Tagged evaluation has two evaluators over one node semantics, ``_apply``:
+``eval_candidates`` recurses and suits one-off calls, and a ``Plan``
+evaluates a list of trees on blocks of points, each distinct subtree
+once per point.  ``replay_zero_forms`` replays checks on a grid as zero
+tests of linear forms over factors, the subtrees that are not sums,
+products or constants, with one plan over the factors; the witness
+replay of ``decompose`` and the |x| identity of ``franklin`` call it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import islice, repeat
+from heapq import heapify, heappop, heappush
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .numbers import (
@@ -44,14 +38,13 @@ from .numbers import (
     TaggedReal,
     ZERO,
     add_tagged,
-    combination_column,
-    combination_exact,
     exp_of_nonzero_rational,
     exp_tagged,
     mul_tagged,
     parse_qsqrt2,
     sign_of_parts,
     sqrt_tagged,
+    zero_prefix,
 )
 
 # The affine map w(t) = ((sqrt2-1)/sqrt2) t + 1/sqrt2 used throughout the
@@ -532,14 +525,6 @@ def to_text(e: Expr) -> str:
 # Evaluation returns a tuple of candidate values.  A singleton means the
 # value is determined; deltaQ at an Unknown tag yields the indeterminate
 # pair {0, 1}, which propagates as a small candidate set.
-#
-# What each node means lives in ``_apply``, which computes a node's
-# candidates from its children's.  Two drivers call it.
-# ``eval_candidates`` recurses over the tree and costs nothing to set up,
-# so one-off calls use it.  A ``Plan`` compiles a list of trees once, for
-# evaluation at many points: structurally equal subtrees become one node,
-# subtrees free of x are evaluated once per plan, and each block of points
-# then runs every remaining node's step once, children before parents.
 
 _MAX_CANDIDATES = 4
 
@@ -583,7 +568,8 @@ def _map(xs: Candidates, fn) -> Candidates:
 
 def _abs_tagged(x: TaggedReal) -> TaggedReal:
     if x.is_exact:
-        return TaggedReal.exact(abs(x.value))
+        # an exact x >= 0 is its own absolute value
+        return x if x.value.sign() >= 0 else TaggedReal.exact(-x.value)
     value = None if x.value is None else abs(x.value)
     return TaggedReal(value, x.tag, x.transcendental)
 
@@ -759,70 +745,48 @@ def _node_key(e: Expr, kids: tuple) -> tuple:
     return ("?", id(e))
 
 
-# A plan compiles each node it evaluates per point into a step, run once
-# per block of points: a function of the plan's columns by slot (lists of
-# candidate tuples over the block) and of the block's points, which
-# returns the node's column, with None at each point where the node
-# raises and the exception in ``errors`` at that index.  An App step maps
-# its function, resolved when the step is built, down its argument's
-# column, once per distinct argument: points that hold the same single
-# candidate object share its result, and a point where the function
-# raises calls it again itself.  One of a name in ``_TAG_ONLY`` whose
-# float no reader needs evaluates without its float: the same exact
-# value, tag and transcendental flag, and value None where the full step
-# holds a float.
-# Sum, Prod and Pow nodes share one arithmetic step: start plus terms,
-# each a coefficient times a product of slots (see ``Plan``); a fused
-# product has no root, so no outcome misses its slot.
-# ``numbers.combination_column`` computes the node over one denominator
-# at each point where every factor holds one exact value.  At any other
-# point (a candidate set, an approximate or opaque value) the step falls
-# back to ``_apply``, on each fused product and then on the node, with
-# the children's values in their order: the recursive driver's work, so
-# the plan and ``eval_candidates`` keep one node semantics.  A fused
-# product's children stand in its place among the slots whose failure
-# the sum inherits, so the first error stays the recursive driver's.
-
-
 # Functions that never read their argument's float, nor decide a tag
 # from their own, when asked for no float
 _TAG_ONLY = ("H1", "exp", "barGamma")
 
 
-def _each(fn, items: Sequence, errors: dict) -> list:
-    """fn of each item, with None at each index where fn raises and that
-    exception in ``errors`` at the index."""
+def _generic_column(e: Expr, kids: tuple, cols, xs: Sequence) -> list:
+    """``_apply`` at each point to the children's values there, or the
+    exception of the first child that raised there, or of ``_apply``."""
     out: list = []
-    while len(out) < len(items):
+    for i, x in enumerate(xs):
+        args = [cols[k][i] for k in kids]
+        failed = [a for a in args if isinstance(a, Exception)]
+        if failed:
+            out.append(failed[0])
+            continue
         try:
-            for item in islice(items, len(out), None):
-                out.append(fn(item))
+            out.append(_apply(e, args, x))
         except Exception as exc:  # whatever eval_candidates would raise at that point
-            errors[len(out)] = exc
-            out.append(None)
+            out.append(exc)
     return out
 
 
-def _generic_column(e: Expr, kids: tuple, cols, xs: Sequence, errors: dict) -> list:
-    return _each(lambda i: _apply(e, [cols[k][i] for k in kids], xs[i]), range(len(xs)), errors)
-
-
-def _app_column(fn, arg: int, cols, xs: Sequence, errors: dict) -> list:
+def _app_column(fn, arg: int, cols, xs: Sequence) -> list:
     """fn down the argument's column, once per distinct single candidate:
     points that hold the same candidate object share one result.  The
     column keeps every candidate alive, so no id is reused within the
-    step.  Where fn raises, nothing is kept, and each point that holds
-    that candidate calls fn again and records its own exception."""
+    step.  Where the argument raised, its exception stands.  Where fn
+    raises, nothing is kept, and each point that holds that candidate
+    calls fn again and records its own exception."""
     done: dict = {}  # id of a single candidate -> fn's result, as candidates
     out: list = []
-    for i, arg_cands in enumerate(cols[arg]):
+    for arg_cands in cols[arg]:
+        if type(arg_cands) is not tuple:  # the argument's exception
+            out.append(arg_cands)
+            continue
         key = id(arg_cands[0]) if len(arg_cands) == 1 else None
         r = done.get(key)
         if r is None:
             try:
                 r = _app_candidates(fn, arg_cands)
-            except Exception as exc:  # as in _each
-                errors[i] = exc
+            except Exception as exc:  # as in _generic_column
+                r = exc
             else:
                 if key is not None:
                     done[key] = r
@@ -830,61 +794,18 @@ def _app_column(fn, arg: int, cols, xs: Sequence, errors: dict) -> list:
     return out
 
 
-def _split_consts(kids: tuple, nodes: list) -> tuple:
-    """The values of the Const children among ``kids``, and the slots of
-    the others."""
-    consts = [nodes[k][0].value for k in kids if isinstance(nodes[k][0], Const)]
-    return consts, tuple(k for k in kids if not isinstance(nodes[k][0], Const))
-
-
-def _term(kids: tuple, nodes: list) -> tuple:
-    """The product of the children in slots ``kids`` as a term: its Const
-    factors folded into a coefficient, and the slots of the others."""
-    consts, rest = _split_consts(kids, nodes)
-    return combination_exact([(ONE, consts)]), rest
-
-
-def _combination_column(e: Expr, start: QSqrt2, terms: list, parts: list, cols, xs: Sequence, errors: dict) -> list:
-    """The column of a Sum, Prod or Pow node (see above); ``parts`` holds,
-    per child in order, its fused product and that product's children, or
-    None and the child itself."""
-    out = combination_column([(c, [cols[k] for k in slots]) for c, slots in terms], start, len(xs))
-    for i in [i for i, c in enumerate(out) if c is None]:
-        x = xs[i]
-        try:
-            kid_values = [
-                cols[read[0]][i] if term is None else _apply(term, [cols[j][i] for j in read], x)
-                for term, read in parts
-            ]
-            out[i] = _apply(e, kid_values, x)
-        except Exception as exc:  # as in _each
-            errors[i] = exc
-    return out
-
-
-def _compile_step(e: Expr, kids: tuple, nodes: list, floats: bool, fused: set):
+def _compile_step(e: Expr, kids: tuple, floats: bool):
     """The step evaluating plan node ``e``, whose children sit in slots
-    ``kids`` of ``nodes``; ``floats`` is false when no reader needs the
-    node's float, and ``fused`` holds the slots of the fused products."""
+    ``kids``, with its float if ``floats``: a map from the plan's columns
+    by slot and a block of points to the node's column, its candidates
+    at each point or the exception evaluating it there raises."""
     if isinstance(e, Var):
-        return lambda cols, xs, errors: [(x,) for x in xs]
+        return lambda cols, xs: [(x,) for x in xs]
     if isinstance(e, App):
         try:
             return partial(_app_column, _app_fn(e, approx=floats), kids[0])
         except ExprError:
             pass  # the generic step raises at each point, as _apply does
-    elif isinstance(e, (Sum, Prod, Pow)):
-        start = ZERO
-        if isinstance(e, Sum):
-            consts, rest = _split_consts(kids, nodes)
-            start = combination_exact((c, ()) for c in consts)
-            terms = [_term(nodes[k][1], nodes) if k in fused else (ONE, (k,)) for k in rest]
-        elif isinstance(e, Prod):
-            terms = [_term(kids, nodes)]
-        else:
-            terms = [(ONE, kids * e.exponent)]
-        parts = [(nodes[k][0], nodes[k][1]) if k in fused else (None, (k,)) for k in kids]
-        return partial(_combination_column, e, start, terms, parts)
     return partial(_generic_column, e, kids)
 
 
@@ -892,71 +813,39 @@ class Plan:
     """Evaluate a fixed list of trees at many points, sharing the work.
 
     Construction numbers the distinct nodes of ``exprs`` children first,
-    in the order the recursive driver first reaches them.  Structurally
-    equal subtrees become one node, across trees as within one; hashing
-    happens here, once.  Nodes free of x are evaluated here too, once.
-    Evaluation is step-major: ``columns`` takes a block of points and runs
-    each remaining node's step once over the whole block, children before
-    parents, which gives that node's column, its candidates at every
-    point.  So any number of trees that hold H1(x) run H1 once per point.
-    A function node's step evaluates its function once per distinct
-    argument in the block: points whose argument is one and the same
-    candidate object share the result, as under deltaQ, where H1 without
-    its float gives a few shared values and deltaQ(H1(x)) runs about
-    twice per block.
-    ``outcomes`` and a call are a block of one point.  A node free of x
-    whose evaluation raises is kept for the blocks instead, so a plan
-    never evaluated raises nothing.  Nothing outlives the evaluation.
+    in the order ``eval_candidates`` first reaches them, so equal
+    subtrees become one node, across trees as within one.  Nodes free of
+    x are evaluated here, once; one that raises is kept for the blocks
+    instead, so a plan never evaluated raises nothing.  Each other node
+    becomes a step (``_compile_step``), a function node's function read
+    from the module globals now: a plan built after a wrapper is
+    installed calls the wrapper.  ``columns`` runs each step once over a
+    block of points, children before parents: a function step once per
+    distinct argument object in the block (under deltaQ, H1 without its
+    float gives a few shared values, so deltaQ(H1(x)) runs about twice
+    per block), and a sum, product or power by ``_apply`` at each point.
+    ``outcomes`` and a call are a block of one point.
 
-    Each remaining node is compiled here into a step (``_compile_step``).
-    A function node's function is resolved once, read from the module
-    globals when the plan is built: a plan built after a wrapper is
-    installed on this module calls the wrapper.
-
-    A sum, a product or a power evaluates a linear combination in one
-    step, its Const children folded in once: a sum's into its start
-    value, and each other child a term of coefficient 1; a product is one
-    term with its Const factors as coefficient, and a power one term
-    holding its base ``exponent`` times.  Once the nodes free of x are
-    evaluated, the plan counts each slot's readers: the roots, and the
-    nodes evaluated per point.  A product that varies with x and is read
-    once, by a sum that varies with x, gets no step; it is a term of that
-    sum (the fusion rule).  One call of ``numbers.combination_column``
-    computes the node over the block, at each point where every factor
-    holds one exact value, and reduces and builds its candidate once per
-    point.  At any other point the step applies ``_apply`` to each fused
-    product and then to the node, on the same values the recursive driver
-    would pass, so every result is ``eval_candidates``'s, value for value.
-
-    Floats are computed only where they are read (the demand rule).  A
-    slot's float is needed when the slot is a root, or a child of a node
-    that reads floats.  deltaQ reads only its argument's tag.  An H1, exp
-    or barGamma node whose own float no reader needs is compiled without
-    it, and then reads only its argument's exact value, tag and
-    transcendental flag.  Such a step does only the work its tag needs:
-    at an exact x > 0, H1 reads the tag of exp(-1/x^2) off x's parts and
-    the axiom table, and forms neither x^2 nor -1/x^2; an exp or barGamma
-    result without a float is one shared value.  It gives the full step's
-    exact value, tag and transcendental flag, with value None where the
-    full step has a float.  Over a candidate set it may merge candidates
+    Floats are computed only where they are read (the demand rule): at a
+    root, or at a child of a node that reads floats.  deltaQ reads only
+    its argument's tag.  An H1, exp or barGamma node whose float no
+    reader needs is compiled without it and reads only its argument's
+    exact value, tag and transcendental flag: at an exact x > 0, H1 reads
+    the tag of exp(-1/x^2) off x's parts and the axiom table, and an exp
+    or barGamma result without a float is one shared value.  Its exact
+    value, tag and flag are the full step's.  It may merge candidates
     that differed only in their floats, but such a node is never a root,
     its readers read only what it keeps, and a map never grows a set, so
-    nothing collapses to opaque.  None of the three decides a tag from a float,
-    and a float that cannot be formed is None in both steps, so both
-    raise the same errors and every root's outcome is unchanged.
+    nothing collapses to opaque; none of the three decides a tag from a
+    float, so every root's outcome and error are unchanged.
 
-    Errors are kept per node and per point.  A node whose evaluation
-    raises at a point records the exception there, and its step goes on
-    with the other points.  A node above it is not evaluated at that
-    point: it records the exception of its first child that raised there,
-    which is the one the recursive driver meets first, and its step runs
-    on the block's other points alone.  A fused product's children stand
-    in its place, in their order: a product of values never raises, so
-    the first of them that raised is the error it would have recorded.  A
-    failed node hands no value on, at its point or at any other.  So each
-    tree's outcome at a point is what ``eval_candidates`` gives for that
-    tree alone at that point, its candidates or the exception it raises,
-    whatever the other trees and the other points of the block do.
+    Errors are kept per node and per point.  A node that raises at a
+    point holds the exception there and goes on with the other points; a
+    node above it holds there the exception of its first child that
+    raised, the one ``eval_candidates`` meets first.  So each tree's
+    outcome at a point is what ``eval_candidates`` gives for that tree
+    alone there, its candidates or the exception it raises, whatever the
+    other trees and points of the block do.
     """
 
     def __init__(self, exprs: Sequence[Expr]):
@@ -1003,27 +892,13 @@ class Plan:
                 except Exception:  # raised again at each point that reaches it
                     pass
             values.append(value)
-        # the fusion rule: a varying product read once, by a varying sum
-        reads = Counter(self._roots)
-        for slot, (_, kids, _) in enumerate(nodes):
-            if values[slot] is None:
-                reads.update(kids)
-        fused = {
-            k
-            for node, kids, varies in nodes
-            if varies and isinstance(node, Sum)
-            for k in kids
-            if reads[k] == 1 and isinstance(nodes[k][0], Prod) and nodes[k][2]
-        }
-        steps = []  # (slot, step, the slots whose failure it inherits) to run at each block
-        for slot, (node, kids, _) in enumerate(nodes):
-            if values[slot] is None and slot not in fused:
-                step = _compile_step(node, kids, nodes, floats[slot], fused)
-                inherits = tuple(j for k in kids for j in (nodes[k][1] if k in fused else (k,)))
-                steps.append((slot, step, inherits))
         self._constants = [(slot, value) for slot, value in enumerate(values) if value is not None]
         self._slots = len(nodes)
-        self._steps = steps
+        self._steps = [  # (slot, step) to run at each block
+            (slot, _compile_step(node, kids, floats[slot]))
+            for slot, (node, kids, _) in enumerate(nodes)
+            if values[slot] is None
+        ]
 
     def columns(self, xs: Sequence[TaggedReal]) -> list:
         """Per tree, its outcome at each point of ``xs``: its candidates
@@ -1032,25 +907,8 @@ class Plan:
         cols: list = [None] * self._slots
         for slot, value in self._constants:
             cols[slot] = [value] * n
-        raised: dict = {}  # slot -> {point index: the exception its node raises there}
-        for slot, step, inherits in self._steps:
-            # point index -> the exception of the first child that raised there
-            failed = {i: exc for k in reversed(inherits) for i, exc in raised.get(k, {}).items()}
-            errors: dict = {}
-            if not failed:
-                column = step(cols, xs, errors)
-            else:  # the step runs on the other points alone
-                live = [i for i in range(n) if i not in failed]
-                view = {k: [cols[k][i] for i in live] for k in inherits}
-                column = [None] * n
-                for i, c in zip(live, step(view, [xs[i] for i in live], errors)):
-                    column[i] = c
-                errors = {live[j]: exc for j, exc in errors.items()} | failed
-            for i, exc in errors.items():
-                column[i] = exc  # no step reads a point where its child failed
-            cols[slot] = column
-            if errors:
-                raised[slot] = errors
+        for slot, step in self._steps:
+            cols[slot] = step(cols, xs)
         return [cols[root] for root in self._roots]
 
     def outcomes(self, x: TaggedReal) -> list:
@@ -1066,6 +924,147 @@ class Plan:
             if isinstance(outcome, Exception):
                 raise outcome
         return out
+
+
+def replay_zero_forms(checks: Sequence, blocks: Iterable, judge) -> list:
+    """Replay ``checks`` on blocks of exact points as zero tests of
+    linear forms in their trees, and return each check's result.
+
+    A check is (its trees, its forms), a form a list of (tree, scale)
+    pairs that must sum to zero at every point; ``blocks`` yields
+    (points, the points as exact ``TaggedReal``s).  Each form is read as
+    a linear combination of products of factors (``_read``), forms equal
+    up to a nonzero scalar are one, and one ``Plan`` evaluates the
+    distinct factors block by block.  Per block, each form gets one
+    integer zero test (``numbers.zero_prefix``) up to the first point
+    where a factor it reads is not one exact value.  A check is suspect
+    at the first point where a factor its forms read is not exact, before
+    any term cancels, or where one of its forms is nonzero.  There its
+    trees' outcomes are assembled from the factor columns (``_assemble``)
+    and ``judge(i, x, outcomes)`` words check i's verdict at point x:
+    None clears the point and the scan resumes after it; anything else is
+    the check's result, and ends its scan.  Suspect points are judged in
+    point order and, at one point, in check order; what ``judge`` raises
+    propagates.  No block is evaluated once every check has a result.
+    """
+    factors: dict = {}  # factor subtree -> its index, in the order first read
+    forms: dict = {}  # normalised form -> its index
+    scans = []  # per check: (its trees, the factors its forms read, its distinct forms)
+    for trees, check_forms in checks:
+        reads, own = set(), set()
+        for pairs in check_forms:
+            form: dict = {}
+            for tree, scale in pairs:
+                _read(tree, scale, form, factors)
+            # a term that cancels still reads its factors
+            reads.update(k for monomial in form for k in monomial)
+            own.add(_form_index(form, forms))
+        own.discard(None)  # a form that is zero as written needs no test
+        scans.append((trees, tuple(sorted(reads)), sorted(own)))
+    form_terms = list(forms)
+    plan = Plan(list(factors))
+    results: list = [None] * len(scans)
+    pending = range(len(scans))
+    for block, tagged in blocks:
+        columns = plan.columns(tagged)
+        n = len(block)
+        # per factor, the points where it is not one exact value, then n
+        inexact = [
+            [i for i, cands in enumerate(column)
+             if type(cands) is not tuple or len(cands) != 1 or type(cands[0].value) is not QSqrt2] + [n]
+            for column in columns
+        ]
+
+        def next_inexact(slots, start: int) -> int:
+            # the first point from ``start`` where a factor of ``slots`` is not exact, or n
+            return min((inexact[k][bisect_left(inexact[k], start)] for k in slots), default=n)
+
+        zeros: dict = {}  # form -> (a start, its first nonzero point from there)
+
+        def first_nonzero(f: int, start: int) -> int:
+            # the first point from ``start`` where form f is nonzero or a factor
+            # it reads is not exact, or n; one test serves every check holding f
+            zero = zeros.get(f)
+            if zero is None or not zero[0] <= start <= zero[1]:
+                terms = form_terms[f]
+                stop = next_inexact({k for monomial, _ in terms for k in monomial}, start)
+                rows = [(c, *(columns[k] for k in monomial)) for monomial, c in terms]
+                zero = zeros[f] = (start, zero_prefix(rows, stop, start))
+            return zero[1]
+
+        def suspect(reads, own, start: int) -> int:
+            return min([next_inexact(reads, start)] + [first_nonzero(f, start) for f in own])
+
+        heap = [(suspect(*scans[i][1:], 0), i) for i in pending]
+        heapify(heap)
+        while heap and heap[0][0] < n:
+            at, i = heappop(heap)
+            trees, reads, own = scans[i]
+            outcomes = []
+            for e in trees:
+                try:
+                    outcomes.append(_assemble(e, tagged[at], at, factors, columns))
+                except Exception as exc:  # what evaluating the tree alone raises
+                    outcomes.append(exc)
+            results[i] = judge(i, block[at], outcomes)
+            if results[i] is None:  # cleared: scan on after it
+                heappush(heap, (suspect(reads, own, at + 1), i))
+        pending = [i for i in pending if results[i] is None]
+        if not pending:
+            break
+    return results
+
+
+def _read(e: Expr, scale: QSqrt2, form: dict, factors: dict) -> None:
+    """Add ``scale`` times tree ``e`` to ``form``, read as a linear
+    combination of products of factors.  A sum is read term by term, and
+    a product with one child that is not a constant as that child,
+    scaled.  Any other product is one monomial of its non-constant
+    children, and any other node a monomial of one factor.  ``form`` maps
+    each monomial, the sorted indices its factors have in ``factors``
+    (which gains each new factor), to its coefficient; a monomial whose
+    terms cancel stays, with coefficient 0."""
+    if isinstance(e, Sum):
+        for term in e.terms:
+            _read(term, scale, form, factors)
+        return
+    parts = e.factors if isinstance(e, Prod) else (e,)
+    rest = [f for f in parts if not isinstance(f, Const)]
+    for f in parts:
+        if isinstance(f, Const):
+            scale = f.value if scale == ONE else scale * f.value
+    if len(rest) == 1 and isinstance(e, Prod):
+        _read(rest[0], scale, form, factors)
+        return
+    monomial = tuple(sorted(factors.setdefault(f, len(factors)) for f in rest))
+    form[monomial] = form.get(monomial, ZERO) + scale
+
+
+def _form_index(form: dict, forms: dict) -> Optional[int]:
+    """The index in ``forms`` of ``form`` divided by its leading
+    coefficient (that of its first monomial in sorted order), added if
+    new; None for a form whose every coefficient is 0."""
+    terms = sorted((monomial, c) for monomial, c in form.items() if not c.is_zero)
+    if not terms:
+        return None
+    lead = terms[0][1]
+    if lead != ONE:
+        inverse = lead.inverse()
+        terms = [(monomial, c * inverse) for monomial, c in terms]
+    return forms.setdefault(tuple(terms), len(forms))
+
+
+def _assemble(e: Expr, x: TaggedReal, at: int, factors: dict, columns: list) -> Candidates:
+    """Tree ``e``'s candidates at ``x``, index ``at`` of the factor
+    columns, as ``eval_candidates`` gives them, or what it raises: each
+    node above the factors is ``_apply``'d, so no function is called."""
+    k = factors.get(e)
+    if k is None:
+        return _apply(e, [_assemble(c, x, at, factors, columns) for c in _children(e)], x)
+    outcome = columns[k][at]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def eval_tagged(e: Expr, x: TaggedReal):

@@ -55,7 +55,6 @@ from .expr import (
     Const,
     Expr,
     ONE_E,
-    Plan,
     W_OFFSET,
     W_SLOPE,
     X,
@@ -64,6 +63,7 @@ from .expr import (
     make_prod,
     make_sum,
     make_neg,
+    replay_zero_forms,
     to_text,
 )
 from .intervals import Interval, certify_positive, poly_product_derivative
@@ -78,7 +78,6 @@ from .numbers import (
     cmp_parts,
     common_denominator,
     dot_exact,
-    equals_abs,
     floor_qsqrt2,
     mul_parts,
     sub_parts,
@@ -845,28 +844,37 @@ def verify_abs_identity(link: RationalityLink, grid: str = IDENTITY_GRID) -> dic
 
     Every grid point has a decided rationality pattern, so each side
     evaluates to a single exact value and the comparison is equality in
-    Q(sqrt2), not a tolerance.  A grid without points raises ValueError:
-    an identity checked nowhere is not certified.
+    Q(sqrt2), not a tolerance.  The identity minus |x| is one linear form
+    in x, |x|, dQ(H1(x)) and dQ(H2(x)), which ``expr.replay_zero_forms``
+    tests for zero on integer parts; the identity's value is assembled
+    only at a point where that test cannot decide or fails, and each
+    such point is reported.  ``checked`` counts the points where the
+    identity has one exact value, and ``failures`` lists the first 10
+    failing points in grid order.  A grid without points raises
+    ValueError: an identity checked nowhere is not certified.
     """
     points = parse_grid(grid)
     if not points:
         raise ValueError(f"grid {grid!r} has no points to check the identity on")
     expr = abs_identity_expr(link)
-    plan = Plan([expr])  # H1(x) occurs twice in expr and is evaluated once
     failures = []
-    checked = 0
-    for block, tagged in grid_blocks(points):
-        (column,) = plan.columns(tagged)
-        for x, cands in zip(block, column):
-            if isinstance(cands, Exception):
-                raise cands
-            lhs = cands[0]
-            if len(cands) != 1 or not lhs.is_exact:
-                failures.append(f"indeterminate at {x}")
-                continue
-            if not equals_abs(lhs.value, x):
-                failures.append(f"mismatch at {x}: {lhs.value} != {abs(x)}")
-            checked += 1
+    undecided = 0
+
+    def judge(_, x: QSqrt2, outcomes: list) -> None:
+        nonlocal undecided
+        (cands,) = outcomes
+        if isinstance(cands, Exception):
+            raise cands
+        lhs = cands[0]
+        if len(cands) != 1 or not lhs.is_exact:
+            failures.append(f"indeterminate at {x}")
+            undecided += 1
+        elif lhs.value != abs(x):
+            failures.append(f"mismatch at {x}: {lhs.value} != {abs(x)}")
+        # no result: the scan goes on past every failing point
+
+    replay_zero_forms([([expr], [[(expr, ONE), (App("abs", X), -ONE)]])], grid_blocks(points), judge)
+    checked = len(points) - undecided
     # symbolic check at matched points: if H1 took a matched value a at
     # some x > 0, both indicators would be 0 and the identity would read
     # x = |x|, which holds on the region.

@@ -304,71 +304,8 @@ ONE = QSqrt2.coerce(1)
 
 
 # -- many values at once ---------------------------------------------------
-# Linear combinations of products of values (a product is a combination
-# of one term) on the integer triples, over one denominator: reduced once
-# at the end, or only tested for zero.
-
-
-def combination_exact(terms: Iterable[tuple[QSqrt2, Iterable[QSqrt2]]], start: QSqrt2 = ZERO) -> QSqrt2:
-    """start + the sum of c times the product of ``factors`` over the
-    ``terms`` (c, factors); a term without factors is c."""
-    columns = [(c, [[(TaggedReal.exact(v),)] for v in factors]) for c, factors in terms]
-    return combination_column(columns, start, 1)[0][0].value
-
-
-def combination_column(terms: Iterable[tuple], start: QSqrt2, count: int) -> list:
-    """At each point i < ``count``, start + the sum over ``terms`` (c,
-    columns) of c times the product of the values in column[i] for its
-    columns, each a tuple of ``TaggedReal`` candidates: over one
-    denominator, reduced once, and built once as its own candidates, a
-    one-tuple of the exact value.  None at a point where some factor is
-    not a single exact value."""
-    rows = [(c.p, c.q, c.d, columns) for c, columns in terms]
-    sp, sq, sd = start.p, start.q, start.d
-    out = []
-    for i in range(count):
-        p, q, d = sp, sq, sd
-        for tp, tq, td, columns in rows:
-            for column in columns:
-                cands = column[i]
-                v = cands[0].value
-                if len(cands) != 1 or type(v) is not QSqrt2:
-                    break
-                vp, vq = v.p, v.q
-                if vq:
-                    tp, tq = tp * vp + 2 * tq * vq, tp * vq + tq * vp
-                else:
-                    tp *= vp
-                    tq *= vp
-                td *= v.d
-            else:  # every factor is exact: add the term
-                if not (tp or tq):
-                    continue  # a zero term leaves the denominator as it is
-                if td == d:
-                    p += tp
-                    q += tq
-                else:
-                    p, q, d = p * td + tp * d, q * td + tq * d, d * td
-                continue
-            out.append(None)
-            break
-        else:
-            if d != 1:
-                g = math.gcd(p, q, d)
-                if g != 1:
-                    p //= g
-                    q //= g
-                    d //= g
-            v = _new(QSqrt2)
-            _SET_P(v, p)
-            _SET_Q(v, q)
-            _SET_D(v, d)
-            t = _new(TaggedReal)
-            _SET_VALUE(t, v)
-            _SET_TAG(t, _RATIONAL if q == 0 else _IRRATIONAL)
-            _SET_TRANSCENDENTAL(t, False)
-            out.append((t,))
-    return out
+# Linear combinations of products of values on the integer triples, over
+# one denominator, tested for zero without reducing or building a value.
 
 
 def zero_prefix(terms: Iterable[tuple], count: int, start: int = 0) -> int:
@@ -402,15 +339,6 @@ def zero_prefix(terms: Iterable[tuple], count: int, start: int = 0) -> int:
         if p or q:
             return i
     return count
-
-
-def equals_abs(v: QSqrt2, x: QSqrt2) -> bool:
-    """Whether v = |x|, from the canonical triples, without forming |x|."""
-    if v.d != x.d:
-        return False
-    if sign_of_parts(x.p, x.q) < 0:
-        return v.p == -x.p and v.q == -x.q
-    return v.p == x.p and v.q == x.q
 
 
 def dot_is_zero(phi: Iterable[QSqrt2], vals: Iterable[QSqrt2]) -> bool:

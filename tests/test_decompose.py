@@ -23,7 +23,7 @@ from smoothsum.decompose import (
     refute_smooth_sum_standard,
     verify_kernel_image_witness,
 )
-from smoothsum.diffeology import DVSpace, LinearMap, Subspace, parse_space
+from smoothsum.diffeology import DVSpace, LinearMap, Plot, Subspace, parse_space
 from smoothsum.expr import (
     AXIOM_A,
     App,
@@ -133,6 +133,31 @@ def test_certify_reports_the_first_entry_that_does_not_settle():
     missing = verdict({(0, 0): along_e1})
     assert missing.reason == "no rule or witness for generator 0 part 1"
     assert [e["rule"] for e in missing.forward_witnesses] == ["replayed-witness"]
+
+
+def test_a_plot_of_another_space_is_no_witness():
+    # S1's one generator is (|x|, 0), so its split along (1, 1) and (0, 1)
+    # is not smooth; plots of S2, which has (0, |x|) too, realize both
+    # projections of that generator all the same
+    s1 = parse_space("space S1 dim 2\ngen abs(x), 0\n")
+    s2 = parse_space("space S2 dim 2\ngen abs(x), 0\ngen 0, abs(x)\n")
+    w0, w1 = Subspace.from_vectors(2, [[1, 1]]), Subspace.from_vectors(2, [[0, 1]])
+    zero = (const(0), const(0))
+    witnesses = {
+        (0, 0): Plot(s2, ((const(1), 0, X), (const(1), 1, X)), zero),
+        (0, 1): Plot(s2, ((const(-1), 1, X),), zero),
+    }
+    assert refute_smooth_sum_standard(s1, w0, w1).status == "NonSmooth"
+    verdict = certify_smooth_sum(s1, w0, w1, witnesses=witnesses)
+    assert verdict.status == "Unknown"
+    assert verdict.reason == "witness for generator 0 part 0 is not a plot of this space"
+    # they are witnesses for S2, whose plots they are
+    assert certify_smooth_sum(s2, w0, w1, witnesses=witnesses).status == "SmoothCertified"
+    # and no axis plot of S2 shows a line of S1 non-standard
+    axis_plots = (Plot(s2, ((const(1), 0, X),), zero), Plot(s2, ((const(1), 1, X),), zero))
+    with pytest.raises(ValueError, match="axis plot 0 is not a plot of this space"):
+        nonstandard_subspace_witness(s1, [[1, 0]], axis_plots)
+    assert len(nonstandard_subspace_witness(s2, [[1, 0], [1, 1]], axis_plots)) == 2
 
 
 def test_certify_deterministic():
@@ -657,15 +682,15 @@ def test_replay_scans_proportional_forms_once_and_reports_each_witness(monkeypat
         witness("-2/3*abs(x)*abs(x) - 2/3*deltaQ(x)*deltaQ(x)", "-2/3*x*x - 2/3*deltaQ(x)"),
     ]
     scans = []
-    zero_prefix = decompose.zero_prefix
-    monkeypatch.setattr(decompose, "zero_prefix", lambda *a: scans.append(a) or zero_prefix(*a))
+    zero_prefix = expr_module.zero_prefix
+    monkeypatch.setattr(expr_module, "zero_prefix", lambda *a: scans.append(a) or zero_prefix(*a))
     assert decompose._replay_witness(batch, grid) == [None, f"mismatch at {points[7]}, component 0", None]
     assert len(scans) == 2
 
 
 def test_replay_of_cor_2_5_scans_one_form_over_four_factors(monkeypatch):
     batches, plans, scans = [], [], []
-    replay, zero_prefix = decompose._replay_witness, decompose.zero_prefix
+    replay, zero_prefix = decompose._replay_witness, expr_module.zero_prefix
 
     class RecordedPlan(Plan):
         def __init__(self, exprs):
@@ -673,8 +698,8 @@ def test_replay_of_cor_2_5_scans_one_form_over_four_factors(monkeypatch):
             plans.append(self)
 
     monkeypatch.setattr(decompose, "_replay_witness", lambda batch, grid: batches.append(batch) or replay(batch, grid))
-    monkeypatch.setattr(decompose, "Plan", RecordedPlan)
-    monkeypatch.setattr(decompose, "zero_prefix", lambda *a: scans.append(a) or zero_prefix(*a))
+    monkeypatch.setattr(expr_module, "Plan", RecordedPlan)
+    monkeypatch.setattr(expr_module, "zero_prefix", lambda *a: scans.append(a) or zero_prefix(*a))
     assert gallery.run_scenario("cor-2.5")["all_nonsmooth"]
     # one batch of 20 witnesses: x, |x| and deltaQ of H1(x) and of its barGamma
     assert [len(batch) for batch in batches] == [20]

@@ -298,8 +298,8 @@ _SQRT_NEG = App("sqrt", Const(QSqrt2.coerce(-1)))  # and this DomainError
 
 _TWO, _THREE = Const(QSqrt2.coerce(2)), Const(QSqrt2.coerce(3))
 _SCALED_DELTA = Prod((_TWO, X, _DELTA_X))
-_FUSED = Sum((_SCALED_DELTA, X))  # 2*x*deltaQ(x) + x: one step
-_FUSED_SQRT = Sum((Prod((_TWO, App("sqrt", X), _DELTA_X)), X))  # 2*sqrt(x)*deltaQ(x) + x
+_DELTA_SUM = Sum((_SCALED_DELTA, X))  # 2*x*deltaQ(x) + x
+_SQRT_SUM = Sum((Prod((_TWO, App("sqrt", X), _DELTA_X)), X))  # 2*sqrt(x)*deltaQ(x) + x
 
 
 def _outcome(fn) -> str:
@@ -318,28 +318,38 @@ def _outcome(fn) -> str:
 # sharing a failed node fails with it
 @example(exprs=[Sum((_UNKNOWN_X, _SQRT_NEG)), _SQRT_NEG, X], xs=[TaggedReal.exact(1)])
 @example(exprs=[Sum((_SQRT_NEG, _UNKNOWN_X)), Prod((_UNKNOWN_X, X)), X], xs=[TaggedReal.exact(1)])
-# a product fused into its sum, over a candidate set: the fallback
-@example(exprs=[_FUSED], xs=[TaggedReal.opaque()])
-@example(exprs=[_FUSED], xs=[TaggedReal.approx(0.5)])
-# the first error wins whether a failing term is fused or not (the second
-# product is free of x, so it keeps a step of its own), and in either order
+# a sum of a product, over a candidate set and over a float
+@example(exprs=[_DELTA_SUM], xs=[TaggedReal.opaque()])
+@example(exprs=[_DELTA_SUM], xs=[TaggedReal.approx(0.5)])
+# the first error wins, whether a failing product varies with x or not
+# (the second is free of x, so the plan evaluates it once), in either order
 @example(exprs=[Sum((Prod((_TWO, _UNKNOWN_X)), Prod((_THREE, _SQRT_NEG))))], xs=[TaggedReal.exact(1)])
 @example(exprs=[Sum((Prod((_THREE, _SQRT_NEG)), Prod((_TWO, _UNKNOWN_X))))], xs=[TaggedReal.exact(1)])
 @example(exprs=[Sum((Prod((_TWO, _UNKNOWN_X)), Prod((_THREE, X, _SQRT_NEG))))], xs=[TaggedReal.exact(1)])
 @example(exprs=[Sum((Prod((_THREE, X, _SQRT_NEG)), Prod((_TWO, _UNKNOWN_X))))], xs=[TaggedReal.exact(1)])
-# a product two sums read, and a product that is also a root: not fused
-@example(exprs=[_FUSED, Sum((_SCALED_DELTA, _THREE))], xs=[TaggedReal.opaque()])
-@example(exprs=[_FUSED, _SCALED_DELTA], xs=[TaggedReal.exact(Fraction(1, 3))])
+# a product two sums read, and a product that is also a root
+@example(exprs=[_DELTA_SUM, Sum((_SCALED_DELTA, _THREE))], xs=[TaggedReal.opaque()])
+@example(exprs=[_DELTA_SUM, _SCALED_DELTA], xs=[TaggedReal.exact(Fraction(1, 3))])
 # sqrt of a negative at the middle point only: its error stays there, and
-# the points on either side keep their values, fused or not
+# the points on either side keep their values
 @example(
-    exprs=[App("sqrt", X), _FUSED_SQRT, Sum((_SCALED_DELTA, App("sqrt", X))), X],
+    exprs=[App("sqrt", X), _SQRT_SUM, Sum((_SCALED_DELTA, App("sqrt", X))), X],
     xs=[TaggedReal.exact(4), TaggedReal.exact(-1), TaggedReal.exact(Fraction(1, 4))],
 )
 # opaque and Unknown-tag points branch into candidate sets beside exact ones
 @example(
-    exprs=[_COLLAPSING, _FUSED, App("abs", make_neg(_DELTA_X)), Sum((_DELTA_X, _DELTA_X))],
+    exprs=[_COLLAPSING, _DELTA_SUM, App("abs", make_neg(_DELTA_X)), Sum((_DELTA_X, _DELTA_X))],
     xs=[TaggedReal.exact(Fraction(1, 2)), TaggedReal.opaque(), TaggedReal.approx(0.5), TaggedReal.exact(QSqrt2.sqrt2())],
+)
+# arithmetic under a function: the generic step is the plan's only
+# arithmetic, here below deltaQ, abs and a sqrt that raises at x = 1
+@example(
+    exprs=[parse_expr("deltaQ(2*x+1)"), parse_expr("abs(x^2-1)"), parse_expr("sqrt(x-3)")],
+    xs=[TaggedReal.exact(1)],
+)
+@example(
+    exprs=[parse_expr("deltaQ(2*x+1)"), parse_expr("abs(x^2-1)"), parse_expr("sqrt(x-3)")],
+    xs=[TaggedReal.exact(QSqrt2.sqrt2()), TaggedReal.exact(4), TaggedReal.opaque(), TaggedReal.approx(0.5)],
 )
 def test_plan_matches_recursive_driver(exprs, xs):
     _assert_plan_matches_recursive_driver(exprs, xs)
@@ -352,7 +362,7 @@ def test_plan_matches_recursive_driver_on_a_grid_longer_than_a_block():
         TaggedReal.opaque() if i % 10 == 9 else TaggedReal.exact(QSqrt2(Fraction(i - 40, 7), Fraction(i % 3, 5)))
         for i in range(GRID_BLOCK + 20)
     ]
-    exprs = [_FUSED_SQRT, Sum((_SCALED_DELTA, App("sqrt", X))), App("H1", X), App("deltaQ", App("H1", X)), X]
+    exprs = [_SQRT_SUM, Sum((_SCALED_DELTA, App("sqrt", X))), App("H1", X), App("deltaQ", App("H1", X)), X]
     _assert_plan_matches_recursive_driver(exprs, xs)
 
 
@@ -391,7 +401,7 @@ def test_plan_calls_again_where_a_shared_argument_raises(monkeypatch):
     sqrt_calls = _counting(monkeypatch, "sqrt_tagged")
     neg, pos = TaggedReal.exact(-2), TaggedReal.exact(Fraction(9, 4))
     xs = [neg, pos, neg, pos, neg]
-    exprs = [App("sqrt", X), Sum((App("sqrt", X), X)), _FUSED_SQRT]
+    exprs = [App("sqrt", X), Sum((App("sqrt", X), X)), _SQRT_SUM]
     _assert_plan_matches_recursive_driver(exprs, xs)
     sqrt_calls.clear()
     (column, _, _) = Plan(exprs).columns(xs)
@@ -444,35 +454,6 @@ def test_plan_runs_a_repeated_subtree_once_per_point(fm8, monkeypatch):
     assert len(calls) == 30  # H1(x) occurs twice in the identity
 
 
-def test_plan_fuses_a_product_only_its_sum_reads():
-    # steps: x, deltaQ(x), and the sum with the product in it
-    assert len(Plan([_FUSED])._steps) == 3
-    # the product read by a second sum, or as a root, keeps its own step
-    assert len(Plan([_FUSED, Sum((_SCALED_DELTA, _THREE))])._steps) == 5
-    assert len(Plan([_FUSED, _SCALED_DELTA])._steps) == 4
-    # and so does one the same sum reads twice
-    assert len(Plan([Sum((_SCALED_DELTA, _SCALED_DELTA))])._steps) == 4
-
-
-def test_plan_evaluates_the_identity_in_one_combination_per_point(fm8, monkeypatch):
-    combinations = []
-    combine, column = expr_module.combination_exact, expr_module.combination_column
-
-    def per_point(*args):
-        values = column(*args)
-        combinations.extend(v for v in values if v is not None)
-        return values
-
-    monkeypatch.setattr(expr_module, "combination_exact", lambda *a: combinations.append(a) or combine(*a))
-    monkeypatch.setattr(expr_module, "combination_column", per_point)
-    result = verify_abs_identity(RationalityLink(fm8), grid="zero,rationals:20,negatives:5,quadratic:4")
-    assert result["ok"] and result["checked"] == 30
-    # one combination per point, and three when the plan is built: the
-    # sum's start and the coefficients of the products 2*x*deltaQ(...),
-    # which are fused into the sum, so no point runs a step of their own
-    assert len(combinations) == 30 + 3
-
-
 def test_plan_keeps_barGamma_over_different_maps_apart(fm8, fm16):
     exprs = [App("barGamma", X, fm8), App("barGamma", X, fm16)]
     x = TaggedReal.exact(Fraction(5, 13))  # matched by neither map
@@ -509,7 +490,7 @@ def test_replay_on_an_empty_grid_evaluates_nothing():
 
 
 # ---------------------------------------------------------------------
-# The plan's exact fast path against eval_candidates
+# The plan's arithmetic at exact points against eval_candidates
 # ---------------------------------------------------------------------
 
 _small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -556,7 +537,7 @@ def test_plan_exact_fast_path_matches_eval_candidates(exprs, x):
     point = TaggedReal.exact(x)
     got = Plan(exprs).outcomes(point)
     assert repr(got) == repr([eval_candidates(e, point) for e in exprs])
-    # the fast path reduces its integers: every triple is canonical
+    # every triple is canonical
     for cands in got:
         for c in cands:
             v = c.value

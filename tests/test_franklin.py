@@ -12,7 +12,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothsum.expr import W_SLOPE, App, Const, X, differentiate, eval_exact, make_neg, make_prod, make_sum
+from smoothsum.expr import (
+    W_SLOPE,
+    App,
+    Const,
+    X,
+    differentiate,
+    eval_candidates,
+    eval_exact,
+    make_neg,
+    make_prod,
+    make_sum,
+    to_text,
+)
 from smoothsum.decompose import DEFAULT_GRID
 from smoothsum.franklin import (
     BRACKET_BITS,
@@ -40,7 +52,7 @@ from smoothsum.intervals import Interval, certify_positive, poly_product_derivat
 from smoothsum import expr as expr_module
 from smoothsum import franklin as franklin_module
 from smoothsum import numbers
-from smoothsum.numbers import FLOOR_GUARD_BITS, INV_SQRT2, SQRT2, QSqrt2, floor_qsqrt2, parse_qsqrt2
+from smoothsum.numbers import FLOOR_GUARD_BITS, INV_SQRT2, SQRT2, QSqrt2, TaggedReal, floor_qsqrt2, parse_qsqrt2
 
 
 def test_enumerations():
@@ -849,6 +861,40 @@ def test_identity_replay_runs_deltaQ_once_per_distinct_argument_in_a_block(fm16,
     blocks = -(-1101 // franklin_module.GRID_BLOCK)
     # and the symbolic check evaluates deltaQ twice per matched pair
     assert len(calls) <= 2 * 2 * blocks + 2 * len(fm16.matched)
+
+
+def _identity_reference(link: RationalityLink, grid: str) -> tuple:
+    """What ``verify_abs_identity`` reports as ok, checked and failures,
+    from the identity evaluated alone at each grid point by
+    ``eval_candidates``."""
+    expr = abs_identity_expr(link)
+    failures, checked = [], 0
+    for x in parse_grid(grid):
+        cands = eval_candidates(expr, TaggedReal.exact(x))
+        if len(cands) != 1 or not cands[0].is_exact:
+            failures.append(f"indeterminate at {x}")
+            continue
+        if cands[0].value != abs(x):
+            failures.append(f"mismatch at {x}: {cands[0].value} != {abs(x)}")
+        checked += 1
+    return not failures, checked, failures[:10]
+
+
+@pytest.mark.parametrize("case", ["n8", "n16", "quadratic", "no-rational-exp", "forged"])
+def test_identity_replay_matches_a_point_by_point_reference(case, fm8, fm16, monkeypatch):
+    link, grid = RationalityLink(fm16 if case == "n16" else fm8), IDENTITY_GRID
+    if case == "quadratic":
+        grid = "zero,rationals:40,negatives:20,quadratic:40"
+    elif case == "no-rational-exp":
+        # exp of a nonzero rational is then untagged: every x > 0 is indeterminate
+        rows = [r for r in numbers.AXIOM_TABLE if r["argument"] != "nonzero rational"]
+        monkeypatch.setattr(numbers, "AXIOM_TABLE", rows)
+    elif case == "forged":
+        # H1 in place of H2: the identity reads x, not |x| at the 100 negatives
+        link.expr_b = link.expr_a
+        assert to_text(abs_identity_expr(link)) == "x"
+    result = verify_abs_identity(link, grid=grid)
+    assert (result["ok"], result["checked"], result["failures"]) == _identity_reference(link, grid)
 
 
 # sha256 of the points of each replay grid, one "p q d" line per point.

@@ -25,7 +25,6 @@ from smoothsum.numbers import (
     TaggedReal,
     add_tagged,
     cmp_parts,
-    combination_exact,
     common_denominator,
     dot_exact,
     dot_is_zero,
@@ -73,20 +72,6 @@ def test_inverse(x):
             x.inverse()
     else:
         assert x * x.inverse() == ONE
-
-
-@given(st.lists(qsqrt2s, max_size=6), qsqrt2s)
-def test_sum_and_product_of_many(values, start):
-    # == compares triples, so equal to a canonical value means canonical
-    total, product = start, start
-    for v in values:
-        total, product = total + v, product * v
-    ones = [(ONE, (v,)) for v in values]
-    assert combination_exact(ones, start) == total
-    assert combination_exact([(start, values)]) == product
-    assert combination_exact([(v, ()) for v in values]) == total - start
-    assert combination_exact(ones + [(-ONE, (v,)) for v in values]) == ZERO
-    assert combination_exact([(ONE, [])]) == ONE
 
 
 @given(st.lists(st.tuples(qsqrt2s, qsqrt2s), max_size=5))
@@ -578,61 +563,6 @@ def test_arithmetic_matches_the_pair_model(x, y):
         assert _model(u / v) == _ref_mul(x, _ref_inverse(y))
 
 
-# coefficients and factors are sometimes zero, so some terms vanish
-_pair_terms = st.lists(
-    st.tuples(st.one_of(st.just((Fraction(0), Fraction(0))), pairs), st.lists(pairs, max_size=3)),
-    max_size=5,
-)
-
-
-@given(_pair_terms, pairs)
-def test_combination_matches_the_pair_model(terms, start):
-    want = start
-    for c, factors in terms:
-        term = c
-        for f in factors:
-            term = _ref_mul(term, f)
-        want = _ref_add(want, term)
-    got = combination_exact([(QSqrt2(*c), [QSqrt2(*f) for f in fs]) for c, fs in terms], QSqrt2(*start))
-    assert _model(got) == want
-
-
-# a column entry: one exact value, most of the time, else what the plan's
-# fast path must leave alone (a candidate set, a float, an opaque value)
-_column_entries = st.one_of(
-    st.builds(lambda v: (TaggedReal.exact(v),), qsqrt2s),
-    st.builds(lambda v: (TaggedReal.exact(v),), qsqrt2s),
-    st.builds(lambda v: (TaggedReal.exact(v), TaggedReal.exact(v + 1)), qsqrt2s),
-    st.just((TaggedReal.approx(0.5),)),
-    st.just((TaggedReal.opaque(),)),
-)
-
-
-@given(
-    st.lists(st.tuples(qsqrt2s, st.lists(st.integers(0, 2), max_size=3)), max_size=4),
-    qsqrt2s,
-    st.lists(st.lists(_column_entries, min_size=3, max_size=3), min_size=3, max_size=3),
-)
-def test_combination_column_matches_the_pair_model_at_each_point(terms, start, columns):
-    got = numbers.combination_column([(c, [columns[k] for k in slots]) for c, slots in terms], start, 3)
-    assert len(got) == 3
-    for i, value in enumerate(got):
-        factors = [[columns[k][i] for k in slots] for _, slots in terms]
-        if not all(len(c) == 1 and c[0].is_exact for fs in factors for c in fs):
-            assert value is None
-            continue
-        want = _model(start)
-        for (c, _), fs in zip(terms, factors):
-            term = _model(c)
-            for f in fs:
-                term = _ref_mul(term, _model(f[0].value))
-            want = _ref_add(want, term)
-        # the value comes as its own candidates, tagged by its sqrt2 part
-        (t,) = value
-        assert t.tag == (Tag.RATIONAL if t.value.q == 0 else Tag.IRRATIONAL) and not t.transcendental
-        assert _model(t.value) == want
-
-
 @st.composite
 def _zero_prefix_cases(draw):
     """Coefficients, some zero, beside all-exact columns of one length,
@@ -656,8 +586,8 @@ def _zero_prefix_cases(draw):
 def test_zero_prefix_stops_at_the_first_nonzero_combination(case):
     phi, columns, count = case
     terms = list(zip(phi, columns))
-    sums = numbers.combination_column([(c, [column]) for c, column in terms], ZERO, count)
-    first = next((i for i, s in enumerate(sums) if not s[0].value.is_zero), count)
+    sums = [sum((c * column[i][0].value for c, column in terms), ZERO) for i in range(count)]
+    first = next((i for i, s in enumerate(sums) if not s.is_zero), count)
     assert numbers.zero_prefix(terms, count) == first
     # at one point it is dot_is_zero
     for i in range(len(columns[0])):
@@ -689,7 +619,7 @@ def _product_zero_prefix_cases(draw):
     last = QSqrt2(*draw(pairs.filter(lambda c: c != (0, 0))))
     for i in range(length):
         if draw(st.integers(0, 3)):
-            rest = combination_exact([(c, [columns[k][i] for k in slots]) for c, slots in terms])
+            rest = sum((math.prod((columns[k][i] for k in slots), start=c) for c, slots in terms), ZERO)
             columns[3][i] = -rest / last
     terms.append((last, [3]))
     count = draw(st.integers(0, length))
@@ -725,12 +655,6 @@ def test_zero_prefix_multiplies_the_columns_of_a_term():
     assert numbers.zero_prefix(terms, 1) == 1
     assert numbers.zero_prefix(terms, 2, 1) == 1
     assert numbers.zero_prefix(terms, 2, 2) == 2
-
-
-@given(qsqrt2s, qsqrt2s)
-def test_equals_abs_is_equality_with_the_absolute_value(v, x):
-    for w in (v, x, -x, abs(x)):
-        assert numbers.equals_abs(w, x) == (w == abs(x))
 
 
 @given(pairs)

@@ -13,10 +13,13 @@ runs once, not at each call of a function.  The sixth keeps the
 integer arithmetic of ``QSqrt2`` triples in ``numbers``, out of every
 other module of the package.  The seventh installs the tracer on a
 fresh import of the package and finds no reference to an unwrapped
-original, which would fail the traced run.  The last two run the traced ``franklin-build``
-and ``verdict-mix`` benchmark passes, which fail when a command's report
-is wrong or a function they predict to be called
-(``intervals.poly_product_derivative``, say) no longer is.
+original, which would fail the traced run.  The eighth keeps every
+``Plan`` built in ``expr``, whose ``replay_zero_forms`` replays grids
+for every caller, so a second replay path cannot grow back.  The last
+two run the traced ``franklin-build`` and ``verdict-mix`` benchmark
+passes, which fail when a command's report is wrong or a function they
+predict to be called (``intervals.poly_product_derivative``, say) no
+longer is.
 """
 
 import ast
@@ -301,6 +304,31 @@ def test_unreferenced_definition_check_sees_what_it_should(tmp_path):
     )
     found = _unreferenced_definitions(package, tmp_path)
     assert found == ["pkg/a.py:7 recursive", "pkg/a.py:9 only_imported", "pkg/b.py:3 main"]
+
+
+def _plan_builders(package: Path, root: Path = ROOT) -> list:
+    """The modules of ``package`` that call ``Plan``, bare or as an
+    attribute, as paths relative to ``root``."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = [n.func for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        if any(getattr(f, "id", None) == "Plan" or getattr(f, "attr", None) == "Plan" for f in calls):
+            found.append(str(path.relative_to(root)))
+    return found
+
+
+def test_plans_are_built_in_expr_only():
+    assert _plan_builders(ROOT / "src" / "smoothsum") == ["src/smoothsum/expr.py"]
+
+
+def test_plan_builder_check_sees_what_it_should(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text("from .expr import Plan\ndef f(ts):\n    return Plan(ts)\n")
+    (package / "b.py").write_text("from . import expr\nP = expr.Plan([])\n")
+    (package / "c.py").write_text("from .expr import Plan\ndef f(ts, cls=Plan):\n    return cls(ts), 'Plan(ts)'\n")
+    assert _plan_builders(package, tmp_path) == ["pkg/a.py", "pkg/b.py"]
 
 
 def _package_modules() -> list:
