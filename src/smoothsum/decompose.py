@@ -41,8 +41,6 @@ from .diffeology import (
     LinearMap,
     Subspace,
     linear_image,
-    plot_add,
-    plot_scale,
     product_space,
     pushforward,
     same_space,
@@ -52,10 +50,12 @@ from .expr import (
     ATOM_EXPRS,
     Const,
     Smoothness,
+    Sum,
     ZERO_E,
     classify_smoothness,
     is_smooth_expr,
     make_prod,
+    make_sum,
     replay_zero_forms,
     to_text,
     verify_nonsmooth_witness,
@@ -322,40 +322,43 @@ def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> De
 
 
 def nonstandard_subspace_witness(space: DVSpace, directions: Sequence, axis_plots: Sequence) -> list:
-    """For each of ``directions``, produce the witness plot
-    x -> |x| * (a, b, ...) showing that the line through it inherits a
-    non-standard subset diffeology.
+    """For each of ``directions``, the witness plot x -> |x| * (a, b, ...)
+    showing that the line through it inherits a non-standard subset diffeology.
 
     ``axis_plots[j]`` is a Plot of the space equal to |x| * e_j (for
-    V2-delta, the witness (0, j) of ``gallery.gallery_witnesses``); only
-    the axes where a direction is nonzero are read, and one read that is
-    a plot of another space raises ValueError.  Every plot is
-    replayed on the grid against its target, all in one batch.  Its
-    targets are classified in order up to the first NonSmooth one, whose
-    witness is replayed too.  Returns one (the plot's
-    component trees, as replayed; NonSmooth verdict; the line) per
-    direction, or raises the ValueError of the first direction, in the
-    given order, that fails, as one direction at a time would.
+    V2-delta, the witness (0, j) of ``gallery.gallery_witnesses``); an axis
+    is read where a direction is nonzero, and its first read builds its
+    component trees or raises ValueError for a plot of another space.
+    Component i of direction d sums d_j times each term of axis j's
+    component i (for V2-delta, the tree plot_scale and plot_add build).  All
+    plots are replayed on the grid against their targets in one batch; each
+    plot's targets are classified in order up to the first NonSmooth one,
+    whose witness is replayed too.  Returns one (component trees, as
+    replayed; NonSmooth verdict; the line) per direction, or raises the
+    ValueError of the first direction, in order, that fails, as one at a time would.
     """
     directions = [[QSqrt2.coerce(d) for d in direction] for direction in directions]
     # the directions before the first zero one are replayed; a zero
     # direction is reported once every direction before it has passed
     zero = next((i for i, d in enumerate(directions) if all(x.is_zero for x in d)), len(directions))
+    axes: dict = {}  # axis j -> per component, the top-level terms of its tree
     batch = []
     for direction in directions[:zero]:
-        plot = None
+        parts = [[] for _ in range(space.dim)]
         for j, d in enumerate(direction):
             if d.is_zero:
                 continue
-            if not same_space(axis_plots[j].space, space):
-                raise ValueError(f"axis plot {j} is not a plot of this space")
-            piece = plot_scale(axis_plots[j], Const(d))
-            plot = piece if plot is None else plot_add(plot, piece)
+            if j not in axes:
+                if not same_space(axis_plots[j].space, space):
+                    raise ValueError(f"axis plot {j} is not a plot of this space")
+                axes[j] = [c.terms if isinstance(c, Sum) else (c,) for c in axis_plots[j].components()]
+            for part, terms in zip(parts, axes[j]):
+                part.extend(make_prod([Const(d), t]) for t in terms)
         # the plot realizes x -> |x| * direction; replay that on the grid,
         # then classify the realized curve, which has a non-smooth
         # component in every nonzero coordinate
         targets = [make_prod([Const(d), ATOM_EXPRS[ABS_KIND]]) for d in direction]
-        batch.append((plot.components(), targets, Subspace.from_vectors(space.dim, [direction])))
+        batch.append(([make_sum(part) for part in parts], targets, Subspace.from_vectors(space.dim, [direction])))
     out = []
     for (trees, targets, w), err in zip(batch, _replay_witness(batch, DEFAULT_GRID)):
         if err is not None:

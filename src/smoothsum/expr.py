@@ -794,6 +794,20 @@ def _app_column(fn, arg: int, cols, xs: Sequence) -> list:
     return out
 
 
+def _point_column(fn, cols, xs: Sequence) -> list:
+    """fn at each point of a block, for a function of x itself: a grid block
+    wraps each point afresh, so no result is shared; a raise stays at its point."""
+    out: list = []
+    for x in xs:
+        try:
+            r = fn(x)
+        except Exception as exc:  # as in _generic_column
+            out.append(exc)
+        else:
+            out.append(r if isinstance(r, tuple) else (r,))
+    return out
+
+
 def _compile_step(e: Expr, kids: tuple, floats: bool):
     """The step evaluating plan node ``e``, whose children sit in slots
     ``kids``, with its float if ``floats``: a map from the plan's columns
@@ -803,9 +817,10 @@ def _compile_step(e: Expr, kids: tuple, floats: bool):
         return lambda cols, xs: [(x,) for x in xs]
     if isinstance(e, App):
         try:
-            return partial(_app_column, _app_fn(e, approx=floats), kids[0])
+            fn = _app_fn(e, approx=floats)
         except ExprError:
-            pass  # the generic step raises at each point, as _apply does
+            return partial(_generic_column, e, kids)  # raises at each point, as _apply does
+        return partial(_point_column, fn) if isinstance(e.arg, Var) else partial(_app_column, fn, kids[0])
     return partial(_generic_column, e, kids)
 
 
@@ -820,11 +835,11 @@ class Plan:
     becomes a step (``_compile_step``), a function node's function read
     from the module globals now: a plan built after a wrapper is
     installed calls the wrapper.  ``columns`` runs each step once over a
-    block of points, children before parents: a function step once per
-    distinct argument object in the block (under deltaQ, H1 without its
-    float gives a few shared values, so deltaQ(H1(x)) runs about twice
-    per block), and a sum, product or power by ``_apply`` at each point.
-    ``outcomes`` and a call are a block of one point.
+    block of points, children before parents: a function of x at each
+    point, any other function step once per distinct argument object in
+    the block (H1 without its float gives a few shared values, so
+    deltaQ(H1(x)) runs about twice per block), and a sum, product or
+    power by ``_apply`` at each point.
 
     Floats are computed only where they are read (the demand rule): at a
     root, or at a child of a node that reads floats.  deltaQ reads only
@@ -910,20 +925,6 @@ class Plan:
         for slot, step in self._steps:
             cols[slot] = step(cols, xs)
         return [cols[root] for root in self._roots]
-
-    def outcomes(self, x: TaggedReal) -> list:
-        """Per tree, its candidates at ``x`` or the exception evaluating
-        it alone raises."""
-        return [column[0] for column in self.columns([x])]
-
-    def __call__(self, x: TaggedReal) -> list:
-        """The candidates of every tree at ``x``, as ``eval_candidates``
-        gives them; raises what the first failing tree raises."""
-        out = self.outcomes(x)
-        for outcome in out:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return out
 
 
 def replay_zero_forms(checks: Sequence, blocks: Iterable, judge) -> list:

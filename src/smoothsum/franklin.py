@@ -504,6 +504,15 @@ def _root_product(u: int, v: int, roots) -> tuple:
     return num, den * v ** len(roots)
 
 
+def _far_outside(cn: int, cd: int, pn: int, pd: int, low: int, high: int, b_lo: int, x_hi: int) -> bool:
+    """Whether budget dist(a, (low, high) / 2^FIX_BITS) > bound |p(a)| for a = cn / cd and
+    p(a) = pn / pd (cd, pd > 0), given b_lo <= 2^FIX_BITS budget and x_hi > 2^FIX_BITS
+    bound.  As f' >= budget on [0, 1], an a this far from f^-1(b)'s bracket fails ``within``."""
+    scaled = cn << FIX_BITS
+    gap = max(low * cd - scaled, scaled - high * cd)  # <= 0 inside the bracket
+    return b_lo * gap * pd > x_hi * abs(pn) * (cd << FIX_BITS)
+
+
 def _neighbors(points: list, side: int, value) -> Optional[tuple]:
     """The consecutive points (a, f(a)) of ``points``, sorted by a, whose
     coordinate ``side`` (0 for a, 1 for f(a)) brackets ``value``
@@ -601,10 +610,11 @@ def build_franklin(n_steps: int) -> FranklinMap:
                 raise ConstructionError(f"step {n}: target {q} outside the matched range")
             (lo_a, _), (hi_a, _) = around
             poly = fm._poly
-            # f' >= budget > 0 on [0, 1], so f(t) < b at every t <=
-            # low / 2^FIX_BITS and f(t) > b at every t >= high / 2^FIX_BITS:
-            # a midpoint outside (low, high) needs no sign test
+            # f' >= budget > 0 on [0, 1], so f(t) < b at every t <= low / 2^FIX_BITS
+            # and f(t) > b at every t >= high / 2^FIX_BITS: a midpoint outside (low,
+            # high) needs no sign test, and a candidate far outside it no ``within``
             low, high = poly.bracket(b, bw)
+            b_lo, x_hi = floor_qsqrt2(budget, FIX_BITS), floor_qsqrt2(bound, FIX_BITS) + 1
             # the window (lo, hi) / den, halved by exact dyadic steps
             den = lo_a.denominator * hi_a.denominator
             lo, hi = lo_a.numerator * hi_a.denominator, hi_a.numerator * lo_a.denominator
@@ -619,7 +629,8 @@ def build_franklin(n_steps: int) -> FranklinMap:
                     cn, cd = _simplest_rational(lo, den, hi, den)
                     # admissible when |f(a) - b| <= bound |p(a)|
                     pn, pd = _root_product(cn, cd, pairs)
-                    if poly.within(cn, cd, b, mul_parts(bound, (abs(pn), 0, pd)), bw):
+                    if not _far_outside(cn, cd, pn, pd, low, high, b_lo, x_hi) and poly.within(
+                            cn, cd, b, mul_parts(bound, (abs(pn), 0, pd)), bw):
                         a = Fraction(cn, cd)
                         break
                 mid = lo + hi

@@ -23,7 +23,7 @@ from smoothsum.decompose import (
     refute_smooth_sum_standard,
     verify_kernel_image_witness,
 )
-from smoothsum.diffeology import DVSpace, LinearMap, Plot, Subspace, parse_space
+from smoothsum.diffeology import DVSpace, LinearMap, Plot, Subspace, parse_space, plot_add, plot_scale
 from smoothsum.expr import (
     AXIOM_A,
     App,
@@ -198,6 +198,104 @@ def test_nonstandard_witness_twenty_directions():
         # the witness plot really is the curve x -> (a|x|, b|x|)
         assert to_text(trees[0]) is not None
         assert w.contains([a, b])
+
+
+def _v2_delta_axes():
+    sp = gallery_space("V2-delta")
+    witnesses = gallery_witnesses(sp, 8)
+    return sp, (witnesses[(0, 0)], witnesses[(0, 1)])
+
+
+def _synthetic_axes():
+    """A 3-dimensional space whose three axis plots realize |x| e_j
+    through sums of generators, smooth terms and tails that cancel."""
+    sp = parse_space(
+        "space s3 dim 3\ngen abs(x), 0, 0\ngen 0, abs(x), 0\ngen abs(x), abs(x), abs(x)\ngen x, 0, x\n"
+    )
+
+    def axis(terms, tail):
+        return Plot(sp, tuple((parse_expr(h), k, X) for h, k in terms), tuple(parse_expr(t) for t in tail))
+
+    return sp, (
+        axis([("1", 0), ("2", 3)], ("-2*x", "0", "-2*x")),
+        axis([("1", 1)], ("0", "0", "0")),
+        axis([("1", 2), ("-1", 0), ("-1", 1), ("1", 3)], ("-x", "0", "-x")),
+    )
+
+
+def _reference_trees(axis_plots, direction) -> list:
+    """The witness trees of one direction as the plot sum_j d_j axis_j,
+    built with plot_scale and plot_add."""
+    plot = None
+    for axis, d in zip(axis_plots, direction):
+        if not QSqrt2.coerce(d).is_zero:
+            piece = plot_scale(axis, const(d))
+            plot = piece if plot is None else plot_add(plot, piece)
+    return plot.components()
+
+
+def _built_trees(space, directions, axis_plots):
+    """What ``nonstandard_subspace_witness`` returns or raises, and every
+    witness tree it builds on the way, in order."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "make_sum", lambda terms: built.append(make_sum(terms)) or built[-1])
+        try:
+            return nonstandard_subspace_witness(space, directions, axis_plots), built
+        except ValueError as exc:
+            return exc, built
+
+
+_coordinates = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), synthetic=st.booleans())
+def test_witness_trees_are_the_scaled_sums_of_the_axis_plots(data, synthetic):
+    space, axis_plots = _synthetic_axes() if synthetic else _v2_delta_axes()
+    direction = st.lists(_coordinates, min_size=space.dim, max_size=space.dim).map(
+        lambda d: d if any(d) else [1] + d[1:])
+    directions = data.draw(st.lists(direction, min_size=1, max_size=4))
+    # one coordinate may be irrational: that direction is built, then refused
+    irrational = data.draw(st.one_of(st.none(), st.integers(0, len(directions) - 1)))
+    if irrational is not None:
+        directions[irrational][0] = QSqrt2(directions[irrational][0], 1)
+    got, built = _built_trees(space, directions, axis_plots)
+    want = [tree for d in directions[: len(directions) if irrational is None else irrational + 1]
+            for tree in _reference_trees(axis_plots, d)]
+    assert built == want and [to_text(t) for t in built] == [to_text(t) for t in want]
+    if irrational is None:
+        assert [tree for trees, _, _ in got for tree in trees] == want
+    else:
+        assert "irrational entry" in str(got)
+
+
+def test_witness_trees_distribute_over_a_sum_in_an_axis_plot():
+    # a generator component that is a sum: each of its terms is scaled,
+    # where plot_scale would scale the sum as one factor; the curve is one
+    sp = parse_space("space s dim 2\ngen abs(x)+x, 0\ngen 0, abs(x)\n")
+    axis_plots = (Plot(sp, ((const(1), 0, X),), (parse_expr("-x"), const(0))), Plot(sp, ((const(1), 1, X),), (const(0),) * 2))
+    ((trees, _, _),) = nonstandard_subspace_witness(sp, [[3, 0]], axis_plots)
+    assert [to_text(t) for t in trees] == ["3*abs(x)", "0"]
+    assert [to_text(t) for t in _reference_trees(axis_plots, [3, 0])] == ["3*(abs(x)+x)-3*x", "0"]
+
+
+def test_a_later_direction_that_reads_a_plot_of_another_space_raises_first():
+    sp, good = _v2_delta_axes()
+    other = Plot(parse_space("space other dim 2\ngen abs(x), abs(x)\n"), ((const(1), 0, X),), (const(0),) * 2)
+    # the third direction is the first to read axis 1, after two are built
+    got, built = _built_trees(sp, [[1, 0], [2, 0], [1, 1]], (good[0], other))
+    assert str(got) == "axis plot 1 is not a plot of this space"
+    assert built == _reference_trees(good, [1, 0]) + _reference_trees(good, [2, 0])
+    # before any replay: the first direction, realized by the wrong axis
+    # plot, would fail its replay
+    got, built = _built_trees(sp, [[1, 0], [1, 1]], (good[1], other))
+    assert str(got) == "axis plot 1 is not a plot of this space"
+    assert len(built) == 2
 
 
 def test_refutation_names_the_undecided_components():

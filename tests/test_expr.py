@@ -379,9 +379,10 @@ def test_plan_evaluates_a_step_once_per_shared_argument(fm8, monkeypatch):
     h1_calls = _counting(monkeypatch, "_h1_tagged")
     a, b = TaggedReal.exact(Fraction(1, 3)), TaggedReal.exact(QSqrt2(0, Fraction(2, 5)))
     # a and b held by several points each, beside an equal but distinct
-    # value, an opaque point and a candidate set under deltaQ
+    # value, an opaque point and a candidate set under deltaQ; abs returns
+    # an exact x >= 0 as the same object, so H1's argument shares them
     xs = [a, b, a, TaggedReal.exact(Fraction(1, 3)), a, TaggedReal.opaque(), b, TaggedReal.exact(-1)]
-    h1 = App("H1", X)
+    h1 = App("H1", App("abs", X))
     exprs = [
         h1,
         App("deltaQ", h1),
@@ -393,15 +394,34 @@ def test_plan_evaluates_a_step_once_per_shared_argument(fm8, monkeypatch):
     _assert_plan_matches_recursive_driver(exprs, xs)
     h1_calls.clear()
     Plan(exprs).columns(xs)
-    # a, b, the other 1/3, the opaque value and -1
+    # a, b, the other 1/3, the opaque value's and -1's absolute values
     assert len(h1_calls) == 5
+
+
+def test_plan_runs_a_function_of_x_at_every_point(monkeypatch):
+    h1_calls = _counting(monkeypatch, "_h1_tagged")
+    sqrt_calls = _counting(monkeypatch, "sqrt_tagged")
+    a, neg = TaggedReal.exact(Fraction(1, 3)), TaggedReal.exact(-2)
+    xs = [a, neg, a, neg, a]
+    exprs = [App("H1", X), App("sqrt", X), Sum((App("sqrt", X), X))]
+    _assert_plan_matches_recursive_driver(exprs, xs)
+    h1_calls.clear()
+    sqrt_calls.clear()
+    (_, column, _) = Plan(exprs).columns(xs)
+    # once per point, however often a point object repeats
+    assert h1_calls == xs and sqrt_calls == xs
+    # each point at -2 records its own exception
+    assert [isinstance(c, DomainError) for c in column] == [False, True, False, True, False]
+    assert column[1] is not column[3]
 
 
 def test_plan_calls_again_where_a_shared_argument_raises(monkeypatch):
     sqrt_calls = _counting(monkeypatch, "sqrt_tagged")
     neg, pos = TaggedReal.exact(-2), TaggedReal.exact(Fraction(9, 4))
     xs = [neg, pos, neg, pos, neg]
-    exprs = [App("sqrt", X), Sum((App("sqrt", X), X)), _SQRT_SUM]
+    # a one-term sum passes each point's candidate on as the same object
+    shared = App("sqrt", Sum((X,)))
+    exprs = [shared, Sum((shared, X)), Sum((Prod((_TWO, shared, _DELTA_X)), X))]
     _assert_plan_matches_recursive_driver(exprs, xs)
     sqrt_calls.clear()
     (column, _, _) = Plan(exprs).columns(xs)
@@ -410,6 +430,16 @@ def test_plan_calls_again_where_a_shared_argument_raises(monkeypatch):
     assert column[0] is not column[2] and column[2] is not column[4]
     assert column[1] is column[3]
     assert sqrt_calls == [neg, pos, neg, neg]
+
+
+def _at(plan, x) -> list:
+    """The candidates of every tree of ``plan`` at ``x``, from a block of
+    one point; raises what the first failing tree raises."""
+    out = [column[0] for column in plan.columns([x])]
+    for outcome in out:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return out
 
 
 def _assert_plan_matches_recursive_driver(exprs, xs):
@@ -424,7 +454,7 @@ def _assert_plan_matches_recursive_driver(exprs, xs):
         assert [len(column) for column in columns] == [len(xs)] * len(exprs)
         for i, x in enumerate(xs):
             want = _outcome(lambda: [eval_candidates(e, x) for e in exprs])
-            assert _outcome(lambda: plan(x)) == want
+            assert _outcome(lambda: _at(plan, x)) == want
             # each tree's own outcome at this point alone, whatever the
             # trees beside it and the other points of the block raise
             for e, column in zip(exprs, columns):
@@ -438,11 +468,11 @@ def _assert_plan_matches_recursive_driver(exprs, xs):
 def test_candidate_sets_branch_and_collapse_in_both_drivers():
     x = TaggedReal.opaque()
     branched = App("abs", make_neg(_DELTA_X))  # |-deltaQ(x)| is 0 or 1
-    for got in (eval_candidates(branched, x), Plan([branched])(x)[0]):
+    for got in (eval_candidates(branched, x), _at(Plan([branched]), x)[0]):
         assert [c.value for c in got] == [QSqrt2.coerce(0), QSqrt2.coerce(1)]
     assert eval_candidates(_COLLAPSING, x) == (TaggedReal.opaque(),)
-    assert Plan([_COLLAPSING])(x) == [(TaggedReal.opaque(),)]
-    assert len(Plan([Sum((_DELTA_X, _DELTA_X))])(x)[0]) == 3
+    assert _at(Plan([_COLLAPSING]), x) == [(TaggedReal.opaque(),)]
+    assert len(_at(Plan([Sum((_DELTA_X, _DELTA_X))]), x)[0]) == 3
 
 
 def test_plan_runs_a_repeated_subtree_once_per_point(fm8, monkeypatch):
@@ -457,7 +487,7 @@ def test_plan_runs_a_repeated_subtree_once_per_point(fm8, monkeypatch):
 def test_plan_keeps_barGamma_over_different_maps_apart(fm8, fm16):
     exprs = [App("barGamma", X, fm8), App("barGamma", X, fm16)]
     x = TaggedReal.exact(Fraction(5, 13))  # matched by neither map
-    got = Plan(exprs)(x)
+    got = _at(Plan(exprs), x)
     assert got == [eval_candidates(e, x) for e in exprs]
     assert got[0] != got[1]
 
@@ -468,7 +498,7 @@ def test_hoisted_constant_raises_as_the_recursive_driver_does():
     with pytest.raises(DomainError) as recursive:
         eval_candidates(make_sum([X, bad]), TaggedReal.exact(1))
     with pytest.raises(DomainError) as planned:
-        plan(TaggedReal.exact(1))
+        _at(plan, TaggedReal.exact(1))
     assert str(planned.value) == str(recursive.value)
     # the first error in evaluation order wins, in both drivers
     unknown = App("nope", X)
@@ -476,7 +506,7 @@ def test_hoisted_constant_raises_as_the_recursive_driver_does():
         with pytest.raises(error):
             [eval_candidates(e, TaggedReal.exact(1)) for e in exprs]
         with pytest.raises(error):
-            Plan(exprs)(TaggedReal.exact(1))
+            _at(Plan(exprs), TaggedReal.exact(1))
 
 
 def test_replay_on_an_empty_grid_evaluates_nothing():
@@ -533,9 +563,9 @@ _HALF, _THIRD, _ROOT = QSqrt2(Fraction(1, 2)), QSqrt2(Fraction(1, 3)), QSqrt2.sq
 @example(exprs=[Sum((Const(_HALF), X)), Prod((Const(QSqrt2(3)), X))], x=QSqrt2(1))
 @example(exprs=[Pow(X, 3)], x=QSqrt2(Fraction(1, 2), Fraction(1, 3)))  # an irrational base, cubed
 @example(exprs=[Pow(Sum((Const(_HALF), X)), 2)], x=_ROOT)  # (1/2 + sqrt2)^2
-def test_plan_exact_fast_path_matches_eval_candidates(exprs, x):
+def test_plan_arithmetic_at_exact_points_matches_eval_candidates(exprs, x):
     point = TaggedReal.exact(x)
-    got = Plan(exprs).outcomes(point)
+    got = [column[0] for column in Plan(exprs).columns([point])]
     assert repr(got) == repr([eval_candidates(e, point) for e in exprs])
     # every triple is canonical
     for cands in got:
@@ -544,7 +574,7 @@ def test_plan_exact_fast_path_matches_eval_candidates(exprs, x):
             assert v.d > 0 and math.gcd(v.p, v.q, v.d) == 1, (v.p, v.q, v.d)
 
 
-def test_plan_exact_fast_path_falls_back_on_anything_else():
+def test_plan_arithmetic_beside_candidate_sets_and_floats_matches_eval_candidates():
     half = TaggedReal.exact(Fraction(1, 2))
     cases = [
         # a candidate set beside a folded constant
@@ -556,8 +586,8 @@ def test_plan_exact_fast_path_falls_back_on_anything_else():
         (Sum((X, App("exp", X))), half),
     ]
     for e, x in cases:
-        assert repr(Plan([e])(x)) == repr([eval_candidates(e, x)])
-    assert [c.value for c in Plan([cases[0][0]])(TaggedReal.opaque())[0]] == [QSqrt2(1), QSqrt2(2)]
+        assert repr(_at(Plan([e]), x)) == repr([eval_candidates(e, x)])
+    assert [c.value for c in _at(Plan([cases[0][0]]), TaggedReal.opaque())[0]] == [QSqrt2(1), QSqrt2(2)]
 
 
 # ---------------------------------------------------------------------
@@ -688,7 +718,7 @@ def test_plan_computes_no_float_only_deltaQ_reads(fm8, monkeypatch):
     assert len(h1_calls) == 30 and float_calls == []
     # barGamma(H1(x)) read by value: its float is computed
     e = App("barGamma", App("H1", X), fm8)
-    (got,) = Plan([e, App("deltaQ", e)])(TaggedReal.exact(Fraction(1, 2)))[0]
+    (got,) = _at(Plan([e, App("deltaQ", e)]), TaggedReal.exact(Fraction(1, 2)))[0]
     assert isinstance(got.value, float) and len(float_calls) == 1
 
 

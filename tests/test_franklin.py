@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smoothsum.expr import (
@@ -52,7 +52,16 @@ from smoothsum.intervals import Interval, certify_positive, poly_product_derivat
 from smoothsum import expr as expr_module
 from smoothsum import franklin as franklin_module
 from smoothsum import numbers
-from smoothsum.numbers import FLOOR_GUARD_BITS, INV_SQRT2, SQRT2, QSqrt2, TaggedReal, floor_qsqrt2, parse_qsqrt2
+from smoothsum.numbers import (
+    FLOOR_GUARD_BITS,
+    INV_SQRT2,
+    SQRT2,
+    QSqrt2,
+    TaggedReal,
+    floor_qsqrt2,
+    mul_parts,
+    parse_qsqrt2,
+)
 
 
 def test_enumerations():
@@ -566,6 +575,82 @@ def test_certified_bracket_holds_the_preimage(fm24):
         lo, hi = before._poly.bracket(s.b)
         assert 0 < hi - lo <= 2 << BRACKET_BITS
         assert before.eval_exact(lo * one) < s.b < before.eval_exact(hi * one)
+
+
+_ONE = 1 << FIX_BITS
+
+
+def test_bracket_prefilter_rejects_only_what_within_rejects(monkeypatch):
+    # build_franklin(24) runs every step of build_franklin(n) for n <= 24;
+    # each candidate its backward bisection rejects without ``within`` is
+    # one that ``within``, and the exact comparison, reject too
+    step, scales, rejected, within_calls = {"budget": (1, 0, 1)}, set(), [], []
+    step_bound, spent, bracket, far_outside, within = (
+        franklin_module._step_bound, franklin_module._spent, _CollapsedPoly.bracket,
+        franklin_module._far_outside, _CollapsedPoly.within)
+
+    def recorded_bound(*args):
+        step["bound"] = step_bound(*args)
+        return step["bound"]
+
+    def recorded_spent(*args):
+        step["budget"] = spent(*args)
+        return step["budget"]
+
+    def recorded_bracket(self, b, bw=None):
+        step.update(poly=self, b=b)
+        return bracket(self, b, bw)
+
+    def recorded_far_outside(cn, cd, pn, pd, low, high, b_lo, x_hi):
+        scales.add((step["budget"], step["bound"], b_lo, x_hi))
+        out = far_outside(cn, cd, pn, pd, low, high, b_lo, x_hi)
+        if out:
+            rejected.append((step["poly"], cn, cd, step["b"], mul_parts(step["bound"], (abs(pn), 0, pd))))
+        return out
+
+    def counted_within(self, *args):
+        within_calls.append(args)
+        return within(self, *args)
+
+    monkeypatch.setattr(franklin_module, "_step_bound", recorded_bound)
+    monkeypatch.setattr(franklin_module, "_spent", recorded_spent)
+    monkeypatch.setattr(_CollapsedPoly, "bracket", recorded_bracket)
+    monkeypatch.setattr(franklin_module, "_far_outside", recorded_far_outside)
+    monkeypatch.setattr(_CollapsedPoly, "within", counted_within)
+    build_franklin(24)
+    # 239 candidates reached ``within`` without the prefilter
+    assert 0 < len(within_calls) <= 30
+    assert len(rejected) > 150
+    # b_lo <= 2^FIX_BITS budget and x_hi > 2^FIX_BITS bound, at every step
+    assert len(scales) == 12
+    for budget, bound, b_lo, x_hi in scales:
+        assert QSqrt2.coerce(b_lo) <= QSqrt2.from_ints(*budget) * _ONE
+        assert QSqrt2.from_ints(*bound) * _ONE < QSqrt2.coerce(x_hi)
+    for poly, cn, cd, b, x in rejected:
+        assert not within(poly, cn, cd, b, x)
+        assert abs(poly.at(QSqrt2.coerce(Fraction(cn, cd))) - b) > QSqrt2.from_ints(*x)
+
+
+@given(
+    st.fractions(0, 1), st.fractions(0, 1), st.fractions(0, 1), st.integers(-(10**20), 10**20).filter(bool),
+    st.integers(1, 10**20), st.fractions(Fraction(1, 10**6), 1), st.fractions(Fraction(1, 2**200), 1),
+)
+# a budget and a bound that make the test a tie: bound |p(a)| is exactly
+# budget dist(a, bracket), which only the floor of the bound rounded up
+# leaves standing
+@example(Fraction(0), Fraction(1, 2), Fraction(1, 2) + Fraction(1, _ONE), 3, 1, Fraction(1), Fraction(1, 6))
+# inside the bracket, where p(a) < 0 and the bound is small
+@example(Fraction(1, 2), Fraction(1, 2) - Fraction(1, _ONE), Fraction(1, 2) + Fraction(1, _ONE), -1, 1,
+         Fraction(1), Fraction(1, 4))
+@example(Fraction(1, 2), Fraction(0), Fraction(1), 1, 1, Fraction(1), Fraction(1, 2**100))
+def test_bracket_prefilter_rejects_only_what_its_distance_rejects(a, low, high, pn, pd, budget, bound):
+    # the prefilter rejects a = cn / cd only when budget dist(a, bracket)
+    # exceeds bound |p(a)|, exactly
+    low, high = sorted((math.floor(low * _ONE), math.ceil(high * _ONE)))
+    b_lo, x_hi = math.floor(budget * _ONE), math.floor(bound * _ONE) + 1
+    if franklin_module._far_outside(a.numerator, a.denominator, pn, pd, low, high, b_lo, x_hi):
+        dist = max(Fraction(low, _ONE) - a, a - Fraction(high, _ONE))
+        assert budget * dist > bound * Fraction(abs(pn), pd)
 
 
 def test_targets_in_range(fm16):

@@ -179,8 +179,9 @@ def test_cor_2_5_builds_each_witness_tree_once(monkeypatch):
     component_expr = Plot.component_expr
     monkeypatch.setattr(Plot, "component_expr", lambda p, j: calls.append(j) or component_expr(p, j))
     report = run_scenario("cor-2.5", n=8)
-    # 20 directions of 2 components: the report shows the trees the replay built
-    assert len(calls) == 40
+    # 2 axis plots of 2 components, each built once for all 20 directions;
+    # the report shows the trees the replay built
+    assert len(calls) == 4
     assert all(len(r["witness_components"]) == 2 for r in report["directions"])
 
 
