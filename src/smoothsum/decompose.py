@@ -4,16 +4,16 @@ A decomposition V = W0 + W1 is smooth when V's diffeology coincides with
 the product of the two subset diffeologies.  Projections along the
 splitting are linear, and plots of a generated diffeology are linear in
 the generators, so the whole question reduces to the generators: the
-decomposition is certified smooth when each projected generator is
-exhibited as a plot with values in its subspace — either by a trivial
-rule (zero, the generator itself, a smooth vector function, a rational
-multiple of another generator) or by a stored witness plot that replays
-under exact tagged evaluation on a deterministic grid.  A replay reads
-each check, the plot minus its target and each functional of the
-subspace's annihilator, as a linear form in the plot's non-linear
-subtrees; ``expr.replay_zero_forms`` evaluates those subtrees once per
-point and tests each form for zero on integer parts, and only at a point
-where the test cannot decide, or fails, does this module word the error.
+decomposition is certified smooth when each projected generator P.g is
+exhibited as a plot with values in its subspace, either algebraically,
+as constants beta_m (one solve over the atom table) times generators
+g_m plus a smooth tail, or by a stored witness plot replayed under exact
+tagged evaluation on a deterministic grid.  A replay reads each check,
+the plot minus its target and each functional of the subspace's
+annihilator, as a linear form in the plot's non-linear subtrees;
+``expr.replay_zero_forms`` evaluates those subtrees once per point and
+tests each form for zero on integer parts, and only at a point where the
+test cannot decide, or fails, does this module word the error.
 
 Refutations go the other way: when both subset diffeologies are
 certified standard, a smooth decomposition would force the whole space
@@ -193,12 +193,11 @@ def certify_smooth_sum(
 ) -> DecompositionVerdict:
     """Certify V = W0 (+) W1 as a smooth direct sum.
 
-    ``witnesses`` maps (generator index, part index 0/1) to a Plot of
-    ``space`` that realizes the projected generator inside the subset
-    diffeology; every witness is replayed before it is believed, and a
-    plot of another space settles nothing.  Rules are picked in
-    generator/part order first, then every witness they call for is
-    replayed in one batch.
+    Each projected generator P.g_k, in generator/part order, settles by the
+    first rule that holds: P.g_k = 0, P.g_k = g_k, or ``_combination_rule``.
+    Else ``witnesses[(k, part)]``, a Plot of ``space`` realizing P.g_k in the
+    subset diffeology, must settle it: every witness is replayed, in one
+    batch, before it is believed, and a plot of another space settles nothing.
     """
     if not check_algebraic_sum(space.dim, w0, w1):
         return DecompositionVerdict(
@@ -206,6 +205,7 @@ def certify_smooth_sum(
         )
     witnesses = witnesses or {}
     p0, p1 = projection_pair(w0, w1)
+    table = atom_table(space).coefvecs
     entries = []
     batch = []  # (plot components, target, W) of each entry that a witness must settle
     missing = None
@@ -217,21 +217,17 @@ def certify_smooth_sum(
                 entry["rule"] = "zero-projection"
             elif comps == list(g) and _values_in_subspace(comps, w):
                 entry["rule"] = "generator-in-subspace"
-            elif all(is_smooth_expr(c) for c in comps) and _values_in_subspace(comps, w):
-                entry["rule"] = "componentwise-smooth-tail"
-            else:
-                scaled = _find_generator_multiple(space, comps)
-                if scaled is not None and _values_in_subspace(comps, w):
-                    entry["rule"] = f"rational-multiple-of-generator-{scaled}"
-                elif (k, part) in witnesses:
-                    plot = witnesses[(k, part)]
-                    if not same_space(plot.space, space):
-                        missing = f"witness for generator {k} part {part} is not a plot of this space"
-                        break
-                    batch.append((plot.components(), comps, w))
-                else:
-                    missing = f"no rule or witness for generator {k} part {part}"
+            elif (rule := _combination_rule(space, table, proj, k, comps, w)) is not None:
+                entry.update(rule)
+            elif (k, part) in witnesses:
+                plot = witnesses[(k, part)]
+                if not same_space(plot.space, space):
+                    missing = f"witness for generator {k} part {part} is not a plot of this space"
                     break
+                batch.append((plot.components(), comps, w))
+            else:
+                missing = f"no rule or witness for generator {k} part {part}"
+                break
             entries.append(entry)
         if missing is not None:
             break
@@ -260,12 +256,42 @@ def certify_smooth_sum(
     return DecompositionVerdict("SmoothCertified", forward, backward, tuple(sorted(axioms)))
 
 
-def _find_generator_multiple(space: DVSpace, comps: Sequence) -> Optional[int]:
-    for m, g in enumerate(space.generators):
-        for c in (ONE, -ONE):
-            if all(make_prod([Const(c), g[j]]) == comps[j] for j in range(space.dim)):
-                return m
-    return None
+def _combination_rule(space: DVSpace, table: list, proj: LinearMap, k: int,
+                      comps: Sequence, w: Subspace) -> Optional[dict]:
+    """The entry fields that settle ``comps`` = P.g_k algebraically, or None.
+
+    ``_combination`` only proposes beta.  The proof is the tail P.g_k - sum
+    beta_m g_m, smooth in every component, and P.g_k's values lying in W: a
+    constant combination of generators plus a smooth curve is a plot.  The
+    rule is named after beta: 0, +-e_m with a zero tail, or anything else."""
+    target = {kind: linalg.mat_vec(proj.matrix, v) for kind, v in table[k].items()}
+    beta = _combination(table, target, space.dim)
+    if beta is None or not _values_in_subspace(comps, w):
+        return None
+    used = [(m, b) for m, b in enumerate(beta) if not b.is_zero]
+    tail = [make_sum([c] + [make_prod([Const(-b), space.generators[m][j]]) for m, b in used])
+            for j, c in enumerate(comps)]
+    if not all(is_smooth_expr(t) for t in tail):
+        return None
+    if not used:
+        return {"rule": "componentwise-smooth-tail"}
+    if len(used) == 1 and used[0][1] in (ONE, -ONE) and all(t == ZERO_E for t in tail):
+        return {"rule": f"rational-multiple-of-generator-{used[0][0]}"}
+    return {"rule": "generator-combination", "combination": [str(b) for b in beta],
+            "tail": [to_text(t) for t in tail]}
+
+
+def _combination(table: Sequence, target: dict, n: int) -> Optional[list]:
+    """Constants beta with target[kind] = sum_m beta_m table[m][kind] for
+    every atom kind on either side, by one ``linalg.solve``, or None.  Each
+    of ``table`` (an atom table's ``coefvecs``) and ``target`` maps kinds to
+    vectors in Q(sqrt2)^n; a missing kind is 0, and so is beta for a zero target."""
+    if all(x.is_zero for v in target.values() for x in v):
+        return [ZERO] * len(table)
+    zero = [ZERO] * n
+    kinds = sorted(set(target).union(*table))
+    rows = [[vecs.get(kind, zero)[i] for vecs in table] for kind in kinds for i in range(n)]
+    return linalg.solve(rows, [target.get(kind, zero)[i] for kind in kinds for i in range(n)])
 
 
 def refute_smooth_sum_standard(space: DVSpace, w0: Subspace, w1: Subspace) -> DecompositionVerdict:
@@ -527,24 +553,14 @@ def _integer_atom_vectors(space: DVSpace) -> list:
 
 
 def _kindwise_compatible(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
-    """Joint solvability: each src generator's atom content, pushed through
-    the matrix, must be a single rational combination of dst generators.
-
-    ``src_atoms`` and ``dst_atoms`` are ``_integer_atom_vectors`` tables."""
+    """Each src generator's atom content, pushed through the matrix, is one
+    constant combination of the dst generators' (``_combination``: every
+    kind on either side).  Both tables are ``_integer_atom_vectors``'s."""
     n = len(matrix)
-    zero = [ZERO] * n
-    for vecs in src_atoms:
-        if not vecs:
-            continue
-        # unknowns: coefficients c_g for dst generators; equations per kind/coord
-        rows = []
-        rhs = []
-        for kind, v in vecs.items():
-            rows.extend([d.get(kind, zero)[i] for d in dst_atoms] for i in range(n))
-            rhs.extend(linalg.mat_vec(matrix, v))
-        if linalg.solve(rows, rhs) is None:
-            return False
-    return True
+    return all(
+        _combination(dst_atoms, {kind: linalg.mat_vec(matrix, v) for kind, v in vecs.items()}, n) is not None
+        for vecs in src_atoms
+    )
 
 
 def _is_diffeomorphism(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
@@ -559,20 +575,13 @@ def _is_diffeomorphism(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
     )
 
 
-def _image_pivots(f: LinearMap, img_basis: list) -> list:
+def _image_pivots(img_basis: list) -> list:
     """The codomain coordinates at which the image basis has its pivots.
 
-    The image basis is in rref, so these coordinates read the image-basis
-    coefficients straight off the ambient components."""
-    pivots = []
-    seen = set()
-    for b in range(len(img_basis)):
-        for i in range(f.codomain_dim):
-            if not img_basis[b][i].is_zero and i not in seen:
-                pivots.append(i)
-                seen.add(i)
-                break
-    return pivots
+    The image basis is in rref, so each row's first nonzero entry is its
+    pivot, and these coordinates read the image-basis coefficients
+    straight off the ambient components."""
+    return [next(i for i, x in enumerate(row) if not x.is_zero) for row in img_basis]
 
 
 def kernel_image_space(space: DVSpace, f: LinearMap) -> tuple:
@@ -590,7 +599,7 @@ def kernel_image_space(space: DVSpace, f: LinearMap) -> tuple:
     r = len(img_basis)
     ker_space = DVSpace("ker", ker.dim, ())
     img_gens = pushforward(f, space).generators
-    pivots = _image_pivots(f, img_basis)
+    pivots = _image_pivots(img_basis)
     img_space = DVSpace(
         "im",
         r,
@@ -709,7 +718,7 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
         # Ker(f) = 0 and f is a diffeomorphism onto Im(f) with the
         # pushforward diffeology, so f^-1 (on the image's pivot
         # coordinates) carries Ker(f) x Im(f) back onto the space
-        witness = linalg.inverse([f.matrix[i] for i in _image_pivots(f, f.image_basis())])
+        witness = linalg.inverse([f.matrix[i] for i in _image_pivots(f.image_basis())])
         try:
             replayed = verify_kernel_image_witness(space, f, witness)
         except ValueError as exc:

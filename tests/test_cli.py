@@ -182,6 +182,20 @@ def test_space_declaration_file(tmp_path, capsys):
     assert _run(capsys, "analyze", str(bad))[0] == 2
 
 
+def test_check_sum_text_prints_the_combination_and_its_tail(tmp_path, capsys):
+    f = tmp_path / "space.txt"
+    f.write_text("space S dim 2\ngen abs(x), x\ngen 0, abs(x)\n")
+    code, out, _ = _run(capsys, "check-sum", str(f), "--w0", "1,1", "--w1", "0,1")
+    assert code == 0
+    assert "status: SmoothCertified" in out
+    # generator 0's part in W0, (|x|, |x|), is g0 + g1 plus the tail (0, -x)
+    assert (
+        "    rule: generator-combination\n"
+        "    combination:\n      - 1\n      - 1\n"
+        "    tail:\n      - 0\n      - -x\n"
+    ) in out
+
+
 def test_unknown_axiom_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, "analyze", "W-nondecomposable", "--axiom", "a", "--n", "8")
     assert code == 2 and "unknown axiom 'a'" in err

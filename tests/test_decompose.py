@@ -1,8 +1,10 @@
 """Direct-sum certification, refutation, and ker/im diffeomorphism search."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,62 @@ def test_certify_deterministic():
     a = certify_smooth_sum(sp, E1, E2, witnesses=w).to_dict()
     b = certify_smooth_sum(sp, E1, E2, witnesses=w).to_dict()
     assert a == b
+
+
+# |x| e1 and |x| e2: the part of (|x|, 0) in Span(1, 1) along Span(0, 1)
+# is (|x|, |x|), the sum of the two generators, and no multiple of either
+ABS_AXES = parse_space("space s dim 2\ngen abs(x), 0\ngen 0, abs(x)\n")
+DIAGONAL = Subspace.from_vectors(2, [[1, 1]])
+
+
+def test_a_projection_that_sums_generators_certifies_by_its_combination():
+    verdict = certify_smooth_sum(ABS_AXES, DIAGONAL, E2)
+    assert verdict.status == "SmoothCertified"
+    assert verdict.forward_witnesses[0] == {
+        "generator": 0, "part": 0, "target": ["abs(x)", "abs(x)"],
+        "rule": "generator-combination", "combination": ["1", "1"], "tail": ["0", "0"],
+    }
+    assert [e["rule"] for e in verdict.forward_witnesses[1:]] == [
+        "rational-multiple-of-generator-1", "zero-projection", "generator-in-subspace",
+    ]
+    # a smooth part of a generator stays in the tail
+    sp = parse_space("space s dim 2\ngen abs(x), x\ngen 0, abs(x)\n")
+    entries = certify_smooth_sum(sp, DIAGONAL, E2).forward_witnesses
+    assert [(e["combination"], e["tail"]) for e in entries[:2]] == [
+        (["1", "1"], ["0", "-x"]), (["0", "-1"], ["0", "x"]),
+    ]
+
+
+@pytest.mark.parametrize("space, w0, m", [
+    (ABS_AXES, DIAGONAL, 0),
+    (ABS_AXES, DIAGONAL, 1),
+    # beta = 0: the part (x, 0) of (x, |x|) in Span(e1) is its own smooth tail
+    (parse_space("space s dim 2\ngen x, abs(x)\n"), E1, 0),
+])
+def test_a_combination_off_by_one_settles_nothing(monkeypatch, space, w0, m):
+    assert certify_smooth_sum(space, w0, E2).status == "SmoothCertified"
+    genuine = decompose._combination
+
+    def forged(table, target, n):
+        beta = genuine(table, target, n)
+        return [b + QSqrt2(1) if i == m else b for i, b in enumerate(beta)]
+
+    monkeypatch.setattr(decompose, "_combination", forged)
+    verdict = certify_smooth_sum(space, w0, E2)
+    assert verdict.status == "Unknown"
+    assert verdict.reason == "no rule or witness for generator 0 part 0"
+
+
+def test_decompose_solves_only_for_combinations():
+    tree = ast.parse(Path(decompose.__file__).read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "solve"
+    }
+    assert callers == {"_combination"}
 
 
 def test_refute_r3_abs():
@@ -386,6 +444,19 @@ def test_decomposability_tries_the_coordinate_split():
     assert decomposability_report(gallery_space("V2-delta")).status == "Unknown"
     # in dimension 1 the split would be the trivial one
     assert decomposability_report(parse_space("space s dim 1\ngen abs(x)\n")).status == "Unknown"
+
+
+def test_a_kind_that_only_the_target_carries_is_matched_too():
+    # the abs rows alone solve (|x|, 0) = 1 * (|x|, deltaQ(x)), but the
+    # difference (0, -deltaQ(x)) is not smooth
+    pair = decompose._integer_atom_vectors(parse_space("space a dim 2\ngen abs(x), 0\ngen 0, deltaQ(x)\n"))
+    joint = decompose._integer_atom_vectors(parse_space("space b dim 2\ngen abs(x), deltaQ(x)\n"))
+    identity = [[QSqrt2(int(i == j)) for j in range(2)] for i in range(2)]
+    assert not decompose._kindwise_compatible(pair, joint, identity)
+    # (|x|, deltaQ(x)) is the sum of the pair's generators
+    assert decompose._kindwise_compatible(joint, pair, identity)
+    assert not decompose._is_diffeomorphism(pair, joint, identity)
+    assert not decompose._is_diffeomorphism(joint, pair, identity)
 
 
 def test_kernel_image_space():
