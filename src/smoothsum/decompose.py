@@ -6,14 +6,14 @@ splitting are linear, and plots of a generated diffeology are linear in
 the generators, so the whole question reduces to the generators: the
 decomposition is certified smooth when each projected generator P.g is
 exhibited as a plot with values in its subspace, either algebraically,
-as constants beta_m (one solve over the atom table) times generators
-g_m plus a smooth tail, or by a stored witness plot replayed under exact
-tagged evaluation on a deterministic grid.  A replay reads each check,
-the plot minus its target and each functional of the subspace's
-annihilator, as a linear form in the plot's non-linear subtrees;
-``expr.replay_zero_forms`` evaluates those subtrees once per point and
-tests each form for zero on integer parts, and only at a point where the
-test cannot decide, or fails, does this module word the error.
+as constants beta_m (one solve over the generators' non-smooth terms)
+times generators g_m plus a smooth tail, or by a stored witness plot
+replayed under exact tagged evaluation on a deterministic grid.  A
+replay reads each check, the plot minus its target and each functional
+of the subspace's annihilator, as a linear form in the plot's non-linear
+subtrees; ``expr.replay_zero_forms`` evaluates those subtrees once per
+point and tests each form for zero on integer parts, and only at a point
+where the test cannot decide, or fails, does this module word the error.
 
 Refutations go the other way: when both subset diffeologies are
 certified standard, a smooth decomposition would force the whole space
@@ -31,7 +31,6 @@ from .constraints import (
     CharacteristicResult,
     IsotropicResult,
     all_lines_standard,
-    atom_table,
     maximal_isotropic,
     characteristic_decomposition,
     subset_standard,
@@ -49,11 +48,13 @@ from .expr import (
     ABS_KIND,
     ATOM_EXPRS,
     Const,
+    Expr,
     Smoothness,
     Sum,
     ZERO_E,
     classify_smoothness,
     is_smooth_expr,
+    linear_terms,
     make_prod,
     make_sum,
     replay_zero_forms,
@@ -121,7 +122,13 @@ def projection_pair(w0: Subspace, w1: Subspace) -> tuple:
 def _values_in_subspace(components: Sequence, w: Subspace) -> bool:
     """Symbolic check: every annihilator functional of W kills the map."""
     ann = linalg.annihilator(w.basis, w.ambient_dim)
-    return all(c == ZERO_E for c in linear_image(ann, components))
+    return all(_expanded(zip(phi, components)) == ZERO_E for phi in ann)
+
+
+def _expanded(pairs: Iterable) -> Expr:
+    """The sum of s * e over (s, e) pairs, every constant times a sum
+    distributed (``linear_terms``), so that equal terms cancel."""
+    return make_sum([make_prod([Const(c), core]) for s, e in pairs for c, core in linear_terms(e, s)])
 
 
 def _replay_witness(witnesses: Sequence, grid: str) -> list:
@@ -205,7 +212,7 @@ def certify_smooth_sum(
         )
     witnesses = witnesses or {}
     p0, p1 = projection_pair(w0, w1)
-    table = atom_table(space).coefvecs
+    table = _term_table(space)
     entries = []
     batch = []  # (plot components, target, W) of each entry that a witness must settle
     missing = None
@@ -264,13 +271,12 @@ def _combination_rule(space: DVSpace, table: list, proj: LinearMap, k: int,
     beta_m g_m, smooth in every component, and P.g_k's values lying in W: a
     constant combination of generators plus a smooth curve is a plot.  The
     rule is named after beta: 0, +-e_m with a zero tail, or anything else."""
-    target = {kind: linalg.mat_vec(proj.matrix, v) for kind, v in table[k].items()}
+    target = {core: linalg.mat_vec(proj.matrix, v) for core, v in table[k].items()}
     beta = _combination(table, target, space.dim)
     if beta is None or not _values_in_subspace(comps, w):
         return None
     used = [(m, b) for m, b in enumerate(beta) if not b.is_zero]
-    tail = [make_sum([c] + [make_prod([Const(-b), space.generators[m][j]]) for m, b in used])
-            for j, c in enumerate(comps)]
+    tail = [_expanded([(ONE, c)] + [(-b, space.generators[m][j]) for m, b in used]) for j, c in enumerate(comps)]
     if not all(is_smooth_expr(t) for t in tail):
         return None
     if not used:
@@ -281,15 +287,28 @@ def _combination_rule(space: DVSpace, table: list, proj: LinearMap, k: int,
             "tail": [to_text(t) for t in tail]}
 
 
+def _term_table(space: DVSpace) -> list:
+    """Per generator, the coefficient vector over its components of each
+    non-smooth term core (``linear_terms``), keyed by its tree: an atom's,
+    as in ``constraints.atom_table``, and any other core's too, such as x*abs(x)."""
+    table = [{} for _ in space.generators]
+    for vecs, g in zip(table, space.generators):
+        for j, comp in enumerate(g):
+            for c, core in linear_terms(comp):
+                if not is_smooth_expr(core):
+                    vecs.setdefault(core, [ZERO] * space.dim)[j] += c
+    return table
+
+
 def _combination(table: Sequence, target: dict, n: int) -> Optional[list]:
     """Constants beta with target[kind] = sum_m beta_m table[m][kind] for
-    every atom kind on either side, by one ``linalg.solve``, or None.  Each
-    of ``table`` (an atom table's ``coefvecs``) and ``target`` maps kinds to
-    vectors in Q(sqrt2)^n; a missing kind is 0, and so is beta for a zero target."""
+    every kind on either side, by one ``linalg.solve``, or None.  Each of
+    ``table`` (a ``_term_table``) and ``target`` maps kinds to vectors in
+    Q(sqrt2)^n; a missing kind is 0, and so is beta for a zero target."""
     if all(x.is_zero for v in target.values() for x in v):
         return [ZERO] * len(table)
     zero = [ZERO] * n
-    kinds = sorted(set(target).union(*table))
+    kinds = list(dict.fromkeys(itertools.chain(target, *table)))
     rows = [[vecs.get(kind, zero)[i] for vecs in table] for kind in kinds for i in range(n)]
     return linalg.solve(rows, [target.get(kind, zero)[i] for kind in kinds for i in range(n)])
 
@@ -542,11 +561,11 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
 
 
 def _integer_atom_vectors(space: DVSpace) -> list:
-    """The space's atom table, in its own layout: entry k maps each atom
-    kind of generator k to its coefficient vector (a generator without
-    exotic content has an empty dict).  Raises ValueError on an irrational
+    """The space's ``_term_table``: entry k maps each non-smooth term core
+    of generator k to its coefficient vector (a generator without exotic
+    content has an empty dict).  Raises ValueError on an irrational
     coefficient, which the integer-matrix search does not handle."""
-    coefvecs = atom_table(space).coefvecs
+    coefvecs = _term_table(space)
     if not all(x.is_rational for vecs in coefvecs for v in vecs.values() for x in v):
         raise ValueError("irrational atom coefficients unsupported here")
     return coefvecs
@@ -575,13 +594,20 @@ def _is_diffeomorphism(src_atoms: list, dst_atoms: list, matrix: list) -> bool:
     )
 
 
-def _image_pivots(img_basis: list) -> list:
+def _image_pivots(f: LinearMap, img_basis: list) -> list:
     """The codomain coordinates at which the image basis has its pivots.
 
-    The image basis is in rref, so each row's first nonzero entry is its
-    pivot, and these coordinates read the image-basis coefficients
-    straight off the ambient components."""
-    return [next(i for i, x in enumerate(row) if not x.is_zero) for row in img_basis]
+    The image basis is in rref, so these coordinates read the image-basis
+    coefficients straight off the ambient components."""
+    pivots = []
+    seen = set()
+    for b in range(len(img_basis)):
+        for i in range(f.codomain_dim):
+            if not img_basis[b][i].is_zero and i not in seen:
+                pivots.append(i)
+                seen.add(i)
+                break
+    return pivots
 
 
 def kernel_image_space(space: DVSpace, f: LinearMap) -> tuple:
@@ -599,7 +625,7 @@ def kernel_image_space(space: DVSpace, f: LinearMap) -> tuple:
     r = len(img_basis)
     ker_space = DVSpace("ker", ker.dim, ())
     img_gens = pushforward(f, space).generators
-    pivots = _image_pivots(img_basis)
+    pivots = _image_pivots(f, img_basis)
     img_space = DVSpace(
         "im",
         r,
@@ -718,7 +744,7 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
         # Ker(f) = 0 and f is a diffeomorphism onto Im(f) with the
         # pushforward diffeology, so f^-1 (on the image's pivot
         # coordinates) carries Ker(f) x Im(f) back onto the space
-        witness = linalg.inverse([f.matrix[i] for i in _image_pivots(f.image_basis())])
+        witness = linalg.inverse([f.matrix[i] for i in _image_pivots(f, f.image_basis())])
         try:
             replayed = verify_kernel_image_witness(space, f, witness)
         except ValueError as exc:

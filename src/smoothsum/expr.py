@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .numbers import (
     INV_SQRT2,
@@ -210,6 +210,17 @@ def _split_coefficient(e: Expr) -> tuple[QSqrt2, Expr]:
         core = rest[0] if len(rest) == 1 else Prod(rest)
         return e.factors[0].value, core
     return ONE, e
+
+
+def linear_terms(e: Expr, scale: QSqrt2 = ONE) -> Iterator[tuple]:
+    """(c, core) pairs with scale * e = sum of c * core and no core a Sum:
+    a constant times a sum is distributed over the sum's terms."""
+    for t in e.terms if isinstance(e, Sum) else (e,):
+        c, core = _split_coefficient(t)
+        if isinstance(core, Sum):
+            yield from linear_terms(core, scale * c)
+        else:
+            yield scale * c, core
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:

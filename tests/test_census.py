@@ -35,11 +35,11 @@ CLASSES = {
 # generator-combination solve replaced, the counts were 80/93, 29/184,
 # 15/217, 39/212 and 48/290; no NonSmooth count moved.
 EXPECTED = {
-    "A": (117, 56),
+    "A": (139, 34),
     "B": (162, 51),
-    "C": (56, 176),
-    "D": (62, 189),
-    "E": (81, 257),
+    "C": (66, 166),
+    "D": (88, 163),
+    "E": (92, 246),
 }
 
 

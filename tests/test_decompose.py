@@ -25,7 +25,9 @@ from smoothsum.decompose import (
     refute_smooth_sum_standard,
     verify_kernel_image_witness,
 )
-from smoothsum.diffeology import DVSpace, LinearMap, Plot, Subspace, parse_space, plot_add, plot_scale
+from smoothsum.diffeology import (
+    DVSpace, LinearMap, Plot, Subspace, linear_image, parse_space, plot_add, plot_scale,
+)
 from smoothsum.expr import (
     AXIOM_A,
     App,
@@ -153,8 +155,14 @@ def test_a_plot_of_another_space_is_no_witness():
     verdict = certify_smooth_sum(s1, w0, w1, witnesses=witnesses)
     assert verdict.status == "Unknown"
     assert verdict.reason == "witness for generator 0 part 0 is not a plot of this space"
-    # they are witnesses for S2, whose plots they are
-    assert certify_smooth_sum(s2, w0, w1, witnesses=witnesses).status == "SmoothCertified"
+    # they are witnesses for S2, whose plots they are: each replays against
+    # its projection of the generator (|x|, 0) that S1 and S2 share
+    p0, p1 = projection_pair(w0, w1)
+    batch = [
+        (witnesses[(0, part)].components(), linear_image(p.matrix, s2.generators[0]), w)
+        for part, (p, w) in enumerate(((p0, w0), (p1, w1)))
+    ]
+    assert decompose._replay_witness(batch, decompose.DEFAULT_GRID) == [None, None]
     # and no axis plot of S2 shows a line of S1 non-standard
     axis_plots = (Plot(s2, ((const(1), 0, X),), zero), Plot(s2, ((const(1), 1, X),), zero))
     with pytest.raises(ValueError, match="axis plot 0 is not a plot of this space"):
@@ -192,6 +200,44 @@ def test_a_projection_that_sums_generators_certifies_by_its_combination():
     assert [(e["combination"], e["tail"]) for e in entries[:2]] == [
         (["1", "1"], ["0", "-x"]), (["0", "-1"], ["0", "x"]),
     ]
+
+
+@pytest.mark.parametrize("part", ["abs(x)+x", "2*(abs(x)+x)", "x*abs(x)"])
+def test_a_combination_matches_every_non_smooth_term(part):
+    # g0 = g1 + g2, with a component that is a sum, a multiple of a sum, or
+    # a non-smooth term that is no atom; beta's tail cancels term by term
+    sp = parse_space(f"space s dim 2\ngen {part}, {part}\ngen {part}, 0\ngen 0, {part}\n")
+    verdict = certify_smooth_sum(sp, E1, E2)
+    assert verdict.status == "SmoothCertified"
+    assert [(e["rule"], e.get("combination"), e.get("tail")) for e in verdict.forward_witnesses] == [
+        ("rational-multiple-of-generator-1", None, None),
+        # the solve sets the free beta_2 to 0, so g1 - g2 reads as g0 - g1
+        ("generator-combination", ["1", "-1", "0"], ["0", "0"]),
+        ("generator-in-subspace", None, None),
+        ("zero-projection", None, None),
+        ("zero-projection", None, None),
+        ("generator-in-subspace", None, None),
+    ]
+
+
+def test_a_multiple_of_a_sum_is_matched_term_by_term():
+    # g1 = 2*(|x| + x) e1 carries |x| e1 inside a sum: (|x|, 0) is g1/2
+    # plus the smooth tail (-x, 0), and (0, |x|) is g0 - g1/2 plus (x, 0)
+    sp = parse_space("space s dim 2\ngen abs(x), abs(x)\ngen 2*(abs(x)+x), 0\n")
+    verdict = certify_smooth_sum(sp, E1, E2)
+    assert verdict.status == "SmoothCertified"
+    assert [(e.get("combination"), e.get("tail")) for e in verdict.forward_witnesses[:2]] == [
+        (["0", "1/2"], ["-x", "0"]), (["1", "-1/2"], ["x", "0"]),
+    ]
+
+
+def test_a_smooth_generator_certifies_along_any_split():
+    # the parts of (x^2, x) along Span(1, 1) and Span(2, 1) have components
+    # that are sums, which the annihilator test distributes before it cancels
+    sp = parse_space("space s dim 2\ngen x^2, x\n")
+    verdict = certify_smooth_sum(sp, DIAGONAL, Subspace.from_vectors(2, [[2, 1]]))
+    assert verdict.status == "SmoothCertified"
+    assert [e["rule"] for e in verdict.forward_witnesses] == ["componentwise-smooth-tail"] * 2
 
 
 @pytest.mark.parametrize("space, w0, m", [
@@ -457,6 +503,23 @@ def test_a_kind_that_only_the_target_carries_is_matched_too():
     assert decompose._kindwise_compatible(joint, pair, identity)
     assert not decompose._is_diffeomorphism(pair, joint, identity)
     assert not decompose._is_diffeomorphism(joint, pair, identity)
+
+
+@pytest.mark.parametrize("text, rows, forged", [
+    # Ker x Im is generated by (0, 2x + |x|, -(|x| + x) + x^2); the forged
+    # matrix sends it to (|x| - x^2, -2x - x^2, 0), whose |x| sits where the
+    # space has none
+    ("gen x, abs(x)+x, x^2", [[1, 1, 0], [1, -1, 1], [-1, -1, 0]], [[-1, 0, -1], [-1, -1, -1], [-1, 0, 0]]),
+    ("gen 0, abs(x), abs(x)+x", [[0, 1, 0], [1, 0, -1], [0, 0, 0]], [[-1, 0, -1], [-1, -1, -1], [-1, -1, 0]]),
+])
+def test_a_negated_sum_counts_in_the_kernel_image_check(text, rows, forged):
+    # -(|x| + x) is one term whose core is a sum; its |x| must be matched
+    sp = parse_space(f"space s dim 3\n{text}\n")
+    f = LinearMap.from_rows(rows)
+    assert not verify_kernel_image_witness(sp, f, forged)
+    verdict = kernel_image_check(sp, f, bound=1)
+    assert verdict.status == "Diffeomorphic"
+    assert verify_kernel_image_witness(sp, f, verdict.witness_matrix)
 
 
 def test_kernel_image_space():
