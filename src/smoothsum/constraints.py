@@ -4,11 +4,15 @@ Two engines live here.
 
 * The functional engine: a linear functional is smooth for the generated
   diffeology iff its composite with every generator curve is a smooth
-  function.  Each composite decomposes into canonical exotic atoms, and a
-  small auditable fact base turns the atom pattern into exact linear
-  equations on the functional's coefficients.  The diffeological dual,
-  the maximal isotropic subspace and the characteristic splitting all
-  fall out of exact nullspace computations.
+  function.  ``atom_table`` reads each generator's non-smooth terms once,
+  through ``expr.exotic_terms``, as coefficient vectors of canonical
+  exotic atoms (and of any term no atom names), and a small auditable
+  fact base turns a generator's atom pattern into exact linear equations
+  on the functional's coefficients.  A generator with a term no atom
+  names forces no equation, as that term may cancel an atom, so the dual
+  is then an upper bound.  The diffeological dual, the maximal isotropic
+  subspace and the characteristic splitting all fall out of exact
+  nullspace computations.
 
 * The subset engine: a formal plot with values in a rational subspace is
   tracked through symbols T[k, kind], one per (generator, atom kind)
@@ -38,8 +42,9 @@ from .expr import (
     DELTA_KIND,
     DELTA_SQRT_KIND,
     GAMMA_KIND,
-    decompose_exotic,
+    exotic_terms,
     to_text,
+    unnamed_terms,
 )
 from .numbers import ONE, ZERO, QSqrt2
 
@@ -145,35 +150,33 @@ def _facts_for(kinds: frozenset, axioms: frozenset):
 
 @dataclass
 class AtomTable:
-    """Per-generator atom coefficient vectors c[k][kind] in Q(sqrt2)^dim."""
+    """The one per-generator table of non-smooth terms: coefvecs[k] maps
+    each key of generator k's components' ``exotic_terms`` (an atom kind,
+    or the tree of a term no atom names) to its coefficient vector in
+    Q(sqrt2)^dim.  ``notes`` names each component with an unnamed term;
+    the table is complete when there is none."""
 
-    space: DVSpace
-    coefvecs: list  # coefvecs[k][kind] -> list of QSqrt2, or missing
+    coefvecs: list
     complete: bool
     notes: tuple
 
 
 def atom_table(space: DVSpace) -> AtomTable:
     table = []
-    complete = True
     notes = []
     for k, gen in enumerate(space.generators):
         vecs: dict = {}
         for j, comp in enumerate(gen):
-            d = decompose_exotic(comp)
-            if not d.ok:
-                complete = False
+            terms = exotic_terms(comp)
+            if unnamed := unnamed_terms(terms):
                 notes.append(
                     f"generator {k} component {j} has unrecognized exotic terms: "
-                    + ", ".join(to_text(t) for t in d.leftovers)
+                    + ", ".join(to_text(t) for t in unnamed)
                 )
-                continue
-            for kind in ALL_KINDS:
-                c = d.coefficient(kind)
-                if not c.is_zero:
-                    vecs.setdefault(kind, [ZERO] * space.dim)[j] = c
+            for key, c in terms.items():
+                vecs.setdefault(key, [ZERO] * space.dim)[j] = c
         table.append(vecs)
-    return AtomTable(space, table, complete, tuple(notes))
+    return AtomTable(table, not notes, tuple(notes))
 
 
 # ---------------------------------------------------------------------
@@ -218,7 +221,9 @@ def dual_basis(space: DVSpace) -> DualResult:
     notes = list(table.notes)
     for k, vecs in enumerate(table.coefvecs):
         kinds = frozenset(vecs.keys())
-        if not kinds:
+        # an unnamed term can cancel an atom (|-x| - |x| = 0), so a generator
+        # with one forces no equation; the table's notes name it
+        if not kinds or not kinds.issubset(ALL_KINDS):
             continue
         facts, forced, rule_complete = _facts_for(kinds, space.axioms)
         for f in facts:
@@ -360,7 +365,6 @@ class StandardnessVerdict:
     subspace: Subspace
     derivation: tuple
     axioms_used: tuple
-    smooth_span: list
 
     def to_dict(self) -> dict:
         return {
@@ -388,7 +392,7 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
     """
     table = atom_table(space)
     if not table.complete:
-        return StandardnessVerdict("Unknown", subspace, table.notes, (), [])
+        return StandardnessVerdict("Unknown", subspace, table.notes, ())
     symbols = []
     for k, vecs in enumerate(table.coefvecs):
         for kind in ALL_KINDS:
@@ -396,7 +400,7 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
                 symbols.append((k, kind))
     if not symbols:
         return StandardnessVerdict(
-            "Standard", subspace, ("no exotic content: every plot is already smooth",), (), []
+            "Standard", subspace, ("no exotic content: every plot is already smooth",), ()
         )
     sym_index = {s: i for i, s in enumerate(symbols)}
     n_sym = len(symbols)
@@ -465,10 +469,8 @@ def subset_standard(space: DVSpace, subspace: Subspace) -> StandardnessVerdict:
 
     if linalg.rank(span + coord_vecs) == linalg.rank(span):
         derivation.append("every coordinate's exotic content is a smooth combination")
-        return StandardnessVerdict(
-            "Standard", subspace, tuple(derivation), tuple(sorted(axioms_used)), span
-        )
-    return StandardnessVerdict("Unknown", subspace, tuple(derivation), tuple(sorted(axioms_used)), span)
+        return StandardnessVerdict("Standard", subspace, tuple(derivation), tuple(sorted(axioms_used)))
+    return StandardnessVerdict("Unknown", subspace, tuple(derivation), tuple(sorted(axioms_used)))
 
 
 def _critical_directions(space: DVSpace) -> list:

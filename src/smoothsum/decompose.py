@@ -31,6 +31,7 @@ from .constraints import (
     CharacteristicResult,
     IsotropicResult,
     all_lines_standard,
+    atom_table,
     maximal_isotropic,
     characteristic_decomposition,
     subset_standard,
@@ -212,7 +213,7 @@ def certify_smooth_sum(
         )
     witnesses = witnesses or {}
     p0, p1 = projection_pair(w0, w1)
-    table = _term_table(space)
+    table = atom_table(space).coefvecs
     entries = []
     batch = []  # (plot components, target, W) of each entry that a witness must settle
     missing = None
@@ -220,7 +221,7 @@ def certify_smooth_sum(
         for part, (proj, w) in enumerate(((p0, w0), (p1, w1))):
             comps = linear_image(proj.matrix, g)
             entry = {"generator": k, "part": part, "target": [to_text(c) for c in comps]}
-            if all(c == ZERO_E for c in comps):
+            if all(_expanded([(ONE, c)]) == ZERO_E for c in comps):
                 entry["rule"] = "zero-projection"
             elif comps == list(g) and _values_in_subspace(comps, w):
                 entry["rule"] = "generator-in-subspace"
@@ -287,23 +288,10 @@ def _combination_rule(space: DVSpace, table: list, proj: LinearMap, k: int,
             "tail": [to_text(t) for t in tail]}
 
 
-def _term_table(space: DVSpace) -> list:
-    """Per generator, the coefficient vector over its components of each
-    non-smooth term core (``linear_terms``), keyed by its tree: an atom's,
-    as in ``constraints.atom_table``, and any other core's too, such as x*abs(x)."""
-    table = [{} for _ in space.generators]
-    for vecs, g in zip(table, space.generators):
-        for j, comp in enumerate(g):
-            for c, core in linear_terms(comp):
-                if not is_smooth_expr(core):
-                    vecs.setdefault(core, [ZERO] * space.dim)[j] += c
-    return table
-
-
 def _combination(table: Sequence, target: dict, n: int) -> Optional[list]:
     """Constants beta with target[kind] = sum_m beta_m table[m][kind] for
     every kind on either side, by one ``linalg.solve``, or None.  Each of
-    ``table`` (a ``_term_table``) and ``target`` maps kinds to vectors in
+    ``table`` (an ``atom_table``'s) and ``target`` maps kinds to vectors in
     Q(sqrt2)^n; a missing kind is 0, and so is beta for a zero target."""
     if all(x.is_zero for v in target.values() for x in v):
         return [ZERO] * len(table)
@@ -561,11 +549,11 @@ def decomposability_report(space: DVSpace, witnesses: Optional[dict] = None,
 
 
 def _integer_atom_vectors(space: DVSpace) -> list:
-    """The space's ``_term_table``: entry k maps each non-smooth term core
-    of generator k to its coefficient vector (a generator without exotic
-    content has an empty dict).  Raises ValueError on an irrational
-    coefficient, which the integer-matrix search does not handle."""
-    coefvecs = _term_table(space)
+    """The space's ``atom_table``: entry k maps each non-smooth term of
+    generator k, by kind or tree, to its coefficient vector (a generator
+    without exotic content has an empty dict).  Raises ValueError on an
+    irrational coefficient, which the integer-matrix search does not handle."""
+    coefvecs = atom_table(space).coefvecs
     if not all(x.is_rational for vecs in coefvecs for v in vecs.values() for x in v):
         raise ValueError("irrational atom coefficients unsupported here")
     return coefvecs
@@ -722,7 +710,8 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
 
     The first admissible matrix in row-major lexicographic order is the
     witness.  If the space is (conditionally) non-decomposable and f is
-    nontrivial with nontrivial kernel, no diffeomorphism can exist.
+    nontrivial with nontrivial kernel, no diffeomorphism can exist; a
+    space whose isotropic subspace is irrational skips that test.
 
     A matrix is admissible when it sends each source atom vector into the
     span of the target's atom vectors of its kind, a linear condition on
@@ -762,8 +751,12 @@ def kernel_image_check(space: DVSpace, f: LinearMap, bound: int = 2) -> KernelIm
                 )
             },
         )
-    dec = decomposability_report(space)
-    if dec.status == "NonDecomposable" and 0 < rank_f < n:
+    try:
+        dec = decomposability_report(space)
+    except ValueError:
+        # an irrational isotropic subspace: the search's own guards answer
+        dec = None
+    if dec is not None and dec.status == "NonDecomposable" and 0 < rank_f < n:
         return KernelImageVerdict(
             "NoDiffeomorphism",
             None,

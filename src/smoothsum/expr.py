@@ -15,6 +15,11 @@ once per point.  ``replay_zero_forms`` replays checks on a grid as zero
 tests of linear forms over factors, the subtrees that are not sums,
 products or constants, with one plan over the factors; the witness
 replay of ``decompose`` and the |x| identity of ``franklin`` call it.
+
+``exotic_terms`` is the one reading of a curve's non-smooth terms, with
+a constant times a sum read term by term: the classifier here, the fact
+base and subset engine of ``constraints`` (through its ``atom_table``)
+and the combination solve of ``decompose`` all read it.
 """
 
 from __future__ import annotations
@@ -1215,7 +1220,7 @@ def one_sided_derivative(e: Expr, x0, side: int) -> TaggedReal:
 
 
 # ---------------------------------------------------------------------
-# Exotic-part decomposition
+# Non-smooth terms
 # ---------------------------------------------------------------------
 
 ABS_KIND = "abs"
@@ -1232,47 +1237,38 @@ ATOM_EXPRS = {
 _ATOM_BY_EXPR = {v: k for k, v in ATOM_EXPRS.items()}
 
 
-@dataclass
-class ExoticDecomposition:
-    """e = sum of coeffs[kind] * atom(kind) + smooth part (+ leftovers)."""
+def exotic_terms(e: Expr) -> dict:
+    """The non-smooth terms of e, the one reading of them that the fact
+    base, the classifier and the combination solve share.
 
-    coeffs: dict
-    smooth_terms: list
-    leftovers: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.leftovers
-
-    def coefficient(self, kind: str) -> QSqrt2:
-        return self.coeffs.get(kind, ZERO)
-
-    @property
-    def kinds_present(self) -> frozenset:
-        return frozenset(k for k, c in self.coeffs.items() if not c.is_zero)
-
-    def delta_part(self) -> Expr:
-        """The indicator part cd*deltaQ(x) + cs*deltaQ(sqrt|x|): the curve a
-        dense-discontinuity witness evaluates."""
-        kinds = (DELTA_KIND, DELTA_SQRT_KIND)
-        return make_sum([make_prod([Const(self.coefficient(k)), ATOM_EXPRS[k]]) for k in kinds])
-
-
-def decompose_exotic(e: Expr) -> ExoticDecomposition:
-    terms = e.terms if isinstance(e, Sum) else (e,)
+    Each term of ``linear_terms`` (a constant times a sum is read term by
+    term) counts under its atom's kind when its core is an atom, under its
+    own tree when no atom names it (x*abs(x), abs(-x)), and nowhere when
+    its core is smooth.  Coefficients of one key add, and a key whose
+    coefficient is zero is dropped, so terms that cancel leave nothing."""
     coeffs: dict = {}
-    smooth_terms: list = []
-    leftovers: list = []
-    for t in terms:
-        c, core = _split_coefficient(t)
-        if core in _ATOM_BY_EXPR:
-            kind = _ATOM_BY_EXPR[core]
-            coeffs[kind] = coeffs.get(kind, ZERO) + c
-        elif core == ONE_E or is_smooth_expr(core):
-            smooth_terms.append(t)
-        else:
-            leftovers.append(t)
-    return ExoticDecomposition(coeffs, smooth_terms, leftovers)
+    for c, core in linear_terms(e):
+        key = _ATOM_BY_EXPR.get(core)
+        if key is None:
+            if is_smooth_expr(core):
+                continue
+            key = core
+        coeffs[key] = coeffs.get(key, ZERO) + c
+    return {key: c for key, c in coeffs.items() if not c.is_zero}
+
+
+def unnamed_terms(terms: dict) -> list:
+    """The terms of an ``exotic_terms`` reading that no atom names, each as
+    its coefficient times its tree."""
+    return [make_prod([Const(c), key]) for key, c in terms.items() if key not in ATOM_EXPRS]
+
+
+def _delta_part(terms: dict) -> Expr:
+    """The indicator part cd*deltaQ(x) + cs*deltaQ(sqrt|x|) of an
+    ``exotic_terms`` reading: the curve a dense-discontinuity witness
+    evaluates."""
+    kinds = (DELTA_KIND, DELTA_SQRT_KIND)
+    return make_sum([make_prod([Const(terms.get(k, ZERO)), ATOM_EXPRS[k]]) for k in kinds])
 
 
 # ---------------------------------------------------------------------
@@ -1419,17 +1415,16 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
                 axioms_used=tuple(sorted(set(rw.axioms_used))),
             )
 
-    d = decompose_exotic(e)
-    if not d.ok:
+    terms = exotic_terms(e)
+    if unnamed := unnamed_terms(terms):
         return SmoothnessVerdict(
             Smoothness.UNKNOWN,
-            derivation=tuple(f"unrecognized exotic term: {to_text(t)}" for t in d.leftovers),
+            derivation=tuple(f"unrecognized exotic term: {to_text(t)}" for t in unnamed),
         )
-    kinds = d.kinds_present
-    if not kinds:
+    if not terms:
         return SmoothnessVerdict(Smoothness.SMOOTH, derivation=("exotic coefficients all vanish",))
 
-    if GAMMA_KIND in kinds:
+    if GAMMA_KIND in terms:
         if AXIOM_A not in axioms:
             return SmoothnessVerdict(
                 Smoothness.UNKNOWN,
@@ -1439,8 +1434,8 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
             Smoothness.NONSMOOTH,
             witness={
                 "kind": "axiom-nonsmooth-generator",
-                "gamma_coefficient": str(d.coefficient(GAMMA_KIND)),
-                "abs_coefficient": str(d.coefficient(ABS_KIND)),
+                "gamma_coefficient": str(terms[GAMMA_KIND]),
+                "abs_coefficient": str(terms.get(ABS_KIND, ZERO)),
             },
             derivation=(
                 "under axiom A the abs- and gamma-parts must separately be smooth, "
@@ -1449,7 +1444,7 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
             axioms_used=(AXIOM_A,),
         )
 
-    if DELTA_KIND in kinds or DELTA_SQRT_KIND in kinds:
+    if DELTA_KIND in terms or DELTA_SQRT_KIND in terms:
         # Dense-family discontinuity: on rationals with rational square
         # root the delta part is 0; on rationals with irrational root it
         # is cs; on irrationals it is cd + cs.  A smooth function minus a
@@ -1459,7 +1454,7 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
             "rational, irrational sqrt (x=2)": QSqrt2.coerce(2),
             "irrational (x=sqrt2)": QSqrt2.sqrt2(),
         }
-        delta_part = d.delta_part()
+        delta_part = _delta_part(terms)
         values = {label: eval_exact(delta_part, p) for label, p in pts.items()}
         return SmoothnessVerdict(
             Smoothness.NONSMOOTH,
@@ -1475,7 +1470,7 @@ def classify_smoothness(e: Expr, links=(), axioms: frozenset = frozenset()) -> S
         )
 
     # pure abs obstruction: one-sided derivative mismatch at the kink
-    c = d.coefficient(ABS_KIND)
+    c = terms[ABS_KIND]
     try:
         left = one_sided_derivative(e, ZERO, -1)
         right = one_sided_derivative(e, ZERO, +1)
@@ -1513,10 +1508,10 @@ def verify_nonsmooth_witness(e: Expr, verdict: SmoothnessVerdict, axioms: frozen
             and left.value != right.value
         )
     if w["kind"] == "dense-discontinuity":
-        d = decompose_exotic(e)
-        if not d.ok:
+        terms = exotic_terms(e)
+        if unnamed_terms(terms):
             return False
-        delta_part = d.delta_part()
+        delta_part = _delta_part(terms)
         values = {label: eval_exact(delta_part, parse_qsqrt2(p)) for label, p in w["points"].items()}
         if {label: str(v) for label, v in values.items()} != w["values"]:
             return False
@@ -1525,6 +1520,6 @@ def verify_nonsmooth_witness(e: Expr, verdict: SmoothnessVerdict, axioms: frozen
         # the caller must assume axiom A itself; the witness cannot supply it
         if AXIOM_A not in axioms:
             return False
-        d = decompose_exotic(e)
-        return d.ok and not d.coefficient(GAMMA_KIND).is_zero
+        terms = exotic_terms(e)
+        return not unnamed_terms(terms) and GAMMA_KIND in terms
     return False

@@ -29,17 +29,21 @@ CLASSES = {
     "C": (["0", "x", "abs(x)", "deltaQ(x)", "2*deltaQ(x)"], 3, 300),
     "D": (["0", "x", "abs(x)", "2*abs(x)", "x^2", "x*abs(x)"], 1, 300),
     "E": (["0", "x", "abs(x)", "deltaQ(x)", "gamma(x)", "x^2"], 5, 400),
+    "F": (["0", "x", "abs(x)", "abs(x)+x", "2*(abs(x)+x)", "-(abs(x)+x)"], 11, 400),
 }
 
 # class: (SmoothCertified, Unknown).  With the four fixed rules that the
 # generator-combination solve replaced, the counts were 80/93, 29/184,
-# 15/217, 39/212 and 48/290; no NonSmooth count moved.
+# 15/217, 39/212 and 48/290; no NonSmooth count moved.  Class F read
+# 203/155 while the classifier and the fact base read a constant times a
+# sum as one unrecognized term: its NonSmooth count was 42, now 121.
 EXPECTED = {
     "A": (139, 34),
     "B": (162, 51),
     "C": (66, 166),
     "D": (88, 163),
     "E": (92, 246),
+    "F": (203, 76),
 }
 
 

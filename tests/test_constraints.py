@@ -23,7 +23,7 @@ from smoothsum.constraints import (
     subset_standard,
 )
 from smoothsum.decompose import check_algebraic_sum
-from smoothsum.diffeology import Subspace
+from smoothsum.diffeology import Subspace, parse_space
 from smoothsum.expr import (
     ABS_KIND,
     AXIOM_A,
@@ -33,6 +33,7 @@ from smoothsum.expr import (
     GAMMA_KIND,
 )
 from smoothsum.gallery import gallery_space
+from smoothsum.numbers import QSqrt2
 
 
 def test_v2_delta_dual_zero():
@@ -50,6 +51,25 @@ def test_r3_abs_dual_and_isotropic():
     iso = maximal_isotropic(sp)
     assert iso.subspace.dim == 1
     assert iso.subspace.contains([0, 1, 1])
+
+
+def test_an_unnamed_term_leaves_its_whole_generator_out_of_the_dual():
+    # |-x| names no atom, and |-x| - |x| = 0: the functional (1, -1) is
+    # smooth, so the true dual is Span(1, -1) and the isotropic subspace
+    # Span(1, 1).  The generator's |x| alone would force a_2 = 0.
+    sp = parse_space("space s dim 2\ngen abs(-x), abs(x)\n")
+    dual = dual_basis(sp)
+    assert dual.status == "upper-bound"
+    assert dual.equations == []
+    assert dual.notes == ("generator 0 component 0 has unrecognized exotic terms: abs(-x)",)
+    # the upper bound holds the true dual, the lower bound lies in the truth
+    assert Subspace.from_vectors(2, dual.basis).contains([1, -1])
+    iso = maximal_isotropic(sp)
+    assert iso.status == "lower-bound"
+    assert all(Subspace.from_vectors(2, [[1, 1]]).contains(v) for v in iso.subspace.basis)
+    # a generator without unnamed terms still forces its equations
+    sp = parse_space("space s dim 2\ngen abs(-x), abs(x)\ngen abs(x), 0\n")
+    assert dual_basis(sp).equations == [[QSqrt2(1), QSqrt2(0)]]
 
 
 # ---------------------------------------------------------------------

@@ -231,6 +231,18 @@ def test_a_multiple_of_a_sum_is_matched_term_by_term():
     ]
 
 
+def test_a_projection_that_cancels_to_zero_is_a_zero_projection():
+    # the part of (|x| + x, |x| + x) in Span(0, 1) along Span(1, 1) is
+    # (0, -(|x| + x) + |x| + x), which is 0 once the constant is distributed;
+    # the target stays as the projection builds it
+    sp = parse_space("space s dim 2\ngen abs(x)+x, abs(x)+x\n")
+    verdict = certify_smooth_sum(sp, DIAGONAL, E2)
+    assert verdict.status == "SmoothCertified"
+    assert verdict.forward_witnesses[1] == {
+        "generator": 0, "part": 1, "target": ["0", "-(abs(x)+x)+abs(x)+x"], "rule": "zero-projection",
+    }
+
+
 def test_a_smooth_generator_certifies_along_any_split():
     # the parts of (x^2, x) along Span(1, 1) and Span(2, 1) have components
     # that are sums, which the annihilator test distributes before it cancels
@@ -731,6 +743,18 @@ def test_kernel_image_check_irrational_atoms_unknown():
     verdict = kernel_image_check(sp, f)
     assert verdict.status == "Unknown"
     assert "irrational" in verdict.detail["reason"]
+
+
+def test_kernel_image_check_on_an_irrational_isotropic_subspace_is_unknown():
+    # the isotropic subspace Span(sqrt2, 1) leaves the decomposability
+    # verdict unformed; the search's own guard names the irrational atoms
+    sp = parse_space("space s dim 2\ngen sqrt2*abs(x), abs(x)\n")
+    with pytest.raises(ValueError, match="irrational"):
+        maximal_isotropic(sp)
+    verdict = kernel_image_check(sp, LinearMap.from_rows([[1, 0], [0, 0]]))
+    assert verdict.status == "Unknown"
+    assert verdict.witness_matrix is None
+    assert verdict.detail == {"reason": "irrational atom coefficients unsupported here"}
 
 
 class _FailsAt:

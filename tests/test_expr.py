@@ -32,11 +32,11 @@ from smoothsum.expr import (
     classify_smoothness,
     compose,
     const,
-    decompose_exotic,
     differentiate,
     eval_candidates,
     eval_exact,
     eval_tagged,
+    exotic_terms,
     is_smooth_expr,
     make_app,
     make_neg,
@@ -47,6 +47,7 @@ from smoothsum.expr import (
     parse_expr,
     rewrite_delta_cancellation,
     to_text,
+    unnamed_terms,
     verify_nonsmooth_witness,
 )
 from smoothsum.franklin import (
@@ -782,12 +783,49 @@ def test_is_smooth_expr():
 # ---------------------------------------------------------------------
 
 
-def test_decompose_exotic():
-    d = decompose_exotic(parse_expr("2*abs(x) - deltaQ(x) + x^2"))
-    assert d.ok
-    assert d.coefficient(ABS_KIND) == QSqrt2.coerce(2)
-    assert d.coefficient(DELTA_KIND) == QSqrt2.coerce(-1)
-    assert d.kinds_present == frozenset({ABS_KIND, DELTA_KIND})
+def test_exotic_terms():
+    # the smooth term counts nowhere, and every term is named by an atom
+    e = parse_expr("2*abs(x) - deltaQ(x) + x^2")
+    assert exotic_terms(e) == {ABS_KIND: QSqrt2.coerce(2), DELTA_KIND: QSqrt2.coerce(-1)}
+    assert unnamed_terms(exotic_terms(e)) == []
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a constant times a sum is read term by term
+    ("2*(abs(x)+x)", {ABS_KIND: 2}),
+    ("-(abs(x)+x)", {ABS_KIND: -1}),
+    # |x| terms that cancel leave nothing
+    ("abs(x) - (abs(x)+x)", {}),
+    ("2*(abs(x)+x) - 2*abs(x) + deltaQ(x)", {DELTA_KIND: 1}),
+])
+def test_exotic_terms_distribute_constants_over_sums(text, expected):
+    assert exotic_terms(parse_expr(text)) == {k: QSqrt2.coerce(c) for k, c in expected.items()}
+
+
+def test_exotic_terms_key_an_unnamed_term_by_its_tree():
+    terms = exotic_terms(parse_expr("abs(x) + 3*(x*abs(x) + x)"))
+    core = parse_expr("x*abs(x)")
+    assert terms == {ABS_KIND: QSqrt2.coerce(1), core: QSqrt2.coerce(3)}
+    assert unnamed_terms(terms) == [parse_expr("3*x*abs(x)")]
+
+
+def test_classifier_reads_a_negated_sum_term_by_term():
+    # -(|x| + x) carries |x| with coefficient -1: a kink at 0 that replays
+    e = parse_expr("-(abs(x)+x)")
+    v = classify_smoothness(e)
+    assert v.status == Smoothness.NONSMOOTH
+    assert v.witness["kind"] == "one-sided-derivative-mismatch"
+    assert (v.witness["left"], v.witness["right"]) == ("0", "-2")
+    assert verify_nonsmooth_witness(e, v)
+    # |x| terms that cancel leave a smooth curve
+    v = classify_smoothness(parse_expr("abs(x) - (abs(x)+x)"))
+    assert v.status == Smoothness.SMOOTH
+
+
+def test_classifier_leaves_an_unnamed_term_unknown():
+    v = classify_smoothness(parse_expr("3*abs(x^2-1)"))
+    assert v.status == Smoothness.UNKNOWN
+    assert v.derivation == ("unrecognized exotic term: 3*abs(x^2-1)",)
 
 
 def test_classifier_smooth_and_abs():
@@ -841,7 +879,7 @@ def test_axiom_witness_rejected_without_gamma_content():
 
 def test_axiom_witness_rejected_when_decomposition_has_leftovers():
     e = parse_expr("abs(x) + abs(x^2 - 1)")
-    assert not decompose_exotic(e).ok
+    assert unnamed_terms(exotic_terms(e)) == [parse_expr("abs(x^2 - 1)")]
     forged = _forged_axiom_witness()
     assert not verify_nonsmooth_witness(e, forged, axioms=frozenset({AXIOM_A}))
 

@@ -5,8 +5,9 @@ name) pairs.  Deleting or renaming one of them breaks the traced benchmark
 run; the first test makes it break the test suite as well.  The second
 keeps every module-level import in `src/` and `tests/` in use, and the
 third keeps every top-level function and class of the package, and
-every method of its classes, called from the package itself, so code
-only the tests reach lives in the tests; a short list names the methods
+every method of its classes, called from the package itself, and every
+field of its classes read there, so code and data only the tests reach
+live in the tests; a short list names the methods
 kept as the API the tests check results with.
 The fourth keeps the linear-algebra layer on one scalar, ``QSqrt2``:
 ``Fraction`` stays in parsing, the matching construction and ``numbers``.
@@ -267,11 +268,13 @@ def _attributes_read(node: ast.AST):
 
 def _unreferenced_definitions(package: Path, root: Path = ROOT) -> list:
     """Top-level functions and classes of ``package`` whose name the package
-    never reads outside their own definition, as "file:line name", and
-    methods of its top-level classes, dunders aside, that it never reads
-    as an attribute outside their own body nor names in a string, as
-    "file:line Class.method".  An import is not a read, and an attribute
-    of the same name is, so the check errs towards passing."""
+    never reads outside their own definition, as "file:line name"; methods
+    of its top-level classes, dunders aside, that it never reads as an
+    attribute outside their own body nor names in a string, as
+    "file:line Class.method"; and fields (annotated names in the body) of
+    its top-level classes that it never reads as an attribute nor names in
+    a string, as "file:line Class.field".  An import is not a read, and an
+    attribute of the same name is, so the check errs towards passing."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.rglob("*.py"))}
     reads = Counter(name for tree in trees.values() for name in _names_read(tree))
     attributes = Counter(name for tree in trees.values() for name in _attributes_read(tree))
@@ -283,10 +286,16 @@ def _unreferenced_definitions(package: Path, root: Path = ROOT) -> list:
                 inside = sum(1 for name in _names_read(node) if name == node.name)
                 if reads[node.name] == inside:
                     found.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
-            methods = node.body if isinstance(node, ast.ClassDef) else ()
-            for method in methods:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members = node.body if isinstance(node, ast.ClassDef) else ()
+            for member in members:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                    if not attributes[name] and name not in strings:
+                        found.append(f"{path.relative_to(root)}:{member.lineno} {node.name}.{name}")
                     continue
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                method = member
                 name = method.name
                 if name.startswith("__") and name.endswith("__"):
                     continue
@@ -344,8 +353,13 @@ def test_unreferenced_definition_check_sees_what_it_should(tmp_path):
     (package / "b.py").write_text(
         "from . import a\n"
         "from .a import only_imported, used\n"
+        "class Record:\n"
+        "    read: int = 0\n"
+        "    named: int = 0\n"
+        "    unread: int = 0\n"
+        "    plain = 0\n"
         "def main():\n"
-        "    return used() + a.read_as_attribute()\n"
+        "    return used() + a.read_as_attribute() + Record().read + getattr(Record(), 'named')\n"
     )
     found = _unreferenced_definitions(package, tmp_path)
     assert found == [
@@ -353,7 +367,8 @@ def test_unreferenced_definition_check_sees_what_it_should(tmp_path):
         "pkg/a.py:13 Box.again",
         "pkg/a.py:17 recursive",
         "pkg/a.py:19 only_imported",
-        "pkg/b.py:3 main",
+        "pkg/b.py:6 Record.unread",
+        "pkg/b.py:8 main",
     ]
 
 
